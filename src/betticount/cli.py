@@ -14,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +26,6 @@ from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_
 MAX_GRID_CONF = 64
 MAX_GRID_TORI = 20
 MAX_VERIFY_N = 12
-THREADS_ENV = "BETTICOUNT_THREADS"
 
 
 @dataclass
@@ -174,6 +171,11 @@ def _parse_variety(spec: str, q: int | None) -> PointCountData:
     raise ValueError(f"unknown variety {spec!r}; use affine:d, projective:d or file:PATH")
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
+
+
 def _check_grid(max_i: int, max_n: int, cap: int) -> None:
     if max_i < 0 or max_n < 0:
         raise ValueError("--max-i and --max-n must be nonnegative")
@@ -233,6 +235,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         if len(q_list) != 1:
             raise ValueError("count takes a single --q")
         q = q_list[0]
+    _check_max_n(args.max_n)
     v = _parse_variety(args.variety, q)
     if args.lam is not None:
         lam = _parse_lambda(args.lam)
@@ -306,6 +309,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
         if not is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
     reps = [(tok.strip(), parse_rep(tok)) for tok in args.rep.split(",")]
+    _check_max_n(args.max_n)
     if args.bruteforce:
         for q in qs:
             if q ** args.max_n > args.guard:
@@ -315,26 +319,12 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 )
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
-    tasks = [
-        (q, n, name, rep)
+    rows = [
+        _verify_one(side, q, n, name, rep, args.bruteforce, args.guard)
         for q in qs
         for n in range(args.max_n + 1)
         for name, rep in reps
     ]
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda t: _verify_one(side, *t, args.bruteforce, args.guard),
-                    tasks,
-                )
-            )
-    else:
-        rows = [
-            _verify_one(side, q, n, name, rep, args.bruteforce, args.guard)
-            for q, n, name, rep in tasks
-        ]
     doc = OutputDocument(kind="verification")
     doc.meta = {
         "side": side,
@@ -352,7 +342,8 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     if notes:
         doc.meta["notes"] = notes
     doc.data = rows
-    all_pass = all(row["pass"] for row in rows)
+    # an empty verification checks nothing and must not pass
+    all_pass = bool(rows) and all(row["pass"] for row in rows)
     return doc, (0 if all_pass else 1)
 
 

@@ -6,27 +6,28 @@ The double generating function for a binomial-basis weight C(X, lam) is
         = (1 - z t^2)/(1 - t)
           * prod_k binom(M_k(1/z), lam_k) * ((tz)^k / (1 + (tz)^k))^lam_k
 
-with M_k the k-th necklace polynomial.  The series is stored verbatim (the
-coefficient at z^i t^n is (-1)^i alpha_i(n)); the sign is applied only when
-extracting tables.  Negative powers of z coming from the necklace binomials
-cancel against the (tz)^k numerators; the construction asserts that.
+with M_k the k-th necklace polynomial; the coefficient at z^i t^n is
+(-1)^i alpha_i(n).  It factors as (1 - z t^2)/(1 - t) * B(1/z) * G(tz) with
+
+    B(y) = prod_k binom(M_k(y), lam_k),   G(u) = u^w / prod_k (1 + u^k)^lam_k,
+
+w = |lam|.  B has degree <= w in y and G has integer coefficients g_m, so
+the t^n coefficient of (1 - t) F is B(1/z) (g_n z^n - g_(n-2) z^(n-1)), a
+polynomial in z, and each table row is the running sum of these over n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .chars import CharPoly, LambdaSpec
 from .conf_counts import partition_weighted_count
 from .series import (
-    BiSeries,
-    Laurent,
     Poly,
     RationalFunction,
     RecurrenceSpec,
-    WindowError,
     binomial,
     recurrence_from_ratfun,
     taylor_coeffs,
@@ -36,7 +37,6 @@ from .zeta import builtin_variety, necklace_poly
 __all__ = [
     "BettiTable",
     "GLCheck",
-    "generating_series",
     "difference_series",
     "betti_table",
     "stable_generating_function",
@@ -95,76 +95,87 @@ class GLCheck:
         return self.lhs == self.rhs
 
 
-def _necklace_in_inverse_z(k: int) -> Laurent:
-    """M_k(1/z) as a Laurent polynomial; exponents lie in [-k, -1]."""
-    return Laurent({-j: c for j, c in enumerate(necklace_poly(k).coeffs) if c})
-
-
-def difference_series(lam: LambdaSpec, max_i: int, t_order: int) -> BiSeries:
-    """(1 - t) times the Betti generating series for C(X, lam).
-
-    Its coefficient at z^i t^n is (-1)^i (alpha_i(n) - alpha_i(n-1)), so
-    every nonzero monomial satisfies the slope bound n - i <= weight + 1,
-    which is what makes the stability range explicit.
-    """
-    w = lam.weight
-    ceil = max_i + w
-    acc = BiSeries.from_terms({(0, 0): 1, (1, 2): -1}, t_order, 0, ceil)
+def _necklace_binomials(lam: LambdaSpec) -> Poly:
+    """B(y) = prod_k binom(M_k(y), lam_k), a polynomial of degree <= |lam|."""
+    out = Poly((1,))
     for k, lk in lam.active():
-        neck = binomial(_necklace_in_inverse_z(k), lk)
-        acc = acc * BiSeries.from_laurent(neck, t_order, ceil)
-        geom = BiSeries.from_terms({(0, 0): 1, (k, k): 1}, t_order, 0, ceil)
-        acc = acc * geom.inverse() ** lk
-        acc = acc * BiSeries.from_terms({(k * lk, k * lk): 1}, t_order, k * lk, None)
-    return acc
+        out = out * binomial(necklace_poly(k), lk)
+    return out
 
 
-@lru_cache(maxsize=512)
-def generating_series(lam: LambdaSpec, max_i: int, t_order: int) -> BiSeries:
-    """The Betti generating series for C(X, lam): coefficient of z^i t^n is
-    (-1)^i alpha_i(n), exact for i up to max_i and n up to t_order.
-
-    Negative z-powers must cancel in the full product; failure to cancel
-    indicates an implementation bug and raises ArithmeticError.  Results are
-    cached; every value in play is immutable.
-    """
-    if max_i < 0 or t_order < 0:
-        raise ValueError("max_i and t_order must be nonnegative")
-    w = lam.weight
-    geom_t = BiSeries.from_terms({(0, 0): 1, (0, 1): -1}, t_order, 0, max_i + w)
-    phi = difference_series(lam, max_i, t_order) * geom_t.inverse()
+def _scaled_difference_terms(
+    lam: LambdaSpec, t_order: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """(terms, scale): scale times the coefficient of z^i t^n in (1 - t) F
+    is the integer terms[(i, n)], for n <= t_order; zero terms are absent."""
+    b = _necklace_binomials(lam).coeffs
+    scale = math.lcm(*(c.denominator for c in b))
+    b = [int(c * scale) for c in b]
+    g = [0] * (t_order + 1)
+    if lam.weight <= t_order:
+        g[lam.weight] = 1
+    for k, lk in lam.active():
+        for _ in range(lk):
+            for m in range(k, t_order + 1):
+                g[m] -= g[m - k]
+    terms: dict[tuple[int, int], int] = {}
     for n in range(t_order + 1):
-        low = phi.coeff(n).min_exp()
-        if low is not None and low < 0:
-            raise ArithmeticError(
-                f"negative z-powers failed to cancel at t^{n} for lam={lam.entries}"
-            )
-    if phi.z_ceil is not None and phi.z_ceil < max_i:
-        raise WindowError(
-            f"guaranteed window reaches only z^{phi.z_ceil}, below requested {max_i}"
-        )
-    return phi
+        # B(1/z) (g_n z^n - g_(n-2) z^(n-1)), with B(1/z) = sum_j b_j z^(-j)
+        for gm, top in ((g[n], n), (-g[n - 2] if n >= 2 else 0, n - 1)):
+            if gm:
+                for j, bj in enumerate(b):
+                    key = (top - j, n)
+                    terms[key] = terms.get(key, 0) + gm * bj
+    return {key: c for key, c in terms.items() if c}, scale
 
 
-@lru_cache(maxsize=128)
+def difference_series(
+    lam: LambdaSpec, max_i: int, t_order: int
+) -> dict[tuple[int, int], Fraction]:
+    """(1 - t) times the Betti generating series for C(X, lam), as its
+    nonzero terms {(i, n): c} with i <= max_i and n <= t_order.
+
+    The coefficient c is (-1)^i (alpha_i(n) - alpha_i(n-1)), so every term
+    satisfies the slope bound n - i <= weight + 1, which is what makes the
+    stability range explicit.  Negative i are kept, not clipped.
+    """
+    terms, scale = _scaled_difference_terms(lam, t_order)
+    return {(i, n): Fraction(c, scale) for (i, n), c in terms.items() if i <= max_i}
+
+
 def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
     """alpha_i(n) for the character polynomial p on grids i <= max_i,
     n <= max_n."""
-    grid = [[Fraction(0)] * (max_n + 1) for _ in range(max_i + 1)]
-    for lam, coeff in p.items():
-        phi = generating_series(lam, max_i, max_n)
-        for n in range(max_n + 1):
-            row = phi.coeff(n)
-            for i in range(max_i + 1):
-                c = row[i]
-                if c:
-                    grid[i][n] += coeff * (-1) ** i * c
+    if max_i < 0 or max_n < 0:
+        raise ValueError("max_i and max_n must be nonnegative")
+    kernels = [
+        (coeff, *_scaled_difference_terms(lam, max_n)) for lam, coeff in p.items()
+    ]
+    den = math.lcm(*(coeff.denominator * scale for coeff, _, scale in kernels))
+    diff = [[0] * (max_n + 1) for _ in range(max_i + 1)]
+    for coeff, terms, scale in kernels:
+        mult = coeff.numerator * (den // (coeff.denominator * scale))
+        for (i, n), c in terms.items():
+            if i < 0:
+                raise ArithmeticError(
+                    f"negative z-power z^{i} at t^{n} in the Betti series"
+                )
+            if i <= max_i:
+                diff[i][n] += mult * c
+    entries = []
+    for i, row in enumerate(diff):
+        sign = -1 if i % 2 else 1
+        acc, out = 0, []
+        for c in row:
+            acc += c
+            out.append(Fraction(sign * acc, den))
+        entries.append(tuple(out))
     table = BettiTable(
         rep=p,
         kind="conf",
         max_i=max_i,
         max_n=max_n,
-        entries=tuple(tuple(r) for r in grid),
+        entries=tuple(entries),
     )
     for i in range(max_i + 1):
         for n in range(max_n + 1):
@@ -177,20 +188,13 @@ def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
 
 def stable_generating_function(lam: LambdaSpec) -> RationalFunction:
     """The stable series sum_i alpha_i (-z)^i as an exact rational function:
-    (1 - z) * prod_k binom(M_k(1/z), lam_k) * (z^k / (1 + z^k))^lam_k."""
+    (1 - z) * z^w B(1/z) / prod_k (1 + z^k)^lam_k."""
+    w = lam.weight
+    b = _necklace_binomials(lam)
     den = Poly((1,))
-    shift = 0
-    neck = Laurent({0: 1})
     for k, lk in lam.active():
-        neck = neck * binomial(_necklace_in_inverse_z(k), lk)
-        shift += k * lk
-        zk = Poly((0,) * k + (1,))
-        den = den * (1 + zk) ** lk
-    # the z^shift numerator clears every negative necklace exponent
-    coeffs = [Fraction(0)] * (shift + max(neck.max_exp() or 0, 0) + 1)
-    for e, c in neck.items():
-        coeffs[e + shift] = c
-    return RationalFunction(Poly((1, -1)) * Poly(coeffs), den)
+        den = den * (1 + Poly((0,) * k + (1,))) ** lk
+    return RationalFunction(Poly((1, -1)) * Poly(b[w - e] for e in range(w + 1)), den)
 
 
 def _stable_gf_char(p: CharPoly) -> RationalFunction:

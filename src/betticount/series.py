@@ -1,17 +1,9 @@
-"""Exact series kernel: rationals, univariate rational functions, and
-truncated bivariate series (Laurent in z, polynomial in t).
+"""Exact series kernel: rationals, univariate polynomials and rational
+functions, and truncated power-series helpers.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 Scalars are `fractions.Fraction` (re-exported as `Rational`), which already
 guarantees lowest terms and a positive denominator.
-
-A `BiSeries` carries an explicit z-window.  `z_floor` is a true lower bound
-on the z-exponents that can ever occur (the series is Laurent, bounded
-below), while `z_ceil` is a truncation bound: coefficients above it have
-been discarded and are unknown.  `z_ceil is None` means nothing was ever
-truncated, i.e. the stored coefficients are the whole series.  Every
-operation computes the window on which its output is guaranteed exact, so
-downstream coefficient extraction can refuse to read polluted entries.
 """
 
 from __future__ import annotations
@@ -19,18 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
     "Rational",
-    "WindowError",
     "Poly",
     "RationalFunction",
-    "Laurent",
-    "BiSeries",
     "RecurrenceSpec",
     "binomial",
     "taylor_coeffs",
@@ -39,14 +28,6 @@ __all__ = [
     "stable_limit",
     "recurrence_from_ratfun",
 ]
-
-
-class WindowError(ValueError):
-    """The guaranteed-exact z-window of a series operation came out empty.
-
-    Raising this signals that the caller requested an insufficient z_ceil
-    for the multiplication it attempted.
-    """
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -305,370 +286,19 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in z
-
-
-class Laurent:
-    """Finite Laurent polynomial in one variable, sparse over exact rationals."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping[int, Scalar], Iterable[tuple[int, Scalar]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, Fraction] = {}
-        for e, c in items:
-            c = _frac(c)
-            if c:
-                d[e] = d.get(e, Fraction(0)) + c
-                if not d[e]:
-                    del d[e]
-        self._terms = d
-
-    @staticmethod
-    def term(exp: int, coeff: Scalar = 1) -> Laurent:
-        return Laurent({exp: coeff})
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._terms.items())
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self._terms.get(e, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def min_exp(self) -> Union[int, None]:
-        return min(self._terms) if self._terms else None
-
-    def max_exp(self) -> Union[int, None]:
-        return max(self._terms) if self._terms else None
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Laurent):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == Laurent({0: other})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> Laurent:
-        return Laurent({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other: Union[Laurent, Scalar]) -> Laurent:
-        if isinstance(other, (int, Fraction)):
-            other = Laurent({0: other})
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            v = d.get(e, Fraction(0)) + c
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-        out = Laurent.__new__(Laurent)
-        out._terms = d
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union[Laurent, Scalar]) -> Laurent:
-        if isinstance(other, (int, Fraction)):
-            other = Laurent({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> Laurent:
-        return Laurent({0: other}) - self
-
-    def __mul__(self, other: Union[Laurent, Scalar]) -> Laurent:
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return Laurent()
-            return Laurent({e: v * c for e, v in self._terms.items()})
-        d: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                v = d.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    d[e] = v
-                elif e in d:
-                    del d[e]
-        out = Laurent.__new__(Laurent)
-        out._terms = d
-        return out
-
-    __rmul__ = __mul__
-
-    def truncated(self, lo: Union[int, None], hi: Union[int, None]) -> Laurent:
-        """Drop terms outside [lo, hi]; None means unbounded on that side."""
-        d = {
-            e: c
-            for e, c in self._terms.items()
-            if (lo is None or e >= lo) and (hi is None or e <= hi)
-        }
-        out = Laurent.__new__(Laurent)
-        out._terms = d
-        return out
-
-    def __call__(self, x: Scalar) -> Fraction:
-        return sum((c * _frac(x) ** e for e, c in self._terms.items()), Fraction(0))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "Laurent(0)"
-        parts = [f"{c}*z^{e}" for e, c in self.items()]
-        return "Laurent(" + " + ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# truncated bivariate series
-
-
-def _min_ceil(*ceils: Union[int, None]) -> Union[int, None]:
-    present = [c for c in ceils if c is not None]
-    return min(present) if present else None
-
-
-class BiSeries:
-    """Bivariate series, Laurent in z and truncated at t_order in t.
-
-    Coefficients (one Laurent polynomial per power of t) are exact for
-    z-exponents in [z_floor, z_ceil]; below z_floor the true series is zero,
-    above z_ceil (when not None) it is unknown.
-    """
-
-    __slots__ = ("t_order", "z_floor", "z_ceil", "_rows")
-
-    def __init__(
-        self,
-        t_order: int,
-        z_floor: int,
-        z_ceil: Union[int, None],
-        rows: Sequence[Laurent],
-    ):
-        if t_order < 0:
-            raise ValueError("t_order must be nonnegative")
-        if z_ceil is not None and z_ceil < z_floor:
-            raise WindowError(f"empty z-window [{z_floor}, {z_ceil}]")
-        rows = list(rows)
-        if len(rows) != t_order + 1:
-            raise ValueError("need exactly t_order+1 coefficient rows")
-        self.t_order = t_order
-        self.z_floor = z_floor
-        self.z_ceil = z_ceil
-        self._rows = tuple(r.truncated(z_floor, z_ceil) for r in rows)
-
-    @staticmethod
-    def from_terms(
-        terms: Mapping[tuple[int, int], Scalar],
-        t_order: int,
-        z_floor: Union[int, None] = None,
-        z_ceil: Union[int, None] = None,
-    ) -> BiSeries:
-        """Build a series from {(z_exp, t_exp): coeff}.
-
-        Terms above t_order are dropped (truncation in t is inherent).  The
-        default z_floor is the smallest z-exponent present (0 for no terms);
-        declaring a floor above an existing term is an error, since floors
-        are promises about the true series.
-        """
-        rows = [Laurent() for _ in range(t_order + 1)]
-        min_seen: Union[int, None] = None
-        for (ze, te), c in terms.items():
-            if te < 0:
-                raise ValueError("negative t-exponent")
-            if te > t_order:
-                continue
-            if _frac(c):
-                rows[te] = rows[te] + Laurent({ze: c})
-                min_seen = ze if min_seen is None else min(min_seen, ze)
-        if z_floor is None:
-            z_floor = 0 if min_seen is None else min(min_seen, 0)
-        elif min_seen is not None and min_seen < z_floor:
-            raise ValueError("term below the declared z_floor")
-        return BiSeries(t_order, z_floor, z_ceil, rows)
-
-    @staticmethod
-    def constant(value: Scalar, t_order: int, z_ceil: Union[int, None] = None) -> BiSeries:
-        return BiSeries.from_terms({(0, 0): value}, t_order, 0, z_ceil)
-
-    @staticmethod
-    def from_laurent(
-        p: Laurent, t_order: int, z_ceil: Union[int, None] = None
-    ) -> BiSeries:
-        """A z-Laurent polynomial viewed as a series constant in t."""
-        floor = p.min_exp()
-        rows = [p] + [Laurent() for _ in range(t_order)]
-        return BiSeries(t_order, min(0, floor) if floor is not None else 0, z_ceil, rows)
-
-    def coeff(self, n: int) -> Laurent:
-        """The coefficient of t**n, as a Laurent polynomial in z."""
-        if not 0 <= n <= self.t_order:
-            raise ValueError(f"t-order {n} outside [0, {self.t_order}]")
-        return self._rows[n]
-
-    def coefficient(self, z_exp: int, t_exp: int) -> Fraction:
-        """The coefficient of z**z_exp * t**t_exp; exact only inside the window."""
-        if self.z_ceil is not None and z_exp > self.z_ceil:
-            raise WindowError(f"z-exponent {z_exp} beyond guaranteed ceiling {self.z_ceil}")
-        return self.coeff(t_exp)[z_exp]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (
-            self.t_order == other.t_order
-            and self.z_floor == other.z_floor
-            and self.z_ceil == other.z_ceil
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.t_order, self.z_floor, self.z_ceil, self._rows))
-
-    def __neg__(self) -> BiSeries:
-        return self * Fraction(-1)
-
-    def __add__(self, other: Union[BiSeries, Scalar]) -> BiSeries:
-        if isinstance(other, (int, Fraction)):
-            rows = list(self._rows)
-            rows[0] = rows[0] + Laurent({0: other})
-            return BiSeries(self.t_order, min(self.z_floor, 0), self.z_ceil, rows)
-        t_order = min(self.t_order, other.t_order)
-        floor = min(self.z_floor, other.z_floor)
-        ceil = _min_ceil(self.z_ceil, other.z_ceil)
-        rows = [self._rows[n] + other._rows[n] for n in range(t_order + 1)]
-        return BiSeries(t_order, floor, ceil, rows)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union[BiSeries, Scalar]) -> BiSeries:
-        return self + (-other if isinstance(other, BiSeries) else -_frac(other))
-
-    def __rsub__(self, other: Scalar) -> BiSeries:
-        return (-self) + other
-
-    def __mul__(self, other: Union[BiSeries, Scalar]) -> BiSeries:
-        if isinstance(other, (int, Fraction)):
-            return BiSeries(
-                self.t_order,
-                self.z_floor,
-                self.z_ceil,
-                [r * other for r in self._rows],
-            )
-        t_order = min(self.t_order, other.t_order)
-        floor = self.z_floor + other.z_floor
-        cands = []
-        if self.z_ceil is not None:
-            cands.append(self.z_ceil + other.z_floor)
-        if other.z_ceil is not None:
-            cands.append(other.z_ceil + self.z_floor)
-        ceil = min(cands) if cands else None
-        if ceil is not None and ceil < floor:
-            raise WindowError(
-                f"multiplication window [{floor}, {ceil}] is empty; "
-                "the requested z_ceil is insufficient"
-            )
-        rows = [dict() for _ in range(t_order + 1)]
-        for n1 in range(t_order + 1):
-            r1 = self._rows[n1]
-            if r1.is_zero():
-                continue
-            for n2 in range(t_order + 1 - n1):
-                r2 = other._rows[n2]
-                if r2.is_zero():
-                    continue
-                acc = rows[n1 + n2]
-                for e1, c1 in r1._terms.items():
-                    for e2, c2 in r2._terms.items():
-                        e = e1 + e2
-                        if ceil is not None and e > ceil:
-                            continue
-                        v = acc.get(e, Fraction(0)) + c1 * c2
-                        if v:
-                            acc[e] = v
-                        elif e in acc:
-                            del acc[e]
-        return BiSeries(t_order, floor, ceil, [Laurent(d) for d in rows])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> BiSeries:
-        if m < 0:
-            raise ValueError("negative power of a BiSeries")
-        out = BiSeries.constant(1, self.t_order, self.z_ceil)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def inverse(self) -> BiSeries:
-        """Multiplicative inverse, exact on the same window.
-
-        Requires the t^0 coefficient to be a nonzero constant (pure z^0
-        term) and the z-floor to be nonnegative, which keeps the recursion's
-        window bookkeeping trivial; every inversion this package performs is
-        of that shape.
-        """
-        head = self._rows[0].items()
-        if len(head) != 1 or head[0][0] != 0:
-            raise ValueError("inverse requires a nonzero constant t^0 coefficient")
-        if self.z_floor < 0:
-            raise ValueError("inverse requires a nonnegative z_floor")
-        inv0 = Fraction(1) / head[0][1]
-        ceil = self.z_ceil
-        rows = [Laurent({0: inv0})]
-        for n in range(1, self.t_order + 1):
-            acc: dict[int, Fraction] = {}
-            for m in range(1, n + 1):
-                am = self._rows[m]
-                if am.is_zero():
-                    continue
-                bm = rows[n - m]
-                for e1, c1 in am._terms.items():
-                    for e2, c2 in bm._terms.items():
-                        e = e1 + e2
-                        if ceil is not None and e > ceil:
-                            continue
-                        v = acc.get(e, Fraction(0)) + c1 * c2
-                        if v:
-                            acc[e] = v
-                        elif e in acc:
-                            del acc[e]
-            rows.append(Laurent(acc) * (-inv0))
-        return BiSeries(self.t_order, 0, ceil, rows)
-
-    def support(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (z_exp, t_exp, coeff) over all stored nonzero terms."""
-        for n, row in enumerate(self._rows):
-            for e, c in row.items():
-                yield e, n, c
-
-    def __repr__(self) -> str:
-        n_terms = sum(len(r._terms) for r in self._rows)
-        return (
-            f"BiSeries(t_order={self.t_order}, z_floor={self.z_floor}, "
-            f"z_ceil={self.z_ceil}, terms={n_terms})"
-        )
-
-
-# ---------------------------------------------------------------------------
 # generic binomial, truncated univariate helpers
 
 
 def binomial(x, m: int):
     """binom(x, m) = x(x-1)...(x-m+1)/m! for any x supporting * and -.
 
-    Works on scalars, Laurent polynomials and BiSeries; binom(x, 0) is the
-    multiplicative identity of the matching kind.
+    Works on scalars and polynomials; binom(x, 0) is the multiplicative
+    identity of the matching kind.
     """
     if m < 0:
         raise ValueError("binomial needs m >= 0")
-    if isinstance(x, BiSeries):
-        acc = BiSeries.constant(1, x.t_order, x.z_ceil)
-    elif isinstance(x, Laurent):
-        acc = Laurent({0: 1})
+    if isinstance(x, Poly):
+        acc = Poly((1,))
     else:
         acc = Fraction(1)
         x = _frac(x)

@@ -10,21 +10,26 @@ The torus-side double generating function is
 where beta_i(n) is the dimension of the degree-2i cohomology (odd degrees
 vanish).  On the arithmetic side, the count of tori with Frobenius cycle
 type mu is |GL_n(F_q)| / (z_mu * prod_k (q^k - 1)^(a_k)), which doubles as
-an independent oracle for the series expansion.  The infinite product over
-j is truncated at j = z_ceil: factor j only contributes z-exponents >= j.
+an independent oracle for the series expansion.
+
+Euler's identity prod_{j>=0} 1/(1 - t z^j) = sum_m t^m / ((1-z)...(1-z^m))
+cancels the q-factorial, so for n >= w = |lam| each table row is the
+polynomial
+
+    sum_i beta_i(n) z^i
+        = (1/z_lam) prod_{j=n-w+1..n} (1 - z^j) / prod_k (1 - z^k)^lam_k
+
+and the row is zero for n < w.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .chars import CharPoly, CycleType, LambdaSpec, centralizer_order, partitions
 from .conf_betti import BettiTable, GLCheck
 from .series import (
-    BiSeries,
-    Laurent,
     Poly,
     RationalFunction,
     RecurrenceSpec,
@@ -38,7 +43,6 @@ __all__ = [
     "weighted_series",
     "partition_weighted_count",
     "tori_count_by_type",
-    "generating_series",
     "betti_table",
     "stable_generating_function",
     "stable_betti_numbers",
@@ -91,19 +95,11 @@ def weighted_series(lam: LambdaSpec, q: int, n_max: int) -> list[Fraction]:
 
 def partition_weighted_count(p: CharPoly, q: int, n: int) -> Fraction:
     """Independent path: sum over partitions mu of n of N_mu * p(mu), where
-    N_mu = |GL_n(F_q)| / (z_mu * prod_k (q^k - 1)^(a_k)) counts the tori
-    whose Frobenius permutation has cycle type mu."""
-    order = gl_order(n, q)
-    total = Fraction(0)
-    for mu in partitions(n):
-        denom = centralizer_order(mu)
-        for k, a in enumerate(mu.counts, start=1):
-            denom *= (q**k - 1) ** a
-        count = Fraction(order, denom)
-        if count.denominator != 1:
-            raise ArithmeticError(f"non-integral torus count {count} at {mu.parts()}")
-        total += count * p.evaluate(mu)
-    return total
+    N_mu counts the tori whose Frobenius permutation has cycle type mu."""
+    return sum(
+        (tori_count_by_type(q, n, mu) * p.evaluate(mu) for mu in partitions(n)),
+        Fraction(0),
+    )
 
 
 def tori_count_by_type(q: int, n: int, mu: CycleType) -> int:
@@ -120,79 +116,50 @@ def tori_count_by_type(q: int, n: int, mu: CycleType) -> int:
     return int(count)
 
 
-@lru_cache(maxsize=256)
-def generating_series(lam: LambdaSpec, max_i: int, t_order: int) -> BiSeries:
-    """The torus-side double generating series, exact on z-exponents up to
-    max_i and t-orders up to t_order.
-
-    The t^n coefficient is the sum over i of beta_i(n) z^i divided by
-    (1-z)(1-z^2)...(1-z^n); callers multiply that q-factorial back in to
-    extract Betti numbers.
-    """
-    if max_i < 0 or t_order < 0:
-        raise ValueError("max_i and t_order must be nonnegative")
+def _row(lam: LambdaSpec, n: int, max_i: int) -> list[int]:
+    """z_lam * sum_i beta_i(n) z^i for the weight C(X, lam), as integers
+    truncated at z^max_i."""
     w = lam.weight
-    # the bracket collapses to (1/z_lam) t^w prod_k (1/(1 - z^k))^lam_k,
-    # z_lam = prod_k lam_k! k^lam_k absorbing the 1/(k...) factors
-    head = Laurent({0: Fraction(1, z_lambda(lam))})
-    acc = BiSeries(
-        t_order,
-        0,
-        max_i,
-        [head if n == w else Laurent() for n in range(t_order + 1)],
-    )
+    row = [0] * (max_i + 1)
+    if n < w:
+        return row
+    row[0] = 1
+    for j in range(n - w + 1, n + 1):
+        for e in range(max_i, j - 1, -1):
+            row[e] -= row[e - j]
     for k, lk in lam.active():
-        geometric_zk = Laurent({k * j: 1 for j in range(0, max_i // k + 1)})
-        factor = BiSeries.from_laurent(geometric_zk, t_order, max_i)
         for _ in range(lk):
-            acc = acc * factor
-    for j in range(0, max_i + 1):
-        # 1/(1 - t z^j); factor j only touches z-exponents >= j
-        one_minus_tzj = BiSeries.from_terms(
-            {(0, 0): 1, (j, 1): -1}, t_order, 0, max_i
-        )
-        acc = acc * one_minus_tzj.inverse()
-    return acc
+            for e in range(k, max_i + 1):
+                row[e] += row[e - k]
+    return row
 
 
-def _q_factorial_poly(n: int) -> Laurent:
-    out = Laurent({0: 1})
-    for j in range(1, n + 1):
-        out = out * Laurent({0: 1, j: -1})
-    return out
-
-
-@lru_cache(maxsize=128)
 def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
     """beta_i(n) = dim of the degree-2i twisted cohomology of the space of
-    maximal tori, for i <= max_i and n <= max_n.
-
-    The series is computed with z-ceiling max_i + max_n(max_n+1)/2 so that
-    multiplying the t^n coefficient by (1-z)...(1-z^n) is exact up to z^max_i.
-    """
-    slack = max_n * (max_n + 1) // 2
-    ceiling = max_i + slack
-    grid = [[Fraction(0)] * (max_n + 1) for _ in range(max_i + 1)]
-    qfacts = [_q_factorial_poly(n) for n in range(max_n + 1)]
-    for lam, coeff in p.items():
-        psi = generating_series(lam, ceiling, max_n)
+    maximal tori, for i <= max_i and n <= max_n."""
+    if max_i < 0 or max_n < 0:
+        raise ValueError("max_i and max_n must be nonnegative")
+    terms = [(coeff, z_lambda(lam), lam) for lam, coeff in p.items()]
+    den = math.lcm(*(coeff.denominator * z for coeff, z, _ in terms))
+    grid = [[0] * (max_n + 1) for _ in range(max_i + 1)]
+    for coeff, z, lam in terms:
+        mult = coeff.numerator * (den // (coeff.denominator * z))
         for n in range(max_n + 1):
-            numerator = psi.coeff(n) * qfacts[n]
-            top = n * (n - 1) // 2
-            for i in range(max_i + 1):
-                c = numerator[i]
-                if c:
-                    if i > top:
-                        raise ArithmeticError(
-                            f"nonzero beta beyond i = n(n-1)/2 at i={i}, n={n}"
-                        )
-                    grid[i][n] += coeff * c
+            for i, c in enumerate(_row(lam, n, max_i)):
+                grid[i][n] += mult * c
+    top = [n * (n - 1) // 2 for n in range(max_n + 1)]
+    for i, row in enumerate(grid):
+        for n, c in enumerate(row):
+            if c and i > top[n]:
+                raise ArithmeticError(
+                    f"nonzero beta beyond i = n(n-1)/2 at i={i}, n={n}"
+                )
     return BettiTable(
         rep=p,
         kind="tori",
         max_i=max_i,
         max_n=max_n,
-        entries=tuple(tuple(r) for r in grid),
+        entries=tuple(tuple(Fraction(c, den) for c in row) for row in grid),
     )
 
 

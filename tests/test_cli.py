@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
 from betticount.cli import (
+    MAX_GRID_TORI,
+    MAX_VERIFY_N,
     OutputDocument,
     build_parser,
     format_rational,
@@ -135,6 +138,16 @@ def test_tori_betti_stable_recurrence_v11(capsys):
     assert doc["meta"]["stable"] == ["0", "0", "0", "1", "1"]
 
 
+def test_tori_betti_budget_at_the_grid_cap(capsys):
+    cap = str(MAX_GRID_TORI)
+    start = time.monotonic()
+    code, doc = run_json(
+        capsys, "tori-betti", "--rep", "C(X1,3)", "--max-i", cap, "--max-n", cap
+    )
+    assert code == 0
+    assert time.monotonic() - start < 10
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -187,6 +200,14 @@ def test_count_malformed_file(tmp_path, capsys):
 def test_count_missing_file(capsys):
     code, out, err = run(capsys, "count", "--variety", "file:/does/not/exist", "--rep", "1")
     assert code == 2
+
+
+def test_count_rejects_negative_max_n(capsys):
+    code, out, err = run(
+        capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", "V11", "--max-n", "-1"
+    )
+    assert code == 2
+    assert "--max-n must be nonnegative" in err
 
 
 def test_count_rejects_rep_and_lambda(capsys):
@@ -257,16 +278,23 @@ def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_verify_threaded_matches_serial(capsys, monkeypatch):
-    code1, doc1 = run_json(
-        capsys, "verify", "--side", "tori", "--q", "2,3", "--max-n", "3", "--rep", "1,V1"
+def test_verify_rejects_negative_max_n(capsys):
+    code, out, err = run(capsys, "verify", "--side", "conf", "--q", "3", "--max-n", "-1")
+    assert code == 2
+    assert "--max-n must be nonnegative" in err
+    assert "checks passed" not in out
+
+
+def test_verify_tori_budget_at_the_n_cap(capsys):
+    start = time.monotonic()
+    code, doc = run_json(
+        capsys, "verify", "--side", "tori", "--q", "2,3", "--max-n", str(MAX_VERIFY_N),
+        "--rep", "1,V1,V11,V2",
     )
-    monkeypatch.setenv("BETTICOUNT_THREADS", "4")
-    code2, doc2 = run_json(
-        capsys, "verify", "--side", "tori", "--q", "2,3", "--max-n", "3", "--rep", "1,V1"
-    )
-    assert code1 == code2 == 0
-    assert doc1 == doc2
+    assert time.monotonic() - start < 30
+    assert code == 0
+    assert len(doc["data"]) == 2 * (MAX_VERIFY_N + 1) * 4
+    assert all(r["pass"] for r in doc["data"])
 
 
 # ---------------------------------------------------------------------------

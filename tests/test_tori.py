@@ -4,10 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from betticount.chars import CharPoly, CycleType, LambdaSpec, builtin_rep
-from betticount.series import Laurent, Poly, RationalFunction, taylor_coeffs
+from betticount.series import Poly, RationalFunction, truncated_mul
 from betticount.tori import (
     betti_table,
-    generating_series,
     gl_crosscheck,
     gl_order,
     partition_weighted_count,
@@ -105,29 +104,74 @@ def euler_inverse_qfactorial(n, max_i):
         # divide by (1 - z^j): prefix-sum with stride j
         for e in range(j, max_i + 1):
             out[e] += out[e - j]
-    return Laurent({e: c for e, c in enumerate(out)})
+    return out
+
+
+def qfactorial(n, max_i):
+    """(1-z)(1-z^2)...(1-z^n) truncated at z^max_i."""
+    out = [F(1)] + [F(0)] * max_i
+    for j in range(1, n + 1):
+        out = truncated_mul(out, [F(1)] + [F(0)] * (j - 1) + [F(-1)], max_i)
+    return out
+
+
+def product_gf_coeff(p, n, max_i):
+    """The t^n coefficient, truncated at z^max_i, of the double generating
+    function sum_lam c_lam (1/z_lam) t^w prod_k (1 - z^k)^(-lam_k)
+    prod_{j>=0} 1/(1 - t z^j), expanded factor by factor."""
+    # rows[m][e]: coefficient of t^m z^e in prod_{j=0..max_i} 1/(1 - t z^j)
+    rows = [[F(1)] + [F(0)] * max_i] + [[F(0)] * (max_i + 1) for _ in range(n)]
+    for j in range(max_i + 1):
+        for m in range(1, n + 1):
+            for e in range(j, max_i + 1):
+                rows[m][e] += rows[m - 1][e - j]
+    out = [F(0)] * (max_i + 1)
+    for lam, coeff in p.items():
+        if lam.weight > n:
+            continue
+        col = rows[n - lam.weight]
+        for k, lk in lam.active():
+            geometric = [F(1) if e % k == 0 else F(0) for e in range(max_i + 1)]
+            for _ in range(lk):
+                col = truncated_mul(col, geometric, max_i)
+        for e in range(max_i + 1):
+            out[e] += coeff * col[e] / z_lambda(lam)
+    return out
 
 
 def test_trivial_weight_is_euler_identity():
-    psi = generating_series(LambdaSpec.of(), 8, 8)
+    table = betti_table(ONE, 8, 8)
     for n in range(9):
-        assert psi.coeff(n) == euler_inverse_qfactorial(n, 8)
+        euler = euler_inverse_qfactorial(n, 8)
+        assert product_gf_coeff(ONE, n, 8) == euler
+        # the kernel's row over (z;z)_n is the same t^n coefficient
+        row = [table.entry(i, n) for i in range(9)]
+        assert truncated_mul(row, euler, 8) == euler
 
 
 def test_t0_coefficient():
-    assert generating_series(LambdaSpec.of(), 4, 4).coeff(0) == Laurent({0: 1})
-    assert generating_series(LambdaSpec.of(1), 4, 4).coeff(0).is_zero()
+    assert [betti_table(ONE, 4, 4).entry(i, 0) for i in range(5)] == [1, 0, 0, 0, 0]
+    assert all(betti_table(X1, 4, 4).entry(i, 0) == 0 for i in range(5))
 
 
 def test_linear_weight_normalizes_to_geometric_sums():
-    psi = generating_series(LambdaSpec.of(1), 10, 6)
+    # (z;z)_n [t^n] of the lam = (1) series is 1 + z + ... + z^(n-1)
     for n in range(1, 7):
-        qfact = Laurent({0: 1})
-        for j in range(1, n + 1):
-            qfact = qfact * Laurent({0: 1, j: -1})
-        product = (psi.coeff(n) * qfact).truncated(0, 5)
-        expected = Laurent({e: 1 for e in range(min(n, 6))})
-        assert product == expected.truncated(0, 5)
+        product = truncated_mul(product_gf_coeff(X1, n, 5), qfactorial(n, 5), 5)
+        assert product == [F(1) if e < n else F(0) for e in range(6)]
+
+
+@pytest.mark.parametrize(
+    "rep", [CharPoly.binom(lam) for lam in LAMBDA_SWEEP_4] + [builtin_rep("V11")]
+)
+def test_kernel_matches_product_expansion(rep):
+    # beta(n) = (z;z)_n * [t^n] of the double generating function; the
+    # q-factorial has nonnegative exponents, so truncating at z^max_i is exact
+    max_i, max_n = 7, 7
+    table = betti_table(rep, max_i, max_n)
+    for n in range(max_n + 1):
+        expected = truncated_mul(product_gf_coeff(rep, n, max_i), qfactorial(n, max_i), max_i)
+        assert [table.entry(i, n) for i in range(max_i + 1)] == expected, n
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +205,10 @@ def test_entries_vanish_beyond_top_degree():
             assert table.entry(i, n) == 0
 
 
-def test_slack_policy_sufficient_on_sample():
-    # recompute a sample table with twice the z-ceiling slack; entries agree
-    from betticount.tori import _q_factorial_poly, generating_series as gen
-
-    p = builtin_rep("V11")
-    max_i, max_n = 6, 7
-    table = betti_table(p, max_i, max_n)
-    generous = max_i + max_n * (max_n + 1)  # double the usual slack
-    for n in range(max_n + 1):
-        qfact = _q_factorial_poly(n)
-        for i in range(max_i + 1):
-            recomputed = F(0)
-            for lam, coeff in p.items():
-                psi = gen(lam, generous, max_n)
-                recomputed += coeff * (psi.coeff(n) * qfact)[i]
-            assert recomputed == table.entry(i, n), (i, n)
+def test_betti_table_rejects_negative_bounds():
+    for bounds in ((-1, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            betti_table(X1, *bounds)
 
 
 def test_genuine_rep_tables_integral_nonnegative():
