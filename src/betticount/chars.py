@@ -444,11 +444,16 @@ def builtin_rep(name: str) -> CharPoly:
 # expression parser for user-entered character polynomials
 #
 # grammar: rational coefficients, variables X1..X9, operators + - *, and
-# C(Xk, m) for binomial-coefficient atoms.
+# C(Xk, m) for binomial-coefficient atoms.  Expansion cost grows with the
+# degree, so atoms and products above MAX_DEGREE (the conf grid cap) are
+# rejected before they are expanded.
+
+MAX_DEGREE = 64
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X[1-9])|(?P<name>C)|(?P<op>[+\-*(),]))"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<name>C)|(?P<op>[+\-*(),]))"
 )
+_VARIABLE = re.compile(r"X[1-9]")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -457,9 +462,23 @@ def _tokenize(text: str) -> list[str]:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"cannot parse {text[pos:]!r}")
-        tokens.append(m.group(m.lastgroup))
+        tok = m.group(m.lastgroup)
+        if m.lastgroup == "var" and not _VARIABLE.fullmatch(tok):
+            raise ValueError(f"unknown variable {tok}; variables are X1..X9")
+        tokens.append(tok)
         pos = m.end()
     return tokens
+
+
+def _degree(p: XPoly) -> int:
+    return max(
+        (sum(k * e for k, e in enumerate(mono, start=1)) for mono in p._terms), default=0
+    )
+
+
+def _check_degree(d: int, what: str) -> None:
+    if d > MAX_DEGREE:
+        raise ValueError(f"{what} has degree {d}; degrees are capped at {MAX_DEGREE}")
 
 
 class _Parser:
@@ -490,7 +509,9 @@ class _Parser:
         out = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            out = out * self.parse_factor()
+            factor = self.parse_factor()
+            _check_degree(_degree(out) + _degree(factor), "a product")
+            out = out * factor
         return out
 
     def parse_factor(self) -> XPoly:
@@ -521,6 +542,7 @@ class _Parser:
                 raise ValueError("C() expects a nonnegative integer order")
             self.take(")")
             m = int(m_tok)
+            _check_degree(k * m, f"C({var},{m})")
             x = XPoly.variable(k)
             out = XPoly.constant(Fraction(1, math.factorial(m)))
             for j in range(m):

@@ -17,15 +17,8 @@ from functools import lru_cache
 from math import comb
 
 from .chars import CharPoly, CycleType, LambdaSpec, partitions
-from .series import (
-    Poly,
-    RationalFunction,
-    stable_limit,
-    taylor_coeffs,
-    truncated_inverse,
-    truncated_mul,
-)
-from .zeta import PointCountData, closed_point_counts, zeta_series_from_counts
+from .series import Poly, RationalFunction, stable_limit
+from .zeta import PointCountData, closed_point_counts
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -39,17 +32,11 @@ __all__ = [
     "limit_expectation",
 ]
 
-DEFAULT_GUARD = 10**8
+DEFAULT_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
 # the generating-function path
-
-
-def _zeta_series(v: PointCountData, order: int) -> list[Fraction]:
-    if v.zeta is not None:
-        return taylor_coeffs(v.zeta, order)
-    return zeta_series_from_counts(v, order)
 
 
 def weighted_count_series(
@@ -58,36 +45,42 @@ def weighted_count_series(
     """Coefficients c_0..c_{n_max} with c_n the sum of C(X, lam) over the
     Frobenius cycle types of all n-point configurations of V over F_q.
 
-    Computed as Z(V,t)/Z(V,t^2) times, for each k with lam_k > 0, the factor
-    binom(M_k(V,q), lam_k) * (t^k / (1 + t^k))^lam_k, all by exact truncated
-    series arithmetic.
+    The generating function is Z(V,t)/Z(V,t^2) times, for each k with
+    lam_k > 0, the factor binom(M_k(V,q), lam_k) * (t^k / (1 + t^k))^lam_k.
+    Since Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k), the ratio is
+    prod_k (1 + t^k)^(M_k) and every step stays on integers: the product
+    comes from Newton's identity m s_m = sum_{i=1..m} c_i s_{m-i}, with
+    c_i = sum_{k | i} (-1)^(i/k + 1) k M_k its logarithmic derivative, and
+    each division by (1 + t^k) is an in-place stride-k difference.
     """
-    depth = max(n_max, len(lam.entries))
-    mk = closed_point_counts(v, depth) if depth else []
-    zt = _zeta_series(v, n_max)
-    zt2 = [Fraction(0)] * (n_max + 1)
-    for j in range(0, n_max // 2 + 1):
-        zt2[2 * j] = zt[j]
-    out = truncated_mul(zt, truncated_inverse(zt2, n_max), n_max)
+    mk = closed_point_counts(v, max(n_max, len(lam.entries)))
+    scale = 1
     for k, lk in lam.active():
-        scale = comb(mk[k - 1], lk)
-        if scale == 0:
-            return [Fraction(0)] * (n_max + 1)
-        # (t^k / (1 + t^k))^lk, expanded to order n_max
-        one_plus_tk = [Fraction(0)] * (n_max + 1)
-        one_plus_tk[0] = Fraction(1)
-        if k <= n_max:
-            one_plus_tk[k] = Fraction(1)
-        factor = truncated_inverse(one_plus_tk, n_max)
-        for _ in range(lk):
-            out = truncated_mul(out, factor, n_max)
-        shift = k * lk
-        if shift > n_max:
-            out = [Fraction(0)] * (n_max + 1)
-        else:
-            out = [Fraction(0)] * shift + out[: n_max + 1 - shift]
-        out = [c * scale for c in out]
-    return out
+        scale *= comb(mk[k - 1], lk)
+    w = lam.weight
+    out = [0] * (n_max + 1)
+    if scale and w <= n_max:
+        order = n_max - w
+        c = [0] * (order + 1)
+        for k in range(1, order + 1):
+            km = k * mk[k - 1]
+            if km:
+                for i in range(k, order + 1, 2 * k):
+                    c[i] += km
+                for i in range(2 * k, order + 1, 2 * k):
+                    c[i] -= km
+        s = [1] + [0] * order
+        for m in range(1, order + 1):
+            total = sum(c[i] * s[m - i] for i in range(1, m + 1))
+            s[m], rem = divmod(total, m)
+            if rem:
+                raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
+        for k, lk in lam.active():
+            for _ in range(lk):
+                for m in range(k, order + 1):
+                    s[m] -= s[m - k]
+        out[w:] = [scale * x for x in s]
+    return [Fraction(x) for x in out]
 
 
 def weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
@@ -105,7 +98,10 @@ def cycle_type_count(v: PointCountData, n: int, c: CycleType) -> int:
     if c.n != n:
         raise ValueError(f"cycle type has size {c.n}, expected {n}")
     depth = len(c.counts)
-    mk = closed_point_counts(v, depth) if depth else []
+    return _type_count(closed_point_counts(v, depth) if depth else [], c)
+
+
+def _type_count(mk: list[int], c: CycleType) -> int:
     out = 1
     for k, a in enumerate(c.counts, start=1):
         if a:
@@ -116,9 +112,10 @@ def cycle_type_count(v: PointCountData, n: int, c: CycleType) -> int:
 def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
     """Independent evaluation path: sum over partitions mu of n of
     cycle_type_count(mu) * p(mu)."""
+    mk = closed_point_counts(v, n) if n else []
     total = Fraction(0)
     for mu in partitions(n):
-        cnt = cycle_type_count(v, n, mu)
+        cnt = _type_count(mk, mu)
         if cnt:
             total += cnt * p.evaluate(mu)
     return total
@@ -230,15 +227,15 @@ def _census(p: int, n: int) -> dict[CycleType, int]:
     if n == 0:
         return {CycleType(()): 1}
     spf = _factor_sieve(p, n)
-    census: dict[CycleType, int] = {}
+    tally: dict[tuple[int, ...], int] = {}
     counts = [0] * n
     for f in _monics(p, n):
         for i in range(n):
             counts[i] = 0
         if _factor_degrees(f, spf, counts):
-            ct = CycleType(tuple(counts))
-            census[ct] = census.get(ct, 0) + 1
-    return census
+            key = tuple(counts)
+            tally[key] = tally.get(key, 0) + 1
+    return {CycleType(key): cnt for key, cnt in tally.items()}
 
 
 def bruteforce_weighted_count(

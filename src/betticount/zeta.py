@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Optional
 
-from .series import Poly, RationalFunction, taylor_coeffs, truncated_mul
+from .series import Poly, RationalFunction, taylor_coeffs
 
 __all__ = [
     "mobius",
@@ -24,7 +23,6 @@ __all__ = [
     "necklace_poly",
     "PointCountData",
     "closed_point_counts",
-    "zeta_series_from_counts",
     "builtin_variety",
     "load_variety_file",
     "parse_variety_text",
@@ -102,6 +100,9 @@ class PointCountData:
             raise ValueError("supply exactly one of zeta or counts")
         if self.zeta is not None and self.zeta.den[0] == 0:
             raise ValueError("zeta function must be regular at t = 0")
+        if self.zeta is not None and self.zeta.num[0] == 0:
+            # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
+            raise ValueError("zeta function must be nonzero at t = 0")
 
     def point_counts(self, depth: int) -> list[int]:
         """|V(F_{q^m})| for m = 1..depth."""
@@ -142,22 +143,6 @@ def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
                 "point-count data is inconsistent"
             )
         out.append(total // k)
-    return out
-
-
-def zeta_series_from_counts(v: PointCountData, t_order: int) -> list[Fraction]:
-    """Truncated Euler product prod_k (1 - t^k)^(-M_k(V,q)) to the given order."""
-    mk = closed_point_counts(v, t_order) if t_order else []
-    out = [Fraction(1)] + [Fraction(0)] * t_order
-    for k in range(1, t_order + 1):
-        m = mk[k - 1]
-        if m == 0:
-            continue
-        # (1 - t^k)^(-m) = sum_j comb(m+j-1, j) t^(kj)
-        factor = [Fraction(0)] * (t_order + 1)
-        for j in range(0, t_order // k + 1):
-            factor[k * j] = Fraction(comb(m + j - 1, j))
-        out = truncated_mul(out, factor, t_order)
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticount.chars import (
+    MAX_DEGREE,
     CharPoly,
     CycleType,
     LambdaSpec,
@@ -229,6 +230,22 @@ def test_parse_products_and_parens():
 def test_parse_rejects_garbage():
     for bad in ("X0", "C(2,X1)", "X1 +", "1//2", "C(X1,1/2)", "(X1"):
         with pytest.raises(ValueError):
+            parse_char_poly(bad)
+
+
+def test_parse_names_unknown_variables():
+    for bad, name in (("X10", "X10"), ("C(X10,2)", "X10"), ("X0", "X0"), ("X01", "X01")):
+        with pytest.raises(ValueError, match=f"unknown variable {name}; variables are X1..X9"):
+            parse_char_poly(bad)
+    assert parse_char_poly("X9") == CharPoly.variable(9)
+
+
+def test_parse_caps_the_degree():
+    assert MAX_DEGREE == 64
+    assert parse_char_poly("C(X2,32)").degree() == 64
+    assert parse_char_poly("C(X1,8)*C(X2,28)").degree() == 64
+    for bad, degree in (("C(X1,65)", 65), ("C(X2,32)*X1", 65), ("(X1+X2)*C(X3,21)", 65)):
+        with pytest.raises(ValueError, match=f"has degree {degree}; degrees are capped at 64"):
             parse_char_poly(bad)
 
 

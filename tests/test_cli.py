@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import betticount
 from betticount.cli import (
     MAX_GRID_TORI,
     MAX_VERIFY_N,
@@ -15,6 +19,7 @@ from betticount.cli import (
     render_csv,
     render_json,
 )
+from betticount.conf_counts import DEFAULT_GUARD
 
 
 def run(capsys, *argv):
@@ -103,6 +108,26 @@ def test_conf_betti_parse_error(capsys):
     code, out, err = run(capsys, "conf-betti", "--rep", "X1 +")
     assert code == 2
     assert "error" in err
+
+
+def test_conf_betti_rejects_a_high_degree_rep_before_expanding_it():
+    # run in a child with a timeout, so an expansion that never ends fails
+    # the test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(betticount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticount.cli", "conf-betti", "--rep", "C(X1,5000)",
+         "--max-i", "2", "--max-n", "2"],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert proc.returncode == 2
+    assert "C(X1,5000) has degree 5000; degrees are capped at 64" in proc.stderr
+
+
+def test_conf_betti_names_an_unknown_variable(capsys):
+    code, out, err = run(capsys, "conf-betti", "--rep", "X10", "--max-i", "2", "--max-n", "2")
+    assert code == 2
+    assert "unknown variable X10; variables are X1..X9" in err
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +278,17 @@ def test_verify_guard_error(capsys):
     )
     assert code == 2
     assert "guard" in err
+
+
+def test_verify_default_guard_rejects_5_to_the_11(capsys):
+    # checked first, so a guard that admits 5^11 (about 29 GB of polynomials)
+    # never starts the enumeration
+    assert 5**11 > DEFAULT_GUARD
+    code, out, err = run(
+        capsys, "verify", "--side", "conf", "--q", "5", "--max-n", "11", "--rep", "1", "--bruteforce"
+    )
+    assert code == 2
+    assert f"brute force at q=5, n=11 exceeds the guard {DEFAULT_GUARD}" in err
 
 
 def test_verify_even_q_note(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import time
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -15,7 +16,19 @@ from betticount.conf_counts import (
     weighted_count,
     weighted_count_series,
 )
-from betticount.zeta import PointCountData, builtin_variety
+from betticount.series import (
+    Poly,
+    RationalFunction,
+    taylor_coeffs,
+    truncated_inverse,
+    truncated_mul,
+)
+from betticount.zeta import (
+    PointCountData,
+    builtin_variety,
+    closed_point_counts,
+    parse_variety_text,
+)
 
 A1_Q3 = builtin_variety("affine", 1, 3)
 
@@ -184,6 +197,57 @@ def test_weighted_count_insufficient_data():
     v = PointCountData(q=3, dim=1, counts=(3, 9))
     with pytest.raises(ValueError):
         weighted_count_series(v, LambdaSpec.of(), 4)
+
+
+def fraction_count_series(z, mk, lam, n):
+    """Z(t)/Z(t^2) * prod_k binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k to order
+    n, by truncated Fraction series products from the Taylor coefficients z."""
+    z2 = [F(0)] * (n + 1)
+    for j in range(n // 2 + 1):
+        z2[2 * j] = z[j]
+    out = truncated_mul(z, truncated_inverse(z2, n), n)
+    for k, lk in lam.active():
+        one_plus_tk = [F(1)] + [F(int(m == k)) for m in range(1, n + 1)]
+        factor = ([F(0)] * k + truncated_inverse(one_plus_tk, n))[: n + 1]
+        for _ in range(lk):
+            out = truncated_mul(out, factor, n)
+        out = [comb(mk[k - 1], lk) * c for c in out]
+    return out
+
+
+P2_Q2 = builtin_variety("projective", 2, 2)
+ZETA_AT_ZERO_2 = parse_variety_text("q = 3\ndim = 1\nzeta_num = 2\nzeta_den = 1 -3\n")
+
+# variety, its zeta function, and the order n of the comparison
+SERIES_CASES = {
+    "affine1_q3": (A1_Q3, A1_Q3.zeta, 60),
+    "projective2_q2": (P2_Q2, P2_Q2.zeta, 60),
+    "counts_p1_q3": (
+        PointCountData(q=3, dim=1, counts=tuple(3**m + 1 for m in range(1, 61))),
+        RationalFunction(1, Poly((1, -1)) * Poly((1, -3))),
+        60,
+    ),
+    # Z(0) = 2: the constant must cancel in Z(t)/Z(t^2)
+    "zeta_at_zero_2": (ZETA_AT_ZERO_2, ZETA_AT_ZERO_2.zeta, 60),
+    "empty": (PointCountData(q=2, dim=1, counts=(0, 0, 0)), RationalFunction(1), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_series_matches_fraction_expansion(case):
+    v, zeta, n = SERIES_CASES[case]
+    z = taylor_coeffs(zeta, n)
+    lambdas = [LambdaSpec(mu.counts) for w in range(5) for mu in partitions(w)]
+    assert len(lambdas) == 12
+    for lam in lambdas:
+        if len(lam.entries) > n:
+            with pytest.raises(ValueError):
+                weighted_count_series(v, lam, n)  # counts needed beyond the data
+            continue
+        expected = fraction_count_series(z, closed_point_counts(v, n), lam, n)
+        assert weighted_count_series(v, lam, n) == expected, lam
+    if case == "empty":
+        assert weighted_count_series(v, LambdaSpec.of(), n) == [1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -11,7 +12,6 @@ from betticount.zeta import (
     mobius,
     necklace_poly,
     parse_variety_text,
-    zeta_series_from_counts,
 )
 
 
@@ -112,7 +112,21 @@ def test_mobius_roundtrip(kind, d, q):
 
 
 # ---------------------------------------------------------------------------
-# Euler products
+# Euler products: Z(V,t) = prod_k (1 - t^k)^(-M_k) for Z(V,0) = 1, the identity
+# the weighted count series rests on
+
+
+def zeta_series_from_counts(v, order):
+    """prod_k (1 - t^k)^(-M_k) to the given order, from the closed-point counts."""
+    out = [1] + [0] * order
+    for k, m in enumerate(closed_point_counts(v, order), start=1):
+        if m:
+            # (1 - t^k)^(-m) = sum_j comb(m+j-1, j) t^(kj)
+            factor = [0] * (order + 1)
+            for j in range(order // k + 1):
+                factor[k * j] = comb(m + j - 1, j)
+            out = [sum(out[i] * factor[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return out
 
 
 def test_zeta_series_affine_line():
@@ -193,6 +207,8 @@ def test_parse_variety_counts():
         "q = 3\nq = 5\ndim = 1\ncounts = 3",
         "q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 0",
         "q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 0 1",
+        "q = 3\ndim = 1\nzeta_num = 0 1\nzeta_den = 1 -3",
+        "q = 3\ndim = 1\nzeta_num = 0\nzeta_den = 1 -3",
     ],
 )
 def test_parse_variety_rejects_malformed(text):
