@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the complete cross-validation sweep: configuration-space counts
-against Betti tables (with brute-force polynomial enumeration) and torus
-counts against torus Betti tables.  Exits nonzero if any row fails."""
+against Betti tables (with brute-force polynomial enumeration, up to the
+largest runs the default guard admits) and torus counts against torus
+Betti tables.  Exits nonzero if any row fails."""
 
 import sys
 import time
@@ -22,6 +23,13 @@ if __name__ == "__main__":
     rc |= run([
         "verify", "--side", "conf", "--q", "3,5,7", "--max-n", "6",
         "--rep", "1,V1,V11,V2", "--bruteforce",
+    ])
+    # the two largest brute-force runs the default --guard admits
+    rc |= run([
+        "verify", "--side", "conf", "--q", "7", "--max-n", "7", "--rep", "1", "--bruteforce",
+    ])
+    rc |= run([
+        "verify", "--side", "conf", "--q", "3", "--max-n", "12", "--rep", "1", "--bruteforce",
     ])
     rc |= run([
         "verify", "--side", "tori", "--q", "2,3,5", "--max-n", "6",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import conf_betti, conf_counts, tori
 from .chars import CharPoly, LambdaSpec, parse_rep
 from .conf_counts import DEFAULT_GUARD
-from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
+from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
 
 MAX_GRID_CONF = 64
 MAX_GRID_TORI = 20
@@ -202,8 +202,9 @@ def _betti_doc(side: str, args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.stable:
-        stable = mod.stable_betti_numbers(rep, args.max_i)
-        spec = mod.recurrence(rep)
+        series = mod.stable_series(rep)
+        stable = mod.stable_betti_numbers(rep, args.max_i, series)
+        spec = mod.recurrence(rep, series)
         doc.meta["stable"] = [format_rational(v) for v in stable]
         doc.meta["recurrence"] = {
             "coefficients": [format_rational(c) for c in spec.coefficients],
@@ -279,7 +280,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     return doc, 0
 
 
-def _verify_one(side: str, q: int, n: int, name: str, rep: CharPoly, bruteforce: bool, guard: int):
+def _verify_one(side: str, q: int, n: int, name: str, rep: CharPoly, census: dict | None):
     mod = conf_betti if side == "conf" else tori
     check = mod.gl_crosscheck(rep, q, n)
     ok = check.equal
@@ -290,8 +291,11 @@ def _verify_one(side: str, q: int, n: int, name: str, rep: CharPoly, bruteforce:
         "lhs": format_rational(check.lhs),
         "rhs": format_rational(check.rhs),
     }
-    if bruteforce:
-        brute = conf_counts.bruteforce_weighted_count(q, n, rep, guard)
+    if census is not None:
+        brute = Fraction(0)
+        for ct, cnt in census.items():
+            if ct.n == n:
+                brute += cnt * rep.evaluate(ct)
         row["brute"] = format_rational(brute)
         ok = ok and brute == check.lhs
     row["pass"] = ok
@@ -312,6 +316,8 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     _check_max_n(args.max_n)
     if args.bruteforce:
         for q in qs:
+            if not is_prime(q):
+                raise ValueError(f"q = {q} is not prime; --bruteforce runs over prime fields only")
             if q ** args.max_n > args.guard:
                 raise ValueError(
                     f"brute force at q={q}, n={args.max_n} exceeds the guard "
@@ -319,8 +325,14 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 )
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
+    # one sieve per q gives the census of every degree, before any row
+    censuses = {
+        q: conf_counts.bruteforce_census(q, args.max_n, args.guard, lowest=0)
+        if args.bruteforce else None
+        for q in qs
+    }
     rows = [
-        _verify_one(side, q, n, name, rep, args.bruteforce, args.guard)
+        _verify_one(side, q, n, name, rep, censuses[q])
         for q in qs
         for n in range(args.max_n + 1)
         for name, rep in reps

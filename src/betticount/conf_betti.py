@@ -40,6 +40,7 @@ __all__ = [
     "difference_series",
     "betti_table",
     "stable_generating_function",
+    "stable_series",
     "stable_betti_numbers",
     "recurrence",
     "StabilityRow",
@@ -197,25 +198,28 @@ def stable_generating_function(lam: LambdaSpec) -> RationalFunction:
     return RationalFunction(Poly((1, -1)) * Poly(b[w - e] for e in range(w + 1)), den)
 
 
-def _stable_gf_char(p: CharPoly) -> RationalFunction:
+def stable_series(p: CharPoly) -> RationalFunction:
+    """The unsigned stable series sum_i alpha_i z^i of p, exactly."""
     total = RationalFunction(Poly(()))
     for lam, coeff in p.items():
         total = total + stable_generating_function(lam) * coeff
-    return total
+    return total.scale_arg(-1)
 
 
-def stable_betti_numbers(p: CharPoly, count: int) -> list[Fraction]:
-    """The stable values alpha_0, ..., alpha_count (unsigned)."""
-    unsigned = _stable_gf_char(p).scale_arg(-1)
-    return taylor_coeffs(unsigned, count)
+def stable_betti_numbers(
+    p: CharPoly, count: int, series: RationalFunction | None = None
+) -> list[Fraction]:
+    """The stable values alpha_0, ..., alpha_count (unsigned), read from
+    `series`, p's stable_series, when it is already built."""
+    return taylor_coeffs(stable_series(p) if series is None else series, count)
 
 
-def recurrence(p: CharPoly) -> RecurrenceSpec:
+def recurrence(p: CharPoly, series: RationalFunction | None = None) -> RecurrenceSpec:
     """Linear recurrence satisfied by the stable Betti numbers of p,
-    extracted from the rational stable generating function."""
+    extracted from its rational stable series (built unless given)."""
     if p.is_zero():
         raise ValueError("zero character polynomial")
-    return recurrence_from_ratfun(_stable_gf_char(p).scale_arg(-1))
+    return recurrence_from_ratfun(stable_series(p) if series is None else series)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,25 @@ their large-n limits, and a brute-force oracle for the affine line.
 Points of the n-th configuration space of the affine line over F_p are in
 bijection with monic square-free degree-n polynomials; the number of
 k-cycles of the Frobenius permutation of a configuration equals the number
-of degree-k irreducible factors.  The oracle enumerates every monic
-polynomial of degree n over F_p, reads off its factor degrees from a
-smallest-factor sieve, and tallies the square-free ones.
+of degree-k irreducible factors.  The oracle runs one smallest-factor sieve
+over every monic polynomial over F_p of degree <= n and tallies the
+square-free ones of each degree by their factor degrees.  A polynomial is a
+packed int, one bit field per coefficient, so adding two of them mod p
+takes no loop; each product g * h is the previous one plus a multiple of g,
+one packed addition; and each polynomial's factor type is read from a table
+kept for its cofactor.  It never uses the closed-point counts or the
+binomial formula it checks.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .chars import CharPoly, CycleType, LambdaSpec, partitions
 from .series import Poly, RationalFunction, stable_limit
-from .zeta import PointCountData, closed_point_counts
+from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
     "DEFAULT_GUARD",
@@ -124,118 +128,115 @@ def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction
 # ---------------------------------------------------------------------------
 # brute force over F_p
 #
-# Monic polynomials of degree d are coefficient tuples (c_0, ..., c_{d-1}, 1)
-# with entries mod p.  The sieve stores, for every monic polynomial of
-# degree 2..n, its smallest irreducible factor (ordered by degree, then
-# lexicographically) together with the quotient, built the same way an
-# integer smallest-prime-factor sieve is: every composite is produced
-# exactly once as (smallest factor) * (cofactor whose factors are >= it).
+# A monic polynomial c_0 + c_1 x + ... + x^m is the int sum_i c_i 2^(b i),
+# one b-bit field per coefficient (leading 1 included) with 2p <= 2^(b-1);
+# the int is its own dict key and orders polynomials degree first.  Two
+# such ints add mod p without a loop: each field of s = x + y is below 2p,
+# so adding 2^(b-1) - p to every field sets its top bit exactly where the
+# field reached p, and p comes off those fields.
+#
+# One sieve per prime, run up to degree n, builds every composite exactly
+# once as g * h, with g its smallest irreducible factor (as an int) and h a
+# cofactor with no factor below g, like an integer smallest-prime-factor
+# sieve.  For each irreducible g the cofactors h of degree e are walked in
+# odometer order, c_0 fastest.  The k-th step adds 1 + x + ... + x^v to h,
+# v = nu_p(k) (digit v goes up and the v digits below wrap from p - 1 to
+# 0), so it adds g (1 + ... + x^v) to the product: one packed addition.
+# Every monic of degree < n keeps its smallest factor and its cycle-type
+# key, the factor-degree counts a_k packed in base n + 1, or -1 when a
+# factor repeats.  g * h is square-free iff h is and h's smallest factor is
+# not g, and then its key is h's plus one degree-d factor; an irreducible
+# is its own smallest factor.  The monics that no product reaches are the
+# irreducibles, and every product must be a monic.  Degree-n products are
+# only tallied.
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return tuple(out)
-
-
-@lru_cache(maxsize=16)
-def _monics(p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(rest + (1,) for rest in itertools.product(range(p), repeat=d))
-
-
-@lru_cache(maxsize=8)
-def _factor_sieve(p: int, n: int):
-    """spf[f] = (g, h) with f = g * h for every composite monic f of degree
-    <= n, g the smallest irreducible factor (by degree, then lexicographic
-    order on coefficient tuples) and h the cofactor."""
-    spf: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    minf: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    irr: dict[int, list[tuple[int, ...]]] = {}
+def _sieve(p: int, n: int) -> list[Counter]:
+    """tallies[m][key]: the number of monic square-free degree-m polynomials
+    over F_p with cycle-type key `key`, for every m <= n."""
+    b = (2 * p).bit_length() + 1
+    top = b - 1
+    ones = sum(1 << (b * i) for i in range(n + 1))
+    lift = ((1 << top) - p) * ones
+    base = n + 1
+    # nus[i] = nu_p(i + 1): the highest odometer digit that moves at step i + 1
+    size = p ** max(n - 1, 0)
+    nus = [0] * size
+    for v in range(1, n):
+        nus[p**v - 1 :: p**v] = [v] * (size // p**v)
+    mons = [1]  # the monics of the current degree, in odometer order
+    small = [mons]  # small[e][i]: the smallest factor of the i-th monic of degree e
+    types = [[0]]  # types[e][i]: its cycle-type key
+    irr: list[list[int]] = [[]]
+    tallies = [Counter({0: 1})]
     for m in range(1, n + 1):
-        keep_minf = m < n  # minf is only ever consulted for cofactor degrees
+        last = m == n
+        made: dict[int, int] = {}  # product -> cycle-type key
+        spf: dict[int, int] = {}  # product -> smallest factor
         for d in range(1, m // 2 + 1):
+            e = m - d
+            unit = base ** (d - 1)
             for g in irr[d]:
-                key_g = (d, g)
-                for h in _monics(p, m - d):
-                    if minf[h] < key_g:
-                        continue
-                    f = _poly_mul(g, h, p)
-                    spf[f] = (g, h)
-                    if keep_minf:
-                        minf[f] = key_g
-        if keep_minf:
-            irr[m] = []
-            for f in _monics(p, m):
-                if f not in spf:
-                    minf[f] = (m, f)
-                    irr[m].append(f)
-    return spf
+                steps = [g]  # steps[v] = g (1 + x + ... + x^v) mod p
+                for j in range(1, e + 1):
+                    s = steps[-1] + (g << (b * j))
+                    steps.append(s - p * (((s + lift) >> top) & ones))
+                f = g << (b * e)
+                for v, hs, ht in zip(nus, small[e], types[e]):
+                    if hs >= g:
+                        if f in made:
+                            raise ArithmeticError(f"the sieve over F_{p} reached {f:#x} twice")
+                        made[f] = ht + unit if ht >= 0 and hs != g else -1
+                        if not last:
+                            spf[f] = g
+                    s = f + steps[v]
+                    f = s - p * (((s + lift) >> top) & ones)
+        # the degree-m monics are f + x^m + (c - 1) x^(m-1), f of degree m - 1
+        offsets = [(1 << (b * m)) + ((c - 1) << (b * (m - 1))) for c in range(p)]
+        unit = base ** (m - 1)
+        if last:
+            reached = sum(sum(map(made.__contains__, map(o.__add__, mons))) for o in offsets)
+            tally = Counter(made.values())
+            tally[unit] = p * len(mons) - reached
+        else:
+            mons = [f + o for o in offsets for f in mons]
+            small.append([spf.get(f, f) for f in mons])
+            types.append([made.get(f, unit) for f in mons])
+            irr.append([f for f, s in zip(mons, small[m]) if f == s])
+            reached = len(mons) - len(irr[m])
+            tally = Counter(types[m])
+        if reached != len(made):
+            raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
+        del tally[-1]
+        tallies.append(tally)
+    return tallies
 
 
-def _factor_degrees(f: tuple[int, ...], spf, out: list[int]) -> bool:
-    """Collect factor degrees of f into out; returns False when a factor
-    repeats (chain factors come off in nondecreasing order, so repeats are
-    adjacent)."""
-    prev = None
-    cur = f
-    while True:
-        entry = spf.get(cur)
-        if entry is None:
-            if len(cur) > 1:  # irreducible tail; degree-0 tail is the constant 1
-                if prev == cur:
-                    return False
-                out[len(cur) - 2] += 1
-            return True
-        g, h = entry
-        if g == prev:
-            return False
-        out[len(g) - 2] += 1
-        prev, cur = g, h
-
-
-def bruteforce_census(p: int, n: int, guard: int = DEFAULT_GUARD):
-    """Cycle-type census of monic square-free degree-n polynomials over F_p.
+def bruteforce_census(
+    p: int, n: int, guard: int = DEFAULT_GUARD, lowest: int | None = None
+) -> dict[CycleType, int]:
+    """Cycle-type census of the monic square-free polynomials over F_p of
+    every degree from `lowest` (default n) to n, all from one sieve.
 
     Returns a mapping CycleType -> number of square-free polynomials whose
-    irreducible factorization has those factor degrees.
+    irreducible factorization has those factor degrees; the size of a cycle
+    type is the degree of the polynomials it counts.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime; brute force runs over prime fields only")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if p**n > guard:
         raise ValueError(f"p^n = {p**n} exceeds the brute-force guard {guard}")
-    return _census(p, n)
-
-
-@lru_cache(maxsize=32)
-def _census(p: int, n: int) -> dict[CycleType, int]:
-    if n == 0:
-        return {CycleType(()): 1}
-    spf = _factor_sieve(p, n)
-    tally: dict[tuple[int, ...], int] = {}
-    counts = [0] * n
-    for f in _monics(p, n):
-        for i in range(n):
-            counts[i] = 0
-        if _factor_degrees(f, spf, counts):
-            key = tuple(counts)
-            tally[key] = tally.get(key, 0) + 1
-    return {CycleType(key): cnt for key, cnt in tally.items()}
+    lowest = n if lowest is None else lowest
+    if not 0 <= lowest <= n:
+        raise ValueError(f"lowest degree {lowest} is outside 0..{n}")
+    tallies = _sieve(p, n)
+    return {
+        CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))): cnt
+        for m in range(lowest, n + 1)
+        for key, cnt in tallies[m].items()
+    }
 
 
 def bruteforce_weighted_count(

@@ -45,6 +45,7 @@ __all__ = [
     "tori_count_by_type",
     "betti_table",
     "stable_generating_function",
+    "stable_series",
     "stable_betti_numbers",
     "recurrence",
     "gl_crosscheck",
@@ -171,23 +172,28 @@ def stable_generating_function(lam: LambdaSpec) -> RationalFunction:
     return RationalFunction(Poly((Fraction(1, z_lambda(lam)),)), den)
 
 
-def _stable_gf_char(p: CharPoly) -> RationalFunction:
+def stable_series(p: CharPoly) -> RationalFunction:
+    """The stable series sum_i beta_i z^i of p, exactly."""
     total = RationalFunction(Poly(()))
     for lam, coeff in p.items():
         total = total + stable_generating_function(lam) * coeff
     return total
 
 
-def stable_betti_numbers(p: CharPoly, count: int) -> list[Fraction]:
-    """The stable values beta_0, ..., beta_count."""
-    return taylor_coeffs(_stable_gf_char(p), count)
+def stable_betti_numbers(
+    p: CharPoly, count: int, series: RationalFunction | None = None
+) -> list[Fraction]:
+    """The stable values beta_0, ..., beta_count, read from `series`, p's
+    stable_series, when it is already built."""
+    return taylor_coeffs(stable_series(p) if series is None else series, count)
 
 
-def recurrence(p: CharPoly) -> RecurrenceSpec:
-    """Linear recurrence satisfied by the stable torus-side Betti numbers."""
+def recurrence(p: CharPoly, series: RationalFunction | None = None) -> RecurrenceSpec:
+    """Linear recurrence satisfied by the stable torus-side Betti numbers,
+    extracted from p's stable series (built unless given)."""
     if p.is_zero():
         raise ValueError("zero character polynomial")
-    return recurrence_from_ratfun(_stable_gf_char(p))
+    return recurrence_from_ratfun(stable_series(p) if series is None else series)
 
 
 def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:

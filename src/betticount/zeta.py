@@ -19,6 +19,7 @@ from .series import Poly, RationalFunction, taylor_coeffs
 __all__ = [
     "mobius",
     "divisors",
+    "is_prime",
     "is_prime_power",
     "necklace_poly",
     "PointCountData",
@@ -62,6 +63,17 @@ def necklace_poly(k: int) -> Poly:
     for j in divisors(k):
         coeffs[j] = Fraction(mobius(k // j), k)
     return Poly(coeffs)
+
+
+def is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def is_prime_power(q: int) -> bool:

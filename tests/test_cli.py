@@ -333,6 +333,89 @@ def test_verify_tori_budget_at_the_n_cap(capsys):
     assert all(r["pass"] for r in doc["data"])
 
 
+def test_verify_bruteforce_budget_at_the_top_of_the_guard():
+    # 3^12 is the largest power of 3 under the default guard; the child
+    # reports its own peak RSS, so the bound covers the whole sieve
+    assert 3**12 <= DEFAULT_GUARD < 3**13
+    src = os.path.dirname(os.path.dirname(betticount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import resource, sys\n"
+        "from betticount.cli import main\n"
+        "rc = main(['verify', '--side', 'conf', '--q', '3', '--max-n', '12', '--rep', '1',"
+        " '--bruteforce', '--format', 'json'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["data"]
+    assert len(rows) == 13
+    assert all(r["pass"] and "brute" in r for r in rows)
+    assert elapsed < 30
+    assert int(proc.stderr.split()[-1]) < 250 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_verify_rejects_a_non_prime_q_before_any_brute_force(capsys, monkeypatch):
+    import betticount.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(
+        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or {}
+    )
+    code, out, err = run(
+        capsys, "verify", "--side", "conf", "--q", "3,4", "--max-n", "6", "--bruteforce"
+    )
+    assert code == 2
+    assert "q = 4 is not prime" in err
+    assert calls == []
+
+
+def test_verify_builds_one_census_per_q(capsys, monkeypatch):
+    import betticount.cli as cli_mod
+
+    census = cli_mod.conf_counts.bruteforce_census
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.conf_counts, "bruteforce_census", counted)
+    code, doc = run_json(
+        capsys, "verify", "--side", "conf", "--q", "3,5", "--max-n", "4",
+        "--rep", "1,V1", "--bruteforce",
+    )
+    assert code == 0
+    assert len(doc["data"]) == 2 * 5 * 2
+    assert [a[:2] for a in calls] == [(3, 4), (5, 4)]
+
+
+@pytest.mark.parametrize("side", ["conf", "tori"])
+def test_stable_series_is_built_once_per_command(capsys, monkeypatch, side):
+    import betticount.cli as cli_mod
+
+    mod = cli_mod.conf_betti if side == "conf" else cli_mod.tori
+    build = mod.stable_series
+    calls = []
+
+    def counted(rep):
+        calls.append(rep)
+        return build(rep)
+
+    monkeypatch.setattr(mod, "stable_series", counted)
+    code, doc = run_json(
+        capsys, f"{side}-betti", "--rep", "V11", "--max-i", "4", "--max-n", "6", "--stable"
+    )
+    assert code == 0
+    assert "recurrence" in doc["meta"]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # output formats
 

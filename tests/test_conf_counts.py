@@ -131,6 +131,24 @@ def test_sieve_census_matches_trial_division(p, n):
     assert bruteforce_census(p, n) == trial_division_census(p, n)
 
 
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2)])
+def test_one_sieve_matches_trial_division_at_every_degree(p, n):
+    census = bruteforce_census(p, n, lowest=0)
+    for m in range(n + 1):
+        got = {ct: cnt for ct, cnt in census.items() if ct.n == m}
+        # the reference counts the constant 1 as not square-free; it is the
+        # one degree-0 monic and has no factors
+        want = trial_division_census(p, m) if m else {CycleType(()): 1}
+        assert got == want, m
+    assert all(ct.n <= n for ct in census)
+
+
+def test_bruteforce_census_rejects_a_lowest_degree_outside_the_range():
+    for lowest in (-1, 4):
+        with pytest.raises(ValueError):
+            bruteforce_census(3, 3, lowest=lowest)
+
+
 # ---------------------------------------------------------------------------
 # brute force basics
 
