@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
 
-from .series import Scalar, _frac
+from .series import Scalar, _frac, _Frozen
 
 __all__ = [
     "CycleType",
@@ -40,16 +39,24 @@ def _strip(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(_Frozen):
     """Conjugacy-class data: counts[k-1] is the number of (k)-cycles."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", _strip(self.counts))
-        if any(c < 0 for c in self.counts):
+    def __init__(self, counts: Iterable[int]):
+        counts = _strip(counts)
+        if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is CycleType:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
 
     @property
     def n(self) -> int:
@@ -75,17 +82,25 @@ class CycleType:
         return tuple(sorted(out, reverse=True))
 
 
-@dataclass(frozen=True)
-class LambdaSpec:
+class LambdaSpec(_Frozen):
     """Exponent sequence l = (l_1, ..., l_r) indexing a binomial-basis element;
     its weight sum(k * l_k) is the degree of C(X, l)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _strip(self.entries))
-        if any(e < 0 for e in self.entries):
+    def __init__(self, entries: Iterable[int]):
+        entries = _strip(entries)
+        if any(e < 0 for e in entries):
             raise ValueError("lambda entries must be nonnegative")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is LambdaSpec:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @staticmethod
     def of(*entries: int) -> LambdaSpec:
@@ -121,7 +136,7 @@ class CharPoly:
         self._terms = d
 
     @staticmethod
-    def binom(lam: Union[LambdaSpec, Sequence[int]]) -> CharPoly:
+    def binom(lam: LambdaSpec | Sequence[int]) -> CharPoly:
         if not isinstance(lam, LambdaSpec):
             lam = LambdaSpec(tuple(lam))
         return CharPoly({lam: 1})
@@ -292,7 +307,7 @@ class XPoly:
     def __neg__(self) -> XPoly:
         return XPoly({m: -c for m, c in self._terms.items()})
 
-    def __add__(self, other: Union[XPoly, Scalar]) -> XPoly:
+    def __add__(self, other: XPoly | Scalar) -> XPoly:
         if isinstance(other, (int, Fraction)):
             other = XPoly.constant(other)
         d = dict(self._terms)
@@ -306,12 +321,12 @@ class XPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[XPoly, Scalar]) -> XPoly:
+    def __sub__(self, other: XPoly | Scalar) -> XPoly:
         if isinstance(other, (int, Fraction)):
             other = XPoly.constant(other)
         return self + (-other)
 
-    def __mul__(self, other: Union[XPoly, Scalar]) -> XPoly:
+    def __mul__(self, other: XPoly | Scalar) -> XPoly:
         if isinstance(other, (int, Fraction)):
             return XPoly({m: c * _frac(other) for m, c in self._terms.items()})
         d: dict[tuple[int, ...], Fraction] = {}
@@ -354,7 +369,7 @@ def _stirling2(n: int, k: int) -> int:
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
-def monomials_to_binomial(p: Union[XPoly, Mapping[tuple[int, ...], Scalar]]) -> CharPoly:
+def monomials_to_binomial(p: XPoly | Mapping[tuple[int, ...], Scalar]) -> CharPoly:
     """Rewrite a monomial-form polynomial in the X_k into the binomial basis.
 
     Per variable, X^e = sum_j S(e, j) * j! * C(X, j) with S the Stirling

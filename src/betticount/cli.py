@@ -11,11 +11,8 @@ when every row passes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import conf_betti, conf_counts, tori
@@ -28,11 +25,13 @@ MAX_GRID_TORI = 20
 MAX_VERIFY_N = 12
 
 
-@dataclass
 class OutputDocument:
-    kind: str  # table | recurrence | verification | limits
-    meta: dict = field(default_factory=dict)
-    data: list = field(default_factory=list)
+    __slots__ = ("kind", "meta", "data")
+
+    def __init__(self, kind: str, meta: dict | None = None, data: list | None = None):
+        self.kind = kind  # table | recurrence | verification | limits
+        self.meta = {} if meta is None else meta
+        self.data = [] if data is None else data
 
 
 def format_rational(x) -> str:
@@ -53,6 +52,10 @@ def render_json(doc: OutputDocument) -> str:
 
 
 def render_csv(doc: OutputDocument) -> str:
+    # imported here: no other output needs them, and they cost start-up time
+    import csv
+    import io
+
     out = io.StringIO()
     for key, value in doc.meta.items():
         out.write(f"# {key}: {json.dumps(value)}\n")

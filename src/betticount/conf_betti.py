@@ -19,7 +19,6 @@ polynomial in z, and each table row is the running sum of these over n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import CharPoly, LambdaSpec
@@ -28,6 +27,7 @@ from .series import (
     Poly,
     RationalFunction,
     RecurrenceSpec,
+    _Frozen,
     binomial,
     recurrence_from_ratfun,
     taylor_coeffs,
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Frozen):
     """A grid of twisted Betti numbers entries[i][n], 0 <= i <= max_i and
     0 <= n <= max_n, for one character polynomial.
 
@@ -60,11 +59,17 @@ class BettiTable:
     representations give nonnegative integers, virtual ones need not.
     """
 
-    rep: CharPoly
-    kind: str
-    max_i: int
-    max_n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rep", "kind", "max_i", "max_n", "entries")
+
+    def __init__(
+        self,
+        rep: CharPoly,
+        kind: str,
+        max_i: int,
+        max_n: int,
+        entries: tuple[tuple[Fraction, ...], ...],
+    ):
+        self._set(rep, kind, max_i, max_n, entries)
 
     def entry(self, i: int, n: int) -> Fraction:
         return self.entries[i][n]
@@ -83,13 +88,14 @@ class BettiTable:
         )
 
 
-@dataclass(frozen=True)
-class GLCheck:
+class GLCheck(_Frozen):
     """One Grothendieck-Lefschetz comparison: a weighted point count (lhs)
     against the q-weighted sum of Betti numbers (rhs), both exact."""
 
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction):
+        self._set(lhs, rhs)
 
     @property
     def equal(self) -> bool:
@@ -222,18 +228,18 @@ def recurrence(p: CharPoly, series: RationalFunction | None = None) -> Recurrenc
     return recurrence_from_ratfun(stable_series(p) if series is None else series)
 
 
-@dataclass(frozen=True)
-class StabilityRow:
-    i: int
-    bound_n: int
-    stable_within_bound: bool
-    first_stable_n: int
+class StabilityRow(_Frozen):
+    __slots__ = ("i", "bound_n", "stable_within_bound", "first_stable_n")
+
+    def __init__(self, i: int, bound_n: int, stable_within_bound: bool, first_stable_n: int):
+        self._set(i, bound_n, stable_within_bound, first_stable_n)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    rep: CharPoly
-    rows: tuple[StabilityRow, ...]
+class StabilityReport(_Frozen):
+    __slots__ = ("rep", "rows")
+
+    def __init__(self, rep: CharPoly, rows: tuple[StabilityRow, ...]):
+        self._set(rep, rows)
 
     @property
     def all_stable(self) -> bool:

@@ -9,12 +9,11 @@ guarantees lowest terms and a positive denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 Rational = Fraction
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "Rational",
@@ -32,6 +31,43 @@ __all__ = [
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class _Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    __slots__ and sets them once, in __init__, through _set (or
+    object.__setattr__); assignment then raises, and two instances of the
+    same class are equal, and hash alike, exactly when their fields are."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +122,7 @@ class Poly:
     def __neg__(self) -> Poly:
         return Poly(-c for c in self.coeffs)
 
-    def __add__(self, other: Union[Poly, Scalar]) -> Poly:
+    def __add__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         n = max(len(self.coeffs), len(other.coeffs))
@@ -94,13 +130,13 @@ class Poly:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[Poly, Scalar]) -> Poly:
+    def __sub__(self, other: Poly | Scalar) -> Poly:
         return self + (-other if isinstance(other, Poly) else Poly((-_frac(other),)))
 
     def __rsub__(self, other: Scalar) -> Poly:
         return Poly((other,)) - self
 
-    def __mul__(self, other: Union[Poly, Scalar]) -> Poly:
+    def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             return Poly(c * other for c in self.coeffs)
         if not self.coeffs or not other.coeffs:
@@ -179,9 +215,14 @@ class Poly:
 
     @staticmethod
     def gcd(a: Poly, b: Poly) -> Poly:
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The monic gcd (zero for two zeros), by Euclid on primitive
+        integer polynomials: every remainder has its content divided out,
+        so coefficients stay near the size of the inputs' instead of
+        growing at each step as Fraction remainders do."""
+        a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return Poly(a).monic()
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -190,13 +231,40 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
+    """Coprime integer coefficients of a positive rational multiple of the
+    polynomial with these coefficients (empty for zero)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g else []
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """a mod b times a nonzero integer, for integer coefficient lists
+    (ascending, no trailing zeros, b nonzero)."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        g = math.gcd(r[-1], lead)
+        mult, c = lead // g, r[-1] // g
+        if mult != 1:
+            r = [mult * v for v in r]
+        shift = len(r) - len(b)
+        for j, v in enumerate(b):
+            r[shift + j] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 class RationalFunction:
     """Ratio of two polynomials, stored with common factors removed and a
     monic denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Union[Poly, Scalar], den: Union[Poly, Scalar] = 1):
+    def __init__(self, num: Poly | Scalar, den: Poly | Scalar = 1):
         if not isinstance(num, Poly):
             num = Poly((num,))
         if not isinstance(den, Poly):
@@ -229,7 +297,7 @@ class RationalFunction:
     def __neg__(self) -> RationalFunction:
         return RationalFunction(-self.num, self.den)
 
-    def __add__(self, other: Union[RationalFunction, Poly, Scalar]) -> RationalFunction:
+    def __add__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction(other)
         return RationalFunction(
@@ -238,22 +306,22 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[RationalFunction, Poly, Scalar]) -> RationalFunction:
+    def __sub__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction(other)
         return self + (-other)
 
-    def __rsub__(self, other: Union[Poly, Scalar]) -> RationalFunction:
+    def __rsub__(self, other: Poly | Scalar) -> RationalFunction:
         return RationalFunction(other) - self
 
-    def __mul__(self, other: Union[RationalFunction, Poly, Scalar]) -> RationalFunction:
+    def __mul__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[RationalFunction, Poly, Scalar]) -> RationalFunction:
+    def __truediv__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction(other)
         return RationalFunction(self.num * other.den, self.den * other.num)
@@ -362,13 +430,14 @@ def stable_limit(f: RationalFunction, c: Scalar) -> Fraction:
     return h(x)
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(_Frozen):
     """A linear recurrence a_i = sum_k coefficients[k-1] * a_{i-k}, valid for
     all indices i >= valid_from (indices below zero read as zero)."""
 
-    coefficients: tuple[Fraction, ...]
-    valid_from: int
+    __slots__ = ("coefficients", "valid_from")
+
+    def __init__(self, coefficients: tuple[Fraction, ...], valid_from: int):
+        self._set(coefficients, valid_from)
 
     @property
     def length(self) -> int:

@@ -9,12 +9,10 @@ d-space, which pins the variable of the product to t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
-from .series import Poly, RationalFunction, taylor_coeffs
+from .series import Poly, RationalFunction, _Frozen, taylor_coeffs
 
 __all__ = [
     "mobius",
@@ -89,8 +87,7 @@ def is_prime_power(q: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PointCountData:
+class PointCountData(_Frozen):
     """A variety's arithmetic over F_q: dimension, and either an exact zeta
     function or a finite point-count sequence |V(F_{q^m})| for m = 1..M.
 
@@ -98,23 +95,27 @@ class PointCountData:
     extrapolating.
     """
 
-    q: int
-    dim: int
-    zeta: Optional[RationalFunction] = None
-    counts: Optional[tuple[int, ...]] = None
+    __slots__ = ("q", "dim", "zeta", "counts")
 
-    def __post_init__(self):
-        if not is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not a prime power")
-        if self.dim < 1:
+    def __init__(
+        self,
+        q: int,
+        dim: int,
+        zeta: RationalFunction | None = None,
+        counts: tuple[int, ...] | None = None,
+    ):
+        if not is_prime_power(q):
+            raise ValueError(f"q = {q} is not a prime power")
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if (self.zeta is None) == (self.counts is None):
+        if (zeta is None) == (counts is None):
             raise ValueError("supply exactly one of zeta or counts")
-        if self.zeta is not None and self.zeta.den[0] == 0:
+        if zeta is not None and zeta.den[0] == 0:
             raise ValueError("zeta function must be regular at t = 0")
-        if self.zeta is not None and self.zeta.num[0] == 0:
+        if zeta is not None and zeta.num[0] == 0:
             # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
             raise ValueError("zeta function must be nonzero at t = 0")
+        self._set(q, dim, zeta, counts)
 
     def point_counts(self, depth: int) -> list[int]:
         """|V(F_{q^m})| for m = 1..depth."""

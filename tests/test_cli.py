@@ -22,6 +22,12 @@ from betticount.cli import (
 from betticount.conf_counts import DEFAULT_GUARD
 
 
+def _child_env():
+    """This environment, with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(betticount.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -113,8 +119,7 @@ def test_conf_betti_parse_error(capsys):
 def test_conf_betti_rejects_a_high_degree_rep_before_expanding_it():
     # run in a child with a timeout, so an expansion that never ends fails
     # the test instead of hanging the suite
-    src = os.path.dirname(os.path.dirname(betticount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "betticount.cli", "conf-betti", "--rep", "C(X1,5000)",
          "--max-i", "2", "--max-n", "2"],
@@ -122,6 +127,19 @@ def test_conf_betti_rejects_a_high_degree_rep_before_expanding_it():
     )
     assert proc.returncode == 2
     assert "C(X1,5000) has degree 5000; degrees are capped at 64" in proc.stderr
+
+
+def test_conf_betti_stable_budget_at_a_high_degree():
+    # the stable series of C(X1,48) is a rational function of degree 48
+    # with large coefficients; its reduction must not blow up
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticount.cli", "conf-betti", "--rep", "C(X1,48)",
+         "--max-i", "2", "--max-n", "2", "--stable"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - start < 10
 
 
 def test_conf_betti_names_an_unknown_variable(capsys):
@@ -337,8 +355,7 @@ def test_verify_bruteforce_budget_at_the_top_of_the_guard():
     # 3^12 is the largest power of 3 under the default guard; the child
     # reports its own peak RSS, so the bound covers the whole sieve
     assert 3**12 <= DEFAULT_GUARD < 3**13
-    src = os.path.dirname(os.path.dirname(betticount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     code = (
         "import resource, sys\n"
         "from betticount.cli import main\n"
@@ -463,3 +480,20 @@ def test_render_handles_empty_document():
     assert render(doc, "csv") == '# x: 1'
     assert render_json(doc)
     assert render(doc, "table") == ""
+
+
+def test_import_loads_only_what_the_commands_use():
+    # compared with a bare interpreter, so modules that site preloads on
+    # some hosts do not count
+    show = "import sys; print(' '.join(sys.modules))"
+
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    extra = modules("import betticount.cli; " + show) - modules(show)
+    assert "betticount.cli" in extra
+    assert not extra & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing"}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -53,6 +54,31 @@ def test_poly_divmod_gcd():
     assert quo == Poly((-1, 1)) and rem.is_zero()
     assert Poly.gcd(a, b) == b
     assert Poly.gcd(Poly((1, 1)), Poly((1, 0, 1))) == Poly((1,))
+
+
+def _fraction_euclid_gcd(a, b):
+    # the textbook reference: Euclid on Fraction remainders, made monic
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_poly_gcd_matches_fraction_euclid():
+    rng = random.Random(20261018)
+
+    def rand_poly(deg):
+        cs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)]
+        return Poly(cs + [F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))])
+
+    for _ in range(150):
+        h = rand_poly(rng.randint(0, 4))
+        a = rand_poly(rng.randint(0, 6)) * h
+        b = rand_poly(rng.randint(0, 6)) * h
+        g = Poly.gcd(a, b)
+        assert g == _fraction_euclid_gcd(a, b) == _fraction_euclid_gcd(b, a) == Poly.gcd(b, a)
+        assert (a % g).is_zero() and (b % g).is_zero() and (a % h).is_zero()
+    for p in (Poly(), Poly((F(-2, 3),)), Poly((F(1, 2), 0, 3))):
+        assert Poly.gcd(p, Poly()) == Poly.gcd(Poly(), p) == p.monic()
 
 
 def test_poly_substitutions():

@@ -1,0 +1,86 @@
+"""The immutable value types: equality and hashing by value, no assignment,
+validation in the constructor, and keyword construction."""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from betticount.chars import CycleType, LambdaSpec
+from betticount.conf_betti import GLCheck
+from betticount.series import Poly, RationalFunction, RecurrenceSpec
+from betticount.zeta import PointCountData
+
+ZETA_A1 = RationalFunction(1, Poly((1, -3)))
+
+# (instance, an equal one built another way, a different one)
+CASES = [
+    (CycleType((2, 1)), CycleType(counts=(2, 1, 0, 0)), CycleType((1, 1))),
+    (LambdaSpec((0, 1)), LambdaSpec(entries=(0, 1, 0)), LambdaSpec((1,))),
+    (GLCheck(F(1), F(2)), GLCheck(lhs=1, rhs=F(4, 2)), GLCheck(F(2), F(1))),
+    (
+        RecurrenceSpec((F(1), F(-1)), 3),
+        RecurrenceSpec(coefficients=(F(1), F(-1)), valid_from=3),
+        RecurrenceSpec((F(1), F(-1)), 2),
+    ),
+    (
+        PointCountData(3, 1, ZETA_A1),
+        PointCountData(q=3, dim=1, zeta=RationalFunction(2, Poly((2, -6)))),
+        PointCountData(3, 1, counts=(3, 9)),
+    ),
+]
+IDS = [type(value).__name__ for value, _, _ in CASES]
+
+
+@pytest.mark.parametrize("value, same, other", CASES, ids=IDS)
+def test_equality_and_hash_by_value(value, same, other):
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other
+    assert {value: 1}[same] == 1
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("value, same, other", CASES, ids=IDS)
+def test_assignment_raises(value, same, other):
+    name = next(k for k in ("counts", "entries", "lhs", "coefficients", "q") if hasattr(value, k))
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(other, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == same
+
+
+def test_unequal_to_another_class_with_the_same_fields():
+    assert CycleType((1, 2)) != LambdaSpec((1, 2))
+    assert LambdaSpec((1, 2)) != CycleType((1, 2))
+    assert CycleType((1, 2)) != (1, 2)
+    assert GLCheck(F(1), F(1)) != (F(1), F(1))
+    assert RecurrenceSpec((F(1),), 0) != GLCheck((F(1),), 0)
+
+
+def test_constructors_normalize_and_keep_their_defaults():
+    assert CycleType([1, 0, 2, 0]).counts == (1, 0, 2)
+    assert LambdaSpec([0, 0]).entries == ()
+    v = PointCountData(q=2, dim=1, counts=(3, 5))
+    assert v.zeta is None and v.counts == (3, 5)
+    assert GLCheck(lhs=F(1), rhs=F(1)).equal
+    assert RecurrenceSpec(coefficients=(F(2),), valid_from=1).length == 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CycleType((1, -1)), "nonnegative"),
+        (lambda: LambdaSpec(entries=(-1,)), "nonnegative"),
+        (lambda: PointCountData(6, 1, ZETA_A1), "not a prime power"),
+        (lambda: PointCountData(3, 0, ZETA_A1), "dimension"),
+        (lambda: PointCountData(3, 1), "exactly one"),
+        (lambda: PointCountData(3, 1, ZETA_A1, (3,)), "exactly one"),
+        (lambda: PointCountData(3, 1, RationalFunction(1, Poly((0, 1)))), "regular at t = 0"),
+        (lambda: PointCountData(3, 1, RationalFunction(Poly((0, 1)))), "nonzero at t = 0"),
+    ],
+)
+def test_constructor_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
