@@ -4,7 +4,7 @@ counts over finite fields.  All arithmetic is exact rational."""
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
 from .chars import CharPoly, CycleType, LambdaSpec, builtin_rep, parse_rep
-from .series import Poly, Rational, RationalFunction, RecurrenceSpec
+from .series import Poly, Rational, RecurrenceSpec
 from .zeta import PointCountData, builtin_variety
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "parse_rep",
     "Poly",
     "Rational",
-    "RationalFunction",
     "RecurrenceSpec",
     "PointCountData",
     "builtin_variety",

@@ -460,7 +460,7 @@ def builtin_rep(name: str) -> CharPoly:
 #
 # grammar: rational coefficients, variables X1..X9, operators + - *, and
 # C(Xk, m) for binomial-coefficient atoms.  Expansion cost grows with the
-# degree, so atoms and products above MAX_DEGREE (the conf grid cap) are
+# degree, so atoms and products above MAX_DEGREE (the grid cap) are
 # rejected before they are expanded.
 
 MAX_DEGREE = 64

@@ -20,8 +20,7 @@ from .chars import CharPoly, LambdaSpec, parse_rep
 from .conf_counts import DEFAULT_GUARD
 from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
 
-MAX_GRID_CONF = 64
-MAX_GRID_TORI = 20
+MAX_GRID = 64
 MAX_VERIFY_N = 12
 
 
@@ -37,10 +36,6 @@ class OutputDocument:
 def format_rational(x) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +174,11 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError("--max-n must be nonnegative")
 
 
-def _check_grid(max_i: int, max_n: int, cap: int) -> None:
+def _check_grid(max_i: int, max_n: int) -> None:
     if max_i < 0 or max_n < 0:
         raise ValueError("--max-i and --max-n must be nonnegative")
-    if max_i > cap or max_n > cap:
-        raise ValueError(f"grid bound exceeded: --max-i/--max-n are capped at {cap}")
+    if max_i > MAX_GRID or max_n > MAX_GRID:
+        raise ValueError(f"grid bound exceeded: --max-i/--max-n are capped at {MAX_GRID}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +186,7 @@ def _check_grid(max_i: int, max_n: int, cap: int) -> None:
 
 
 def _betti_doc(side: str, args) -> tuple[OutputDocument, int]:
-    cap = MAX_GRID_CONF if side == "conf" else MAX_GRID_TORI
-    _check_grid(args.max_i, args.max_n, cap)
+    _check_grid(args.max_i, args.max_n)
     rep = parse_rep(args.rep)
     mod = conf_betti if side == "conf" else tori
     table = mod.betti_table(rep, args.max_i, args.max_n)

@@ -25,21 +25,22 @@ from .chars import CharPoly, LambdaSpec
 from .conf_counts import partition_weighted_count
 from .series import (
     Poly,
-    RationalFunction,
+    RatFun,
     RecurrenceSpec,
     _Frozen,
     binomial,
+    cyclotomic_sum,
+    poly_mul,
     recurrence_from_ratfun,
     taylor_coeffs,
 )
-from .zeta import builtin_variety, necklace_poly
+from .zeta import builtin_variety, divisors, necklace_poly
 
 __all__ = [
     "BettiTable",
     "GLCheck",
     "difference_series",
     "betti_table",
-    "stable_generating_function",
     "stable_series",
     "stable_betti_numbers",
     "recurrence",
@@ -74,9 +75,6 @@ class BettiTable(_Frozen):
     def entry(self, i: int, n: int) -> Fraction:
         return self.entries[i][n]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def in_support(self, i: int, n: int) -> bool:
         if self.kind == "conf":
             return i <= max(n - 1, 0)
@@ -102,12 +100,14 @@ class GLCheck(_Frozen):
         return self.lhs == self.rhs
 
 
-def _necklace_binomials(lam: LambdaSpec) -> Poly:
-    """B(y) = prod_k binom(M_k(y), lam_k), a polynomial of degree <= |lam|."""
+def _necklace_binomials(lam: LambdaSpec) -> tuple[list[int], int]:
+    """(b, scale): scale times B(y) = prod_k binom(M_k(y), lam_k), a
+    polynomial of degree <= |lam|, has the integer coefficients b."""
     out = Poly((1,))
     for k, lk in lam.active():
         out = out * binomial(necklace_poly(k), lk)
-    return out
+    scale = math.lcm(*(c.denominator for c in out.coeffs))
+    return [int(c * scale) for c in out.coeffs], scale
 
 
 def _scaled_difference_terms(
@@ -115,9 +115,7 @@ def _scaled_difference_terms(
 ) -> tuple[dict[tuple[int, int], int], int]:
     """(terms, scale): scale times the coefficient of z^i t^n in (1 - t) F
     is the integer terms[(i, n)], for n <= t_order; zero terms are absent."""
-    b = _necklace_binomials(lam).coeffs
-    scale = math.lcm(*(c.denominator for c in b))
-    b = [int(c * scale) for c in b]
+    b, scale = _necklace_binomials(lam)
     g = [0] * (t_order + 1)
     if lam.weight <= t_order:
         g[lam.weight] = 1
@@ -193,34 +191,38 @@ def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
     return table
 
 
-def stable_generating_function(lam: LambdaSpec) -> RationalFunction:
-    """The stable series sum_i alpha_i (-z)^i as an exact rational function:
-    (1 - z) * z^w B(1/z) / prod_k (1 + z^k)^lam_k."""
-    w = lam.weight
-    b = _necklace_binomials(lam)
-    den = Poly((1,))
-    for k, lk in lam.active():
-        den = den * (1 + Poly((0,) * k + (1,))) ** lk
-    return RationalFunction(Poly((1, -1)) * Poly(b[w - e] for e in range(w + 1)), den)
+def stable_series(p: CharPoly) -> RatFun:
+    """The stable series sum_i alpha_i z^i of p as an integer pair
+    (num, den) in lowest terms.
 
-
-def stable_series(p: CharPoly) -> RationalFunction:
-    """The unsigned stable series sum_i alpha_i z^i of p, exactly."""
-    total = RationalFunction(Poly(()))
+    For C(X, lam) the signed series sum_i alpha_i (-z)^i is
+    (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k, so z -> -z turns each
+    factor into 1 - (-z)^k: 1 - z^k = prod_(d | k) Psi_d for odd k, and
+    1 + z^k = prod_(d | 2k, d not | k) Psi_d for even k.
+    """
+    terms = []
     for lam, coeff in p.items():
-        total = total + stable_generating_function(lam) * coeff
-    return total.scale_arg(-1)
+        b, scale = _necklace_binomials(lam)
+        w = lam.weight
+        b += [0] * (w + 1 - len(b))
+        # (1 + z) z^w B(-1/z)
+        num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
+        exps: dict[int, int] = {}
+        for k, lk in lam.active():
+            factors = divisors(k) if k % 2 else [d for d in divisors(2 * k) if k % d]
+            for d in factors:
+                exps[d] = exps.get(d, 0) + lk
+        terms.append((num, coeff / scale, exps))
+    return cyclotomic_sum(terms)
 
 
-def stable_betti_numbers(
-    p: CharPoly, count: int, series: RationalFunction | None = None
-) -> list[Fraction]:
+def stable_betti_numbers(p: CharPoly, count: int, series: RatFun | None = None) -> list[Fraction]:
     """The stable values alpha_0, ..., alpha_count (unsigned), read from
     `series`, p's stable_series, when it is already built."""
     return taylor_coeffs(stable_series(p) if series is None else series, count)
 
 
-def recurrence(p: CharPoly, series: RationalFunction | None = None) -> RecurrenceSpec:
+def recurrence(p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
     """Linear recurrence satisfied by the stable Betti numbers of p,
     extracted from its rational stable series (built unless given)."""
     if p.is_zero():

@@ -17,11 +17,12 @@ binomial formula it checks.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
 from .chars import CharPoly, CycleType, LambdaSpec, partitions
-from .series import Poly, RationalFunction, stable_limit
+from .series import poly_mul
 from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
@@ -255,23 +256,61 @@ def bruteforce_weighted_count(
 # limits as n grows
 
 
-def _limit_series(v: PointCountData, lam: LambdaSpec) -> RationalFunction:
-    if v.zeta is None:
-        raise ValueError("limits need the zeta function as a rational function")
-    a = v.zeta / v.zeta.stretch(2)
-    depth = len(lam.entries)
-    mk = closed_point_counts(v, depth) if depth else []
-    for k, lk in lam.active():
-        scale = comb(mk[k - 1], lk)
-        tk = Poly((0,) * k + (1,))
-        a = a * RationalFunction(tk, Poly((1,)) + tk) ** lk * scale
-    return a
+def _at_t_squared(p: Sequence[int]) -> list[int]:
+    out = [0] * (2 * len(p) - 1)
+    out[::2] = p
+    return out
+
+
+def _deflate(p: list[int], c: int) -> list[int] | None:
+    """p / (1 - c t) by synthetic division when p vanishes at t = 1/c,
+    else None."""
+    q, acc = [], 0
+    for a in p[:-1]:
+        acc = a + c * acc
+        q.append(acc)
+    return q if p[-1] + c * acc == 0 else None
+
+
+def _at(p: list[int], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
 
 
 def limit_normalized(v: PointCountData, lam: LambdaSpec) -> Fraction:
     """Exact limit of q^(-n d) times the C(X, lam)-weighted count on
-    Conf_n V(F_q), extracted by clearing the simple pole at t = q^(-d)."""
-    return stable_limit(_limit_series(v, lam), v.q**v.dim)
+    Conf_n V(F_q).
+
+    The counts are the Taylor coefficients of F(t) = Z(V,t)/Z(V,t^2) times
+    binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k for each k, which has a
+    simple pole at t = 1/c, c = q^d: the limit is (1 - c t) F(t) at t = 1/c.
+    Factors 1 - c t common to its numerator and denominator are divided out
+    first; a denominator that still vanishes there is a pole of order >= 2.
+    """
+    if v.zeta is None:
+        raise ValueError("limits need the zeta function as a rational function")
+    zn, zd = v.zeta
+    depth = len(lam.entries)
+    mk = closed_point_counts(v, depth) if depth else []
+    num, den = poly_mul(zn, _at_t_squared(zd)), poly_mul(zd, _at_t_squared(zn))
+    scale = 1
+    for k, lk in lam.active():
+        scale *= comb(mk[k - 1], lk)
+        for _ in range(lk):
+            num = [0] * k + num
+            den = poly_mul(den, [1] + [0] * (k - 1) + [1])
+    if not scale:
+        return Fraction(0)
+    c = v.q**v.dim
+    num = poly_mul(num, [1, -c])
+    while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
+        num, den = qn, qd
+    x = Fraction(1, c)
+    if _deflate(den, c) is not None:
+        raise ValueError(f"pole of order >= 2 at t = {x}")
+    return scale * _at(num, x) / _at(den, x)
 
 
 def limit_expectation(v: PointCountData, lam: LambdaSpec) -> Fraction:

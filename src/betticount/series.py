@@ -1,30 +1,33 @@
-"""Exact series kernel: rationals, univariate polynomials and rational
-functions, and truncated power-series helpers.
+"""Exact series kernel: rationals, univariate polynomials, sums of
+rational functions over cyclotomic denominators, and power-series helpers.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 Scalars are `fractions.Fraction` (re-exported as `Rational`), which already
-guarantees lowest terms and a positive denominator.
+guarantees lowest terms and a positive denominator.  A rational function is
+a pair (num, den) of integer coefficient lists, ascending by exponent.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 Rational = Fraction
 Scalar = int | Fraction
+RatFun = tuple[tuple[int, ...], tuple[int, ...]]  # (num, den)
 
 __all__ = [
     "Rational",
+    "RatFun",
     "Poly",
-    "RationalFunction",
     "RecurrenceSpec",
+    "poly_mul",
+    "cyclotomic_sum",
     "binomial",
     "taylor_coeffs",
     "truncated_mul",
     "truncated_inverse",
-    "stable_limit",
     "recurrence_from_ratfun",
 ]
 
@@ -71,16 +74,13 @@ class _Frozen:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials and rational functions
+# polynomials
 
 
 class Poly:
-    """Univariate polynomial with exact rational coefficients.
-
-    Coefficients are stored ascending by exponent with trailing zeros
-    stripped.  The zero polynomial stores an empty tuple and reports the
-    sentinel degree -1.
-    """
+    """Univariate polynomial with exact rational coefficients, stored
+    ascending by exponent with trailing zeros stripped (the zero polynomial
+    stores an empty tuple)."""
 
     __slots__ = ("coeffs",)
 
@@ -90,17 +90,6 @@ class Poly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @staticmethod
-    def x() -> Poly:
-        return Poly((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -109,18 +98,10 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
 
     def __add__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -128,13 +109,8 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self[k] + other[k] for k in range(n))
 
-    __radd__ = __add__
-
     def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + (-other if isinstance(other, Poly) else Poly((-_frac(other),)))
-
-    def __rsub__(self, other: Scalar) -> Poly:
-        return Poly((other,)) - self
+        return self + other * -1
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -149,212 +125,115 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> Poly:
-        if m < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly((1,))
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
-    def derivative(self) -> Poly:
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            return self
-        return self * (Fraction(1) / self.coeffs[-1])
-
-    def shift(self, k: int) -> Poly:
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def stretch(self, k: int) -> Poly:
-        """Substitute x -> x**k."""
-        out = [Fraction(0)] * (len(self.coeffs) * k)
-        for j, c in enumerate(self.coeffs):
-            out[j * k] = c
-        return Poly(out)
-
-    def scale_arg(self, a: Scalar) -> Poly:
-        """Substitute x -> a*x."""
-        return Poly(c * _frac(a) ** k for k, c in enumerate(self.coeffs))
-
-    @staticmethod
-    def gcd(a: Poly, b: Poly) -> Poly:
-        """The monic gcd (zero for two zeros), by Euclid on primitive
-        integer polynomials: every remainder has its content divided out,
-        so coefficients stay near the size of the inputs' instead of
-        growing at each step as Fraction remainders do."""
-        a, b = _primitive(a.coeffs), _primitive(b.coeffs)
-        while b:
-            a, b = b, _primitive(_pseudo_remainder(a, b))
-        return Poly(a).monic()
-
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "Poly(0)"
         parts = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c]
-        return "Poly(" + " + ".join(parts) + ")"
+        return "Poly(" + (" + ".join(parts) or "0") + ")"
 
 
-def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
-    """Coprime integer coefficients of a positive rational multiple of the
-    polynomial with these coefficients (empty for zero)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints] if g else []
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists (ascending, nonempty)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """a mod b times a nonzero integer, for integer coefficient lists
-    (ascending, no trailing zeros, b nonzero)."""
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        g = math.gcd(r[-1], lead)
-        mult, c = lead // g, r[-1] // g
-        if mult != 1:
-            r = [mult * v for v in r]
-        shift = len(r) - len(b)
-        for j, v in enumerate(b):
-            r[shift + j] -= c * v
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-class RationalFunction:
-    """Ratio of two polynomials, stored with common factors removed and a
-    monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly | Scalar, den: Poly | Scalar = 1):
-        if not isinstance(num, Poly):
-            num = Poly((num,))
-        if not isinstance(den, Poly):
-            den = Poly((den,))
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly((1,))
-            return
-        g = Poly.gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.coeffs[-1]
-        self.num = num * (Fraction(1) / lead)
-        self.den = den * (Fraction(1) / lead)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Poly)):
-            return self == RationalFunction(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Poly | Scalar) -> RationalFunction:
-        return RationalFunction(other) - self
-
-    def __mul__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalFunction | Poly | Scalar) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, m: int) -> RationalFunction:
-        if m < 0:
-            return RationalFunction(self.den, self.num) ** (-m)
-        return RationalFunction(self.num**m, self.den**m)
-
-    def __call__(self, x: Scalar) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
-
-    def derivative(self) -> RationalFunction:
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def stretch(self, k: int) -> RationalFunction:
-        return RationalFunction(self.num.stretch(k), self.den.stretch(k))
-
-    def scale_arg(self, a: Scalar) -> RationalFunction:
-        return RationalFunction(self.num.scale_arg(a), self.den.scale_arg(a))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+def _strip(a: Sequence[int]) -> list[int]:
+    """a without trailing zeros (empty for the zero polynomial)."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 # ---------------------------------------------------------------------------
-# generic binomial, truncated univariate helpers
+# sums over cyclotomic denominators
+#
+# Psi_1 = 1 - z and Psi_d = Phi_d, the d-th cyclotomic polynomial, for
+# d > 1: every Psi_d has constant term 1 and leading coefficient +-1, and
+# 1 - z^k = prod_{d | k} Psi_d.  The Psi_d are irreducible over Q, so a sum
+# of terms n_j / prod_d Psi_d^(e_jd), put over prod_d Psi_d^(max_j e_jd),
+# is in lowest terms once every Psi_d that still divides the summed
+# numerator has been divided out of it, and no gcd is needed.
+
+
+def _exact_quotient(a: Sequence[int], f: Sequence[int]) -> list[int] | None:
+    """a / f when f divides a, else None, for a nonzero integer list a and
+    an integer list f whose leading coefficient is 1 or -1."""
+    d = len(f) - 1
+    if len(a) <= d:
+        return None
+    r = list(a)
+    lead = f[-1]
+    q = [0] * (len(r) - d)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + d] * lead
+        if c:
+            q[i] = c
+            for j, fj in enumerate(f):
+                r[i + j] -= c * fj
+    return None if any(r[:d]) else q
+
+
+def _cyclotomics(ds: Iterable[int]) -> dict[int, list[int]]:
+    """{d: Psi_d} for every d in ds and every divisor of one: Psi_d is
+    1 - z^d divided by Psi_e for each proper divisor e of d."""
+    need = sorted({e for d in ds for e in range(1, d + 1) if d % e == 0})
+    psi: dict[int, list[int]] = {}
+    for d in need:
+        f = [1] + [0] * (d - 1) + [-1]
+        for e, g in psi.items():
+            if d % e == 0:
+                f = _exact_quotient(f, g)
+        psi[d] = f
+    return psi
+
+
+def cyclotomic_sum(terms: Iterable[tuple[Sequence[int], Fraction, Mapping[int, int]]]) -> RatFun:
+    """sum_j c_j n_j(z) / prod_d Psi_d(z)^(e_jd) in lowest terms, for terms
+    (n_j, c_j, {d: e_jd}) with integer lists n_j and rationals c_j.
+
+    Returns integer tuples (num, den) with no common factor, not even an
+    integer one, and den(0) > 0; a zero sum is ((), (1,)).
+    """
+    terms = list(terms)
+    top: dict[int, int] = {}
+    for _, _, exps in terms:
+        for d, e in exps.items():
+            top[d] = max(top.get(d, 0), e)
+    psi = _cyclotomics(top)
+    scale = math.lcm(*(c.denominator for _, c, _ in terms))
+    total: list[int] = []
+    for num, c, exps in terms:
+        part = [c.numerator * (scale // c.denominator) * x for x in num]
+        for d, e in top.items():
+            for _ in range(e - exps.get(d, 0)):
+                part = poly_mul(part, psi[d])
+        if len(part) > len(total):
+            total += [0] * (len(part) - len(total))
+        for i, x in enumerate(part):
+            total[i] += x
+    total = _strip(total)
+    if not total:
+        return (), (1,)
+    for d in top:
+        while top[d] and (q := _exact_quotient(total, psi[d])) is not None:
+            total = q
+            top[d] -= 1
+    den = [scale]
+    for d, e in top.items():
+        for _ in range(e):
+            den = poly_mul(den, psi[d])
+    g = math.gcd(scale, *total)
+    return tuple(x // g for x in total), tuple(x // g for x in den)
+
+
+# ---------------------------------------------------------------------------
+# generic binomial, truncated univariate helpers (truncated_mul and
+# truncated_inverse are the tests' reference expansions; the kernels above
+# do not use them)
 
 
 def binomial(x, m: int):
@@ -401,33 +280,20 @@ def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def taylor_coeffs(f: RationalFunction, order: int) -> list[Fraction]:
-    """First order+1 Taylor coefficients of f at 0, exact.
-
-    Requires the denominator to have a nonzero constant term.
-    """
-    if f.den[0] == 0:
+def taylor_coeffs(f: RatFun, order: int) -> list[Fraction]:
+    """First order+1 Taylor coefficients at 0 of num/den, exact, for
+    f = (num, den) integer lists with den(0) != 0: they follow
+    den_0 a_n = num_n - sum_(k>=1) den_k a_(n-k)."""
+    num, den = f
+    if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0")
-    num = [f.num[k] for k in range(order + 1)]
-    den = [f.den[k] for k in range(min(order, f.den.degree) + 1)]
-    return truncated_mul(num, truncated_inverse(den, order), order)
-
-
-def stable_limit(f: RationalFunction, c: Scalar) -> Fraction:
-    """lim_n a_n / c^n for the Taylor coefficients a_n of f, assuming
-    f = H(t)/(1 - c t) with H regular at t = 1/c; the limit is H(1/c).
-
-    Rejects a pole of order >= 2 at t = 1/c (the remaining denominator
-    still vanishing there after one factor is cleared).
-    """
-    c = _frac(c)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    h = f * RationalFunction(Poly((1, -c)))
-    x = Fraction(1) / c
-    if h.den(x) == 0:
-        raise ValueError(f"pole of order >= 2 at t = {x}")
-    return h(x)
+    out: list[Fraction] = []
+    for n in range(order + 1):
+        s = Fraction(num[n] if n < len(num) else 0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            s -= den[k] * out[n - k]
+        out.append(s / den[0])
+    return out
 
 
 class RecurrenceSpec(_Frozen):
@@ -462,15 +328,16 @@ class RecurrenceSpec(_Frozen):
         return out
 
 
-def recurrence_from_ratfun(f: RationalFunction) -> RecurrenceSpec:
-    """Recurrence satisfied by the Taylor coefficients of f.
+def recurrence_from_ratfun(f: RatFun) -> RecurrenceSpec:
+    """Recurrence satisfied by the Taylor coefficients of num/den, for
+    f = (num, den) integer lists with den(0) != 0.
 
     With the denominator normalized to constant term 1, written as
-    1 - sum_k c_k z^k, the coefficients a_i of f satisfy
-    a_i = sum_k c_k a_{i-k} for every i > deg(numerator).
+    1 - sum_k c_k z^k, the coefficients a_i satisfy a_i = sum_k c_k a_{i-k}
+    for every i > deg(num).
     """
-    q0 = f.den[0]
-    if q0 == 0:
+    num, den = (_strip(p) for p in f)
+    if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0")
-    coeffs = tuple(-f.den[k] / q0 for k in range(1, f.den.degree + 1))
-    return RecurrenceSpec(coeffs, f.num.degree + 1)
+    coeffs = tuple(Fraction(-c, den[0]) for c in den[1:])
+    return RecurrenceSpec(coeffs, len(num))

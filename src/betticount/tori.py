@@ -29,13 +29,8 @@ from fractions import Fraction
 
 from .chars import CharPoly, CycleType, LambdaSpec, centralizer_order, partitions
 from .conf_betti import BettiTable, GLCheck
-from .series import (
-    Poly,
-    RationalFunction,
-    RecurrenceSpec,
-    recurrence_from_ratfun,
-    taylor_coeffs,
-)
+from .series import RatFun, RecurrenceSpec, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs
+from .zeta import divisors
 
 __all__ = [
     "gl_order",
@@ -44,7 +39,6 @@ __all__ = [
     "partition_weighted_count",
     "tori_count_by_type",
     "betti_table",
-    "stable_generating_function",
     "stable_series",
     "stable_betti_numbers",
     "recurrence",
@@ -164,31 +158,27 @@ def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
     )
 
 
-def stable_generating_function(lam: LambdaSpec) -> RationalFunction:
-    """sum_i beta_i z^i = (1/z_lam) prod_k (1/(1 - z^k))^lam_k exactly."""
-    den = Poly((1,))
-    for k, lk in lam.active():
-        den = den * (1 - Poly((0,) * k + (1,))) ** lk
-    return RationalFunction(Poly((Fraction(1, z_lambda(lam)),)), den)
-
-
-def stable_series(p: CharPoly) -> RationalFunction:
-    """The stable series sum_i beta_i z^i of p, exactly."""
-    total = RationalFunction(Poly(()))
+def stable_series(p: CharPoly) -> RatFun:
+    """The stable series sum_i beta_i z^i of p as an integer pair
+    (num, den) in lowest terms: for C(X, lam) it is
+    (1/z_lam) / prod_k (1 - z^k)^lam_k, and 1 - z^k = prod_(d | k) Psi_d."""
+    terms = []
     for lam, coeff in p.items():
-        total = total + stable_generating_function(lam) * coeff
-    return total
+        exps: dict[int, int] = {}
+        for k, lk in lam.active():
+            for d in divisors(k):
+                exps[d] = exps.get(d, 0) + lk
+        terms.append(([1], coeff / z_lambda(lam), exps))
+    return cyclotomic_sum(terms)
 
 
-def stable_betti_numbers(
-    p: CharPoly, count: int, series: RationalFunction | None = None
-) -> list[Fraction]:
+def stable_betti_numbers(p: CharPoly, count: int, series: RatFun | None = None) -> list[Fraction]:
     """The stable values beta_0, ..., beta_count, read from `series`, p's
     stable_series, when it is already built."""
     return taylor_coeffs(stable_series(p) if series is None else series, count)
 
 
-def recurrence(p: CharPoly, series: RationalFunction | None = None) -> RecurrenceSpec:
+def recurrence(p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
     """Linear recurrence satisfied by the stable torus-side Betti numbers,
     extracted from p's stable series (built unless given)."""
     if p.is_zero():

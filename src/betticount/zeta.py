@@ -9,10 +9,11 @@ d-space, which pins the variable of the product to t.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Poly, RationalFunction, _Frozen, taylor_coeffs
+from .series import Poly, Scalar, _Frozen, _strip, poly_mul
 
 __all__ = [
     "mobius",
@@ -63,27 +64,66 @@ def necklace_poly(k: int) -> Poly:
     return Poly(coeffs)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015); larger q are refused
+PRIME_TEST_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _check_decidable(q: int) -> None:
+    if q >= PRIME_TEST_BOUND:
+        raise ValueError(f"q = {q} is too large: q must be below {PRIME_TEST_BOUND}")
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, for p below PRIME_TEST_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    _check_decidable(p)
+    if p in _WITNESSES:
+        return True
+    if any(p % a == 0 for a in _WITNESSES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method on integers from
+    above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def is_prime_power(q: int) -> bool:
+    """q = p^a for a prime p and a >= 1, for q below PRIME_TEST_BOUND.
+
+    The largest k with q an exact k-th power leaves a root that is no
+    power itself, so q is a prime power exactly when that root is prime.
+    """
     if q < 2:
         return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
+    _check_decidable(q)
+    for k in range(q.bit_length(), 0, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return is_prime(r)
     return False
 
 
@@ -101,7 +141,7 @@ class PointCountData(_Frozen):
         self,
         q: int,
         dim: int,
-        zeta: RationalFunction | None = None,
+        zeta: tuple[Sequence[int], Sequence[int]] | None = None,
         counts: tuple[int, ...] | None = None,
     ):
         if not is_prime_power(q):
@@ -110,11 +150,18 @@ class PointCountData(_Frozen):
             raise ValueError("dimension must be >= 1")
         if (zeta is None) == (counts is None):
             raise ValueError("supply exactly one of zeta or counts")
-        if zeta is not None and zeta.den[0] == 0:
-            raise ValueError("zeta function must be regular at t = 0")
-        if zeta is not None and zeta.num[0] == 0:
-            # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
-            raise ValueError("zeta function must be nonzero at t = 0")
+        if zeta is not None:
+            num, den = (_strip(p) for p in zeta)
+            if not den:
+                raise ValueError("zeta function has a zero denominator")
+            while num and num[0] == den[0] == 0:
+                num, den = num[1:], den[1:]
+            if num and den[0] == 0:
+                raise ValueError("zeta function must be regular at t = 0")
+            if not num or num[0] == 0:
+                # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
+                raise ValueError("zeta function must be nonzero at t = 0")
+            zeta = (tuple(num), tuple(den))
         self._set(q, dim, zeta, counts)
 
     def point_counts(self, depth: int) -> list[int]:
@@ -125,12 +172,12 @@ class PointCountData(_Frozen):
                     f"need point counts to depth {depth}, only {len(self.counts)} supplied"
                 )
             return list(self.counts[:depth])
-        # t Z'/Z = sum_m |V(F_{q^m})| t^m
-        logderiv = RationalFunction(Poly((0, 1))) * self.zeta.derivative() / self.zeta
-        series = taylor_coeffs(logderiv, depth)
+        # t Z'/Z = sum_m |V(F_{q^m})| t^m, and t Z'/Z = t N'/N - t D'/D
+        num, den = self.zeta
         out = []
-        for m in range(1, depth + 1):
-            v = series[m]
+        counts = zip(_log_derivative(num, depth), _log_derivative(den, depth))
+        for m, (a, b) in enumerate(counts, start=1):
+            v = a - b
             if v.denominator != 1 or v < 0:
                 raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
             out.append(int(v))
@@ -138,6 +185,20 @@ class PointCountData(_Frozen):
 
     def point_count(self, m: int) -> int:
         return self.point_counts(m)[m - 1]
+
+
+def _log_derivative(p: Sequence[int], depth: int) -> list[Scalar]:
+    """s_1..s_depth of t p'(t)/p(t) = sum_m s_m t^m, for p(0) != 0, by
+    Newton's identity p_0 s_m = m p_m - sum_(j=1..m-1) p_j s_(m-j); on
+    integers while p_0 divides."""
+    s: list[Scalar] = [0]
+    for m in range(1, depth + 1):
+        total = m * p[m] if m < len(p) else 0
+        for j in range(1, min(m, len(p))):
+            total -= p[j] * s[m - j]
+        a, rem = divmod(total, p[0])
+        s.append(Fraction(total, p[0]) if rem else a)
+    return s[1:]
 
 
 def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
@@ -165,14 +226,14 @@ def builtin_variety(kind: str, d: int, q: int) -> PointCountData:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if kind == "affine":
-        den = Poly((1, -(q**d)))
+        den = [1, -(q**d)]
     elif kind == "projective":
-        den = Poly((1,))
+        den = [1]
         for i in range(d + 1):
-            den = den * Poly((1, -(q**i)))
+            den = poly_mul(den, [1, -(q**i)])
     else:
         raise ValueError(f"unknown builtin variety kind {kind!r}")
-    return PointCountData(q=q, dim=d, zeta=RationalFunction(Poly((1,)), den))
+    return PointCountData(q=q, dim=d, zeta=((1,), den))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +285,10 @@ def parse_variety_text(text: str) -> PointCountData:
     if has_zeta:
         if not ("zeta_num" in fields and "zeta_den" in fields):
             raise ValueError("zeta_num and zeta_den must both be present")
-        num = Poly(int_list("zeta_num"))
-        den = Poly(int_list("zeta_den"))
-        if den.is_zero():
+        num, den = int_list("zeta_num"), int_list("zeta_den")
+        if not any(den):
             raise ValueError("zeta_den is the zero polynomial")
-        return PointCountData(q=q, dim=dim, zeta=RationalFunction(num, den))
+        return PointCountData(q=q, dim=dim, zeta=(num, den))
     counts = int_list("counts")
     if not counts:
         raise ValueError("counts must be non-empty")

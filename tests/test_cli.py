@@ -1,31 +1,43 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import betticount
 from betticount.cli import (
-    MAX_GRID_TORI,
+    MAX_GRID,
     MAX_VERIFY_N,
     OutputDocument,
     build_parser,
     format_rational,
     main,
-    parse_rational,
     render,
     render_csv,
     render_json,
 )
 from betticount.conf_counts import DEFAULT_GUARD
+from betticount.zeta import PRIME_TEST_BOUND
 
 
 def _child_env():
     """This environment, with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(betticount.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def run_child(*argv, timeout):
+    """Run the CLI in a child process; returns (process, wall seconds)."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticount.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=_child_env(),
+    )
+    return proc, time.monotonic() - start
 
 
 def run(capsys, *argv):
@@ -49,8 +61,8 @@ def test_format_rational():
 
     assert format_rational(F(6)) == "6"
     assert format_rational(F(-1, 2)) == "-1/2"
-    assert parse_rational("-1/2") == F(-1, 2)
-    assert parse_rational("6") == 6
+    assert Fraction("-1/2") == F(-1, 2)
+    assert Fraction("6") == 6
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +154,16 @@ def test_conf_betti_stable_budget_at_a_high_degree():
     assert time.monotonic() - start < 10
 
 
+def test_conf_betti_stable_budget_at_the_degree_cap():
+    proc, elapsed = run_child(
+        "conf-betti", "--rep", "C(X1,64)", "--max-i", "2", "--max-n", "2", "--stable",
+        "--format", "json", timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["meta"]["recurrence"]["coefficients"]
+    assert elapsed < 2
+
+
 def test_conf_betti_names_an_unknown_variable(capsys):
     code, out, err = run(capsys, "conf-betti", "--rep", "X10", "--max-i", "2", "--max-n", "2")
     assert code == 2
@@ -182,13 +204,26 @@ def test_tori_betti_stable_recurrence_v11(capsys):
 
 
 def test_tori_betti_budget_at_the_grid_cap(capsys):
-    cap = str(MAX_GRID_TORI)
+    cap = str(MAX_GRID)
     start = time.monotonic()
     code, doc = run_json(
         capsys, "tori-betti", "--rep", "C(X1,3)", "--max-i", cap, "--max-n", cap
     )
     assert code == 0
     assert time.monotonic() - start < 10
+
+
+def test_tori_betti_stable_budget_at_the_grid_cap():
+    cap = str(MAX_GRID)
+    proc, elapsed = run_child(
+        "tori-betti", "--rep", "C(X1,64)", "--max-i", cap, "--max-n", cap, "--stable",
+        "--format", "json", timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # (1/64!) / (1 - z)^64: the stable values are binom(i + 63, 63) / 64!
+    stable = json.loads(proc.stdout)["meta"]["stable"]
+    assert stable[-1] == format_rational(Fraction(math.comb(64 + 63, 63), math.factorial(64)))
+    assert elapsed < 2
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +278,50 @@ def test_count_malformed_file(tmp_path, capsys):
 def test_count_missing_file(capsys):
     code, out, err = run(capsys, "count", "--variety", "file:/does/not/exist", "--rep", "1")
     assert code == 2
+
+
+def test_count_budget_on_a_high_dimensional_projective_space():
+    proc, elapsed = run_child(
+        "count", "--variety", "projective:64", "--q", "2", "--max-n", "2", "--format", "json",
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Conf_2 of P^64 over F_2: pairs of the N_1 rational points, plus the
+    # (N_2 - N_1)/2 closed points of degree 2, with N_m = |P^64(F_(2^m))|
+    n1, n2 = 2**65 - 1, (4**65 - 1) // 3
+    values = [row["value"] for row in json.loads(proc.stdout)["data"]]
+    assert values[2] == str(math.comb(n1, 2) + (n2 - n1) // 2)
+    assert elapsed < 2
+
+
+# 10^18 + 3 is prime, and 1000000016000000063 = (10^9 + 7)(10^9 + 9)
+
+
+def test_count_accepts_a_large_prime_q():
+    proc, _ = run_child("count", "--variety", "affine:1", "--q", "1000000000000000003",
+                        "--max-n", "2", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_count_rejects_a_large_composite_q():
+    proc, _ = run_child("count", "--variety", "affine:1", "--q", "1000000016000000063",
+                        "--max-n", "2", timeout=5)
+    assert proc.returncode == 2
+    assert "not a prime power" in proc.stderr
+
+
+def test_verify_bruteforce_guard_rejects_a_large_prime_q():
+    proc, _ = run_child("verify", "--side", "conf", "--q", "1000000000000000003",
+                        "--max-n", "1", "--bruteforce", timeout=5)
+    assert proc.returncode == 2
+    assert "exceeds the guard" in proc.stderr
+
+
+def test_count_refuses_a_q_too_large_to_decide(capsys):
+    code, out, err = run(capsys, "count", "--variety", "affine:1", "--q",
+                         str(PRIME_TEST_BOUND), "--max-n", "2")
+    assert code == 2
+    assert f"q must be below {PRIME_TEST_BOUND}" in err
 
 
 def test_count_rejects_negative_max_n(capsys):
@@ -446,7 +525,7 @@ def test_json_round_trip_bytes(capsys):
     redumped = json.dumps(parsed, indent=2) + "\n"
     assert redumped == out
     for row in parsed["data"]:
-        v = parse_rational(row["value"])
+        v = Fraction(row["value"])
         assert format_rational(v) == row["value"]
 
 

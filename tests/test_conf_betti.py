@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from betticount.chars import CharPoly, LambdaSpec, builtin_rep, parse_rep
+from betticount import conf_betti, tori
+from betticount.chars import CharPoly, LambdaSpec, builtin_rep, parse_rep, partitions
 from betticount.conf_betti import (
     betti_table,
     difference_series,
@@ -10,10 +11,10 @@ from betticount.conf_betti import (
     recurrence,
     stability_report,
     stable_betti_numbers,
-    stable_generating_function,
+    stable_series,
 )
 from betticount.conf_counts import bruteforce_weighted_count
-from betticount.series import RationalFunction, Poly, taylor_coeffs
+from betticount.series import taylor_coeffs
 
 # Golden grids, entered row by row exactly as printed; keys are (i, n).
 # Blank cells (outside the cohomological support) are simply absent.
@@ -204,15 +205,16 @@ def test_empty_configuration_entry():
 # stable values and recurrences
 
 
+# the signed series sum_i alpha_i (-z)^i is 1 - z for lam = () and
+# (1 - z)/(1 + z) for lam = (1); stable_series is the unsigned one
+
+
 def test_stable_gf_trivial():
-    assert stable_generating_function(LambdaSpec.of()) == RationalFunction(
-        Poly((1, -1))
-    )
+    assert stable_series(CharPoly.binom(LambdaSpec.of())) == ((1, 1), (1,))
 
 
 def test_stable_gf_single_cycle():
-    got = stable_generating_function(LambdaSpec.of(1))
-    assert got == RationalFunction(Poly((1, -1)), Poly((1, 1)))
+    assert stable_series(CharPoly.binom(LambdaSpec.of(1))) == ((1, 1), (1, -1))
 
 
 def test_stable_v1_values():
@@ -222,16 +224,8 @@ def test_stable_v1_values():
 
 
 def test_stable_v11_series_matches_printed():
-    signed = taylor_coeffs(
-        sum(
-            (
-                stable_generating_function(lam) * c
-                for lam, c in builtin_rep("V11").items()
-            ),
-            RationalFunction(Poly(())),
-        ),
-        11,
-    )
+    unsigned = taylor_coeffs(stable_series(builtin_rep("V11")), 11)
+    signed = [(-1) ** i * a for i, a in enumerate(unsigned)]
     assert signed == [0, 0, 2, -5, 6, -7, 10, -13, 14, -15, 18, -21]
 
 
@@ -242,6 +236,46 @@ def test_recurrence_coefficients():
     spec1 = recurrence(builtin_rep("V1"))
     assert spec1.coefficients == (1,)
     assert spec1.valid_from <= 3
+
+
+def _remainder(a, f):
+    """a mod f by schoolbook long division, for integer lists (ascending)
+    whose divisor f has leading coefficient 1 or -1."""
+    r = list(a)
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(f):
+            return r
+        c, shift = r[-1] * f[-1], len(r) - len(f)
+        for j, fj in enumerate(f):
+            r[shift + j] -= c * fj
+
+
+@pytest.mark.parametrize("side", [conf_betti, tori], ids=["conf", "tori"])
+def test_recurrence_roots_are_roots_of_unity(side):
+    # the reduced denominator den = den(0) * (1 - sum_k c_k z^k) of every
+    # |lam| <= 6 has the recurrence's characteristic polynomial as its
+    # primitive part, and that divides (1 - z^120)^m, m its degree: 120 is
+    # a multiple of every order 2k (conf) or k (tori) with k <= 6
+    lambdas = [LambdaSpec(mu.counts) for w in range(7) for mu in partitions(w)]
+    assert len(lambdas) == 30
+    for lam in lambdas:
+        rep = CharPoly.binom(lam)
+        num, den = series = side.stable_series(rep)
+        assert den[0] > 0 and all(d % den[0] == 0 for d in den), lam
+        char = [d // den[0] for d in den]
+        assert side.recurrence(rep, series).coefficients == tuple(-c for c in char[1:])
+        assert abs(char[-1]) == 1, lam
+        base = _remainder([1] + [0] * 119 + [-1], char)
+        power = _remainder([1], char)
+        for _ in range(len(char) - 1):
+            product = [0] * (len(power) + len(base))
+            for i, a in enumerate(power):
+                for j, b in enumerate(base):
+                    product[i + j] += a * b
+            power = _remainder(product, char)
+        assert power == [], lam
 
 
 def test_recurrence_holds_on_stable_sequence():

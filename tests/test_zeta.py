@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from betticount.series import Poly, RationalFunction, taylor_coeffs
+from betticount.series import Poly, truncated_inverse
 from betticount.zeta import (
     PointCountData,
     builtin_variety,
@@ -34,6 +34,10 @@ def test_necklace_poly_small():
     assert necklace_poly(6) == Poly((0, F(1, 6), F(-1, 6), F(-1, 6), 0, 0, F(1, 6)))
 
 
+def value_at(p, x):
+    return sum(c * x**k for k, c in enumerate(p.coeffs))
+
+
 def test_necklace_m2_counts_irreducible_quadratics_over_f2():
     # brute force: monic quadratics x^2 + b x + c over F_2, irreducible iff
     # rootless
@@ -43,7 +47,7 @@ def test_necklace_m2_counts_irreducible_quadratics_over_f2():
             if all((x * x + b * x + c) % 2 != 0 for x in range(2)):
                 count += 1
     assert count == 1
-    assert necklace_poly(2)(2) == count
+    assert value_at(necklace_poly(2), 2) == count
 
 
 def test_necklace_m6_by_inclusion_exclusion_over_f2():
@@ -54,20 +58,20 @@ def test_necklace_m6_by_inclusion_exclusion_over_f2():
         used = sum(d * n[d] for d in divisors(k) if d < k)
         n[k] = (2**k - used) // k
     assert n[6] == 9
-    assert necklace_poly(6)(2) == 9
+    assert value_at(necklace_poly(6), 2) == 9
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_necklace_values_are_counts(q):
     for k in range(1, 13):
-        v = necklace_poly(k)(q)
+        v = value_at(necklace_poly(k), q)
         assert v.denominator == 1 and v >= 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_field_elements_partition_by_minimal_polynomial_degree(q):
     for big in range(1, 11):
-        total = sum(k * necklace_poly(k)(q) for k in divisors(big))
+        total = sum(k * value_at(necklace_poly(k), q) for k in divisors(big))
         assert total == q**big
 
 
@@ -79,7 +83,7 @@ def test_affine_line_closed_points():
     v = builtin_variety("affine", 1, 3)
     assert v.point_counts(3) == [3, 9, 27]
     assert closed_point_counts(v, 3) == [3, 3, 8]
-    assert [necklace_poly(k)(3) for k in (1, 2, 3)] == [3, 3, 8]
+    assert [value_at(necklace_poly(k), 3) for k in (1, 2, 3)] == [3, 3, 8]
 
 
 def test_projective_line_closed_points():
@@ -147,7 +151,7 @@ def test_zeta_series_empty_variety():
 @pytest.mark.parametrize("d,q", [(1, 3), (2, 2), (3, 5)])
 def test_zeta_series_matches_taylor(d, q):
     v = builtin_variety("affine", d, q)
-    direct = taylor_coeffs(RationalFunction(1, Poly((1, -(q**d)))), 8)
+    direct = truncated_inverse([1, -(q**d)], 8)
     assert zeta_series_from_counts(v, 8) == direct
 
 
