@@ -4,7 +4,7 @@ counts over finite fields.  All arithmetic is exact rational."""
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
 from .chars import CharPoly, CycleType, LambdaSpec, builtin_rep, parse_rep
-from .series import Poly, Rational, RecurrenceSpec
+from .series import Rational, RecurrenceSpec
 from .zeta import PointCountData, builtin_variety
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "LambdaSpec",
     "builtin_rep",
     "parse_rep",
-    "Poly",
     "Rational",
     "RecurrenceSpec",
     "PointCountData",

@@ -16,12 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import conf_betti, conf_counts, tori
-from .chars import CharPoly, LambdaSpec, parse_rep
+from .chars import MAX_DEGREE, CharPoly, LambdaSpec, parse_rep
 from .conf_counts import DEFAULT_GUARD
 from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
 
 MAX_GRID = 64
 MAX_VERIFY_N = 12
+MAX_DIM = 64  # builtin affine and projective spaces
 
 
 class OutputDocument:
@@ -150,7 +151,10 @@ def _parse_lambda(text: str) -> LambdaSpec:
         entries = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"--lambda expects integers, got {text!r}") from None
-    return LambdaSpec(entries)
+    lam = LambdaSpec(entries)
+    if lam.weight > MAX_DEGREE:
+        raise ValueError(f"--lambda has weight {lam.weight}; degrees are capped at {MAX_DEGREE}")
+    return lam
 
 
 def _parse_variety(spec: str, q: int | None) -> PointCountData:
@@ -158,6 +162,9 @@ def _parse_variety(spec: str, q: int | None) -> PointCountData:
     if kind in ("affine", "projective"):
         if not arg.isdigit():
             raise ValueError(f"expected {kind}:<dim>, got {spec!r}")
+        # the length first: int() refuses strings of more than 4300 digits
+        if len(arg.lstrip("0")) > len(str(MAX_DIM)) or int(arg) > MAX_DIM:
+            raise ValueError(f"the dimension of {kind} space is capped at {MAX_DIM}")
         if q is None:
             raise ValueError("builtin varieties need --q")
         return builtin_variety(kind, int(arg), q)
@@ -277,28 +284,6 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     return doc, 0
 
 
-def _verify_one(side: str, q: int, n: int, name: str, rep: CharPoly, census: dict | None):
-    mod = conf_betti if side == "conf" else tori
-    check = mod.gl_crosscheck(rep, q, n)
-    ok = check.equal
-    row = {
-        "q": q,
-        "n": n,
-        "rep": name,
-        "lhs": format_rational(check.lhs),
-        "rhs": format_rational(check.rhs),
-    }
-    if census is not None:
-        brute = Fraction(0)
-        for ct, cnt in census.items():
-            if ct.n == n:
-                brute += cnt * rep.evaluate(ct)
-        row["brute"] = format_rational(brute)
-        ok = ok and brute == check.lhs
-    row["pass"] = ok
-    return row
-
-
 def cmd_verify(args) -> tuple[OutputDocument, int]:
     side = args.side
     if side not in ("conf", "tori"):
@@ -322,18 +307,31 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 )
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
-    # one sieve per q gives the census of every degree, before any row
-    censuses = {
-        q: conf_counts.bruteforce_census(q, args.max_n, args.guard, lowest=0)
-        if args.bruteforce else None
-        for q in qs
-    }
-    rows = [
-        _verify_one(side, q, n, name, rep, censuses[q])
-        for q in qs
-        for n in range(args.max_n + 1)
-        for name, rep in reps
-    ]
+    mod = conf_betti if side == "conf" else tori
+    # each input is built once per command: per q one count oracle and one
+    # sieve, per rep one Betti table and one p(mu) per cycle type
+    oracles = {q: mod.count_oracle(q, args.max_n) for q in qs}
+    censuses = {q: [[] for _ in range(args.max_n + 1)] for q in qs}
+    if args.bruteforce:
+        for q in qs:
+            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n, args.guard, lowest=0).items():
+                censuses[q][ct.n].append((ct, cnt))
+    per_rep = [(name, rep, {}) for name, rep in reps]
+    checks = [mod.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
+    rows = []
+    for q in qs:
+        for n in range(args.max_n + 1):
+            for (name, rep, values), by_qn in zip(per_rep, checks):
+                check = by_qn[q, n]
+                row = {"q": q, "n": n, "rep": name,
+                       "lhs": format_rational(check.lhs), "rhs": format_rational(check.rhs)}
+                ok = check.equal
+                if args.bruteforce:
+                    brute = conf_betti.weighted_sum(rep, censuses[q][n], values)
+                    row["brute"] = format_rational(brute)
+                    ok = ok and brute == check.lhs
+                row["pass"] = ok
+                rows.append(row)
     doc = OutputDocument(kind="verification")
     doc.meta = {
         "side": side,

@@ -19,22 +19,21 @@ polynomial in z, and each table row is the running sum of these over n.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .chars import CharPoly, LambdaSpec
-from .conf_counts import partition_weighted_count
+from .chars import CharPoly, CycleType, LambdaSpec, partitions
+from .conf_counts import _type_count
 from .series import (
-    Poly,
     RatFun,
     RecurrenceSpec,
     _Frozen,
-    binomial,
     cyclotomic_sum,
     poly_mul,
     recurrence_from_ratfun,
     taylor_coeffs,
 )
-from .zeta import builtin_variety, divisors, necklace_poly
+from .zeta import builtin_variety, closed_point_counts, divisors, necklace_numerator
 
 __all__ = [
     "BettiTable",
@@ -47,6 +46,9 @@ __all__ = [
     "StabilityRow",
     "StabilityReport",
     "stability_report",
+    "weighted_sum",
+    "count_oracle",
+    "gl_checks",
     "gl_crosscheck",
 ]
 
@@ -102,12 +104,18 @@ class GLCheck(_Frozen):
 
 def _necklace_binomials(lam: LambdaSpec) -> tuple[list[int], int]:
     """(b, scale): scale times B(y) = prod_k binom(M_k(y), lam_k), a
-    polynomial of degree <= |lam|, has the integer coefficients b."""
-    out = Poly((1,))
+    polynomial of degree <= |lam|, has the integer coefficients b.
+
+    With N_k = k M_k, k^l l! binom(M_k, l) = prod_(j<l) (N_k - jk), so b is
+    a product of integer polynomials and scale = prod_k k^lam_k lam_k!.
+    """
+    b, scale = [1], 1
     for k, lk in lam.active():
-        out = out * binomial(necklace_poly(k), lk)
-    scale = math.lcm(*(c.denominator for c in out.coeffs))
-    return [int(c * scale) for c in out.coeffs], scale
+        nk = necklace_numerator(k)
+        for j in range(lk):
+            b = poly_mul(b, [-j * k] + nk[1:])
+        scale *= k**lk * math.factorial(lk)
+    return b, scale
 
 
 def _scaled_difference_terms(
@@ -269,17 +277,54 @@ def stability_report(p: CharPoly, max_i: int, max_n: int) -> StabilityReport:
     return StabilityReport(p, tuple(rows))
 
 
-def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
-    """Compare the weighted point count on n-point configurations of the
-    affine line over F_q (partition sum) with
-    q^n * sum_i (-1)^i alpha_i(n) q^(-i) from the Betti table."""
-    if n < 0:
+def weighted_sum(p: CharPoly, types, values: dict[CycleType, Fraction]) -> Fraction:
+    """sum_mu N_mu p(mu) over the pairs (mu, N_mu) in types.  values holds
+    p(mu) by cycle type and is filled in on first use, so sums over the
+    same p that share it evaluate p once per cycle type."""
+    total = Fraction(0)
+    for mu, cnt in types:
+        if mu not in values:
+            values[mu] = p.evaluate(mu)
+        total += cnt * values[mu]
+    return total
+
+
+def _gl_checks(p, table: BettiTable, oracles, values, weight) -> dict[tuple[int, int], GLCheck]:
+    """{(q, n): GLCheck} for q in oracles and n <= table.max_n: lhs sums p
+    over oracles[q][n], rhs is sum_i weight(q, n, i) * entry(i, n) over the
+    support of column n."""
+    return {
+        (q, n): GLCheck(
+            lhs=weighted_sum(p, oracle[n], values),
+            rhs=sum((weight(q, n, i) * table.entry(i, n) for i in range(table.max_i + 1)
+                     if table.in_support(i, n)), Fraction(0)),
+        )
+        for q, oracle in oracles.items()
+        for n in range(table.max_n + 1)
+    }
+
+
+def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
+    """oracle[n], n <= max_n: the cycle types of n-point configurations of
+    the affine line over F_q, each with its nonzero count, from one list of
+    closed-point counts."""
+    if max_n < 0:
         raise ValueError("n must be nonnegative")
-    v = builtin_variety("affine", 1, q)
-    lhs = partition_weighted_count(v, p, n)
-    table = betti_table(p, max(n - 1, 0), n)
-    rhs = Fraction(0)
-    for i in range(table.max_i + 1):
-        rhs += (-1) ** i * table.entry(i, n) * Fraction(1, q**i)
-    rhs *= q**n
-    return GLCheck(lhs=lhs, rhs=rhs)
+    mk = closed_point_counts(builtin_variety("affine", 1, q), max_n)
+    return [[(mu, c) for mu in partitions(n) if (c := _type_count(mk, mu))] for n in range(max_n + 1)]
+
+
+def gl_checks(
+    p: CharPoly, oracles: Mapping[int, list], max_n: int, values: dict
+) -> dict[tuple[int, int], GLCheck]:
+    """The GL checks of p at every n <= max_n and every q in oracles
+    (q -> count_oracle(q, max_n)), from one Betti table: the weighted point
+    count on n-point configurations of the affine line over F_q (partition
+    sum, p(mu) cached in values) against q^n sum_i (-1)^i alpha_i(n) q^(-i)."""
+    table = betti_table(p, max(max_n - 1, 0), max_n)
+    return _gl_checks(p, table, oracles, values, lambda q, n, i: (-1) ** i * q ** (n - i))
+
+
+def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
+    """The GL check of p at one (q, n); see gl_checks."""
+    return gl_checks(p, {q: count_oracle(q, n)}, n, {})[q, n]

@@ -1,4 +1,4 @@
-"""Exact series kernel: rationals, univariate polynomials, sums of
+"""Exact series kernel: rationals, integer polynomials, sums of
 rational functions over cyclotomic denominators, and power-series helpers.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
@@ -20,7 +20,6 @@ RatFun = tuple[tuple[int, ...], tuple[int, ...]]  # (num, den)
 __all__ = [
     "Rational",
     "RatFun",
-    "Poly",
     "RecurrenceSpec",
     "poly_mul",
     "cyclotomic_sum",
@@ -74,60 +73,7 @@ class _Frozen:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
-
-
-class Poly:
-    """Univariate polynomial with exact rational coefficients, stored
-    ascending by exponent with trailing zeros stripped (the zero polynomial
-    stores an empty tuple)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self[k] + other[k] for k in range(n))
-
-    def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + other * -1
-
-    def __mul__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c]
-        return "Poly(" + (" + ".join(parts) or "0") + ")"
+# integer polynomials
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -231,24 +177,17 @@ def cyclotomic_sum(terms: Iterable[tuple[Sequence[int], Fraction, Mapping[int, i
 
 
 # ---------------------------------------------------------------------------
-# generic binomial, truncated univariate helpers (truncated_mul and
+# scalar binomial, truncated univariate helpers (truncated_mul and
 # truncated_inverse are the tests' reference expansions; the kernels above
 # do not use them)
 
 
-def binomial(x, m: int):
-    """binom(x, m) = x(x-1)...(x-m+1)/m! for any x supporting * and -.
-
-    Works on scalars and polynomials; binom(x, 0) is the multiplicative
-    identity of the matching kind.
-    """
+def binomial(x: Scalar, m: int) -> Fraction:
+    """binom(x, m) = x(x-1)...(x-m+1)/m! for a rational x; binom(x, 0) = 1."""
     if m < 0:
         raise ValueError("binomial needs m >= 0")
-    if isinstance(x, Poly):
-        acc = Poly((1,))
-    else:
-        acc = Fraction(1)
-        x = _frac(x)
+    acc = Fraction(1)
+    x = _frac(x)
     for j in range(m):
         acc = acc * (x - j)
     return acc * Fraction(1, math.factorial(m))

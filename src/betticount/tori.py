@@ -25,10 +25,11 @@ and the row is zero for n < w.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .chars import CharPoly, CycleType, LambdaSpec, centralizer_order, partitions
-from .conf_betti import BettiTable, GLCheck
+from .conf_betti import BettiTable, GLCheck, _gl_checks
 from .series import RatFun, RecurrenceSpec, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs
 from .zeta import divisors
 
@@ -42,6 +43,8 @@ __all__ = [
     "stable_series",
     "stable_betti_numbers",
     "recurrence",
+    "count_oracle",
+    "gl_checks",
     "gl_crosscheck",
 ]
 
@@ -186,16 +189,28 @@ def recurrence(p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
     return recurrence_from_ratfun(stable_series(p) if series is None else series)
 
 
-def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
-    """Compare the weighted torus count (partition sum) against
-    q^(n(n-1)) * sum_i beta_i(n) q^(-i) from the Betti table."""
-    if n < 0:
+def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
+    """oracle[n], n <= max_n: every cycle type mu of n with the number of
+    Frobenius-stable maximal tori of GL_n(F_q) of type mu."""
+    if max_n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = partition_weighted_count(p, q, n)
-    top = n * (n - 1) // 2
-    table = betti_table(p, top, n)
-    rhs = Fraction(0)
-    for i in range(top + 1):
-        rhs += table.entry(i, n) * Fraction(1, q**i)
-    rhs *= q ** (n * (n - 1))
-    return GLCheck(lhs=lhs, rhs=rhs)
+    return [
+        [(mu, tori_count_by_type(q, n, mu)) for mu in partitions(n)]
+        for n in range(max_n + 1)
+    ]
+
+
+def gl_checks(
+    p: CharPoly, oracles: Mapping[int, list], max_n: int, values: dict
+) -> dict[tuple[int, int], GLCheck]:
+    """The GL checks of p at every n <= max_n and every q in oracles
+    (q -> count_oracle(q, max_n)), from one Betti table: the weighted torus
+    count (partition sum, p(mu) cached in values) against
+    q^(n(n-1)) sum_i beta_i(n) q^(-i)."""
+    table = betti_table(p, max_n * (max_n - 1) // 2, max_n)
+    return _gl_checks(p, table, oracles, values, lambda q, n, i: q ** (n * (n - 1) - i))
+
+
+def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
+    """The GL check of p at one (q, n); see gl_checks."""
+    return gl_checks(p, {q: count_oracle(q, n)}, n, {})[q, n]

@@ -13,14 +13,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Poly, Scalar, _Frozen, _strip, poly_mul
+from .series import Scalar, _Frozen, _strip, poly_mul
 
 __all__ = [
     "mobius",
     "divisors",
     "is_prime",
     "is_prime_power",
-    "necklace_poly",
+    "necklace_numerator",
     "PointCountData",
     "closed_point_counts",
     "builtin_variety",
@@ -54,14 +54,15 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def necklace_poly(k: int) -> Poly:
-    """The k-th necklace polynomial M_k(x) = (1/k) sum_{j|k} mu(k/j) x^j."""
+def necklace_numerator(k: int) -> list[int]:
+    """The integer coefficients of N_k(x) = k M_k(x) = sum_{j|k} mu(k/j) x^j,
+    k times the k-th necklace polynomial M_k."""
     if k < 1:
         raise ValueError("necklace polynomials are indexed by k >= 1")
-    coeffs = [Fraction(0)] * (k + 1)
+    coeffs = [0] * (k + 1)
     for j in divisors(k):
-        coeffs[j] = Fraction(mobius(k // j), k)
-    return Poly(coeffs)
+        coeffs[j] = mobius(k // j)
+    return coeffs
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly

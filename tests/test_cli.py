@@ -294,6 +294,32 @@ def test_count_budget_on_a_high_dimensional_projective_space():
     assert elapsed < 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # weight 20,000: ran 9 s, then leaked int()'s 4300-digit limit
+        (["--variety", "affine:1", "--q", "3", "--lambda", "0,0,0,0,0,0,0,0,0,2000", "--limits"],
+         "--lambda has weight 20000; degrees are capped at 64"),
+        (["--variety", "affine:1", "--q", "3", "--lambda", "0,0,0,16,1"],
+         "--lambda has weight 69; degrees are capped at 64"),
+        # ran for more than 40 s
+        (["--variety", "projective:3000", "--q", "2", "--max-n", "2"],
+         "the dimension of projective space is capped at 64"),
+        # leaked int()'s 4300-digit limit
+        (["--variety", "affine:100000", "--q", "2", "--max-n", "2"],
+         "the dimension of affine space is capped at 64"),
+        (["--variety", "affine:65", "--q", "2", "--max-n", "2"],
+         "the dimension of affine space is capped at 64"),
+    ],
+    ids=["lambda-weight-20000", "lambda-weight-69", "projective-3000", "affine-100000", "affine-65"],
+)
+def test_count_rejects_an_input_above_its_cap_at_once(argv, message):
+    proc, elapsed = run_child("count", *argv, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == f"error: {message}"
+    assert proc.stdout == ""
+
+
 # 10^18 + 3 is prime, and 1000000016000000063 = (10^9 + 7)(10^9 + 9)
 
 
@@ -401,14 +427,16 @@ def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     from betticount.conf_betti import GLCheck
     from fractions import Fraction as F
 
-    monkeypatch.setattr(
-        cli_mod.tori, "gl_crosscheck", lambda rep, q, n: GLCheck(F(1), F(2))
-    )
+    def disagree(rep, oracles, max_n, values):
+        return {(q, n): GLCheck(F(1), F(2)) for q in oracles for n in range(max_n + 1)}
+
+    monkeypatch.setattr(cli_mod.tori, "gl_checks", disagree)
     code, out, err = run(
         capsys, "verify", "--side", "tori", "--q", "2", "--max-n", "1", "--rep", "1"
     )
     assert code == 1
     assert "FAIL" in out
+    assert "lhs=1 rhs=2" in out
 
 
 def test_verify_rejects_negative_max_n(capsys):
@@ -489,6 +517,27 @@ def test_verify_builds_one_census_per_q(capsys, monkeypatch):
     assert code == 0
     assert len(doc["data"]) == 2 * 5 * 2
     assert [a[:2] for a in calls] == [(3, 4), (5, 4)]
+
+
+def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monkeypatch):
+    import betticount.cli as cli_mod
+
+    calls = {"betti_table": [], "closed_point_counts": []}
+    for owner, name in ((cli_mod.conf_betti, "betti_table"),
+                        (cli_mod.conf_betti, "closed_point_counts")):
+        def counted(*args, _fn=getattr(owner, name), _log=calls[name]):
+            _log.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    code, doc = run_json(
+        capsys, "verify", "--side", "conf", "--q", "3,5,7", "--max-n", "5",
+        "--rep", "1,V1,V11", "--bruteforce",
+    )
+    assert code == 0
+    assert len(doc["data"]) == 3 * 6 * 3
+    assert [a[1:] for a in calls["betti_table"]] == [(4, 5)] * 3
+    assert [(v.q, depth) for v, depth in calls["closed_point_counts"]] == [(3, 5), (5, 5), (7, 5)]
 
 
 @pytest.mark.parametrize("side", ["conf", "tori"])

@@ -112,6 +112,27 @@ def test_series_addition_matches_per_term_recomputation():
             assert s.entry(i, n) == a.entry(i, n) + b.entry(i, n)
 
 
+def test_necklace_binomials_match_scalar_binomials():
+    # B(y) = prod_k binom(M_k(y), lam_k) has degree <= w, so its values at
+    # w + 1 points pin it down; each value here is a product of scalar
+    # binomials of M_k(y) = (1/k) sum_(d | k) mu(k/d) y^d
+    from betticount.conf_betti import _necklace_binomials
+    from betticount.series import binomial
+    from betticount.zeta import divisors, mobius
+
+    for w in range(11):
+        for mu in partitions(w):
+            lam = LambdaSpec(mu.counts)
+            b, scale = _necklace_binomials(lam)
+            assert len(b) == w + 1
+            for y in range(-w // 2 - 1, w // 2 + 2):
+                expected = F(1)
+                for k, lk in lam.active():
+                    mk = F(sum(mobius(k // d) * y**d for d in divisors(k)), k)
+                    expected *= binomial(mk, lk)
+                assert F(sum(c * y**j for j, c in enumerate(b)), scale) == expected, (lam, y)
+
+
 @pytest.mark.parametrize("lam", LAMBDA_SWEEP_6)
 def test_no_negative_powers_survive(lam):
     assert all(i >= 0 for i, _ in difference_series(lam, 12, 14))

@@ -1,0 +1,83 @@
+"""`verify` rows against a reference computed row by row.
+
+Each row's lhs, rhs and brute column is recomputed here on its own, from
+the public partition sums, a fresh Betti table betti_table(p, top(n), n)
+per row, and a whole brute-force sieve per row, so the reference shares
+none of the per-command tables and oracles that `verify` builds once.
+"""
+
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from betticount import conf_betti, tori
+from betticount.chars import parse_rep
+from betticount.cli import format_rational, main
+from betticount.conf_counts import bruteforce_weighted_count, partition_weighted_count
+from betticount.zeta import builtin_variety
+
+
+def seeded_rep(seed):
+    """A rational combination of products of one to three of X1..X4, as a
+    comma-free expression (verify splits --rep on commas)."""
+    rng = random.Random(seed)
+    text = ""
+    for _ in range(rng.randint(2, 4)):
+        mono = "*".join(rng.choice(("X1", "X1", "X2", "X3", "X4")) for _ in range(rng.randint(1, 3)))
+        coeff = rng.choice(("1", "2", "3", "1/2", "3/4"))
+        text += f"{rng.choice('+-') if text else ''}{coeff}*{mono}"
+    return text + rng.choice(("", "+1", "-1", "+5/6"))
+
+
+REPS = ["1", "V1", "V11", "V2", seeded_rep(7), seeded_rep(1603)]
+
+
+def reference_row(side, q, n, name, brute):
+    rep = parse_rep(name)
+    if side == "conf":
+        lhs = partition_weighted_count(builtin_variety("affine", 1, q), rep, n)
+        top = max(n - 1, 0)
+        table = conf_betti.betti_table(rep, top, n)
+        rhs = q**n * sum(((-1) ** i * table.entry(i, n) * F(1, q**i) for i in range(top + 1)), F(0))
+    else:
+        lhs = tori.partition_weighted_count(rep, q, n)
+        top = n * (n - 1) // 2
+        table = tori.betti_table(rep, top, n)
+        rhs = q ** (n * (n - 1)) * sum((table.entry(i, n) * F(1, q**i) for i in range(top + 1)), F(0))
+    row = {"q": q, "n": n, "rep": name, "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+    ok = lhs == rhs
+    if brute:
+        count = bruteforce_weighted_count(q, n, rep)
+        row["brute"] = format_rational(count)
+        ok = ok and count == lhs
+    row["pass"] = ok
+    return row
+
+
+@pytest.mark.parametrize(
+    "side, qs, max_n, brute",
+    [
+        ("conf", (2, 3, 4, 5, 9), 8, False),
+        ("conf", (2, 3), 8, True),
+        # one sieve per row: 5^8 would take about 1 s for each of the six reps
+        ("conf", (5,), 7, True),
+        ("tori", (2, 3, 4, 5, 9), 8, False),
+    ],
+    ids=["conf", "conf-bruteforce-2-3", "conf-bruteforce-5", "tori"],
+)
+def test_verify_rows_match_a_per_row_reference(capsys, side, qs, max_n, brute):
+    argv = ["verify", "--side", side, "--q", ",".join(map(str, qs)), "--max-n", str(max_n),
+            "--rep", ",".join(REPS), "--format", "json"]
+    code = main(argv + (["--bruteforce"] if brute else []))
+    rows = json.loads(capsys.readouterr().out)["data"]
+    expected = [
+        reference_row(side, q, n, name, brute)
+        for q in qs
+        for n in range(max_n + 1)
+        for name in REPS
+    ]
+    assert rows == expected
+    assert all(row["pass"] for row in expected)
+    assert code == 0
