@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import conf_betti, conf_counts, tori
+from .betti import weighted_sum
 from .chars import MAX_DEGREE, CharPoly, LambdaSpec, parse_rep
 from .conf_counts import DEFAULT_GUARD
 from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
@@ -23,6 +25,7 @@ from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, loa
 MAX_GRID = 64
 MAX_VERIFY_N = 12
 MAX_DIM = 64  # builtin affine and projective spaces
+SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 
 
 class OutputDocument:
@@ -36,7 +39,13 @@ class OutputDocument:
 
 def format_rational(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:  # str() refuses such integers; lifting the limit costs minutes
+        raise ValueError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits; "
+            "lower --q, --max-n or the dimension of the variety"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +201,23 @@ def _check_grid(max_i: int, max_n: int) -> None:
 # commands
 
 
-def _betti_doc(side: str, args) -> tuple[OutputDocument, int]:
+def cmd_betti(args) -> tuple[OutputDocument, int]:
     _check_grid(args.max_i, args.max_n)
     rep = parse_rep(args.rep)
-    mod = conf_betti if side == "conf" else tori
-    table = mod.betti_table(rep, args.max_i, args.max_n)
+    side = SIDES[args.side]
+    table = side.betti_table(rep, args.max_i, args.max_n)
     doc = OutputDocument(kind="table")
     doc.meta = {
-        "side": side,
+        "side": args.side,
         "rep": args.rep,
         "rep_binomial": str(rep),
         "max_i": args.max_i,
         "max_n": args.max_n,
     }
     if args.stable:
-        series = mod.stable_series(rep)
-        stable = mod.stable_betti_numbers(rep, args.max_i, series)
-        spec = mod.recurrence(rep, series)
+        series = side.stable_series(rep)
+        stable = side.stable_betti_numbers(rep, args.max_i, series)
+        spec = side.recurrence(rep, series)
         doc.meta["stable"] = [format_rational(v) for v in stable]
         doc.meta["recurrence"] = {
             "coefficients": [format_rational(c) for c in spec.coefficients],
@@ -221,14 +230,6 @@ def _betti_doc(side: str, args) -> tuple[OutputDocument, int]:
                     {"i": i, "n": n, "value": format_rational(table.entry(i, n))}
                 )
     return doc, 0
-
-
-def cmd_conf_betti(args) -> tuple[OutputDocument, int]:
-    return _betti_doc("conf", args)
-
-
-def cmd_tori_betti(args) -> tuple[OutputDocument, int]:
-    return _betti_doc("tori", args)
 
 
 def cmd_count(args) -> tuple[OutputDocument, int]:
@@ -285,16 +286,15 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
 
 
 def cmd_verify(args) -> tuple[OutputDocument, int]:
-    side = args.side
-    if side not in ("conf", "tori"):
-        raise ValueError("--side must be conf or tori")
-    if args.bruteforce and side != "conf":
+    side = SIDES[args.side]
+    if args.bruteforce and args.side != "conf":
         raise ValueError("--bruteforce applies to the conf side only")
     qs = sorted(set(_parse_q_list(args.q)))
     for q in qs:
         if not is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
-    reps = [(tok.strip(), parse_rep(tok)) for tok in args.rep.split(",")]
+    # a comma whose next parenthesis closes, as in C(X1,2), is inside a rep
+    reps = [(tok.strip(), parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
     _check_max_n(args.max_n)
     if args.bruteforce:
         for q in qs:
@@ -307,17 +307,16 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 )
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
-    mod = conf_betti if side == "conf" else tori
     # each input is built once per command: per q one count oracle and one
     # sieve, per rep one Betti table and one p(mu) per cycle type
-    oracles = {q: mod.count_oracle(q, args.max_n) for q in qs}
+    oracles = {q: side.count_oracle(q, args.max_n) for q in qs}
     censuses = {q: [[] for _ in range(args.max_n + 1)] for q in qs}
     if args.bruteforce:
         for q in qs:
             for ct, cnt in conf_counts.bruteforce_census(q, args.max_n, args.guard, lowest=0).items():
                 censuses[q][ct.n].append((ct, cnt))
     per_rep = [(name, rep, {}) for name, rep in reps]
-    checks = [mod.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
+    checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
     rows = []
     for q in qs:
         for n in range(args.max_n + 1):
@@ -327,21 +326,21 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                        "lhs": format_rational(check.lhs), "rhs": format_rational(check.rhs)}
                 ok = check.equal
                 if args.bruteforce:
-                    brute = conf_betti.weighted_sum(rep, censuses[q][n], values)
+                    brute = weighted_sum(rep, censuses[q][n], values)
                     row["brute"] = format_rational(brute)
                     ok = ok and brute == check.lhs
                 row["pass"] = ok
                 rows.append(row)
     doc = OutputDocument(kind="verification")
     doc.meta = {
-        "side": side,
+        "side": args.side,
         "q": qs,
         "max_n": args.max_n,
         "reps": [name for name, _ in reps],
         "bruteforce": bool(args.bruteforce),
     }
     notes = []
-    if side == "conf" and any(q % 2 == 0 for q in qs):
+    if args.side == "conf" and any(q % 2 == 0 for q in qs):
         notes.append(
             "even q is outside the stated odd-characteristic hypothesis for "
             "weighted configuration counts; results are reported as exploratory"
@@ -373,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("table", "csv", "json"), default="table"
         )
 
-    for name, handler in (("conf-betti", cmd_conf_betti), ("tori-betti", cmd_tori_betti)):
-        p = sub.add_parser(name, help=f"{name.split('-')[0]} Betti table")
+    for side in SIDES:
+        p = sub.add_parser(f"{side}-betti", help=f"{side} Betti table")
         p.add_argument("--rep", required=True, help="V1, V11, V2, or an expression like 'C(X1,2)-X2'")
         p.add_argument("--max-i", type=int, default=13)
         p.add_argument("--max-n", type=int, default=14)
         p.add_argument("--stable", action="store_true", help="also emit stable values and the recurrence")
         add_format(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_betti, side=side)
 
     p = sub.add_parser("count", help="weighted point counts on configuration spaces")
     p.add_argument("--variety", required=True, help="affine:d, projective:d, or file:PATH")
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("verify", help="cross-check point counts against Betti tables")
-    p.add_argument("--side", required=True, choices=("conf", "tori"))
+    p.add_argument("--side", required=True, choices=tuple(SIDES))
     p.add_argument("--q", required=True, help="comma-separated prime powers")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--rep", default="1,V1,V11,V2", help="comma-separated rep names")

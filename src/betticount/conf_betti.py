@@ -14,30 +14,23 @@ with M_k the k-th necklace polynomial; the coefficient at z^i t^n is
 w = |lam|.  B has degree <= w in y and G has integer coefficients g_m, so
 the t^n coefficient of (1 - t) F is B(1/z) (g_n z^n - g_(n-2) z^(n-1)), a
 polynomial in z, and each table row is the running sum of these over n.
+SIDE hands these kernels to betti.Side, which assembles everything else.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
+from itertools import accumulate
 
+from .betti import Side
 from .chars import CharPoly, CycleType, LambdaSpec, partitions
 from .conf_counts import _type_count
-from .series import (
-    RatFun,
-    RecurrenceSpec,
-    _Frozen,
-    cyclotomic_sum,
-    poly_mul,
-    recurrence_from_ratfun,
-    taylor_coeffs,
-)
+from .series import _Frozen, poly_mul
 from .zeta import builtin_variety, closed_point_counts, divisors, necklace_numerator
 
 __all__ = [
-    "BettiTable",
-    "GLCheck",
+    "SIDE",
     "difference_series",
     "betti_table",
     "stable_series",
@@ -46,60 +39,10 @@ __all__ = [
     "StabilityRow",
     "StabilityReport",
     "stability_report",
-    "weighted_sum",
     "count_oracle",
     "gl_checks",
     "gl_crosscheck",
 ]
-
-
-class BettiTable(_Frozen):
-    """A grid of twisted Betti numbers entries[i][n], 0 <= i <= max_i and
-    0 <= n <= max_n, for one character polynomial.
-
-    kind is "conf" (alpha_i(n), all cohomological degrees) or "tori"
-    (beta_i(n), even degrees 2i only).  Values are exact rationals; genuine
-    representations give nonnegative integers, virtual ones need not.
-    """
-
-    __slots__ = ("rep", "kind", "max_i", "max_n", "entries")
-
-    def __init__(
-        self,
-        rep: CharPoly,
-        kind: str,
-        max_i: int,
-        max_n: int,
-        entries: tuple[tuple[Fraction, ...], ...],
-    ):
-        self._set(rep, kind, max_i, max_n, entries)
-
-    def entry(self, i: int, n: int) -> Fraction:
-        return self.entries[i][n]
-
-    def in_support(self, i: int, n: int) -> bool:
-        if self.kind == "conf":
-            return i <= max(n - 1, 0)
-        return i <= n * (n - 1) // 2
-
-    def is_integral_nonnegative(self) -> bool:
-        return all(
-            v.denominator == 1 and v >= 0 for row in self.entries for v in row
-        )
-
-
-class GLCheck(_Frozen):
-    """One Grothendieck-Lefschetz comparison: a weighted point count (lhs)
-    against the q-weighted sum of Betti numbers (rhs), both exact."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Fraction, rhs: Fraction):
-        self._set(lhs, rhs)
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _necklace_binomials(lam: LambdaSpec) -> tuple[list[int], int]:
@@ -156,86 +99,40 @@ def difference_series(
     return {(i, n): Fraction(c, scale) for (i, n), c in terms.items() if i <= max_i}
 
 
-def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
-    """alpha_i(n) for the character polynomial p on grids i <= max_i,
-    n <= max_n."""
-    if max_i < 0 or max_n < 0:
-        raise ValueError("max_i and max_n must be nonnegative")
-    kernels = [
-        (coeff, *_scaled_difference_terms(lam, max_n)) for lam, coeff in p.items()
-    ]
-    den = math.lcm(*(coeff.denominator * scale for coeff, _, scale in kernels))
-    diff = [[0] * (max_n + 1) for _ in range(max_i + 1)]
-    for coeff, terms, scale in kernels:
-        mult = coeff.numerator * (den // (coeff.denominator * scale))
-        for (i, n), c in terms.items():
-            if i < 0:
-                raise ArithmeticError(
-                    f"negative z-power z^{i} at t^{n} in the Betti series"
-                )
-            if i <= max_i:
-                diff[i][n] += mult * c
-    entries = []
-    for i, row in enumerate(diff):
-        sign = -1 if i % 2 else 1
-        acc, out = 0, []
-        for c in row:
-            acc += c
-            out.append(Fraction(sign * acc, den))
-        entries.append(tuple(out))
-    table = BettiTable(
-        rep=p,
-        kind="conf",
-        max_i=max_i,
-        max_n=max_n,
-        entries=tuple(entries),
-    )
-    for i in range(max_i + 1):
-        for n in range(max_n + 1):
-            if not table.in_support(i, n) and table.entry(i, n):
-                raise ArithmeticError(
-                    f"nonzero entry outside the cohomological support at i={i}, n={n}"
-                )
-    return table
+def _grid(lam: LambdaSpec, max_i: int, max_n: int) -> tuple[list[list[int]], int]:
+    """(rows, scale): alpha_i(n) of C(X, lam) is rows[i][n] / scale, for
+    i <= max_i and n <= max_n; each row is the signed running sum of the
+    difference terms."""
+    terms, scale = _scaled_difference_terms(lam, max_n)
+    rows = [[0] * (max_n + 1) for _ in range(max_i + 1)]
+    for (i, n), c in terms.items():
+        if i < 0:
+            raise ArithmeticError(f"negative z-power z^{i} at t^{n} in the Betti series")
+        if i <= max_i:
+            rows[i][n] = c
+    return [[(-1) ** i * s for s in accumulate(row)] for i, row in enumerate(rows)], scale
 
 
-def stable_series(p: CharPoly) -> RatFun:
-    """The stable series sum_i alpha_i z^i of p as an integer pair
-    (num, den) in lowest terms.
+def _stable_term(lam: LambdaSpec) -> tuple[list[int], int, dict[int, int]]:
+    """(num, scale, {d: e}): the stable series sum_i alpha_i z^i of
+    C(X, lam) is num / (scale * prod_d Psi_d^e).
 
-    For C(X, lam) the signed series sum_i alpha_i (-z)^i is
+    The signed series sum_i alpha_i (-z)^i is
     (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k, so z -> -z turns each
     factor into 1 - (-z)^k: 1 - z^k = prod_(d | k) Psi_d for odd k, and
     1 + z^k = prod_(d | 2k, d not | k) Psi_d for even k.
     """
-    terms = []
-    for lam, coeff in p.items():
-        b, scale = _necklace_binomials(lam)
-        w = lam.weight
-        b += [0] * (w + 1 - len(b))
-        # (1 + z) z^w B(-1/z)
-        num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
-        exps: dict[int, int] = {}
-        for k, lk in lam.active():
-            factors = divisors(k) if k % 2 else [d for d in divisors(2 * k) if k % d]
-            for d in factors:
-                exps[d] = exps.get(d, 0) + lk
-        terms.append((num, coeff / scale, exps))
-    return cyclotomic_sum(terms)
-
-
-def stable_betti_numbers(p: CharPoly, count: int, series: RatFun | None = None) -> list[Fraction]:
-    """The stable values alpha_0, ..., alpha_count (unsigned), read from
-    `series`, p's stable_series, when it is already built."""
-    return taylor_coeffs(stable_series(p) if series is None else series, count)
-
-
-def recurrence(p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
-    """Linear recurrence satisfied by the stable Betti numbers of p,
-    extracted from its rational stable series (built unless given)."""
-    if p.is_zero():
-        raise ValueError("zero character polynomial")
-    return recurrence_from_ratfun(stable_series(p) if series is None else series)
+    b, scale = _necklace_binomials(lam)
+    w = lam.weight
+    b += [0] * (w + 1 - len(b))
+    # (1 + z) z^w B(-1/z)
+    num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
+    exps: dict[int, int] = {}
+    for k, lk in lam.active():
+        factors = divisors(k) if k % 2 else [d for d in divisors(2 * k) if k % d]
+        for d in factors:
+            exps[d] = exps.get(d, 0) + lk
+    return num, scale, exps
 
 
 class StabilityRow(_Frozen):
@@ -277,33 +174,6 @@ def stability_report(p: CharPoly, max_i: int, max_n: int) -> StabilityReport:
     return StabilityReport(p, tuple(rows))
 
 
-def weighted_sum(p: CharPoly, types, values: dict[CycleType, Fraction]) -> Fraction:
-    """sum_mu N_mu p(mu) over the pairs (mu, N_mu) in types.  values holds
-    p(mu) by cycle type and is filled in on first use, so sums over the
-    same p that share it evaluate p once per cycle type."""
-    total = Fraction(0)
-    for mu, cnt in types:
-        if mu not in values:
-            values[mu] = p.evaluate(mu)
-        total += cnt * values[mu]
-    return total
-
-
-def _gl_checks(p, table: BettiTable, oracles, values, weight) -> dict[tuple[int, int], GLCheck]:
-    """{(q, n): GLCheck} for q in oracles and n <= table.max_n: lhs sums p
-    over oracles[q][n], rhs is sum_i weight(q, n, i) * entry(i, n) over the
-    support of column n."""
-    return {
-        (q, n): GLCheck(
-            lhs=weighted_sum(p, oracle[n], values),
-            rhs=sum((weight(q, n, i) * table.entry(i, n) for i in range(table.max_i + 1)
-                     if table.in_support(i, n)), Fraction(0)),
-        )
-        for q, oracle in oracles.items()
-        for n in range(table.max_n + 1)
-    }
-
-
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
     """oracle[n], n <= max_n: the cycle types of n-point configurations of
     the affine line over F_q, each with its nonzero count, from one list of
@@ -314,17 +184,15 @@ def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
     return [[(mu, c) for mu in partitions(n) if (c := _type_count(mk, mu))] for n in range(max_n + 1)]
 
 
-def gl_checks(
-    p: CharPoly, oracles: Mapping[int, list], max_n: int, values: dict
-) -> dict[tuple[int, int], GLCheck]:
-    """The GL checks of p at every n <= max_n and every q in oracles
-    (q -> count_oracle(q, max_n)), from one Betti table: the weighted point
-    count on n-point configurations of the affine line over F_q (partition
-    sum, p(mu) cached in values) against q^n sum_i (-1)^i alpha_i(n) q^(-i)."""
-    table = betti_table(p, max(max_n - 1, 0), max_n)
-    return _gl_checks(p, table, oracles, values, lambda q, n, i: (-1) ** i * q ** (n - i))
-
-
-def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
-    """The GL check of p at one (q, n); see gl_checks."""
-    return gl_checks(p, {q: count_oracle(q, n)}, n, {})[q, n]
+SIDE = Side(
+    "conf",
+    grid=_grid,
+    stable_term=_stable_term,
+    top=lambda n: max(n - 1, 0),
+    # q^n sum_i (-1)^i alpha_i(n) q^(-i)
+    weight=lambda q, n, i: (-1) ** i * q ** (n - i),
+    count_oracle=count_oracle,
+)
+betti_table, stable_series = SIDE.betti_table, SIDE.stable_series
+stable_betti_numbers, recurrence = SIDE.stable_betti_numbers, SIDE.recurrence
+gl_checks, gl_crosscheck = SIDE.gl_checks, SIDE.gl_crosscheck

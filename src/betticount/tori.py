@@ -19,21 +19,21 @@ polynomial
     sum_i beta_i(n) z^i
         = (1/z_lam) prod_{j=n-w+1..n} (1 - z^j) / prod_k (1 - z^k)^lam_k
 
-and the row is zero for n < w.
+and the row is zero for n < w.  SIDE hands this kernel to betti.Side,
+which assembles everything else.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 
+from .betti import Side
 from .chars import CharPoly, CycleType, LambdaSpec, centralizer_order, partitions
-from .conf_betti import BettiTable, GLCheck, _gl_checks
-from .series import RatFun, RecurrenceSpec, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs
 from .zeta import divisors
 
 __all__ = [
+    "SIDE",
     "gl_order",
     "z_lambda",
     "weighted_series",
@@ -132,61 +132,20 @@ def _row(lam: LambdaSpec, n: int, max_i: int) -> list[int]:
     return row
 
 
-def betti_table(p: CharPoly, max_i: int, max_n: int) -> BettiTable:
-    """beta_i(n) = dim of the degree-2i twisted cohomology of the space of
-    maximal tori, for i <= max_i and n <= max_n."""
-    if max_i < 0 or max_n < 0:
-        raise ValueError("max_i and max_n must be nonnegative")
-    terms = [(coeff, z_lambda(lam), lam) for lam, coeff in p.items()]
-    den = math.lcm(*(coeff.denominator * z for coeff, z, _ in terms))
-    grid = [[0] * (max_n + 1) for _ in range(max_i + 1)]
-    for coeff, z, lam in terms:
-        mult = coeff.numerator * (den // (coeff.denominator * z))
-        for n in range(max_n + 1):
-            for i, c in enumerate(_row(lam, n, max_i)):
-                grid[i][n] += mult * c
-    top = [n * (n - 1) // 2 for n in range(max_n + 1)]
-    for i, row in enumerate(grid):
-        for n, c in enumerate(row):
-            if c and i > top[n]:
-                raise ArithmeticError(
-                    f"nonzero beta beyond i = n(n-1)/2 at i={i}, n={n}"
-                )
-    return BettiTable(
-        rep=p,
-        kind="tori",
-        max_i=max_i,
-        max_n=max_n,
-        entries=tuple(tuple(Fraction(c, den) for c in row) for row in grid),
-    )
+def _grid(lam: LambdaSpec, max_i: int, max_n: int) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, z_lam): beta_i(n) of C(X, lam) is rows[i][n] / z_lam, for
+    i <= max_i and n <= max_n; the columns are the rows of _row."""
+    return list(zip(*(_row(lam, n, max_i) for n in range(max_n + 1)))), z_lambda(lam)
 
 
-def stable_series(p: CharPoly) -> RatFun:
-    """The stable series sum_i beta_i z^i of p as an integer pair
-    (num, den) in lowest terms: for C(X, lam) it is
-    (1/z_lam) / prod_k (1 - z^k)^lam_k, and 1 - z^k = prod_(d | k) Psi_d."""
-    terms = []
-    for lam, coeff in p.items():
-        exps: dict[int, int] = {}
-        for k, lk in lam.active():
-            for d in divisors(k):
-                exps[d] = exps.get(d, 0) + lk
-        terms.append(([1], coeff / z_lambda(lam), exps))
-    return cyclotomic_sum(terms)
-
-
-def stable_betti_numbers(p: CharPoly, count: int, series: RatFun | None = None) -> list[Fraction]:
-    """The stable values beta_0, ..., beta_count, read from `series`, p's
-    stable_series, when it is already built."""
-    return taylor_coeffs(stable_series(p) if series is None else series, count)
-
-
-def recurrence(p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
-    """Linear recurrence satisfied by the stable torus-side Betti numbers,
-    extracted from p's stable series (built unless given)."""
-    if p.is_zero():
-        raise ValueError("zero character polynomial")
-    return recurrence_from_ratfun(stable_series(p) if series is None else series)
+def _stable_term(lam: LambdaSpec) -> tuple[list[int], int, dict[int, int]]:
+    """(num, scale, {d: e}): the stable series sum_i beta_i z^i of C(X, lam)
+    is (1/z_lam) / prod_k (1 - z^k)^lam_k, and 1 - z^k = prod_(d | k) Psi_d."""
+    exps: dict[int, int] = {}
+    for k, lk in lam.active():
+        for d in divisors(k):
+            exps[d] = exps.get(d, 0) + lk
+    return [1], z_lambda(lam), exps
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
@@ -200,17 +159,15 @@ def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
     ]
 
 
-def gl_checks(
-    p: CharPoly, oracles: Mapping[int, list], max_n: int, values: dict
-) -> dict[tuple[int, int], GLCheck]:
-    """The GL checks of p at every n <= max_n and every q in oracles
-    (q -> count_oracle(q, max_n)), from one Betti table: the weighted torus
-    count (partition sum, p(mu) cached in values) against
-    q^(n(n-1)) sum_i beta_i(n) q^(-i)."""
-    table = betti_table(p, max_n * (max_n - 1) // 2, max_n)
-    return _gl_checks(p, table, oracles, values, lambda q, n, i: q ** (n * (n - 1) - i))
-
-
-def gl_crosscheck(p: CharPoly, q: int, n: int) -> GLCheck:
-    """The GL check of p at one (q, n); see gl_checks."""
-    return gl_checks(p, {q: count_oracle(q, n)}, n, {})[q, n]
+SIDE = Side(
+    "tori",
+    grid=_grid,
+    stable_term=_stable_term,
+    top=lambda n: n * (n - 1) // 2,
+    # q^(n(n-1)) sum_i beta_i(n) q^(-i)
+    weight=lambda q, n, i: q ** (n * (n - 1) - i),
+    count_oracle=count_oracle,
+)
+betti_table, stable_series = SIDE.betti_table, SIDE.stable_series
+stable_betti_numbers, recurrence = SIDE.stable_betti_numbers, SIDE.recurrence
+gl_checks, gl_crosscheck = SIDE.gl_checks, SIDE.gl_crosscheck

@@ -65,6 +65,12 @@ def test_format_rational():
     assert Fraction("6") == 6
 
 
+def test_format_rational_refuses_a_value_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"more than {limit} digits; lower --q, --max-n"):
+        format_rational(Fraction(1, 10**limit))
+
+
 # ---------------------------------------------------------------------------
 # conf-betti
 
@@ -350,6 +356,19 @@ def test_count_refuses_a_q_too_large_to_decide(capsys):
     assert f"q must be below {PRIME_TEST_BOUND}" in err
 
 
+def test_count_names_the_inputs_to_lower_when_a_value_is_too_long_to_print():
+    # at q = 3^51 the count of 3 points in A^64 has about 4,900 digits
+    proc, _ = run_child("count", "--variety", "affine:64", "--q", str(3**51),
+                        "--max-n", "3", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == (
+        f"error: a value has more than {sys.get_int_max_str_digits()} digits; "
+        "lower --q, --max-n or the dimension of the variety"
+    )
+    assert "set_int_max_str_digits" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_count_rejects_negative_max_n(capsys):
     code, out, err = run(
         capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", "V11", "--max-n", "-1"
@@ -424,19 +443,31 @@ def test_verify_even_q_note(capsys):
 
 def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     import betticount.cli as cli_mod
-    from betticount.conf_betti import GLCheck
+    from betticount.betti import GLCheck
     from fractions import Fraction as F
 
     def disagree(rep, oracles, max_n, values):
         return {(q, n): GLCheck(F(1), F(2)) for q in oracles for n in range(max_n + 1)}
 
-    monkeypatch.setattr(cli_mod.tori, "gl_checks", disagree)
+    monkeypatch.setattr(cli_mod.SIDES["tori"], "gl_checks", disagree)
     code, out, err = run(
         capsys, "verify", "--side", "tori", "--q", "2", "--max-n", "1", "--rep", "1"
     )
     assert code == 1
     assert "FAIL" in out
     assert "lhs=1 rhs=2" in out
+
+
+@pytest.mark.parametrize("side", ["conf", "tori"])
+def test_verify_splits_reps_only_at_commas_outside_parentheses(capsys, side):
+    args = ("verify", "--side", side, "--q", "3", "--max-n", "3")
+    code, doc = run_json(capsys, *args, "--rep", "C(X1,2),V1")
+    assert code == 0
+    assert doc["meta"]["reps"] == ["C(X1,2)", "V1"]
+    for rep in ("C(X1,2)", "V1"):
+        code, single = run_json(capsys, *args, "--rep", rep)
+        assert code == 0
+        assert [row for row in doc["data"] if row["rep"] == rep] == single["data"]
 
 
 def test_verify_rejects_negative_max_n(capsys):
@@ -523,7 +554,7 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
     import betticount.cli as cli_mod
 
     calls = {"betti_table": [], "closed_point_counts": []}
-    for owner, name in ((cli_mod.conf_betti, "betti_table"),
+    for owner, name in ((cli_mod.SIDES["conf"], "betti_table"),
                         (cli_mod.conf_betti, "closed_point_counts")):
         def counted(*args, _fn=getattr(owner, name), _log=calls[name]):
             _log.append(args)
@@ -544,21 +575,29 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
 def test_stable_series_is_built_once_per_command(capsys, monkeypatch, side):
     import betticount.cli as cli_mod
 
-    mod = cli_mod.conf_betti if side == "conf" else cli_mod.tori
-    build = mod.stable_series
+    owner = cli_mod.SIDES[side]
+    build = owner.stable_series
     calls = []
 
     def counted(rep):
         calls.append(rep)
         return build(rep)
 
-    monkeypatch.setattr(mod, "stable_series", counted)
+    monkeypatch.setattr(owner, "stable_series", counted)
     code, doc = run_json(
         capsys, f"{side}-betti", "--rep", "V11", "--max-i", "4", "--max-n", "6", "--stable"
     )
     assert code == 0
     assert "recurrence" in doc["meta"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("side", ["conf", "tori"])
+def test_betti_stable_rejects_the_zero_rep(capsys, side):
+    code, out, err = run(capsys, f"{side}-betti", "--rep", "0", "--stable")
+    assert code == 2
+    assert err == "error: zero character polynomial\n"
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

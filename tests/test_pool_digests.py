@@ -1,17 +1,25 @@
 """Every op of the benchmark pools, run in process, prints the bytes
 recorded for it: the exit code and the SHA-256 of stdout must equal
-perfbench/expected.json.  Both perfbench files are only read."""
+perfbench/expected.json.  Both perfbench files are only read.  The same
+holds for scripts/paper_tables.py, run as a script."""
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import betticount
 from betticount.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+# SHA-256 of the reference tables as scripts/paper_tables.py prints them
+PAPER_TABLES_SHA256 = "9b0d87390a5f2c6ad6d0e1b335e5f5b369d6ce76c766c61372f6812332d3b7c5"
 
 
 def _workloads():
@@ -41,3 +49,13 @@ def test_every_recorded_op_is_in_a_pool():
     assert {w: sorted(EXPECTED[w]) for w in EXPECTED} == {
         w: sorted(WORKLOADS.op_key(argv) for argv in WORKLOADS.pool(w)) for w in WORKLOADS.POOLS
     }
+
+
+def test_paper_tables_script_prints_its_recorded_bytes():
+    src = os.path.dirname(os.path.dirname(betticount.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paper_tables.py")],
+        capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == PAPER_TABLES_SHA256

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from betticount.chars import CycleType, LambdaSpec
-from betticount.conf_betti import GLCheck
+from betticount.betti import GLCheck
 from betticount.series import RecurrenceSpec
 from betticount.zeta import PointCountData
 
