@@ -1,19 +1,21 @@
-"""Cycle types, character polynomials in the binomial basis, and conversions.
+"""Cycle types, character polynomials in the binomial basis, and their parser.
 
 A character polynomial is a polynomial in the class functions X_k (number of
 k-cycles of a permutation); it defines a class function on every symmetric
-group at once.  The canonical internal basis here is the family of products
+group at once.  Its one representation here is in the basis of products
 C(X_1, l_1) * C(X_2, l_2) * ... of binomial coefficients, indexed by the
-exponent sequence l = (l_1, ..., l_r); X_k is assigned degree k.
+exponent sequence l = (l_1, ..., l_r); X_k is assigned degree k.  Sums and
+products stay in that basis, and the parser of user-entered expressions
+maps each atom to one basis element.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import Scalar, _frac, _Frozen
 
@@ -21,10 +23,8 @@ __all__ = [
     "CycleType",
     "LambdaSpec",
     "CharPoly",
-    "XPoly",
     "partitions",
     "centralizer_order",
-    "monomials_to_binomial",
     "class_function_to_binomial",
     "builtin_rep",
     "parse_char_poly",
@@ -171,20 +171,27 @@ class CharPoly:
         return CharPoly({l: -c for l, c in self._terms.items()})
 
     def __add__(self, other: CharPoly) -> CharPoly:
-        d = dict(self._terms)
-        for l, c in other._terms.items():
-            v = d.get(l, Fraction(0)) + c
-            if v:
-                d[l] = v
-            elif l in d:
-                del d[l]
-        return CharPoly(d)
+        return CharPoly([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: CharPoly) -> CharPoly:
         return self + (-other)
 
-    def __mul__(self, scalar: Scalar) -> CharPoly:
-        return CharPoly({l: c * _frac(scalar) for l, c in self._terms.items()})
+    def __mul__(self, other: CharPoly | Scalar) -> CharPoly:
+        """A scalar multiple, or the product of two character polynomials.
+
+        Per variable C(x,a) * C(x,b) = sum_{c=max(a,b)}^{a+b} C(c,a) *
+        C(a,a+b-c) * C(x,c), with integer coefficients; distinct variables
+        multiply freely.
+        """
+        if not isinstance(other, CharPoly):
+            s = _frac(other)
+            return CharPoly({l: c * s for l, c in self._terms.items()})
+        return CharPoly(
+            (lam, c1 * c2 * w)
+            for l1, c1 in self._terms.items()
+            for l2, c2 in other._terms.items()
+            for lam, w in _binomial_product(l1, l2)
+        )
 
     __rmul__ = __mul__
 
@@ -232,6 +239,19 @@ class CharPoly:
         return f"CharPoly({self})"
 
 
+def _binomial_product(l1: LambdaSpec, l2: LambdaSpec) -> list[tuple[LambdaSpec, int]]:
+    """C(X, l1) * C(X, l2) as integer-weighted basis elements."""
+    out: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for k in range(1, max(len(l1.entries), len(l2.entries)) + 1):
+        a, b = l1.get(k), l2.get(k)
+        out = [
+            (ent + (c,), w * math.comb(c, a) * math.comb(a, a + b - c))
+            for ent, w in out
+            for c in range(max(a, b), a + b + 1)
+        ]
+    return [(LambdaSpec(ent), w) for ent, w in out]
+
+
 # ---------------------------------------------------------------------------
 # partitions and centralizers
 
@@ -264,141 +284,7 @@ def centralizer_order(c: CycleType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the monomial form and conversion to the binomial basis
-
-
-class XPoly:
-    """Polynomial in the variables X_1, X_2, ... in plain monomial form.
-
-    Used as the parsing/conversion intermediate; keys are exponent tuples
-    (e_1, ..., e_r) with trailing zeros stripped.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in items:
-            c = _frac(c)
-            mono = _strip(mono)
-            if c:
-                d[mono] = d.get(mono, Fraction(0)) + c
-                if not d[mono]:
-                    del d[mono]
-        self._terms = d
-
-    @staticmethod
-    def constant(c: Scalar) -> XPoly:
-        return XPoly({(): c})
-
-    @staticmethod
-    def variable(k: int) -> XPoly:
-        return XPoly({tuple([0] * (k - 1) + [1]): 1})
-
-    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __neg__(self) -> XPoly:
-        return XPoly({m: -c for m, c in self._terms.items()})
-
-    def __add__(self, other: XPoly | Scalar) -> XPoly:
-        if isinstance(other, (int, Fraction)):
-            other = XPoly.constant(other)
-        d = dict(self._terms)
-        for m, c in other._terms.items():
-            v = d.get(m, Fraction(0)) + c
-            if v:
-                d[m] = v
-            elif m in d:
-                del d[m]
-        return XPoly(d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: XPoly | Scalar) -> XPoly:
-        if isinstance(other, (int, Fraction)):
-            other = XPoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other: XPoly | Scalar) -> XPoly:
-        if isinstance(other, (int, Fraction)):
-            return XPoly({m: c * _frac(other) for m, c in self._terms.items()})
-        d: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                r = max(len(m1), len(m2))
-                m = _strip(
-                    (m1[i] if i < len(m1) else 0) + (m2[i] if i < len(m2) else 0)
-                    for i in range(r)
-                )
-                v = d.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    d[m] = v
-                elif m in d:
-                    del d[m]
-        return XPoly(d)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, c: CycleType) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            v = Fraction(1)
-            for k, e in enumerate(mono, start=1):
-                if e:
-                    v *= Fraction(c.count(k)) ** e
-            total += coeff * v
-        return total
-
-    def __repr__(self) -> str:
-        return f"XPoly({dict(self.items())})"
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-def monomials_to_binomial(p: XPoly | Mapping[tuple[int, ...], Scalar]) -> CharPoly:
-    """Rewrite a monomial-form polynomial in the X_k into the binomial basis.
-
-    Per variable, X^e = sum_j S(e, j) * j! * C(X, j) with S the Stirling
-    numbers of the second kind; distinct variables distribute freely.
-    """
-    if not isinstance(p, XPoly):
-        p = XPoly(p)
-    out: dict[LambdaSpec, Fraction] = {}
-    for mono, coeff in p._terms.items():
-        # options[i]: weighted choices (j, S(e,j)*j!) for variable i+1
-        expanded = [(LambdaSpec(()), coeff)]
-        for idx, e in enumerate(mono):
-            if e == 0:
-                continue
-            choices = [
-                (j, _stirling2(e, j) * math.factorial(j))
-                for j in range(1, e + 1)
-                if _stirling2(e, j)
-            ]
-            nxt = []
-            for lam, c in expanded:
-                for j, w in choices:
-                    ent = list(lam.entries) + [0] * (idx + 1 - len(lam.entries))
-                    ent[idx] += j
-                    nxt.append((LambdaSpec(tuple(ent)), c * w))
-            expanded = nxt
-        for lam, c in expanded:
-            out[lam] = out.get(lam, Fraction(0)) + c
-    return CharPoly(out)
+# class functions
 
 
 def class_function_to_binomial(
@@ -459,9 +345,10 @@ def builtin_rep(name: str) -> CharPoly:
 # expression parser for user-entered character polynomials
 #
 # grammar: rational coefficients, variables X1..X9, operators + - *, and
-# C(Xk, m) for binomial-coefficient atoms.  Expansion cost grows with the
-# degree, so atoms and products above MAX_DEGREE (the grid cap) are
-# rejected before they are expanded.
+# C(Xk, m) for binomial-coefficient atoms.  Each atom is one basis element
+# and a product multiplies in the basis, so nothing is expanded.  The row
+# kernels are sized to the grid, and C(X, l) vanishes on S_n for n below its
+# weight, so atoms and products above MAX_DEGREE (the grid cap) are rejected.
 
 MAX_DEGREE = 64
 
@@ -472,6 +359,9 @@ _VARIABLE = re.compile(r"X[1-9]")
 
 
 def _tokenize(text: str) -> list[str]:
+    # the length first: int() refuses more digits than the limit, and the
+    # degree k*m of C(Xk,m) must stay short enough to print in a message
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -480,15 +370,15 @@ def _tokenize(text: str) -> list[str]:
         tok = m.group(m.lastgroup)
         if m.lastgroup == "var" and not _VARIABLE.fullmatch(tok):
             raise ValueError(f"unknown variable {tok}; variables are X1..X9")
+        if m.lastgroup == "num" and 0 < limit <= len(tok):
+            raise ValueError(f"the number {tok} is too long; numbers have fewer than {limit} digits")
         tokens.append(tok)
         pos = m.end()
     return tokens
 
 
-def _degree(p: XPoly) -> int:
-    return max(
-        (sum(k * e for k, e in enumerate(mono, start=1)) for mono in p._terms), default=0
-    )
+def _degree(p: CharPoly) -> int:
+    return max((lam.weight for lam in p._terms), default=0)
 
 
 def _check_degree(d: int, what: str) -> None:
@@ -511,7 +401,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> XPoly:
+    def parse_expr(self) -> CharPoly:
         out = self.parse_term()
         while self.peek() in ("+", "-"):
             if self.take() == "+":
@@ -520,7 +410,7 @@ class _Parser:
                 out = out - self.parse_term()
         return out
 
-    def parse_term(self) -> XPoly:
+    def parse_term(self) -> CharPoly:
         out = self.parse_factor()
         while self.peek() == "*":
             self.take()
@@ -529,13 +419,13 @@ class _Parser:
             out = out * factor
         return out
 
-    def parse_factor(self) -> XPoly:
+    def parse_factor(self) -> CharPoly:
         if self.peek() == "-":
             self.take()
             return -self.parse_factor()
         return self.parse_atom()
 
-    def parse_atom(self) -> XPoly:
+    def parse_atom(self) -> CharPoly:
         tok = self.peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
@@ -558,24 +448,22 @@ class _Parser:
             self.take(")")
             m = int(m_tok)
             _check_degree(k * m, f"C({var},{m})")
-            x = XPoly.variable(k)
-            out = XPoly.constant(Fraction(1, math.factorial(m)))
-            for j in range(m):
-                out = out * (x - j)
-            return out
+            return CharPoly.binom([0] * (k - 1) + [m])
         self.take()
         if tok.startswith("X"):
-            return XPoly.variable(int(tok[1:]))
-        return XPoly.constant(Fraction(tok))
+            return CharPoly.variable(int(tok[1:]))
+        if "/" in tok and not tok.partition("/")[2].strip("0"):
+            raise ValueError(f"the number {tok} has a zero denominator")
+        return CharPoly.constant(Fraction(tok))
 
 
 def parse_char_poly(text: str) -> CharPoly:
     """Parse an expression in the CLI grammar into the binomial basis."""
     parser = _Parser(_tokenize(text))
-    xp = parser.parse_expr()
+    out = parser.parse_expr()
     if parser.peek() is not None:
         raise ValueError(f"trailing input at token {parser.pos}")
-    return monomials_to_binomial(xp)
+    return out
 
 
 def parse_rep(text: str) -> CharPoly:

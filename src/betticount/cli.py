@@ -296,6 +296,9 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     # a comma whose next parenthesis closes, as in C(X1,2), is inside a rep
     reps = [(tok.strip(), parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
     _check_max_n(args.max_n)
+    # the cap first: the guard's q ** max_n is huge at a huge --max-n
+    if args.max_n > MAX_VERIFY_N:
+        raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
     if args.bruteforce:
         for q in qs:
             if not is_prime(q):
@@ -305,8 +308,6 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                     f"brute force at q={q}, n={args.max_n} exceeds the guard "
                     f"{args.guard}; lower --max-n or raise --guard"
                 )
-    if args.max_n > MAX_VERIFY_N:
-        raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
     # each input is built once per command: per q one count oracle and one
     # sieve, per rep one Betti table and one p(mu) per cycle type
     oracles = {q: side.count_oracle(q, args.max_n) for q in qs}

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +12,9 @@ from betticount.chars import (
     CharPoly,
     CycleType,
     LambdaSpec,
-    XPoly,
     builtin_rep,
     centralizer_order,
     class_function_to_binomial,
-    monomials_to_binomial,
     parse_char_poly,
     parse_rep,
     partitions,
@@ -100,27 +100,47 @@ def test_builtin_dimensions(n):
 
 
 # ---------------------------------------------------------------------------
-# monomial-to-binomial conversion
+# products in the binomial basis
+
+
+def monomial_text(terms):
+    """A sum of c * X1^e1 * X2^e2 * ... in the expression grammar."""
+    chunks = []
+    for mono, c in terms.items():
+        factors = [f"X{k}" for k, e in enumerate(mono, start=1) for _ in range(e)]
+        chunks.append("*".join([f"{c.numerator}/{c.denominator}", *factors]))
+    return "+".join(chunks) or "0"
+
+
+def monomial_value(terms, mu):
+    return sum(
+        (c * math.prod(mu.count(k) ** e for k, e in enumerate(mono, start=1))
+         for mono, c in terms.items()),
+        F(0),
+    )
 
 
 def test_x1_converts_to_binom():
-    assert monomials_to_binomial(XPoly.variable(1)) == CharPoly.binom(LambdaSpec.of(1))
+    assert parse_char_poly("X1") == CharPoly.binom(LambdaSpec.of(1))
+    assert CharPoly.variable(1) == CharPoly.binom(LambdaSpec.of(1))
 
 
 def test_x1_squared():
     expected = CharPoly(
         {LambdaSpec.of(1): 1, LambdaSpec.of(2): 2}
     )
-    got = monomials_to_binomial(XPoly.variable(1) * XPoly.variable(1))
+    got = CharPoly.variable(1) * CharPoly.variable(1)
     assert got == expected
+    assert parse_char_poly("X1*X1") == expected
     for a1 in range(4):
         c = CycleType((a1,))
         assert got.evaluate(c) == a1 * a1
 
 
 def test_distinct_variables_multiply_freely():
-    got = monomials_to_binomial(XPoly.variable(1) * XPoly.variable(2))
+    got = CharPoly.variable(1) * CharPoly.variable(2)
     assert got == CharPoly.binom(LambdaSpec.of(1, 1))
+    assert parse_char_poly("X1*X2") == got
 
 
 @settings(max_examples=40)
@@ -132,10 +152,9 @@ def test_distinct_variables_multiply_freely():
     )
 )
 def test_conversion_roundtrip_by_evaluation(terms):
-    xp = XPoly({m: c for m, c in terms.items()})
-    cp = monomials_to_binomial(xp)
+    cp = parse_char_poly(monomial_text(terms))
     for c in all_cycle_types(8):
-        assert cp.evaluate(c) == xp.evaluate(c)
+        assert cp.evaluate(c) == monomial_value(terms, c)
 
 
 @settings(max_examples=25)
@@ -144,11 +163,62 @@ def test_conversion_roundtrip_by_evaluation(terms):
     st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3), min_size=1, max_size=3),
 )
 def test_degree_submultiplicative(t1, t2):
-    p, q = XPoly(t1), XPoly(t2)
-    cp, cq, cpq = (monomials_to_binomial(x) for x in (p, q, p * q))
+    cp, cq = (parse_char_poly(monomial_text({m: F(c) for m, c in t.items()})) for t in (t1, t2))
+    cpq = cp * cq
     if cp.is_zero() or cq.is_zero() or cpq.is_zero():
         return
     assert cpq.degree() <= cp.degree() + cq.degree()
+
+
+char_polys = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=3).map(LambdaSpec),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=4,
+).map(CharPoly)
+
+
+@settings(max_examples=40)
+@given(char_polys, char_polys)
+def test_product_evaluates_to_the_product_of_values(p, q):
+    pq = p * q
+    for mu in all_cycle_types(8):
+        assert pq.evaluate(mu) == p.evaluate(mu) * q.evaluate(mu)
+
+
+def seeded_expression(rng, depth=3):
+    """A random expression over X1..X4, C(Xk,m), rationals and parentheses;
+    at most 2^depth atoms of degree at most 8, so within the degree cap."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return f"X{rng.randint(1, 4)}"
+        if kind == 1:
+            return f"C(X{rng.randint(1, 4)},{rng.randint(0, 2)})"
+        return rng.choice(("0", "1", "2", "7", "1/2", "3/4", "5/3"))
+    left, right = seeded_expression(rng, depth - 1), seeded_expression(rng, depth - 1)
+    op = rng.choice(("+", "-", "*", "*"))
+    text = f"{left}{op}{right}"
+    if rng.random() < 0.2:
+        text = f"-{text}"
+    return f"({text})" if rng.random() < 0.5 else text
+
+
+def reference_value(text, mu):
+    """The expression's value on a cycle type, by math.comb on the counts a_k."""
+    text = re.sub(r"C\(X(\d),(\d+)\)", r"comb(a(\1),\2)", text)
+    text = re.sub(r"(\d+)/(\d+)", r"F(\1,\2)", text)
+    text = re.sub(r"X(\d)", r"a(\1)", text)
+    return eval(text, {"comb": math.comb, "F": F, "a": mu.count})
+
+
+def test_parsed_expressions_match_a_reference_evaluator():
+    rng = random.Random(1603)
+    cycle_types = list(all_cycle_types(8))
+    for _ in range(150):
+        text = seeded_expression(rng)
+        p = parse_char_poly(text)
+        for mu in cycle_types:
+            assert p.evaluate(mu) == reference_value(text, mu), (text, mu.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +293,9 @@ def test_parse_rational_coefficients():
 
 def test_parse_products_and_parens():
     p = parse_char_poly("(X1-1)*(X1-1)")
-    q = monomials_to_binomial((XPoly.variable(1) - 1) * (XPoly.variable(1) - 1))
-    assert p == q
+    x1_minus_1 = CharPoly.variable(1) - CharPoly.constant(1)
+    assert p == x1_minus_1 * x1_minus_1
+    assert p == CharPoly({LambdaSpec.of(2): 2, LambdaSpec.of(1): -1, LambdaSpec.of(): 1})
 
 
 def test_parse_rejects_garbage():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -167,6 +168,50 @@ def test_conf_betti_stable_budget_at_the_degree_cap():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["meta"]["recurrence"]["coefficients"]
+    assert elapsed < 2
+
+
+@pytest.mark.parametrize(
+    "rep, token",
+    [
+        # printed "error: Fraction(2, 0)"
+        ("2/0*X1", "2/0"),
+        # these leaked int()'s 4300-digit limit
+        ("9" * 5000 + "*X1", "9" * 5000),
+        ("C(X1," + "1" * 5000 + ")", "1" * 5000),
+        ("1/" + "3" * 5000 + "*X1", "1/" + "3" * 5000),
+        # the longest order the parser reads; its degree 9m still prints
+        ("C(X9," + "9" * (sys.get_int_max_str_digits() - 1) + ")",
+         "9" * (sys.get_int_max_str_digits() - 1)),
+    ],
+    ids=["zero-denominator", "long-coefficient", "long-order", "long-denominator",
+         "longest-order"],
+)
+def test_betti_names_a_bad_number_in_the_rep(capsys, rep, token):
+    code, out, err = run(capsys, "conf-betti", "--rep", rep, "--max-i", "2", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert token in err
+    assert "Fraction(" not in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "side, digest",
+    [
+        ("conf", "2e1e62c0a10ee9fdf4cfb3c0d897000af6e7350895ec4c73c123f7d9a973e4cd"),
+        ("tori", "5094ac3e652fc726024da5aed7ebdeafa59fe3a061b475424ede041db5d64185"),
+    ],
+    ids=["conf", "tori"],
+)
+def test_betti_stable_budget_at_a_multi_variable_basis_element(side, digest):
+    # parsing this one basis element took over 6 s when atoms were expanded
+    proc, elapsed = run_child(
+        f"{side}-betti", "--rep", "C(X1,16)*C(X2,8)*C(X3,5)*C(X4,4)",
+        "--max-i", "2", "--max-n", "2", "--stable", timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
     assert elapsed < 2
 
 
@@ -420,6 +465,16 @@ def test_verify_guard_error(capsys):
     )
     assert code == 2
     assert "guard" in err
+
+
+@pytest.mark.parametrize("max_n", ["10000000", "100000000"])
+def test_verify_checks_its_n_cap_before_the_bruteforce_guard(max_n):
+    # the guard's 3^max_n ran for over 60 s at 10^8, and at 10^7 the
+    # guard's message hid the cap
+    proc, _ = run_child("verify", "--side", "conf", "--q", "3", "--max-n", max_n,
+                        "--bruteforce", timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "error: --max-n is capped at 12 for verify"
 
 
 def test_verify_default_guard_rejects_5_to_the_11(capsys):

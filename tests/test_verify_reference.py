@@ -20,8 +20,9 @@ from betticount.zeta import builtin_variety
 
 
 def seeded_rep(seed):
-    """A rational combination of products of one to three of X1..X4, as a
-    comma-free expression (verify splits --rep on commas)."""
+    """A rational combination of products of one to three of X1..X4; it
+    has no comma, and verify's --rep list splits only at commas outside
+    parentheses anyway."""
     rng = random.Random(seed)
     text = ""
     for _ in range(rng.randint(2, 4)):
