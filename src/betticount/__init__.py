@@ -3,7 +3,7 @@ complex line and of spaces of maximal tori, cross-validated by weighted point
 counts over finite fields.  All arithmetic is exact rational."""
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
-from .chars import CharPoly, CycleType, LambdaSpec, builtin_rep, parse_rep
+from .chars import CharPoly, CycleType, builtin_rep, parse_rep
 from .series import Rational, RecurrenceSpec
 from .zeta import PointCountData, builtin_variety
 
@@ -16,7 +16,6 @@ __all__ = [
     "zeta",
     "CharPoly",
     "CycleType",
-    "LambdaSpec",
     "builtin_rep",
     "parse_rep",
     "Rational",

@@ -41,11 +41,6 @@ class BettiTable(_Frozen):
     def in_support(self, i: int, n: int) -> bool:
         return i <= self.side.top(n)
 
-    def is_integral_nonnegative(self) -> bool:
-        return all(
-            v.denominator == 1 and v >= 0 for row in self.entries for v in row
-        )
-
 
 class GLCheck(_Frozen):
     """One Grothendieck-Lefschetz comparison: a weighted point count (lhs)

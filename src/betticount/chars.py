@@ -4,25 +4,26 @@ A character polynomial is a polynomial in the class functions X_k (number of
 k-cycles of a permutation); it defines a class function on every symmetric
 group at once.  Its one representation here is in the basis of products
 C(X_1, l_1) * C(X_2, l_2) * ... of binomial coefficients, indexed by the
-exponent sequence l = (l_1, ..., l_r); X_k is assigned degree k.  Sums and
+exponent sequence l = (l_1, ..., l_r), a CycleType; X_k is assigned degree
+k.  Sums and
 products stay in that basis, and the parser of user-entered expressions
 maps each atom to one basis element.
 """
 
 from __future__ import annotations
 
-import math
+from math import comb, factorial
 import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .series import Scalar, _frac, _Frozen
+from .series import Scalar, _frac, _Frozen, _strip
 
 __all__ = [
     "CycleType",
-    "LambdaSpec",
     "CharPoly",
+    "binomial",
     "partitions",
     "centralizer_order",
     "class_function_to_binomial",
@@ -32,20 +33,16 @@ __all__ = [
 ]
 
 
-def _strip(seq: Iterable[int]) -> tuple[int, ...]:
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 class CycleType(_Frozen):
-    """Conjugacy-class data: counts[k-1] is the number of (k)-cycles."""
+    """A vector of nonnegative counts without trailing zeros, in two roles:
+    the cycle type of a permutation, counts[k-1] being its number of
+    k-cycles, and the exponent sequence l = (l_1, ..., l_r) of the
+    binomial-basis element C(X, l), whose degree is n = sum(k * l_k)."""
 
     __slots__ = ("counts",)
 
     def __init__(self, counts: Iterable[int]):
-        counts = _strip(counts)
+        counts = tuple(_strip(counts))
         if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
@@ -65,6 +62,10 @@ class CycleType(_Frozen):
     def count(self, k: int) -> int:
         return self.counts[k - 1] if 1 <= k <= len(self.counts) else 0
 
+    def active(self) -> list[tuple[int, int]]:
+        """(k, counts[k-1]) pairs with a nonzero count."""
+        return [(k, c) for k, c in enumerate(self.counts, start=1) if c]
+
     @staticmethod
     def from_partition(parts: Iterable[int]) -> CycleType:
         parts = list(parts)
@@ -82,40 +83,18 @@ class CycleType(_Frozen):
         return tuple(sorted(out, reverse=True))
 
 
-class LambdaSpec(_Frozen):
-    """Exponent sequence l = (l_1, ..., l_r) indexing a binomial-basis element;
-    its weight sum(k * l_k) is the degree of C(X, l)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[int]):
-        entries = _strip(entries)
-        if any(e < 0 for e in entries):
-            raise ValueError("lambda entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is LambdaSpec:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    @staticmethod
-    def of(*entries: int) -> LambdaSpec:
-        return LambdaSpec(tuple(entries))
-
-    @property
-    def weight(self) -> int:
-        return sum(k * e for k, e in enumerate(self.entries, start=1))
-
-    def get(self, k: int) -> int:
-        return self.entries[k - 1] if 1 <= k <= len(self.entries) else 0
-
-    def active(self) -> list[tuple[int, int]]:
-        """(k, l_k) pairs with l_k > 0."""
-        return [(k, e) for k, e in enumerate(self.entries, start=1) if e]
+def binomial(a: Sequence[int], lam: CycleType) -> int:
+    """prod_k C(a_k, lam_k), with a_k = a[k-1] (0 past the end of a): the
+    value of C(X, lam) at the cycle type with counts a, and, when a_k counts
+    the degree-k closed points of V, the number of configurations of V with
+    Frobenius cycle type lam."""
+    out = 1
+    for k, lk in enumerate(lam.counts):
+        if lk:
+            out *= comb(a[k], lk) if k < len(a) else 0
+            if not out:
+                return 0
+    return out
 
 
 class CharPoly:
@@ -124,9 +103,9 @@ class CharPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[LambdaSpec, Scalar] = ()):
+    def __init__(self, terms: Mapping[CycleType, Scalar] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[LambdaSpec, Fraction] = {}
+        d: dict[CycleType, Fraction] = {}
         for lam, c in items:
             c = _frac(c)
             if c:
@@ -136,24 +115,24 @@ class CharPoly:
         self._terms = d
 
     @staticmethod
-    def binom(lam: LambdaSpec | Sequence[int]) -> CharPoly:
-        if not isinstance(lam, LambdaSpec):
-            lam = LambdaSpec(tuple(lam))
+    def binom(lam: CycleType | Sequence[int]) -> CharPoly:
+        if not isinstance(lam, CycleType):
+            lam = CycleType(lam)
         return CharPoly({lam: 1})
 
     @staticmethod
     def constant(c: Scalar) -> CharPoly:
-        return CharPoly({LambdaSpec(()): c})
+        return CharPoly({CycleType(()): c})
 
     @staticmethod
     def variable(k: int) -> CharPoly:
         """X_k itself, i.e. C(X_k, 1)."""
         return CharPoly.binom([0] * (k - 1) + [1])
 
-    def items(self) -> list[tuple[LambdaSpec, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].weight, kv[0].entries))
+    def items(self) -> list[tuple[CycleType, Fraction]]:
+        return sorted(self._terms.items(), key=lambda kv: (kv[0].n, kv[0].counts))
 
-    def coefficient(self, lam: LambdaSpec) -> Fraction:
+    def coefficient(self, lam: CycleType) -> Fraction:
         return self._terms.get(lam, Fraction(0))
 
     def is_zero(self) -> bool:
@@ -196,21 +175,16 @@ class CharPoly:
     __rmul__ = __mul__
 
     def degree(self) -> int:
-        """Largest weight over the terms; X_k counts with degree k."""
+        """Largest degree n of C(X, l) over the terms; X_k has degree k."""
         if not self._terms:
             raise ValueError("the zero character polynomial has no degree")
-        return max(l.weight for l in self._terms)
+        return max(l.n for l in self._terms)
 
     def evaluate(self, c: CycleType) -> Fraction:
         """Value on a conjugacy class: sum of coeff * prod_k C(a_k, l_k)."""
         total = Fraction(0)
         for lam, coeff in self._terms.items():
-            v = 1
-            for k, lk in lam.active():
-                v *= math.comb(c.count(k), lk)
-                if v == 0:
-                    break
-            if v:
+            if v := binomial(c.counts, lam):
                 total += coeff * v
         return total
 
@@ -239,17 +213,17 @@ class CharPoly:
         return f"CharPoly({self})"
 
 
-def _binomial_product(l1: LambdaSpec, l2: LambdaSpec) -> list[tuple[LambdaSpec, int]]:
+def _binomial_product(l1: CycleType, l2: CycleType) -> list[tuple[CycleType, int]]:
     """C(X, l1) * C(X, l2) as integer-weighted basis elements."""
     out: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for k in range(1, max(len(l1.entries), len(l2.entries)) + 1):
-        a, b = l1.get(k), l2.get(k)
+    for k in range(1, max(len(l1.counts), len(l2.counts)) + 1):
+        a, b = l1.count(k), l2.count(k)
         out = [
-            (ent + (c,), w * math.comb(c, a) * math.comb(a, a + b - c))
+            (ent + (c,), w * comb(c, a) * comb(a, a + b - c))
             for ent, w in out
             for c in range(max(a, b), a + b + 1)
         ]
-    return [(LambdaSpec(ent), w) for ent, w in out]
+    return [(CycleType(ent), w) for ent, w in out]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +253,7 @@ def centralizer_order(c: CycleType) -> int:
     """Order of the centralizer of the class in S_n: prod_k k^a_k * a_k!."""
     out = 1
     for k, a in enumerate(c.counts, start=1):
-        out *= k**a * math.factorial(a)
+        out *= k**a * factorial(a)
     return out
 
 
@@ -296,13 +270,13 @@ def class_function_to_binomial(
     the answer is simply sum_mu values[mu] * C(X, a(mu)).  Requires a value
     for every partition of n.
     """
-    out: dict[LambdaSpec, Fraction] = {}
+    out: dict[CycleType, Fraction] = {}
     for mu in partitions(n):
         if mu not in values:
             raise ValueError(f"missing partition {mu.parts()} of {n}")
         c = _frac(values[mu])
         if c:
-            out[LambdaSpec(mu.counts)] = c
+            out[mu] = c
     return CharPoly(out)
 
 
@@ -312,22 +286,22 @@ def class_function_to_binomial(
 
 _BUILTINS = {
     # standard representation: X_1 - 1
-    "V1": CharPoly({LambdaSpec.of(1): 1, LambdaSpec.of(): -1}),
+    "V1": CharPoly({CycleType((1,)): 1, CycleType(()): -1}),
     # exterior square of the standard representation: C(X_1,2) - X_1 - X_2 + 1
     "V11": CharPoly(
         {
-            LambdaSpec.of(2): 1,
-            LambdaSpec.of(1): -1,
-            LambdaSpec.of(0, 1): -1,
-            LambdaSpec.of(): 1,
+            CycleType((2,)): 1,
+            CycleType((1,)): -1,
+            CycleType((0, 1)): -1,
+            CycleType(()): 1,
         }
     ),
     # complement of the trivial in the symmetric square: C(X_1,2) + X_2 - X_1
     "V2": CharPoly(
         {
-            LambdaSpec.of(2): 1,
-            LambdaSpec.of(0, 1): 1,
-            LambdaSpec.of(1): -1,
+            CycleType((2,)): 1,
+            CycleType((0, 1)): 1,
+            CycleType((1,)): -1,
         }
     ),
 }
@@ -348,7 +322,7 @@ def builtin_rep(name: str) -> CharPoly:
 # C(Xk, m) for binomial-coefficient atoms.  Each atom is one basis element
 # and a product multiplies in the basis, so nothing is expanded.  The row
 # kernels are sized to the grid, and C(X, l) vanishes on S_n for n below its
-# weight, so atoms and products above MAX_DEGREE (the grid cap) are rejected.
+# degree, so atoms and products above MAX_DEGREE (the grid cap) are rejected.
 
 MAX_DEGREE = 64
 
@@ -378,7 +352,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _degree(p: CharPoly) -> int:
-    return max((lam.weight for lam in p._terms), default=0)
+    return max((lam.n for lam in p._terms), default=0)
 
 
 def _check_degree(d: int, what: str) -> None:
@@ -449,6 +423,8 @@ class _Parser:
             m = int(m_tok)
             _check_degree(k * m, f"C({var},{m})")
             return CharPoly.binom([0] * (k - 1) + [m])
+        if not tok[0].isalnum():
+            raise ValueError(f"expected a number, a variable or '(', found {tok!r}")
         self.take()
         if tok.startswith("X"):
             return CharPoly.variable(int(tok[1:]))

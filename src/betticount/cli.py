@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import conf_betti, conf_counts, tori
 from .betti import weighted_sum
-from .chars import MAX_DEGREE, CharPoly, LambdaSpec, parse_rep
+from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
 from .conf_counts import DEFAULT_GUARD
 from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
 
@@ -37,15 +37,20 @@ class OutputDocument:
         self.data = [] if data is None else data
 
 
-def format_rational(x) -> str:
-    x = Fraction(x)
+def _text(x) -> str:
+    """str(x) for anything that prints exact rationals: a Fraction prints as
+    "p" or "p/q", a CharPoly with its coefficients."""
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError:  # str() refuses such integers; lifting the limit costs minutes
         raise ValueError(
             f"a value has more than {sys.get_int_max_str_digits()} digits; "
             "lower --q, --max-n or the dimension of the variety"
         ) from None
+
+
+def format_rational(x) -> str:
+    return _text(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +160,13 @@ def _parse_q_list(text: str) -> list[int]:
     return qs
 
 
-def _parse_lambda(text: str) -> LambdaSpec:
+def _parse_lambda(text: str) -> CycleType:
     try:
-        entries = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        lam = CycleType(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"--lambda expects integers, got {text!r}") from None
-    lam = LambdaSpec(entries)
-    if lam.weight > MAX_DEGREE:
-        raise ValueError(f"--lambda has weight {lam.weight}; degrees are capped at {MAX_DEGREE}")
+        raise ValueError(f"--lambda expects nonnegative integers, got {text!r}") from None
+    if lam.n > MAX_DEGREE:
+        raise ValueError(f"--lambda has weight {lam.n}; degrees are capped at {MAX_DEGREE}")
     return lam
 
 
@@ -210,7 +214,7 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
     doc.meta = {
         "side": args.side,
         "rep": args.rep,
-        "rep_binomial": str(rep),
+        "rep_binomial": _text(rep),
         "max_i": args.max_i,
         "max_n": args.max_n,
     }
@@ -249,7 +253,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         weight_desc = f"lambda=({args.lam})"
     else:
         rep = parse_rep(args.rep if args.rep is not None else "1")
-        weight_desc = f"rep={rep}"
+        weight_desc = f"rep={_text(rep)}"
     meta = {
         "variety": args.variety,
         "q": v.q,
@@ -258,7 +262,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.limits:
-        base = conf_counts.limit_normalized(v, LambdaSpec(()))
+        base = conf_counts.limit_normalized(v, CycleType(()))
         normalized = Fraction(0)
         for lam_term, coeff in rep.items():
             normalized += coeff * conf_counts.limit_normalized(v, lam_term)
@@ -314,7 +318,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     censuses = {q: [[] for _ in range(args.max_n + 1)] for q in qs}
     if args.bruteforce:
         for q in qs:
-            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n, args.guard, lowest=0).items():
+            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n, args.guard).items():
                 censuses[q][ct.n].append((ct, cnt))
     per_rep = [(name, rep, {}) for name, rep in reps]
     checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]

@@ -19,13 +19,11 @@ SIDE hands these kernels to betti.Side, which assembles everything else.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import accumulate
 
 from .betti import Side
-from .chars import CharPoly, CycleType, LambdaSpec, partitions
-from .conf_counts import _type_count
+from .chars import CharPoly, CycleType, binomial, centralizer_order, partitions
 from .series import _Frozen, poly_mul
 from .zeta import builtin_variety, closed_point_counts, divisors, necklace_numerator
 
@@ -45,31 +43,30 @@ __all__ = [
 ]
 
 
-def _necklace_binomials(lam: LambdaSpec) -> tuple[list[int], int]:
+def _necklace_binomials(lam: CycleType) -> tuple[list[int], int]:
     """(b, scale): scale times B(y) = prod_k binom(M_k(y), lam_k), a
     polynomial of degree <= |lam|, has the integer coefficients b.
 
     With N_k = k M_k, k^l l! binom(M_k, l) = prod_(j<l) (N_k - jk), so b is
-    a product of integer polynomials and scale = prod_k k^lam_k lam_k!.
+    a product of integer polynomials and scale = prod_k k^lam_k lam_k! = z_lam.
     """
-    b, scale = [1], 1
+    b = [1]
     for k, lk in lam.active():
         nk = necklace_numerator(k)
         for j in range(lk):
             b = poly_mul(b, [-j * k] + nk[1:])
-        scale *= k**lk * math.factorial(lk)
-    return b, scale
+    return b, centralizer_order(lam)
 
 
 def _scaled_difference_terms(
-    lam: LambdaSpec, t_order: int
+    lam: CycleType, t_order: int
 ) -> tuple[dict[tuple[int, int], int], int]:
     """(terms, scale): scale times the coefficient of z^i t^n in (1 - t) F
     is the integer terms[(i, n)], for n <= t_order; zero terms are absent."""
     b, scale = _necklace_binomials(lam)
     g = [0] * (t_order + 1)
-    if lam.weight <= t_order:
-        g[lam.weight] = 1
+    if lam.n <= t_order:
+        g[lam.n] = 1
     for k, lk in lam.active():
         for _ in range(lk):
             for m in range(k, t_order + 1):
@@ -86,7 +83,7 @@ def _scaled_difference_terms(
 
 
 def difference_series(
-    lam: LambdaSpec, max_i: int, t_order: int
+    lam: CycleType, max_i: int, t_order: int
 ) -> dict[tuple[int, int], Fraction]:
     """(1 - t) times the Betti generating series for C(X, lam), as its
     nonzero terms {(i, n): c} with i <= max_i and n <= t_order.
@@ -99,7 +96,7 @@ def difference_series(
     return {(i, n): Fraction(c, scale) for (i, n), c in terms.items() if i <= max_i}
 
 
-def _grid(lam: LambdaSpec, max_i: int, max_n: int) -> tuple[list[list[int]], int]:
+def _grid(lam: CycleType, max_i: int, max_n: int) -> tuple[list[list[int]], int]:
     """(rows, scale): alpha_i(n) of C(X, lam) is rows[i][n] / scale, for
     i <= max_i and n <= max_n; each row is the signed running sum of the
     difference terms."""
@@ -113,7 +110,7 @@ def _grid(lam: LambdaSpec, max_i: int, max_n: int) -> tuple[list[list[int]], int
     return [[(-1) ** i * s for s in accumulate(row)] for i, row in enumerate(rows)], scale
 
 
-def _stable_term(lam: LambdaSpec) -> tuple[list[int], int, dict[int, int]]:
+def _stable_term(lam: CycleType) -> tuple[list[int], int, dict[int, int]]:
     """(num, scale, {d: e}): the stable series sum_i alpha_i z^i of
     C(X, lam) is num / (scale * prod_d Psi_d^e).
 
@@ -123,7 +120,7 @@ def _stable_term(lam: LambdaSpec) -> tuple[list[int], int, dict[int, int]]:
     1 + z^k = prod_(d | 2k, d not | k) Psi_d for even k.
     """
     b, scale = _necklace_binomials(lam)
-    w = lam.weight
+    w = lam.n
     b += [0] * (w + 1 - len(b))
     # (1 + z) z^w B(-1/z)
     num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
@@ -181,7 +178,7 @@ def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
     if max_n < 0:
         raise ValueError("n must be nonnegative")
     mk = closed_point_counts(builtin_variety("affine", 1, q), max_n)
-    return [[(mu, c) for mu in partitions(n) if (c := _type_count(mk, mu))] for n in range(max_n + 1)]
+    return [[(mu, c) for mu in partitions(n) if (c := binomial(mk, mu))] for n in range(max_n + 1)]
 
 
 SIDE = Side(

@@ -19,9 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb
 
-from .chars import CharPoly, CycleType, LambdaSpec, partitions
+from .chars import CharPoly, CycleType, binomial, partitions
 from .series import poly_mul
 from .zeta import PointCountData, closed_point_counts, is_prime
 
@@ -30,7 +29,6 @@ __all__ = [
     "weighted_count_series",
     "weighted_count",
     "partition_weighted_count",
-    "cycle_type_count",
     "bruteforce_census",
     "bruteforce_weighted_count",
     "limit_normalized",
@@ -45,7 +43,7 @@ DEFAULT_GUARD = 10**6
 
 
 def weighted_count_series(
-    v: PointCountData, lam: LambdaSpec, n_max: int
+    v: PointCountData, lam: CycleType, n_max: int
 ) -> list[Fraction]:
     """Coefficients c_0..c_{n_max} with c_n the sum of C(X, lam) over the
     Frobenius cycle types of all n-point configurations of V over F_q.
@@ -58,11 +56,9 @@ def weighted_count_series(
     c_i = sum_{k | i} (-1)^(i/k + 1) k M_k its logarithmic derivative, and
     each division by (1 + t^k) is an in-place stride-k difference.
     """
-    mk = closed_point_counts(v, max(n_max, len(lam.entries)))
-    scale = 1
-    for k, lk in lam.active():
-        scale *= comb(mk[k - 1], lk)
-    w = lam.weight
+    mk = closed_point_counts(v, max(n_max, len(lam.counts)))
+    scale = binomial(mk, lam)
+    w = lam.n
     out = [0] * (n_max + 1)
     if scale and w <= n_max:
         order = n_max - w
@@ -97,30 +93,14 @@ def weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
     return total
 
 
-def cycle_type_count(v: PointCountData, n: int, c: CycleType) -> int:
-    """Number of n-point configurations whose Frobenius permutation has the
-    given cycle type: prod_k binom(M_k(V,q), a_k)."""
-    if c.n != n:
-        raise ValueError(f"cycle type has size {c.n}, expected {n}")
-    depth = len(c.counts)
-    return _type_count(closed_point_counts(v, depth) if depth else [], c)
-
-
-def _type_count(mk: list[int], c: CycleType) -> int:
-    out = 1
-    for k, a in enumerate(c.counts, start=1):
-        if a:
-            out *= comb(mk[k - 1], a)
-    return out
-
-
 def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
-    """Independent evaluation path: sum over partitions mu of n of
-    cycle_type_count(mu) * p(mu)."""
+    """Independent evaluation path: sum over partitions mu of n of N_mu *
+    p(mu), where N_mu = binomial(M, mu) = prod_k binom(M_k(V,q), mu_k) is
+    the number of n-point configurations of Frobenius cycle type mu."""
     mk = closed_point_counts(v, n) if n else []
     total = Fraction(0)
     for mu in partitions(n):
-        cnt = _type_count(mk, mu)
+        cnt = binomial(mk, mu)
         if cnt:
             total += cnt * p.evaluate(mu)
     return total
@@ -213,11 +193,9 @@ def _sieve(p: int, n: int) -> list[Counter]:
     return tallies
 
 
-def bruteforce_census(
-    p: int, n: int, guard: int = DEFAULT_GUARD, lowest: int | None = None
-) -> dict[CycleType, int]:
+def bruteforce_census(p: int, n: int, guard: int = DEFAULT_GUARD) -> dict[CycleType, int]:
     """Cycle-type census of the monic square-free polynomials over F_p of
-    every degree from `lowest` (default n) to n, all from one sieve.
+    every degree from 0 to n, all from one sieve.
 
     Returns a mapping CycleType -> number of square-free polynomials whose
     irreducible factorization has those factor degrees; the size of a cycle
@@ -229,13 +207,10 @@ def bruteforce_census(
         raise ValueError("n must be nonnegative")
     if p**n > guard:
         raise ValueError(f"p^n = {p**n} exceeds the brute-force guard {guard}")
-    lowest = n if lowest is None else lowest
-    if not 0 <= lowest <= n:
-        raise ValueError(f"lowest degree {lowest} is outside 0..{n}")
     tallies = _sieve(p, n)
     return {
         CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))): cnt
-        for m in range(lowest, n + 1)
+        for m in range(n + 1)
         for key, cnt in tallies[m].items()
     }
 
@@ -245,10 +220,10 @@ def bruteforce_weighted_count(
 ) -> Fraction:
     """Sum of rep over all monic square-free degree-n polynomials over F_p,
     each weighted by the cycle type of its factor degrees."""
-    census = bruteforce_census(p, n, guard)
     total = Fraction(0)
-    for ct, cnt in census.items():
-        total += cnt * rep.evaluate(ct)
+    for ct, cnt in bruteforce_census(p, n, guard).items():
+        if ct.n == n:
+            total += cnt * rep.evaluate(ct)
     return total
 
 
@@ -279,7 +254,7 @@ def _at(p: list[int], x: Fraction) -> Fraction:
     return acc
 
 
-def limit_normalized(v: PointCountData, lam: LambdaSpec) -> Fraction:
+def limit_normalized(v: PointCountData, lam: CycleType) -> Fraction:
     """Exact limit of q^(-n d) times the C(X, lam)-weighted count on
     Conf_n V(F_q).
 
@@ -292,12 +267,10 @@ def limit_normalized(v: PointCountData, lam: LambdaSpec) -> Fraction:
     if v.zeta is None:
         raise ValueError("limits need the zeta function as a rational function")
     zn, zd = v.zeta
-    depth = len(lam.entries)
-    mk = closed_point_counts(v, depth) if depth else []
+    depth = len(lam.counts)
+    scale = binomial(closed_point_counts(v, depth) if depth else [], lam)
     num, den = poly_mul(zn, _at_t_squared(zd)), poly_mul(zd, _at_t_squared(zn))
-    scale = 1
     for k, lk in lam.active():
-        scale *= comb(mk[k - 1], lk)
         for _ in range(lk):
             num = [0] * k + num
             den = poly_mul(den, [1] + [0] * (k - 1) + [1])
@@ -313,8 +286,8 @@ def limit_normalized(v: PointCountData, lam: LambdaSpec) -> Fraction:
     return scale * _at(num, x) / _at(den, x)
 
 
-def limit_expectation(v: PointCountData, lam: LambdaSpec) -> Fraction:
+def limit_expectation(v: PointCountData, lam: CycleType) -> Fraction:
     """Limiting expected value of C(X, lam) over a uniform random point of
     Conf_n V(F_q): the ratio of the normalized limit to its lam = () case."""
-    base = limit_normalized(v, LambdaSpec(()))
+    base = limit_normalized(v, CycleType(()))
     return limit_normalized(v, lam) / base

@@ -25,17 +25,15 @@ which assembles everything else.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .betti import Side
-from .chars import CharPoly, CycleType, LambdaSpec, centralizer_order, partitions
+from .chars import CharPoly, CycleType, centralizer_order, partitions
 from .zeta import divisors
 
 __all__ = [
     "SIDE",
     "gl_order",
-    "z_lambda",
     "weighted_series",
     "partition_weighted_count",
     "tori_count_by_type",
@@ -59,15 +57,16 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def z_lambda(lam: LambdaSpec) -> int:
-    """prod_k lam_k! * k^lam_k, the centralizer order of the cycle type lam."""
-    out = 1
-    for k, lk in lam.active():
-        out *= math.factorial(lk) * k**lk
+def _torus_denominator(mu: CycleType, q: int) -> int:
+    """z_mu * prod_k (q^k - 1)^(mu_k): |GL_n(F_q)| over it is the number of
+    maximal tori of Frobenius cycle type mu."""
+    out = centralizer_order(mu)
+    for k, a in mu.active():
+        out *= (q**k - 1) ** a
     return out
 
 
-def weighted_series(lam: LambdaSpec, q: int, n_max: int) -> list[Fraction]:
+def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
     """Coefficients c_0..c_{n_max} of the torus-count generating function:
     c_n * |GL_n(F_q)| is the sum of C(X, lam) over the Frobenius cycle types
     of all maximal tori of GL_n(F_q).
@@ -78,10 +77,8 @@ def weighted_series(lam: LambdaSpec, q: int, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    w = lam.weight
-    scale = Fraction(1, z_lambda(lam))
-    for k, lk in lam.active():
-        scale *= Fraction(1, (q**k - 1) ** lk)
+    w = lam.n
+    scale = Fraction(1, _torus_denominator(lam, q))
     out = [Fraction(0)] * (n_max + 1)
     tail = Fraction(1)  # q^(-m) / prod_{j<=m} (1 - q^(-j)) at m = 0
     for m in range(0, n_max - w + 1):
@@ -105,19 +102,16 @@ def tori_count_by_type(q: int, n: int, mu: CycleType) -> int:
     Frobenius cycle type."""
     if mu.n != n:
         raise ValueError(f"cycle type has size {mu.n}, expected {n}")
-    denom = centralizer_order(mu)
-    for k, a in enumerate(mu.counts, start=1):
-        denom *= (q**k - 1) ** a
-    count = Fraction(gl_order(n, q), denom)
+    count = Fraction(gl_order(n, q), _torus_denominator(mu, q))
     if count.denominator != 1:
         raise ArithmeticError(f"non-integral torus count {count} at {mu.parts()}")
     return int(count)
 
 
-def _row(lam: LambdaSpec, n: int, max_i: int) -> list[int]:
+def _row(lam: CycleType, n: int, max_i: int) -> list[int]:
     """z_lam * sum_i beta_i(n) z^i for the weight C(X, lam), as integers
     truncated at z^max_i."""
-    w = lam.weight
+    w = lam.n
     row = [0] * (max_i + 1)
     if n < w:
         return row
@@ -132,20 +126,20 @@ def _row(lam: LambdaSpec, n: int, max_i: int) -> list[int]:
     return row
 
 
-def _grid(lam: LambdaSpec, max_i: int, max_n: int) -> tuple[list[tuple[int, ...]], int]:
+def _grid(lam: CycleType, max_i: int, max_n: int) -> tuple[list[tuple[int, ...]], int]:
     """(rows, z_lam): beta_i(n) of C(X, lam) is rows[i][n] / z_lam, for
     i <= max_i and n <= max_n; the columns are the rows of _row."""
-    return list(zip(*(_row(lam, n, max_i) for n in range(max_n + 1)))), z_lambda(lam)
+    return list(zip(*(_row(lam, n, max_i) for n in range(max_n + 1)))), centralizer_order(lam)
 
 
-def _stable_term(lam: LambdaSpec) -> tuple[list[int], int, dict[int, int]]:
+def _stable_term(lam: CycleType) -> tuple[list[int], int, dict[int, int]]:
     """(num, scale, {d: e}): the stable series sum_i beta_i z^i of C(X, lam)
     is (1/z_lam) / prod_k (1 - z^k)^lam_k, and 1 - z^k = prod_(d | k) Psi_d."""
     exps: dict[int, int] = {}
     for k, lk in lam.active():
         for d in divisors(k):
             exps[d] = exps.get(d, 0) + lk
-    return [1], z_lambda(lam), exps
+    return [1], centralizer_order(lam), exps
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:

@@ -11,7 +11,7 @@ from betticount.chars import (
     MAX_DEGREE,
     CharPoly,
     CycleType,
-    LambdaSpec,
+    binomial,
     builtin_rep,
     centralizer_order,
     class_function_to_binomial,
@@ -54,6 +54,14 @@ def test_centralizer_orders_s3():
     assert centralizer_order(CycleType((1, 1))) == 2
 
 
+def test_binomial_is_a_product_of_binomial_coefficients():
+    assert binomial((3, 2), CycleType((2, 1))) == 3 * 2
+    assert binomial([], CycleType(())) == 1
+    # a_k past the end of a is 0
+    assert binomial((4,), CycleType((1, 1))) == 0
+    assert binomial((1, 0, 2), CycleType((2,))) == 0
+
+
 def test_class_equation():
     for n in range(1, 9):
         total = sum(
@@ -73,7 +81,7 @@ def test_v11_dimension_at_n4():
 
 
 def test_binomial_basis_vanishing():
-    p = CharPoly.binom(LambdaSpec.of(2, 1))
+    p = CharPoly.binom(CycleType((2, 1)))
     assert p.evaluate(CycleType((1, 0, 1))) == 0  # a_2 = 0 < 1
 
 
@@ -85,7 +93,7 @@ def test_v2_on_four_cycle():
 
 def test_degree():
     assert builtin_rep("V1").degree() == 1
-    assert CharPoly.binom(LambdaSpec.of(0, 1)).degree() == 2
+    assert CharPoly.binom(CycleType((0, 1))).degree() == 2
     assert builtin_rep("V11").degree() == 2
     with pytest.raises(ValueError):
         CharPoly().degree()
@@ -121,13 +129,13 @@ def monomial_value(terms, mu):
 
 
 def test_x1_converts_to_binom():
-    assert parse_char_poly("X1") == CharPoly.binom(LambdaSpec.of(1))
-    assert CharPoly.variable(1) == CharPoly.binom(LambdaSpec.of(1))
+    assert parse_char_poly("X1") == CharPoly.binom(CycleType((1,)))
+    assert CharPoly.variable(1) == CharPoly.binom(CycleType((1,)))
 
 
 def test_x1_squared():
     expected = CharPoly(
-        {LambdaSpec.of(1): 1, LambdaSpec.of(2): 2}
+        {CycleType((1,)): 1, CycleType((2,)): 2}
     )
     got = CharPoly.variable(1) * CharPoly.variable(1)
     assert got == expected
@@ -139,7 +147,7 @@ def test_x1_squared():
 
 def test_distinct_variables_multiply_freely():
     got = CharPoly.variable(1) * CharPoly.variable(2)
-    assert got == CharPoly.binom(LambdaSpec.of(1, 1))
+    assert got == CharPoly.binom(CycleType((1, 1)))
     assert parse_char_poly("X1*X2") == got
 
 
@@ -171,7 +179,7 @@ def test_degree_submultiplicative(t1, t2):
 
 
 char_polys = st.dictionaries(
-    st.lists(st.integers(0, 2), max_size=3).map(LambdaSpec),
+    st.lists(st.integers(0, 2), max_size=3).map(CycleType),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     max_size=4,
 ).map(CharPoly)
@@ -227,14 +235,14 @@ def test_parsed_expressions_match_a_reference_evaluator():
 
 def test_indicator_of_identity_class():
     values = {mu: (1 if mu == CycleType((3,)) else 0) for mu in partitions(3)}
-    assert class_function_to_binomial(3, values) == CharPoly.binom(LambdaSpec.of(3))
+    assert class_function_to_binomial(3, values) == CharPoly.binom(CycleType((3,)))
 
 
 def test_constant_function_on_s2():
     values = {mu: 1 for mu in partitions(2)}
     got = class_function_to_binomial(2, values)
     assert got == CharPoly(
-        {LambdaSpec.of(2): 1, LambdaSpec.of(0, 1): 1}
+        {CycleType((2,)): 1, CycleType((0, 1)): 1}
     )
     for mu in partitions(2):
         assert got.evaluate(mu) == 1
@@ -274,7 +282,7 @@ def test_class_function_roundtrip_random(n, data):
 
 
 def test_builtin_rep_shapes():
-    assert builtin_rep("V1") == CharPoly({LambdaSpec.of(1): 1, LambdaSpec.of(): -1})
+    assert builtin_rep("V1") == CharPoly({CycleType((1,)): 1, CycleType(()): -1})
     with pytest.raises(ValueError):
         builtin_rep("V3")
 
@@ -288,20 +296,26 @@ def test_parse_simple():
 
 def test_parse_rational_coefficients():
     p = parse_char_poly("3/2*X1 - 1/2")
-    assert p == CharPoly({LambdaSpec.of(1): F(3, 2), LambdaSpec.of(): F(-1, 2)})
+    assert p == CharPoly({CycleType((1,)): F(3, 2), CycleType(()): F(-1, 2)})
 
 
 def test_parse_products_and_parens():
     p = parse_char_poly("(X1-1)*(X1-1)")
     x1_minus_1 = CharPoly.variable(1) - CharPoly.constant(1)
     assert p == x1_minus_1 * x1_minus_1
-    assert p == CharPoly({LambdaSpec.of(2): 2, LambdaSpec.of(1): -1, LambdaSpec.of(): 1})
+    assert p == CharPoly({CycleType((2,)): 2, CycleType((1,)): -1, CycleType(()): 1})
 
 
 def test_parse_rejects_garbage():
     for bad in ("X0", "C(2,X1)", "X1 +", "1//2", "C(X1,1/2)", "(X1"):
         with pytest.raises(ValueError):
             parse_char_poly(bad)
+
+
+@pytest.mark.parametrize("bad, token", [("X1+*X2", "*"), ("X1+,X2", ","), ("()", ")")])
+def test_parse_names_a_misplaced_token(bad, token):
+    with pytest.raises(ValueError, match=re.escape(f"expected a number, a variable or '(', found '{token}'")):
+        parse_char_poly(bad)
 
 
 def test_parse_names_unknown_variables():
@@ -323,12 +337,12 @@ def test_parse_caps_the_degree():
 def test_parse_rep_dispatch():
     assert parse_rep("V11") == builtin_rep("V11")
     assert parse_rep("1") == CharPoly.constant(1)
-    assert parse_rep("X2") == CharPoly.binom(LambdaSpec.of(0, 1))
+    assert parse_rep("X2") == CharPoly.binom(CycleType((0, 1)))
 
 
 def test_str_roundtrips_through_parser():
     for rep in ("V1", "V11", "V2"):
         p = builtin_rep(rep)
         assert parse_char_poly(str(p)) == p
-    q = CharPoly({LambdaSpec.of(1, 1): F(-3, 2), LambdaSpec.of(0, 2): 1})
+    q = CharPoly({CycleType((1, 1)): F(-3, 2), CycleType((0, 2)): 1})
     assert parse_char_poly(str(q)) == q

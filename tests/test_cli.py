@@ -414,12 +414,39 @@ def test_count_names_the_inputs_to_lower_when_a_value_is_too_long_to_print():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conf-betti", "--max-i", "1", "--max-n", "1"),
+        ("count", "--variety", "affine:1", "--q", "3", "--max-n", "2"),
+    ],
+    ids=["conf-betti", "count"],
+)
+def test_a_rep_too_long_to_print_gives_the_digit_message(capsys, argv):
+    # each number has fewer digits than the limit, their product more
+    nines = "9" * 3000
+    code, out, err = run(capsys, *argv, "--rep", f"{nines}*{nines}*X1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        f"error: a value has more than {sys.get_int_max_str_digits()} digits; "
+        "lower --q, --max-n or the dimension of the variety"
+    )
+
+
 def test_count_rejects_negative_max_n(capsys):
     code, out, err = run(
         capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", "V11", "--max-n", "-1"
     )
     assert code == 2
     assert "--max-n must be nonnegative" in err
+
+
+@pytest.mark.parametrize("lam", ["-1,1", "1,x"])
+def test_count_names_a_bad_lambda(capsys, lam):
+    code, out, err = run(capsys, "count", "--variety", "affine:1", "--q", "3", f"--lambda={lam}")
+    assert code == 2
+    assert err.strip() == f"error: --lambda expects nonnegative integers, got {lam!r}"
 
 
 def test_count_rejects_rep_and_lambda(capsys):

@@ -133,7 +133,7 @@ def test_recurrence_normalizes_constant_term():
 
 
 def test_recurrence_double_pole():
-    # (1/z_lambda) / (1-z)^2 for lambda=(2): a_i = 2a_{i-1} - a_{i-2}
+    # (1/z_lam) / (1-z)^2 for lambda=(2): a_i = 2a_{i-1} - a_{i-2}
     f = ((1,), (2, -4, 2))
     spec = recurrence_from_ratfun(f)
     assert spec.coefficients == (F(2), F(-1))
