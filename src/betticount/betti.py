@@ -22,24 +22,22 @@ __all__ = ["BettiTable", "GLCheck", "Side", "weighted_sum"]
 
 
 class BettiTable(_Frozen):
-    """A grid of twisted Betti numbers entries[i][n], 0 <= i <= max_i and
+    """A grid of twisted Betti numbers rows[i][n] / den, 0 <= i <= max_i and
     0 <= n <= max_n, of one character polynomial on one side: alpha_i(n)
     (conf, all cohomological degrees) or beta_i(n) (tori, even degrees 2i
-    only).  Values are exact rationals; genuine representations give
-    nonnegative integers, virtual ones need not.
+    only).  rows holds integers over the one positive integer den, so the
+    values are exact rationals; genuine representations give nonnegative
+    integers, virtual ones need not.
     """
 
-    __slots__ = ("rep", "side", "max_i", "max_n", "entries")
+    __slots__ = ("rep", "side", "max_i", "max_n", "rows", "den")
 
     def __init__(self, rep: CharPoly, side: Side, max_i: int, max_n: int,
-                 entries: tuple[tuple[Fraction, ...], ...]):
-        self._set(rep, side, max_i, max_n, entries)
+                 rows: tuple[tuple[int, ...], ...], den: int):
+        self._set(rep, side, max_i, max_n, rows, den)
 
     def entry(self, i: int, n: int) -> Fraction:
-        return self.entries[i][n]
-
-    def in_support(self, i: int, n: int) -> bool:
-        return i <= self.side.top(n)
+        return Fraction(self.rows[i][n], self.den)
 
 
 class GLCheck(_Frozen):
@@ -107,14 +105,14 @@ class Side:
                 for n, c in enumerate(row):
                     if c:
                         total[n] += mult * c
+        tops = [self.top(n) for n in range(max_n + 1)]
         for i, row in enumerate(acc):
             for n, c in enumerate(row):
-                if c and i > self.top(n):
+                if c and i > tops[n]:
                     raise ArithmeticError(
-                        f"nonzero Betti number beyond i = {self.top(n)} at i={i}, n={n}"
+                        f"nonzero Betti number beyond i = {tops[n]} at i={i}, n={n}"
                     )
-        entries = tuple(tuple(Fraction(c, den) for c in row) for row in acc)
-        return BettiTable(p, self, max_i, max_n, entries)
+        return BettiTable(p, self, max_i, max_n, tuple(map(tuple, acc)), den)
 
     def stable_series(self, p: CharPoly) -> RatFun:
         """The stable series sum_i b_i z^i of p as an integer pair
@@ -150,8 +148,8 @@ class Side:
         return {
             (q, n): GLCheck(
                 lhs=weighted_sum(p, oracle[n], values),
-                rhs=sum((self.weight(q, n, i) * table.entry(i, n)
-                         for i in range(self.top(n) + 1)), Fraction(0)),
+                rhs=Fraction(sum(self.weight(q, n, i) * table.rows[i][n]
+                                 for i in range(self.top(n) + 1)), table.den),
             )
             for q, oracle in oracles.items()
             for n in range(max_n + 1)

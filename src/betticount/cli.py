@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import conf_betti, conf_counts, tori
 from .betti import weighted_sum
@@ -53,12 +55,49 @@ def format_rational(x) -> str:
     return _text(Fraction(x))
 
 
+def _ratio(c: int, den: int) -> str:
+    """format_rational(Fraction(c, den)) for integers c and den > 0."""
+    g = math.gcd(c, den)
+    if g == den:
+        return _text(c // g)
+    return f"{_text(c // g)}/{_text(den // g)}"
+
+
 # ---------------------------------------------------------------------------
 # renderers
 
 
+_JSON_SCALARS = {
+    str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get,
+}
+
+
+def _json(x, pad: str) -> str:
+    """json.dumps(x, indent=2) for a value at indent pad, written directly
+    (json turns its C encoder off when an indent is set).  Values are str,
+    int, bool, and lists and str-keyed dicts of them."""
+    enc = _JSON_SCALARS.get(type(x))
+    if enc is not None:
+        return enc(x)
+    inner = pad + "  "
+    if type(x) is dict:
+        if not x:
+            return "{}"
+        items = []
+        for key, value in x.items():
+            enc = _JSON_SCALARS.get(type(value))
+            text = enc(value) if enc is not None else _json(value, inner)
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {text}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if type(x) is list:
+        if not x:
+            return "[]"
+        return "[\n" + ",\n".join([inner + _json(value, inner) for value in x]) + f"\n{pad}]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def render_json(doc: OutputDocument) -> str:
-    return json.dumps({"kind": doc.kind, "meta": doc.meta, "data": doc.data}, indent=2)
+    return _json({"kind": doc.kind, "meta": doc.meta, "data": doc.data}, "")
 
 
 def render_csv(doc: OutputDocument) -> str:
@@ -227,12 +266,11 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
             "coefficients": [format_rational(c) for c in spec.coefficients],
             "valid_from": spec.valid_from,
         }
-    for i in range(args.max_i + 1):
-        for n in range(args.max_n + 1):
-            if table.in_support(i, n):
-                doc.data.append(
-                    {"i": i, "n": n, "value": format_rational(table.entry(i, n))}
-                )
+    tops = [side.top(n) for n in range(args.max_n + 1)]
+    for i, row in enumerate(table.rows):
+        for n, c in enumerate(row):
+            if i <= tops[n]:
+                doc.data.append({"i": i, "n": n, "value": _ratio(c, table.den)})
     return doc, 0
 
 
@@ -262,10 +300,8 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.limits:
-        base = conf_counts.limit_normalized(v, CycleType(()))
-        normalized = Fraction(0)
-        for lam_term, coeff in rep.items():
-            normalized += coeff * conf_counts.limit_normalized(v, lam_term)
+        base = conf_counts.limit_normalized(v, CharPoly.constant(1))
+        normalized = conf_counts.limit_normalized(v, rep)
         doc = OutputDocument(kind="limits", meta=meta)
         doc.data.append(
             {
@@ -277,11 +313,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         return doc, 0
     if args.max_n > 200:
         raise ValueError("--max-n is capped at 200 for count series")
-    values = [Fraction(0)] * (args.max_n + 1)
-    for lam_term, coeff in rep.items():
-        series = conf_counts.weighted_count_series(v, lam_term, args.max_n)
-        for n, c in enumerate(series):
-            values[n] += coeff * c
+    values = conf_counts.weighted_count_series(v, rep, args.max_n)
     doc = OutputDocument(kind="table", meta=meta)
     doc.data = [
         {"n": n, "value": format_rational(c)} for n, c in enumerate(values)

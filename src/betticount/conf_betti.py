@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .betti import Side
-from .chars import CharPoly, CycleType, binomial, centralizer_order, partitions
-from .series import _Frozen, poly_mul
+from .chars import CycleType, binomial, centralizer_order, partitions
+from .series import divide_in_place, poly_mul
 from .zeta import builtin_variety, closed_point_counts, divisors, necklace_numerator
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "stable_series",
     "stable_betti_numbers",
     "recurrence",
-    "StabilityRow",
-    "StabilityReport",
-    "stability_report",
     "count_oracle",
     "gl_checks",
     "gl_crosscheck",
@@ -67,10 +64,7 @@ def _scaled_difference_terms(
     g = [0] * (t_order + 1)
     if lam.n <= t_order:
         g[lam.n] = 1
-    for k, lk in lam.active():
-        for _ in range(lk):
-            for m in range(k, t_order + 1):
-                g[m] -= g[m - k]
+    divide_in_place(g, lam.active(), 1)
     terms: dict[tuple[int, int], int] = {}
     for n in range(t_order + 1):
         # B(1/z) (g_n z^n - g_(n-2) z^(n-1)), with B(1/z) = sum_j b_j z^(-j)
@@ -130,45 +124,6 @@ def _stable_term(lam: CycleType) -> tuple[list[int], int, dict[int, int]]:
         for d in factors:
             exps[d] = exps.get(d, 0) + lk
     return num, scale, exps
-
-
-class StabilityRow(_Frozen):
-    __slots__ = ("i", "bound_n", "stable_within_bound", "first_stable_n")
-
-    def __init__(self, i: int, bound_n: int, stable_within_bound: bool, first_stable_n: int):
-        self._set(i, bound_n, stable_within_bound, first_stable_n)
-
-
-class StabilityReport(_Frozen):
-    __slots__ = ("rep", "rows")
-
-    def __init__(self, rep: CharPoly, rows: tuple[StabilityRow, ...]):
-        self._set(rep, rows)
-
-    @property
-    def all_stable(self) -> bool:
-        return all(r.stable_within_bound for r in self.rows)
-
-
-def stability_report(p: CharPoly, max_i: int, max_n: int) -> StabilityReport:
-    """Verify alpha_i(n) = alpha_i(n+1) for n >= i + deg(p) + 1 within the
-    grid and report the first n from which each row actually stabilizes."""
-    deg = p.degree()
-    if max_n < max_i + deg + 2:
-        raise ValueError(f"table too small: need max_n >= {max_i + deg + 2}")
-    table = betti_table(p, max_i, max_n)
-    rows = []
-    for i in range(max_i + 1):
-        bound = i + deg + 1
-        ok = all(
-            table.entry(i, n) == table.entry(i, n + 1)
-            for n in range(bound, max_n)
-        )
-        first = max_n
-        while first > 0 and table.entry(i, first - 1) == table.entry(i, max_n):
-            first -= 1
-        rows.append(StabilityRow(i, bound, ok, first))
-    return StabilityReport(p, tuple(rows))
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:

@@ -16,12 +16,13 @@ binomial formula it checks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .chars import CharPoly, CycleType, binomial, partitions
-from .series import poly_mul
+from .series import divide_in_place, poly_mul
 from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
@@ -43,54 +44,54 @@ DEFAULT_GUARD = 10**6
 
 
 def weighted_count_series(
-    v: PointCountData, lam: CycleType, n_max: int
+    v: PointCountData, p: CharPoly, n_max: int
 ) -> list[Fraction]:
-    """Coefficients c_0..c_{n_max} with c_n the sum of C(X, lam) over the
-    Frobenius cycle types of all n-point configurations of V over F_q.
+    """Coefficients c_0..c_{n_max} with c_n the sum of p over the Frobenius
+    cycle types of all n-point configurations of V over F_q.
 
-    The generating function is Z(V,t)/Z(V,t^2) times, for each k with
-    lam_k > 0, the factor binom(M_k(V,q), lam_k) * (t^k / (1 + t^k))^lam_k.
-    Since Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k), the ratio is
+    For p = C(X, lam) the generating function is Z(V,t)/Z(V,t^2) times,
+    for each k with lam_k > 0, the factor
+    binom(M_k(V,q), lam_k) * (t^k / (1 + t^k))^lam_k.  Since
+    Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k), the ratio is
     prod_k (1 + t^k)^(M_k) and every step stays on integers: the product
-    comes from Newton's identity m s_m = sum_{i=1..m} c_i s_{m-i}, with
-    c_i = sum_{k | i} (-1)^(i/k + 1) k M_k its logarithmic derivative, and
-    each division by (1 + t^k) is an in-place stride-k difference.
+    comes once, for all of p, from Newton's identity
+    m s_m = sum_{i=1..m} c_i s_{m-i}, with c_i = sum_{k | i}
+    (-1)^(i/k + 1) k M_k its logarithmic derivative; each lam then divides
+    a prefix of it by prod_k (1 + t^k)^lam_k, in place, and adds it in at
+    t^|lam| over the common denominator of p's coefficients.
     """
-    mk = closed_point_counts(v, max(n_max, len(lam.counts)))
-    scale = binomial(mk, lam)
-    w = lam.n
+    terms = p.items()
+    mk = closed_point_counts(v, max([n_max] + [len(lam.counts) for lam, _ in terms]))
+    c = [0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        km = k * mk[k - 1]
+        if km:
+            for i in range(k, n_max + 1, 2 * k):
+                c[i] += km
+            for i in range(2 * k, n_max + 1, 2 * k):
+                c[i] -= km
+    prod = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        total = sum(c[i] * prod[m - i] for i in range(1, m + 1))
+        prod[m], rem = divmod(total, m)
+        if rem:
+            raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
+    den = math.lcm(*(coeff.denominator for _, coeff in terms))
     out = [0] * (n_max + 1)
-    if scale and w <= n_max:
-        order = n_max - w
-        c = [0] * (order + 1)
-        for k in range(1, order + 1):
-            km = k * mk[k - 1]
-            if km:
-                for i in range(k, order + 1, 2 * k):
-                    c[i] += km
-                for i in range(2 * k, order + 1, 2 * k):
-                    c[i] -= km
-        s = [1] + [0] * order
-        for m in range(1, order + 1):
-            total = sum(c[i] * s[m - i] for i in range(1, m + 1))
-            s[m], rem = divmod(total, m)
-            if rem:
-                raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
-        for k, lk in lam.active():
-            for _ in range(lk):
-                for m in range(k, order + 1):
-                    s[m] -= s[m - k]
-        out[w:] = [scale * x for x in s]
-    return [Fraction(x) for x in out]
+    for lam, coeff in terms:
+        w = lam.n
+        mult = coeff.numerator * (den // coeff.denominator) * binomial(mk, lam)
+        if mult and w <= n_max:
+            s = prod[: n_max + 1 - w]
+            divide_in_place(s, lam.active(), 1)
+            for m, x in enumerate(s, start=w):
+                out[m] += mult * x
+    return [Fraction(x, den) for x in out]
 
 
 def weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
-    """Sum of p over the cycle types of Conf_n V(F_q), by linearity over the
-    binomial basis."""
-    total = Fraction(0)
-    for lam, coeff in p.items():
-        total += coeff * weighted_count_series(v, lam, n)[n]
-    return total
+    """Sum of p over the cycle types of Conf_n V(F_q)."""
+    return weighted_count_series(v, p, n)[n]
 
 
 def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
@@ -254,40 +255,44 @@ def _at(p: list[int], x: Fraction) -> Fraction:
     return acc
 
 
-def limit_normalized(v: PointCountData, lam: CycleType) -> Fraction:
-    """Exact limit of q^(-n d) times the C(X, lam)-weighted count on
-    Conf_n V(F_q).
+def limit_normalized(v: PointCountData, p: CharPoly) -> Fraction:
+    """Exact limit of q^(-n d) times the p-weighted count on Conf_n V(F_q).
 
-    The counts are the Taylor coefficients of F(t) = Z(V,t)/Z(V,t^2) times
-    binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k for each k, which has a
-    simple pole at t = 1/c, c = q^d: the limit is (1 - c t) F(t) at t = 1/c.
-    Factors 1 - c t common to its numerator and denominator are divided out
-    first; a denominator that still vanishes there is a pole of order >= 2.
+    For p = C(X, lam) the counts are the Taylor coefficients of
+    F(t) = Z(V,t)/Z(V,t^2) times binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k
+    for each k, which has a simple pole at t = 1/c, c = q^d: the limit is
+    (1 - c t) F(t) at t = 1/c.  Factors 1 - c t common to its numerator and
+    denominator are divided out first; a denominator that still vanishes
+    there is a pole of order >= 2.  The limit is linear in p.
     """
     if v.zeta is None:
         raise ValueError("limits need the zeta function as a rational function")
     zn, zd = v.zeta
-    depth = len(lam.counts)
-    scale = binomial(closed_point_counts(v, depth) if depth else [], lam)
-    num, den = poly_mul(zn, _at_t_squared(zd)), poly_mul(zd, _at_t_squared(zn))
-    for k, lk in lam.active():
-        for _ in range(lk):
-            num = [0] * k + num
-            den = poly_mul(den, [1] + [0] * (k - 1) + [1])
-    if not scale:
-        return Fraction(0)
+    terms = p.items()
+    depth = max([0] + [len(lam.counts) for lam, _ in terms])
+    mk = closed_point_counts(v, depth) if depth else []
     c = v.q**v.dim
-    num = poly_mul(num, [1, -c])
-    while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
-        num, den = qn, qd
     x = Fraction(1, c)
-    if _deflate(den, c) is not None:
-        raise ValueError(f"pole of order >= 2 at t = {x}")
-    return scale * _at(num, x) / _at(den, x)
+    total = Fraction(0)
+    for lam, coeff in terms:
+        scale = binomial(mk, lam)
+        if not scale:
+            continue
+        num, den = poly_mul(zn, _at_t_squared(zd)), poly_mul(zd, _at_t_squared(zn))
+        for k, lk in lam.active():
+            for _ in range(lk):
+                num = [0] * k + num
+                den = poly_mul(den, [1] + [0] * (k - 1) + [1])
+        num = poly_mul(num, [1, -c])
+        while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
+            num, den = qn, qd
+        if _deflate(den, c) is not None:
+            raise ValueError(f"pole of order >= 2 at t = {x}")
+        total += coeff * scale * _at(num, x) / _at(den, x)
+    return total
 
 
-def limit_expectation(v: PointCountData, lam: CycleType) -> Fraction:
-    """Limiting expected value of C(X, lam) over a uniform random point of
-    Conf_n V(F_q): the ratio of the normalized limit to its lam = () case."""
-    base = limit_normalized(v, CycleType(()))
-    return limit_normalized(v, lam) / base
+def limit_expectation(v: PointCountData, p: CharPoly) -> Fraction:
+    """Limiting expected value of p over a uniform random point of
+    Conf_n V(F_q): the ratio of the normalized limit to that of p = 1."""
+    return limit_normalized(v, p) / limit_normalized(v, CharPoly.constant(1))

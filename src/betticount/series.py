@@ -23,6 +23,7 @@ __all__ = [
     "RecurrenceSpec",
     "poly_mul",
     "cyclotomic_sum",
+    "divide_in_place",
     "binomial",
     "taylor_coeffs",
     "truncated_mul",
@@ -174,6 +175,16 @@ def cyclotomic_sum(terms: Iterable[tuple[Sequence[int], Fraction, Mapping[int, i
             den = poly_mul(den, psi[d])
     g = math.gcd(scale, *total)
     return tuple(x // g for x in total), tuple(x // g for x in den)
+
+
+def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int) -> None:
+    """Replace the series s by s / prod_k (1 + sign t^k)^(e_k), truncated
+    at len(s), for the pairs (k, e_k) in factors and sign +-1: each
+    division is a stride-k running difference (sign 1) or sum (sign -1)."""
+    for k, e in factors:
+        for _ in range(e):
+            for m in range(k, len(s)):
+                s[m] -= sign * s[m - k]
 
 
 # ---------------------------------------------------------------------------

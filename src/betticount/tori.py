@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .betti import Side
 from .chars import CharPoly, CycleType, centralizer_order, partitions
+from .series import divide_in_place
 from .zeta import divisors
 
 __all__ = [
@@ -119,10 +120,7 @@ def _row(lam: CycleType, n: int, max_i: int) -> list[int]:
     for j in range(n - w + 1, n + 1):
         for e in range(max_i, j - 1, -1):
             row[e] -= row[e - j]
-    for k, lk in lam.active():
-        for _ in range(lk):
-            for e in range(k, max_i + 1):
-                row[e] += row[e - k]
+    divide_in_place(row, lam.active(), -1)
     return row
 
 

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betticount
 from betticount.cli import (
@@ -21,8 +23,8 @@ from betticount.cli import (
     render_csv,
     render_json,
 )
-from betticount.conf_counts import DEFAULT_GUARD
-from betticount.zeta import PRIME_TEST_BOUND
+from betticount.conf_counts import DEFAULT_GUARD, partition_weighted_count
+from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
 
 def _child_env():
@@ -653,6 +655,30 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
     assert [(v.q, depth) for v, depth in calls["closed_point_counts"]] == [(3, 5), (5, 5), (7, 5)]
 
 
+def test_count_expands_the_product_once_for_a_multi_term_rep(capsys, monkeypatch):
+    import betticount.cli as cli_mod
+
+    counts = cli_mod.conf_counts.closed_point_counts
+    calls = []
+
+    def counted(v, depth):
+        calls.append(depth)
+        return counts(v, depth)
+
+    monkeypatch.setattr(cli_mod.conf_counts, "closed_point_counts", counted)
+    rep = "C(X1,2) - X2 + 1/2*C(X1,3) - 2/3*X2*X3 + 5/7"
+    code, doc = run_json(
+        capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", rep, "--max-n", "12"
+    )
+    assert code == 0
+    assert len(cli_mod.parse_rep(rep).items()) > 3
+    assert calls == [12]
+    v = builtin_variety("affine", 1, 3)
+    assert [Fraction(r["value"]) for r in doc["data"]] == [
+        partition_weighted_count(v, cli_mod.parse_rep(rep), n) for n in range(13)
+    ]
+
+
 @pytest.mark.parametrize("side", ["conf", "tori"])
 def test_stable_series_is_built_once_per_command(capsys, monkeypatch, side):
     import betticount.cli as cli_mod
@@ -699,6 +725,22 @@ def test_json_round_trip_bytes(capsys):
         assert format_rational(v) == row["value"]
 
 
+@pytest.mark.parametrize("side", ["conf", "tori"])
+def test_betti_cells_print_each_entry_in_lowest_terms(capsys, side):
+    import betticount.cli as cli_mod
+
+    rep = "1/2*C(X1,2) - 5/3*X2 + 1/4*X1"
+    code, doc = run_json(capsys, f"{side}-betti", "--rep", rep, "--max-i", "6", "--max-n", "7")
+    assert code == 0
+    sd = cli_mod.SIDES[side]
+    table = sd.betti_table(cli_mod.parse_rep(rep), 6, 7)
+    expected = [(i, n, format_rational(table.entry(i, n)))
+                for i in range(7) for n in range(8) if i <= sd.top(n)]
+    assert [(r["i"], r["n"], r["value"]) for r in doc["data"]] == expected
+    values = {r["value"] for r in doc["data"]}
+    assert "0" in values and any("/" in v for v in values) and any(v[0] == "-" for v in values)
+
+
 def test_csv_and_table_match_json_payload(capsys):
     args = ["conf-betti", "--rep", "V11", "--max-i", "5", "--max-n", "8"]
     _, doc = run_json(capsys, *args)
@@ -729,6 +771,52 @@ def test_render_handles_empty_document():
     assert render(doc, "csv") == '# x: 1'
     assert render_json(doc)
     assert render(doc, "table") == ""
+
+
+def _json_equal(tree):
+    """render_json of a document holding tree, against json.dumps(indent=2)."""
+    doc = OutputDocument(kind="table", meta={"tree": tree}, data=[tree])
+    expected = json.dumps({"kind": "table", "meta": {"tree": tree}, "data": [tree]}, indent=2)
+    return render_json(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"a": {"b": [1, [2, {"c": []}]], "d": {}}, "e": [{}, [], [[]]]},
+        [],
+        {},
+        [True, False, {"t": True, "f": False}],
+        [-1, 0, -(10**40), 10**300, {"neg": -7}],
+        ['say "hi"', "back\\slash", "new\nline\ttab", "caf\u00e9 \u03b1 \U0001f600", "\x00\x1f"],
+        {'key "q"\\\n\u00e9': "v", "": ""},
+    ],
+    ids=["nested", "empty-list", "empty-dict", "bools", "ints", "strings", "keys"],
+)
+def test_render_json_matches_json_dumps(tree):
+    assert _json_equal(tree)
+
+
+_json_scalars = st.one_of(st.booleans(), st.integers(), st.text())
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_render_json_matches_json_dumps_on_any_tree(tree):
+    assert _json_equal(tree)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, None])
+def test_render_json_refuses_other_types(value):
+    for doc in (OutputDocument("table", meta={"x": value}),
+                OutputDocument("table", data=[[value]])):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            render_json(doc)
 
 
 def test_import_loads_only_what_the_commands_use():

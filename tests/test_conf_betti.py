@@ -9,7 +9,6 @@ from betticount.conf_betti import (
     difference_series,
     gl_crosscheck,
     recurrence,
-    stability_report,
     stable_betti_numbers,
     stable_series,
 )
@@ -218,6 +217,19 @@ def test_betti_table_rejects_negative_bounds():
             betti_table(builtin_rep("V11"), *bounds)
 
 
+@pytest.mark.parametrize("side", ["conf", "tori"])
+def test_table_holds_integer_rows_over_one_denominator(side):
+    p = parse_rep("1/2*C(X1,2) - 2/3*X2 + 3/4")
+    table = (betti_table if side == "conf" else tori.betti_table)(p, 6, 7)
+    assert table.den == 12
+    for i in range(7):
+        for n in range(8):
+            c = table.rows[i][n]
+            assert type(c) is int
+            assert table.entry(i, n) == F(c, 12)
+    assert any(table.entry(i, n).denominator > 1 for i in range(7) for n in range(8))
+
+
 def test_empty_configuration_entry():
     assert betti_table(builtin_rep("V11"), 2, 2).entry(0, 0) == 1
 
@@ -333,12 +345,6 @@ def test_table_rows_reach_stable_values():
 # stability ranges
 
 
-def test_stability_report_bounds_hold():
-    for rep in ("V1", "V11", "V2"):
-        report = stability_report(builtin_rep(rep), 8, 14)
-        assert report.all_stable
-
-
 def test_stability_sharpness():
     for rep in ("V11", "V2"):
         table = betti_table(builtin_rep(rep), 8, 14)
@@ -347,16 +353,8 @@ def test_stability_sharpness():
 
 
 def test_v11_first_stable_row2():
-    report = stability_report(builtin_rep("V11"), 4, 14)
-    row = report.rows[2]
-    assert row.first_stable_n == 5
     table = betti_table(builtin_rep("V11"), 4, 14)
     assert table.entry(2, 4) == 1 != table.entry(2, 5) == 2
-
-
-def test_stability_report_rejects_small_table():
-    with pytest.raises(ValueError):
-        stability_report(builtin_rep("V11"), 8, 9)
 
 
 # ---------------------------------------------------------------------------

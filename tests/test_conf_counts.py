@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from betticount.chars import CharPoly, CycleType, binomial, builtin_rep, partitions
+from betticount.chars import CharPoly, CycleType, binomial, builtin_rep, parse_char_poly, partitions
 from betticount.conf_counts import (
     bruteforce_census,
     bruteforce_weighted_count,
@@ -172,19 +172,19 @@ def test_bruteforce_degree_zero():
 
 
 def test_weighted_series_trivial_weight():
-    got = weighted_count_series(A1_Q3, CycleType(()), 4)
+    got = weighted_count_series(A1_Q3, CharPoly.binom(()), 4)
     assert got == [1, 3, 6, 18, 54]
 
 
 def test_weighted_series_linear_weight():
-    got = weighted_count_series(A1_Q3, CycleType((1,)), 3)
+    got = weighted_count_series(A1_Q3, CharPoly.binom((1,)), 3)
     assert got[3] == 12
     assert got[0] == 0
 
 
 def test_weighted_series_empty_configuration():
     for v in (A1_Q3, builtin_variety("projective", 1, 2)):
-        assert weighted_count_series(v, CycleType(()), 0) == [1]
+        assert weighted_count_series(v, CharPoly.binom(()), 0) == [1]
 
 
 def test_weighted_count_linearity():
@@ -202,7 +202,7 @@ def test_weighted_count_v11():
 def test_weighted_count_insufficient_data():
     v = PointCountData(q=3, dim=1, counts=(3, 9))
     with pytest.raises(ValueError):
-        weighted_count_series(v, CycleType(()), 4)
+        weighted_count_series(v, CharPoly.binom(()), 4)
 
 
 def fraction_count_series(z, mk, lam, n):
@@ -248,12 +248,45 @@ def test_series_matches_fraction_expansion(case):
     for lam in lambdas:
         if len(lam.counts) > n:
             with pytest.raises(ValueError):
-                weighted_count_series(v, lam, n)  # counts needed beyond the data
+                weighted_count_series(v, CharPoly.binom(lam), n)  # counts needed beyond the data
             continue
         expected = fraction_count_series(z, closed_point_counts(v, n), lam, n)
-        assert weighted_count_series(v, lam, n) == expected, lam
+        assert weighted_count_series(v, CharPoly.binom(lam), n) == expected, lam
     if case == "empty":
-        assert weighted_count_series(v, CycleType(()), n) == [1, 0, 0, 0]
+        assert weighted_count_series(v, CharPoly.binom(()), n) == [1, 0, 0, 0]
+
+
+# the counts of P^1 over F_3 from a file, and its zeta function 1/((1-t)(1-3t))
+P1_Q3_COUNTS = parse_variety_text(
+    "q = 3\ndim = 1\ncounts = " + " ".join(str(3**m + 1) for m in range(1, 31)) + "\n"
+)
+WHOLE_REP_CASES = {
+    "affine1_q3": (A1_Q3, A1_Q3.zeta),
+    "projective2_q2": (P2_Q2, P2_Q2.zeta),
+    "counts_file_p1_q3": (P1_Q3_COUNTS, ((1,), (1, -4, 3))),
+}
+WHOLE_REPS = [
+    "1/2*C(X1,2) - 3/4*X2 + 5/3",
+    "C(X1,3) - 2/7*X1*X2 + 1/5*C(X3,1) - X1",
+    "(X1 - 1/3)*(X2 + 2/9) - 7/11*C(X2,2)",
+]
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_REP_CASES))
+def test_whole_rep_series_is_the_sum_of_its_terms(case):
+    v, zeta = WHOLE_REP_CASES[case]
+    n = 30
+    z = truncated_mul(zeta[0], truncated_inverse(zeta[1], n), n)
+    mk = closed_point_counts(v, n)
+    for text in WHOLE_REPS:
+        p = parse_char_poly(text)
+        assert len(p.items()) >= 3
+        assert any(coeff.denominator > 1 for _, coeff in p.items())
+        expected = [F(0)] * (n + 1)
+        for lam, coeff in p.items():
+            for m, c in enumerate(fraction_count_series(z, mk, lam, n)):
+                expected[m] += coeff * c
+        assert weighted_count_series(v, p, n) == expected, text
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +304,7 @@ def test_binomial_counts_split_pairs():
 def test_binomial_counts_total():
     mk = closed_point_counts(A1_Q3, 2)
     total = sum(binomial(mk, mu) for mu in partitions(2))
-    assert total == weighted_count_series(A1_Q3, CycleType(()), 2)[2] == 6
+    assert total == weighted_count_series(A1_Q3, CharPoly.binom(()), 2)[2] == 6
 
 
 @pytest.mark.parametrize(
@@ -279,7 +312,7 @@ def test_binomial_counts_total():
 )
 def test_partition_sum_equals_series_for_trivial_weight(kind, d, q):
     v = builtin_variety(kind, d, q)
-    series = weighted_count_series(v, CycleType(()), 8)
+    series = weighted_count_series(v, CharPoly.binom(()), 8)
     mk = closed_point_counts(v, 8)
     for n in range(9):
         total = sum(binomial(mk, mu) for mu in partitions(n))
@@ -301,7 +334,7 @@ def test_three_paths_agree(p):
     census = bruteforce_census(p, 6)
     for lam in LAMBDA_SWEEP:
         rep = CharPoly.binom(lam)
-        series = weighted_count_series(v, lam, 6)
+        series = weighted_count_series(v, rep, 6)
         for n in range(7):
             brute = census_sum(census, rep, n)
             part = partition_weighted_count(v, rep, n)
@@ -313,25 +346,25 @@ def test_three_paths_agree(p):
 
 
 def test_limit_normalized_trivial():
-    assert limit_normalized(A1_Q3, CycleType(())) == F(2, 3)
+    assert limit_normalized(A1_Q3, CharPoly.binom(())) == F(2, 3)
 
 
 def test_limit_normalized_linear():
-    assert limit_normalized(A1_Q3, CycleType((1,))) == F(1, 2)
+    assert limit_normalized(A1_Q3, CharPoly.binom((1,))) == F(1, 2)
 
 
 def test_limit_expectation_values():
-    assert limit_expectation(A1_Q3, CycleType(())) == 1
-    assert limit_expectation(A1_Q3, CycleType((1,))) == F(3, 4)
+    assert limit_expectation(A1_Q3, CharPoly.binom(())) == 1
+    assert limit_expectation(A1_Q3, CharPoly.binom((1,))) == F(3, 4)
     a1_q2 = builtin_variety("affine", 1, 2)
-    assert limit_expectation(a1_q2, CycleType((0, 1))) == F(1, 5)
+    assert limit_expectation(a1_q2, CharPoly.binom((0, 1))) == F(1, 5)
 
 
 def test_limit_rejects_a_double_pole():
     # Z = 1/(1 - 3t)^2: the limit series has a pole of order 2 at t = 1/3
     v = parse_variety_text("q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 1 -6 9\n")
     with pytest.raises(ValueError, match="pole of order >= 2 at t = 1/3"):
-        limit_normalized(v, CycleType(()))
+        limit_normalized(v, CharPoly.binom(()))
 
 
 def test_limits_ignore_a_common_factor_and_the_value_at_zero():
@@ -341,14 +374,14 @@ def test_limits_ignore_a_common_factor_and_the_value_at_zero():
         for n, d in (("1 -1", "1 -4 3"), ("2", "1 -3"), ("0 1", "0 1 -3"))
     ]
     for lam in LAMBDA_SWEEP:
-        expected = limit_normalized(A1_Q3, lam)
-        assert all(limit_normalized(v, lam) == expected for v in same), lam
+        expected = limit_normalized(A1_Q3, CharPoly.binom(lam))
+        assert all(limit_normalized(v, CharPoly.binom(lam)) == expected for v in same), lam
 
 
 def test_limit_requires_rational_zeta():
     v = PointCountData(q=3, dim=1, counts=(3, 9, 27))
     with pytest.raises(ValueError):
-        limit_normalized(v, CycleType(()))
+        limit_normalized(v, CharPoly.binom(()))
 
 
 def test_limit_expectation_closed_form():
@@ -364,14 +397,14 @@ def test_limit_expectation_closed_form():
                 from math import comb
 
                 expected *= comb(mk[k - 1], lk) * F(1, (1 + q**k)) ** lk
-            assert limit_expectation(v, lam) == expected
+            assert limit_expectation(v, CharPoly.binom(lam)) == expected
 
 
 def test_normalized_counts_converge_monotonically():
     # exact gaps |a_n / q^n - limit| shrink for n in 12..25
     for lam in (CycleType(()), CycleType((1,)), CycleType((0, 1))):
-        lim = limit_normalized(A1_Q3, lam)
-        series = weighted_count_series(A1_Q3, lam, 26)
+        lim = limit_normalized(A1_Q3, CharPoly.binom(lam))
+        series = weighted_count_series(A1_Q3, CharPoly.binom(lam), 26)
         gaps = [abs(series[n] / F(3) ** n - lim) for n in range(12, 27)]
         assert all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
 
@@ -379,8 +412,8 @@ def test_normalized_counts_converge_monotonically():
 def test_projective_line_limit_close_to_coefficients():
     v = builtin_variety("projective", 1, 2)
     for lam in (CycleType(()), CycleType((1,)), CycleType((0, 1))):
-        lim = limit_normalized(v, lam)
-        series = weighted_count_series(v, lam, 25)
+        lim = limit_normalized(v, CharPoly.binom(lam))
+        series = weighted_count_series(v, CharPoly.binom(lam), 25)
         assert abs(series[25] / F(2) ** 25 - lim) < F(1, 10**6)
 
 

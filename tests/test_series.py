@@ -10,6 +10,7 @@ from betticount.series import (
     RecurrenceSpec,
     binomial,
     cyclotomic_sum,
+    divide_in_place,
     poly_mul,
     recurrence_from_ratfun,
     taylor_coeffs,
@@ -113,6 +114,19 @@ def test_truncated_inverse_roundtrip():
     a = [F(1), F(2), F(-1), F(3)]
     inv = truncated_inverse(a, 6)
     assert truncated_mul(a, inv, 6) == [F(1)] + [F(0)] * 6
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_divide_in_place_inverts_the_product(sign):
+    rng = random.Random(sign)
+    factors = [(1, 2), (2, 1), (3, 3), (5, 1)]
+    s = [rng.randint(-9, 9) for _ in range(20)]
+    q = list(s)
+    divide_in_place(q, factors, sign)
+    for k, e in factors:
+        for _ in range(e):
+            q = truncated_mul(q, [1] + [0] * (k - 1) + [sign], len(s) - 1)
+    assert q == s
 
 
 # ---------------------------------------------------------------------------
