@@ -35,4 +35,8 @@ if __name__ == "__main__":
         "verify", "--side", "tori", "--q", "2,3,5", "--max-n", "6",
         "--rep", "1,V1,V11,V2",
     ])
+    # a 924-term rep: the whole-rep Betti kernels against the partition sums
+    many_terms = "*".join(["(X1+X2+X3+X4+X5+X6+1)"] * 6)
+    for side in ("tori", "conf"):
+        rc |= run(["verify", "--side", side, "--q", "2,3", "--max-n", "8", "--rep", many_terms])
     sys.exit(rc)

@@ -13,7 +13,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .chars import CharPoly, CycleType
+from .chars import CharPoly, CycleType, centralizer_order
 from .series import (
     RatFun, RecurrenceSpec, _Frozen, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs,
 )
@@ -67,12 +67,13 @@ def weighted_sum(p: CharPoly, types, values: dict[CycleType, Fraction]) -> Fract
 
 
 class Side:
-    """One family Y_n, given by five ingredients for a weight C(X, lam):
+    """One family Y_n, given by five ingredients; the one scale of both
+    sides is z_lam (chars.centralizer_order):
 
-    - grid(lam, max_i, max_n) -> (rows, scale): the Betti number at (i, n)
-      is rows[i][n] / scale, with integer rows;
-    - stable_term(lam) -> (num, scale, {d: e}): the stable series is
-      num(z) / (scale * prod_d Psi_d(z)^e), with an integer list num;
+    - grid(terms, max_i, max_n) -> rows: the integers rows[i][n] =
+      sum_lam m_lam z_lam b_i(n; C(X, lam)) over the pairs (lam, m_lam);
+    - stable_term(lam) -> (num, {d: e}): the stable series of C(X, lam) is
+      num(z) / (z_lam * prod_d Psi_d(z)^e), with an integer list num;
     - top(n): the largest i with a nonzero Betti number at n;
     - weight(q, n, i): the factor of the i-th Betti number in the
       Grothendieck-Lefschetz sum at (q, n);
@@ -92,35 +93,31 @@ class Side:
         return f"Side({self.name!r})"
 
     def betti_table(self, p: CharPoly, max_i: int, max_n: int) -> BettiTable:
-        """The Betti numbers of p at every i <= max_i, n <= max_n: the
-        lam grids summed on integers over the lcm of their scales."""
+        """The Betti numbers of p = sum_lam c_lam C(X, lam) at every
+        i <= max_i, n <= max_n: one integer grid over the lcm den of the
+        c_lam.denominator * z_lam, with multipliers m_lam = c_lam den / z_lam."""
         if max_i < 0 or max_n < 0:
             raise ValueError("max_i and max_n must be nonnegative")
-        grids = [(coeff, *self.grid(lam, max_i, max_n)) for lam, coeff in p.items()]
-        den = math.lcm(*(coeff.denominator * scale for coeff, _, scale in grids))
-        acc = [[0] * (max_n + 1) for _ in range(max_i + 1)]
-        for coeff, rows, scale in grids:
-            mult = coeff.numerator * (den // (coeff.denominator * scale))
-            for total, row in zip(acc, rows):
-                for n, c in enumerate(row):
-                    if c:
-                        total[n] += mult * c
+        scales = [(lam, c, c.denominator * centralizer_order(lam)) for lam, c in p.items()]
+        den = math.lcm(*(scale for _, _, scale in scales))
+        rows = self.grid([(lam, c.numerator * (den // scale)) for lam, c, scale in scales],
+                         max_i, max_n)
         tops = [self.top(n) for n in range(max_n + 1)]
-        for i, row in enumerate(acc):
+        for i, row in enumerate(rows):
             for n, c in enumerate(row):
                 if c and i > tops[n]:
                     raise ArithmeticError(
                         f"nonzero Betti number beyond i = {tops[n]} at i={i}, n={n}"
                     )
-        return BettiTable(p, self, max_i, max_n, tuple(map(tuple, acc)), den)
+        return BettiTable(p, self, max_i, max_n, tuple(map(tuple, rows)), den)
 
     def stable_series(self, p: CharPoly) -> RatFun:
         """The stable series sum_i b_i z^i of p as an integer pair
         (num, den) in lowest terms."""
         terms = []
         for lam, coeff in p.items():
-            num, scale, exps = self.stable_term(lam)
-            terms.append((num, coeff / scale, exps))
+            num, exps = self.stable_term(lam)
+            terms.append((num, coeff / centralizer_order(lam), exps))
         return cyclotomic_sum(terms)
 
     def stable_betti_numbers(
@@ -154,7 +151,3 @@ class Side:
             for q, oracle in oracles.items()
             for n in range(max_n + 1)
         }
-
-    def gl_crosscheck(self, p: CharPoly, q: int, n: int) -> GLCheck:
-        """The GL check of p at one (q, n); see gl_checks."""
-        return self.gl_checks(p, {q: self.count_oracle(q, n)}, n, {})[q, n]

@@ -14,7 +14,8 @@ with M_k the k-th necklace polynomial; the coefficient at z^i t^n is
 w = |lam|.  B has degree <= w in y and G has integer coefficients g_m, so
 the t^n coefficient of (1 - t) F is B(1/z) (g_n z^n - g_(n-2) z^(n-1)), a
 polynomial in z, and each table row is the running sum of these over n.
-SIDE hands these kernels to betti.Side, which assembles everything else.
+SIDE's kernel adds every lam's terms into one grid and then takes one
+running sum per row; betti.Side assembles everything else.
 """
 
 from __future__ import annotations
@@ -36,44 +37,45 @@ __all__ = [
     "recurrence",
     "count_oracle",
     "gl_checks",
-    "gl_crosscheck",
 ]
 
 
-def _necklace_binomials(lam: CycleType) -> tuple[list[int], int]:
-    """(b, scale): scale times B(y) = prod_k binom(M_k(y), lam_k), a
-    polynomial of degree <= |lam|, has the integer coefficients b.
+def _necklace_binomials(lam: CycleType) -> list[int]:
+    """The integer coefficients b of z_lam B(y), with
+    B(y) = prod_k binom(M_k(y), lam_k), a polynomial of degree <= |lam|.
 
     With N_k = k M_k, k^l l! binom(M_k, l) = prod_(j<l) (N_k - jk), so b is
-    a product of integer polynomials and scale = prod_k k^lam_k lam_k! = z_lam.
+    a product of integer polynomials and prod_k k^lam_k lam_k! = z_lam.
     """
     b = [1]
     for k, lk in lam.active():
         nk = necklace_numerator(k)
         for j in range(lk):
             b = poly_mul(b, [-j * k] + nk[1:])
-    return b, centralizer_order(lam)
+    return b
 
 
-def _scaled_difference_terms(
-    lam: CycleType, t_order: int
-) -> tuple[dict[tuple[int, int], int], int]:
-    """(terms, scale): scale times the coefficient of z^i t^n in (1 - t) F
-    is the integer terms[(i, n)], for n <= t_order; zero terms are absent."""
-    b, scale = _necklace_binomials(lam)
-    g = [0] * (t_order + 1)
-    if lam.n <= t_order:
-        g[lam.n] = 1
-    divide_in_place(g, lam.active(), 1)
-    terms: dict[tuple[int, int], int] = {}
-    for n in range(t_order + 1):
-        # B(1/z) (g_n z^n - g_(n-2) z^(n-1)), with B(1/z) = sum_j b_j z^(-j)
-        for gm, top in ((g[n], n), (-g[n - 2] if n >= 2 else 0, n - 1)):
-            if gm:
-                for j, bj in enumerate(b):
-                    key = (top - j, n)
-                    terms[key] = terms.get(key, 0) + gm * bj
-    return {key: c for key, c in terms.items() if c}, scale
+def _difference_columns(
+    terms: list[tuple[CycleType, int]], max_i: int, t_order: int
+) -> list[list[int]]:
+    """cols[n][i] = sum_lam m_lam z_lam [z^i t^n] (1 - t) F for C(X, lam),
+    over the pairs (lam, m_lam) of terms, n <= t_order and i <= max_i:
+    B(1/z) G(tz) has g_n b_j at z^(n-j) t^n, and (1 - z t^2) subtracts
+    column n-2 moved down one row.  No i is negative: g_n = 0 for n < w,
+    and deg b <= w."""
+    cols = [[0] * (max_i + 1) for _ in range(t_order + 1)]
+    for lam, m in terms:
+        if lam.n <= t_order:
+            rb = _necklace_binomials(lam)[::-1]  # b_j, to land at i = n - j
+            g = [0] * lam.n + [m] + [0] * (t_order - lam.n)
+            divide_in_place(g, lam.active(), 1)
+            for n in range(lam.n, t_order + 1):
+                if gn := g[n]:
+                    lo = n + 1 - len(rb)
+                    cols[n][lo:n + 1] = [c + gn * x for c, x in zip(cols[n][lo:n + 1], rb)]
+    for n in range(t_order, 1, -1):
+        cols[n][1:] = [c - d for c, d in zip(cols[n][1:], cols[n - 2])]
+    return cols
 
 
 def difference_series(
@@ -84,36 +86,33 @@ def difference_series(
 
     The coefficient c is (-1)^i (alpha_i(n) - alpha_i(n-1)), so every term
     satisfies the slope bound n - i <= weight + 1, which is what makes the
-    stability range explicit.  Negative i are kept, not clipped.
+    stability range explicit.
     """
-    terms, scale = _scaled_difference_terms(lam, t_order)
-    return {(i, n): Fraction(c, scale) for (i, n), c in terms.items() if i <= max_i}
+    den = centralizer_order(lam)
+    cols = _difference_columns([(lam, 1)], max_i, t_order)
+    return {(i, n): Fraction(c, den) for n, col in enumerate(cols) for i, c in enumerate(col) if c}
 
 
-def _grid(lam: CycleType, max_i: int, max_n: int) -> tuple[list[list[int]], int]:
-    """(rows, scale): alpha_i(n) of C(X, lam) is rows[i][n] / scale, for
-    i <= max_i and n <= max_n; each row is the signed running sum of the
-    difference terms."""
-    terms, scale = _scaled_difference_terms(lam, max_n)
-    rows = [[0] * (max_n + 1) for _ in range(max_i + 1)]
-    for (i, n), c in terms.items():
-        if i < 0:
-            raise ArithmeticError(f"negative z-power z^{i} at t^{n} in the Betti series")
-        if i <= max_i:
-            rows[i][n] = c
-    return [[(-1) ** i * s for s in accumulate(row)] for i, row in enumerate(rows)], scale
+def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[list[int]]:
+    """rows[i][n] = sum_lam m_lam z_lam alpha_i(n; C(X, lam)) for the pairs
+    (lam, m_lam) of terms, i <= max_i and n <= max_n: the running sum of
+    each row of the difference terms, negated on the odd rows."""
+    rows = [list(accumulate(row)) for row in zip(*_difference_columns(terms, max_i, max_n))]
+    for row in rows[1::2]:
+        row[:] = [-s for s in row]
+    return rows
 
 
-def _stable_term(lam: CycleType) -> tuple[list[int], int, dict[int, int]]:
-    """(num, scale, {d: e}): the stable series sum_i alpha_i z^i of
-    C(X, lam) is num / (scale * prod_d Psi_d^e).
+def _stable_term(lam: CycleType) -> tuple[list[int], dict[int, int]]:
+    """(num, {d: e}): the stable series sum_i alpha_i z^i of C(X, lam) is
+    num / (z_lam * prod_d Psi_d^e).
 
     The signed series sum_i alpha_i (-z)^i is
     (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k, so z -> -z turns each
     factor into 1 - (-z)^k: 1 - z^k = prod_(d | k) Psi_d for odd k, and
     1 + z^k = prod_(d | 2k, d not | k) Psi_d for even k.
     """
-    b, scale = _necklace_binomials(lam)
+    b = _necklace_binomials(lam)
     w = lam.n
     b += [0] * (w + 1 - len(b))
     # (1 + z) z^w B(-1/z)
@@ -123,7 +122,7 @@ def _stable_term(lam: CycleType) -> tuple[list[int], int, dict[int, int]]:
         factors = divisors(k) if k % 2 else [d for d in divisors(2 * k) if k % d]
         for d in factors:
             exps[d] = exps.get(d, 0) + lk
-    return num, scale, exps
+    return num, exps
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
@@ -147,4 +146,4 @@ SIDE = Side(
 )
 betti_table, stable_series = SIDE.betti_table, SIDE.stable_series
 stable_betti_numbers, recurrence = SIDE.stable_betti_numbers, SIDE.recurrence
-gl_checks, gl_crosscheck = SIDE.gl_checks, SIDE.gl_crosscheck
+gl_checks = SIDE.gl_checks

@@ -24,10 +24,7 @@ __all__ = [
     "poly_mul",
     "cyclotomic_sum",
     "divide_in_place",
-    "binomial",
     "taylor_coeffs",
-    "truncated_mul",
-    "truncated_inverse",
     "recurrence_from_ratfun",
 ]
 
@@ -185,49 +182,6 @@ def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int)
         for _ in range(e):
             for m in range(k, len(s)):
                 s[m] -= sign * s[m - k]
-
-
-# ---------------------------------------------------------------------------
-# scalar binomial, truncated univariate helpers (truncated_mul and
-# truncated_inverse are the tests' reference expansions; the kernels above
-# do not use them)
-
-
-def binomial(x: Scalar, m: int) -> Fraction:
-    """binom(x, m) = x(x-1)...(x-m+1)/m! for a rational x; binom(x, 0) = 1."""
-    if m < 0:
-        raise ValueError("binomial needs m >= 0")
-    acc = Fraction(1)
-    x = _frac(x)
-    for j in range(m):
-        acc = acc * (x - j)
-    return acc * Fraction(1, math.factorial(m))
-
-
-def truncated_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, kept to the given order."""
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Reciprocal of a coefficient list with nonzero constant term."""
-    if not a or a[0] == 0:
-        raise ValueError("inverse requires a nonzero constant term")
-    inv0 = Fraction(1) / _frac(a[0])
-    out = [inv0] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for k in range(1, min(n, len(a) - 1) + 1):
-            if a[k]:
-                s += _frac(a[k]) * out[n - k]
-        out[n] = -inv0 * s
-    return out
 
 
 def taylor_coeffs(f: RatFun, order: int) -> list[Fraction]:

@@ -12,9 +12,9 @@ from fractions import Fraction as F
 from betticount.chars import CharPoly, CycleType, builtin_rep, partitions
 from betticount.cli import main as cli_main
 from betticount.conf_betti import (
+    SIDE,
     betti_table,
     difference_series,
-    gl_crosscheck,
     recurrence,
     stable_betti_numbers,
 )
@@ -28,6 +28,7 @@ from betticount.conf_counts import (
 from betticount import tori
 from betticount.zeta import builtin_variety
 
+from helpers import gl_crosscheck
 from test_conf_betti import V2_TABLE, V11_TABLE
 from test_conf_counts import census_sum
 
@@ -129,7 +130,7 @@ def test_criterion_06_gl_conf_suite():
         census = bruteforce_census(q, 6, )
         for rep in reps:
             for n in range(7):
-                check = gl_crosscheck(rep, q, n)
+                check = gl_crosscheck(SIDE, rep, q, n)
                 brute = census_sum(census, rep, n)
                 ok = ok and brute == check.lhs == check.rhs
     elapsed = time.monotonic() - start
@@ -186,7 +187,7 @@ def test_criterion_09_tori_suite():
     for q in (2, 3, 5):
         for rep in reps:
             for n in range(7):
-                ok = ok and tori.gl_crosscheck(rep, q, n).equal
+                ok = ok and gl_crosscheck(tori.SIDE, rep, q, n).equal
     elapsed = time.monotonic() - start
     report(9, f"tori suite (Steinberg, trivial/X1 rows, GL), exact, {elapsed:.1f}s < 30s",
            ok and elapsed < 30)

@@ -279,6 +279,19 @@ def test_tori_betti_stable_budget_at_the_grid_cap():
     assert elapsed < 2
 
 
+# (X1 + ... + X6 + 1)^6 expands to 924 binomial basis terms
+MANY_TERM_REP = "*".join(["(X1+X2+X3+X4+X5+X6+1)"] * 6)
+
+
+@pytest.mark.parametrize("command", ["tori-betti", "conf-betti"])
+def test_betti_budget_for_a_many_term_rep_at_the_grid_cap(command):
+    cap = str(MAX_GRID)
+    proc, elapsed = run_child(command, "--rep", MANY_TERM_REP, "--max-i", cap, "--max-n", cap,
+                              timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.5
+
+
 # ---------------------------------------------------------------------------
 # count
 

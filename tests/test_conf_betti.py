@@ -5,15 +5,17 @@ import pytest
 from betticount import conf_betti, tori
 from betticount.chars import CharPoly, CycleType, builtin_rep, parse_rep, partitions
 from betticount.conf_betti import (
+    SIDE,
     betti_table,
     difference_series,
-    gl_crosscheck,
     recurrence,
     stable_betti_numbers,
     stable_series,
 )
 from betticount.conf_counts import bruteforce_weighted_count
 from betticount.series import taylor_coeffs
+
+from helpers import binomial, gl_crosscheck
 
 # Golden grids, entered row by row exactly as printed; keys are (i, n).
 # Blank cells (outside the cohomological support) are simply absent.
@@ -115,14 +117,14 @@ def test_necklace_binomials_match_scalar_binomials():
     # B(y) = prod_k binom(M_k(y), lam_k) has degree <= w, so its values at
     # w + 1 points pin it down; each value here is a product of scalar
     # binomials of M_k(y) = (1/k) sum_(d | k) mu(k/d) y^d
+    from betticount.chars import centralizer_order
     from betticount.conf_betti import _necklace_binomials
-    from betticount.series import binomial
     from betticount.zeta import divisors, mobius
 
     for w in range(11):
         for mu in partitions(w):
             lam = CycleType(mu.counts)
-            b, scale = _necklace_binomials(lam)
+            b, scale = _necklace_binomials(lam), centralizer_order(lam)
             assert len(b) == w + 1
             for y in range(-w // 2 - 1, w // 2 + 2):
                 expected = F(1)
@@ -201,7 +203,7 @@ def test_standard_rep_boundary_value():
     # this matches the point count: the single empty configuration has
     # weight -1 = q^0 * (-1)
     assert betti_table(builtin_rep("V1"), 2, 2).entry(0, 0) == -1
-    assert gl_crosscheck(builtin_rep("V1"), 3, 0).equal
+    assert gl_crosscheck(SIDE, builtin_rep("V1"), 3, 0).equal
 
 
 def test_trivial_rep_table():
@@ -228,6 +230,22 @@ def test_table_holds_integer_rows_over_one_denominator(side):
             assert type(c) is int
             assert table.entry(i, n) == F(c, 12)
     assert any(table.entry(i, n).denominator > 1 for i in range(7) for n in range(8))
+
+
+# fractional coefficients, two lam of weight 2 and three of weight 3
+MIXED_REP = "1/2*C(X1,2) - 2/3*C(X2,1) + 1/5*C(X1,1)*C(X2,1) + C(X1,3) + C(X3,1) + 7/4"
+
+
+@pytest.mark.parametrize("grid", [(0, 0), (5, 7), (13, 14), (64, 64)])
+@pytest.mark.parametrize("side", [conf_betti, tori], ids=["conf", "tori"])
+def test_table_of_a_rep_is_the_sum_of_its_basis_tables(side, grid):
+    p = parse_rep(MIXED_REP)
+    assert sorted(lam.n for lam, _ in p.items()) == [0, 2, 2, 3, 3, 3]
+    table = side.betti_table(p, *grid)
+    parts = [(c, side.betti_table(CharPoly.binom(lam), *grid)) for lam, c in p.items()]
+    for i in range(grid[0] + 1):
+        for n in range(grid[1] + 1):
+            assert table.entry(i, n) == sum(c * t.entry(i, n) for c, t in parts), (i, n)
 
 
 def test_empty_configuration_entry():
@@ -362,17 +380,17 @@ def test_v11_first_stable_row2():
 
 
 def test_gl_v11_worked_example():
-    check = gl_crosscheck(builtin_rep("V11"), 3, 4)
+    check = gl_crosscheck(SIDE, builtin_rep("V11"), 3, 4)
     assert check.lhs == 6 and check.rhs == 6 and check.equal
 
 
 def test_gl_trivial_count():
-    check = gl_crosscheck(CharPoly.constant(1), 3, 2)
+    check = gl_crosscheck(SIDE, CharPoly.constant(1), 3, 2)
     assert check.lhs == 6 and check.equal
 
 
 def test_gl_standard_rep_vs_bruteforce():
-    check = gl_crosscheck(builtin_rep("V1"), 5, 3)
+    check = gl_crosscheck(SIDE, builtin_rep("V1"), 5, 3)
     assert check.equal
     assert check.lhs == bruteforce_weighted_count(5, 3, builtin_rep("V1"))
 
@@ -388,4 +406,4 @@ def test_gl_suite(q):
     ]
     for rep in reps:
         for n in range(7):
-            assert gl_crosscheck(rep, q, n).equal, (rep, q, n)
+            assert gl_crosscheck(SIDE, rep, q, n).equal, (rep, q, n)

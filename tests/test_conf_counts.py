@@ -15,13 +15,14 @@ from betticount.conf_counts import (
     weighted_count,
     weighted_count_series,
 )
-from betticount.series import truncated_inverse, truncated_mul
 from betticount.zeta import (
     PointCountData,
     builtin_variety,
     closed_point_counts,
     parse_variety_text,
 )
+
+from helpers import truncated_inverse, truncated_mul
 
 A1_Q3 = builtin_variety("affine", 1, 3)
 

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from betticount.series import (
     RecurrenceSpec,
-    binomial,
     cyclotomic_sum,
     divide_in_place,
     poly_mul,
     recurrence_from_ratfun,
     taylor_coeffs,
-    truncated_inverse,
-    truncated_mul,
 )
+
+from helpers import binomial, truncated_inverse, truncated_mul
 
 
 # ---------------------------------------------------------------------------

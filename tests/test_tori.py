@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from betticount.chars import CharPoly, CycleType, builtin_rep, centralizer_order
-from betticount.series import truncated_mul
+from betticount.chars import CharPoly, CycleType, builtin_rep, centralizer_order, parse_rep
 from betticount.tori import (
+    SIDE,
     betti_table,
-    gl_crosscheck,
     gl_order,
     partition_weighted_count,
     recurrence,
@@ -16,6 +15,9 @@ from betticount.tori import (
     tori_count_by_type,
     weighted_series,
 )
+
+from helpers import gl_crosscheck, truncated_mul
+from test_conf_betti import MIXED_REP
 
 X1 = CharPoly.variable(1)
 X2 = CharPoly.binom(CycleType((0, 1)))
@@ -161,7 +163,8 @@ def test_linear_weight_normalizes_to_geometric_sums():
 
 
 @pytest.mark.parametrize(
-    "rep", [CharPoly.binom(lam) for lam in LAMBDA_SWEEP_4] + [builtin_rep("V11")]
+    "rep",
+    [CharPoly.binom(lam) for lam in LAMBDA_SWEEP_4] + [builtin_rep("V11"), parse_rep(MIXED_REP)],
 )
 def test_kernel_matches_product_expansion(rep):
     # beta(n) = (z;z)_n * [t^n] of the double generating function; the
@@ -268,17 +271,17 @@ def test_recurrences_hold_to_40():
 
 
 def test_gl_trivial_n3_q2():
-    check = gl_crosscheck(ONE, 2, 3)
+    check = gl_crosscheck(SIDE, ONE, 2, 3)
     assert check.lhs == 64 and check.rhs == 64
 
 
 def test_gl_x1_n2_q3():
-    check = gl_crosscheck(X1, 3, 2)
+    check = gl_crosscheck(SIDE, X1, 3, 2)
     assert check.lhs == 12 and check.equal
 
 
 def test_gl_standard_rep_n2_q5():
-    check = gl_crosscheck(builtin_rep("V1"), 5, 2)
+    check = gl_crosscheck(SIDE, builtin_rep("V1"), 5, 2)
     assert check.lhs == 5 and check.equal
 
 
@@ -287,7 +290,7 @@ def test_gl_suite(q):
     reps = [ONE, builtin_rep("V1"), builtin_rep("V11"), builtin_rep("V2"), X2]
     for rep in reps:
         for n in range(7):
-            assert gl_crosscheck(rep, q, n).equal, (rep, q, n)
+            assert gl_crosscheck(SIDE, rep, q, n).equal, (rep, q, n)
 
 
 def test_tori_suite_budget():
@@ -297,5 +300,5 @@ def test_tori_suite_budget():
     for q in (2, 3, 5):
         for rep in (ONE, builtin_rep("V1")):
             for n in range(7):
-                assert gl_crosscheck(rep, q, n).equal
+                assert gl_crosscheck(SIDE, rep, q, n).equal
     assert time.monotonic() - start < 30

@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-from betticount.series import truncated_inverse
 from betticount.zeta import (
     PointCountData,
     builtin_variety,
@@ -13,6 +12,8 @@ from betticount.zeta import (
     necklace_numerator,
     parse_variety_text,
 )
+
+from helpers import truncated_inverse
 
 
 def test_mobius_small():
