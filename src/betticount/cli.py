@@ -10,13 +10,12 @@ when every row passes.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import re
 import sys
+from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
 from .betti import weighted_sum
@@ -104,6 +103,7 @@ def render_csv(doc: OutputDocument) -> str:
     # imported here: no other output needs them, and they cost start-up time
     import csv
     import io
+    import json
 
     out = io.StringIO()
     for key, value in doc.meta.items():
@@ -275,7 +275,8 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
 
 
 def cmd_count(args) -> tuple[OutputDocument, int]:
-    if args.lam is not None and args.rep is not None:
+    lam_text = getattr(args, "lambda")  # a keyword, so not args.lambda
+    if lam_text is not None and args.rep is not None:
         raise ValueError("give either --rep or --lambda, not both")
     q = None
     if args.q:
@@ -285,10 +286,10 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         q = q_list[0]
     _check_max_n(args.max_n)
     v = _parse_variety(args.variety, q)
-    if args.lam is not None:
-        lam = _parse_lambda(args.lam)
+    if lam_text is not None:
+        lam = _parse_lambda(lam_text)
         rep = CharPoly.binom(lam)
-        weight_desc = f"lambda=({args.lam})"
+        weight_desc = f"lambda=({lam_text})"
     else:
         rep = parse_rep(args.rep if args.rep is not None else "1")
         weight_desc = f"rep={_text(rep)}"
@@ -391,59 +392,107 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and argv parsing
+
+REQUIRED = object()  # the default of an option that must be given
+_FORMAT = (("table", "csv", "json"), "table", "output format")
+_BETTI = {
+    "--rep": (str, REQUIRED, "V1, V11, V2, or an expression like 'C(X1,2)-X2'"),
+    "--max-i": (int, 13, "last row"),
+    "--max-n": (int, 14, "last column"),
+    "--stable": (bool, False, "also emit stable values and the recurrence"),
+    "--format": _FORMAT,
+}
+# name: (handler, fixed args, help, {option: (type, default, help)}), where
+# a type is int, str, bool (a flag without a value) or a tuple of choices.
+COMMANDS = {
+    "conf-betti": (cmd_betti, {"side": "conf"}, "conf Betti table", _BETTI),
+    "tori-betti": (cmd_betti, {"side": "tori"}, "tori Betti table", _BETTI),
+    "count": (cmd_count, {}, "weighted point counts on configuration spaces", {
+        "--variety": (str, REQUIRED, "affine:d, projective:d, or file:PATH"),
+        "--q": (str, None, "prime power (builtin varieties)"),
+        "--rep": (str, None, "character polynomial weight"),
+        "--lambda": (str, None, "binomial weight, e.g. 1 or 0,1"),
+        "--max-n": (int, 10, "last n"),
+        "--limits": (bool, False, "emit the n->infinity limits instead of the series"),
+        "--format": _FORMAT,
+    }),
+    "verify": (cmd_verify, {}, "cross-check point counts against Betti tables", {
+        "--side": (tuple(SIDES), REQUIRED, "which Betti tables"),
+        "--q": (str, REQUIRED, "comma-separated prime powers"),
+        "--max-n": (int, 6, "last n"),
+        "--rep": (str, "1,V1,V11,V2", "comma-separated reps"),
+        "--bruteforce": (bool, False, "also enumerate polynomials over F_q (conf side, prime q)"),
+        "--guard": (int, DEFAULT_GUARD, "brute-force size guard on q^n"),
+        "--format": _FORMAT,
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betticount",
-        description=(
-            "Exact twisted Betti numbers of configuration spaces and spaces "
-            "of maximal tori, with point-counting cross-checks over finite fields."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read by COMMANDS into a namespace with the command's handler.
+    Options are `--opt value` or `--opt=value`; bad input raises ValueError."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{got}; the commands are {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, fixed, _, options = COMMANDS[command]
+    values = {flag: default for flag, (_, default, _) in options.items()}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise ValueError(f"{command} takes no argument {token!r}")
+        kind = options[flag][0]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{flag} expects an integer, got {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise ValueError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    values = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(handler=handler, **fixed, **values)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table"
-        )
 
-    for side in SIDES:
-        p = sub.add_parser(f"{side}-betti", help=f"{side} Betti table")
-        p.add_argument("--rep", required=True, help="V1, V11, V2, or an expression like 'C(X1,2)-X2'")
-        p.add_argument("--max-i", type=int, default=13)
-        p.add_argument("--max-n", type=int, default=14)
-        p.add_argument("--stable", action="store_true", help="also emit stable values and the recurrence")
-        add_format(p)
-        p.set_defaults(handler=cmd_betti, side=side)
-
-    p = sub.add_parser("count", help="weighted point counts on configuration spaces")
-    p.add_argument("--variety", required=True, help="affine:d, projective:d, or file:PATH")
-    p.add_argument("--q", help="prime power (builtin varieties)")
-    p.add_argument("--rep", help="character polynomial weight")
-    p.add_argument("--lambda", dest="lam", help="binomial weight, e.g. 1 or 0,1")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--limits", action="store_true", help="emit the n->infinity limits instead of the series")
-    add_format(p)
-    p.set_defaults(handler=cmd_count)
-
-    p = sub.add_parser("verify", help="cross-check point counts against Betti tables")
-    p.add_argument("--side", required=True, choices=tuple(SIDES))
-    p.add_argument("--q", required=True, help="comma-separated prime powers")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--rep", default="1,V1,V11,V2", help="comma-separated rep names")
-    p.add_argument("--bruteforce", action="store_true", help="also enumerate polynomials over F_q (conf side, prime q)")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="brute-force size guard on q^n")
-    add_format(p)
-    p.set_defaults(handler=cmd_verify)
-
-    return parser
+def usage(command: str | None = None) -> str:
+    """The -h/--help text: the commands, or the options of one command."""
+    grammar = "[--option value | --option=value ...]"
+    if command is None:
+        lines = [f"usage: betticount COMMAND {grammar}", "", "commands:"]
+        rows = [(name, text) for name, (_, _, text, _) in COMMANDS.items()]
+    else:
+        _, _, text, options = COMMANDS[command]
+        lines = [f"usage: betticount {command} {grammar}", "", text, "", "options:"]
+        rows = []
+        for flag, (kind, default, about) in options.items():
+            if kind is not bool:
+                flag += (" {%s}" % ",".join(kind)) if type(kind) is tuple else f" {kind.__name__.upper()}"
+                if default is not None:
+                    about += " (required)" if default is REQUIRED else f" (default {default})"
+            rows.append((flag, about))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join(lines + [f"  {left.ljust(width)}  {right}" for left, right in rows])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage(argv[0] if argv[0] in COMMANDS else None))
+        return 0
     try:
+        args = parse_args(argv)
         doc, code = args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,13 +147,20 @@ def _stable_term(lam: CycleType) -> tuple[list[int], dict[int, int]]:
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
     """oracle[n], n <= max_n: every cycle type mu of n with the number of
-    Frobenius-stable maximal tori of GL_n(F_q) of type mu."""
+    Frobenius-stable maximal tori of GL_n(F_q) of type mu, from one
+    |GL_n(F_q)| per n divided exactly by each type's denominator."""
     if max_n < 0:
         raise ValueError("n must be nonnegative")
-    return [
-        [(mu, tori_count_by_type(q, n, mu)) for mu in partitions(n)]
-        for n in range(max_n + 1)
-    ]
+    oracle = []
+    for n in range(max_n + 1):
+        order, row = gl_order(n, q), []
+        for mu in partitions(n):
+            count, rem = divmod(order, den := _torus_denominator(mu, q))
+            if rem:
+                raise ArithmeticError(f"non-integral torus count {Fraction(order, den)} at {mu.parts()}")
+            row.append((mu, count))
+        oracle.append(row)
+    return oracle
 
 
 SIDE = Side(

@@ -16,7 +16,6 @@ from betticount.cli import (
     MAX_GRID,
     MAX_VERIFY_N,
     OutputDocument,
-    build_parser,
     format_rational,
     main,
     render,
@@ -722,6 +721,86 @@ def test_betti_stable_rejects_the_zero_rep(capsys, side):
 
 
 # ---------------------------------------------------------------------------
+# command line grammar and help
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command given; the commands are conf-betti, tori-betti, count, verify"),
+        (["betti"], "unknown command 'betti'; the commands are conf-betti, tori-betti, count, verify"),
+        (["conf-betti", "--rep", "V1", "--colour", "red"], "conf-betti takes no argument '--colour'"),
+        (["tori-betti", "--rep", "V1", "extra"], "tori-betti takes no argument 'extra'"),
+        (["conf-betti", "--rep", "V1", "--brute"], "conf-betti takes no argument '--brute'"),
+        (["verify", "--side", "conf", "--q", "3", "--brute"], "verify takes no argument '--brute'"),
+        (["conf-betti", "--rep"], "--rep expects a value"),
+        (["conf-betti", "--rep", "--max-n", "3"], "--rep expects a value"),
+        (["conf-betti", "--rep", "V1", "--stable=yes"], "--stable takes no value"),
+        (["conf-betti", "--rep", "V1", "--max-n", "x"], "--max-n expects an integer, got 'x'"),
+        (["count", "--variety", "affine:1", "--max-n=1.5"], "--max-n expects an integer, got '1.5'"),
+        (["verify", "--side", "conf", "--q", "3", "--max-n", "9" * 5000],
+         f"--max-n expects an integer, got '{'9' * 5000}'"),
+        (["tori-betti", "--rep", "V1", "--format", "xml"],
+         "--format must be one of table, csv, json, got 'xml'"),
+        (["verify", "--side", "both", "--q", "3"], "--side must be one of conf, tori, got 'both'"),
+        (["conf-betti", "--max-n", "3"], "conf-betti needs --rep"),
+        (["count", "--q", "3"], "count needs --variety"),
+        (["verify"], "verify needs --side and --q"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-option", "stray-argument", "abbreviation",
+        "abbreviated-flag", "missing-value-at-end", "option-for-value", "flag-with-value",
+        "non-integer", "non-integer-after-equals", "integer-too-long", "bad-format",
+        "bad-side", "missing-rep", "missing-variety", "missing-side-and-q",
+    ],
+)
+def test_a_bad_command_line_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_an_option_may_be_joined_to_its_value_with_equals(capsys):
+    spaced = run(capsys, "tori-betti", "--rep", "C(X1,2)", "--max-i", "3", "--max-n", "4", "--stable")
+    joined = run(capsys, "tori-betti", "--rep=C(X1,2)", "--max-i=3", "--max-n=4", "--stable")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys):
+    code, doc = run_json(capsys, "conf-betti", "--rep", "V2", "--max-n", "9", "--max-n", "3")
+    assert code == 0
+    assert doc["meta"]["max_n"] == 3
+
+
+def test_help_lists_the_commands_and_each_option_with_its_default(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    for command in ("conf-betti", "tori-betti", "count", "verify"):
+        assert f"\n  {command} " in out
+    code, out, err = run(capsys, "verify", "-h")
+    assert (code, err) == (0, "")
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+    assert list(lines) == ["--side", "--q", "--max-n", "--rep", "--bruteforce", "--guard", "--format"]
+    assert lines["--side"].startswith("  --side {conf,tori}") and lines["--side"].endswith("(required)")
+    assert lines["--max-n"].endswith("(default 6)")
+    assert lines["--guard"].endswith(f"(default {DEFAULT_GUARD})")
+    assert lines["--format"].endswith("(default table)")
+    assert "default" not in lines["--bruteforce"]
+
+
+def test_the_module_without_arguments_exits_2_and_with_help_exits_0():
+    proc, _ = run_child(timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: no command given") and proc.stderr.count("\n") == 1
+    proc, _ = run_child("--help", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: betticount COMMAND") and proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
 # output formats
 
 
@@ -846,4 +925,7 @@ def test_import_loads_only_what_the_commands_use():
 
     extra = modules("import betticount.cli; " + show) - modules(show)
     assert "betticount.cli" in extra
-    assert not extra & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing"}
+    assert not extra & {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing",
+        "argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+    }

@@ -3,10 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from betticount.chars import CharPoly, CycleType, builtin_rep, centralizer_order, parse_rep
+from betticount import tori
+from betticount.chars import (
+    CharPoly,
+    CycleType,
+    builtin_rep,
+    centralizer_order,
+    parse_rep,
+    partitions,
+)
 from betticount.tori import (
     SIDE,
     betti_table,
+    count_oracle,
     gl_order,
     partition_weighted_count,
     recurrence,
@@ -71,6 +80,21 @@ def test_partition_count_n3_q2():
     assert tori_count_by_type(2, 3, CycleType((1, 1))) == 28
     assert tori_count_by_type(2, 3, CycleType((0, 0, 1))) == 8
     assert partition_weighted_count(ONE, 2, 3) == 64
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_count_oracle_matches_the_count_by_type(q):
+    oracle = count_oracle(q, 12)
+    assert len(oracle) == 13
+    for n, row in enumerate(oracle):
+        assert [mu for mu, _ in row] == list(partitions(n))
+        assert all(count == tori_count_by_type(q, n, mu) for mu, count in row)
+
+
+def test_count_oracle_refuses_a_count_that_is_not_an_integer(monkeypatch):
+    monkeypatch.setattr(tori, "_torus_denominator", lambda mu, q: 7)
+    with pytest.raises(ArithmeticError, match=r"non-integral torus count 1/7 at \(\)"):
+        count_oracle(2, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
