@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the complete cross-validation sweep: configuration-space counts
 against Betti tables (with brute-force polynomial enumeration, up to the
-largest runs the default guard admits) and torus counts against torus
+largest runs the brute-force guard admits) and torus counts against torus
 Betti tables.  Exits nonzero if any row fails."""
 
 import sys
@@ -24,7 +24,7 @@ if __name__ == "__main__":
         "verify", "--side", "conf", "--q", "3,5,7", "--max-n", "6",
         "--rep", "1,V1,V11,V2", "--bruteforce",
     ])
-    # the two largest brute-force runs the default --guard admits
+    # the two largest brute-force runs the guard admits
     rc |= run([
         "verify", "--side", "conf", "--q", "7", "--max-n", "7", "--rep", "1", "--bruteforce",
     ])

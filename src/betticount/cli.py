@@ -20,10 +20,10 @@ from types import SimpleNamespace
 from . import conf_betti, conf_counts, tori
 from .betti import weighted_sum
 from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
-from .conf_counts import DEFAULT_GUARD
-from .zeta import PointCountData, builtin_variety, is_prime, is_prime_power, load_variety_file
+from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
 MAX_GRID = 64
+MAX_COUNT_N = 200
 MAX_VERIFY_N = 12
 MAX_DIM = 64  # builtin affine and projective spaces
 SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
@@ -199,6 +199,12 @@ def _parse_q_list(text: str) -> list[int]:
     return qs
 
 
+def _parse_rep(text: str) -> CharPoly:
+    if not text.strip():
+        raise ValueError("--rep has an empty entry")
+    return parse_rep(text)
+
+
 def _parse_lambda(text: str) -> CycleType:
     try:
         lam = CycleType(int(tok) for tok in text.split(",") if tok.strip())
@@ -228,25 +234,12 @@ def _parse_variety(spec: str, q: int | None) -> PointCountData:
     raise ValueError(f"unknown variety {spec!r}; use affine:d, projective:d or file:PATH")
 
 
-def _check_max_n(max_n: int) -> None:
-    if max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
-
-
-def _check_grid(max_i: int, max_n: int) -> None:
-    if max_i < 0 or max_n < 0:
-        raise ValueError("--max-i and --max-n must be nonnegative")
-    if max_i > MAX_GRID or max_n > MAX_GRID:
-        raise ValueError(f"grid bound exceeded: --max-i/--max-n are capped at {MAX_GRID}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_betti(args) -> tuple[OutputDocument, int]:
-    _check_grid(args.max_i, args.max_n)
-    rep = parse_rep(args.rep)
+    rep = _parse_rep(args.rep)
     side = SIDES[args.side]
     table = side.betti_table(rep, args.max_i, args.max_n)
     doc = OutputDocument(kind="table")
@@ -284,14 +277,13 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         if len(q_list) != 1:
             raise ValueError("count takes a single --q")
         q = q_list[0]
-    _check_max_n(args.max_n)
     v = _parse_variety(args.variety, q)
     if lam_text is not None:
         lam = _parse_lambda(lam_text)
         rep = CharPoly.binom(lam)
         weight_desc = f"lambda=({lam_text})"
     else:
-        rep = parse_rep(args.rep if args.rep is not None else "1")
+        rep = _parse_rep(args.rep if args.rep is not None else "1")
         weight_desc = f"rep={_text(rep)}"
     meta = {
         "variety": args.variety,
@@ -312,8 +304,6 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
             }
         )
         return doc, 0
-    if args.max_n > 200:
-        raise ValueError("--max-n is capped at 200 for count series")
     values = conf_counts.weighted_count_series(v, rep, args.max_n)
     doc = OutputDocument(kind="table", meta=meta)
     doc.data = [
@@ -331,27 +321,16 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
         if not is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
     # a comma whose next parenthesis closes, as in C(X1,2), is inside a rep
-    reps = [(tok.strip(), parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
-    _check_max_n(args.max_n)
-    # the cap first: the guard's q ** max_n is huge at a huge --max-n
-    if args.max_n > MAX_VERIFY_N:
-        raise ValueError(f"--max-n is capped at {MAX_VERIFY_N} for verify")
-    if args.bruteforce:
-        for q in qs:
-            if not is_prime(q):
-                raise ValueError(f"q = {q} is not prime; --bruteforce runs over prime fields only")
-            if q ** args.max_n > args.guard:
-                raise ValueError(
-                    f"brute force at q={q}, n={args.max_n} exceeds the guard "
-                    f"{args.guard}; lower --max-n or raise --guard"
-                )
+    reps = [(tok.strip(), _parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
+    for q in qs if args.bruteforce else ():
+        conf_counts.check_bruteforce(q, args.max_n)
     # each input is built once per command: per q one count oracle and one
     # sieve, per rep one Betti table and one p(mu) per cycle type
     oracles = {q: side.count_oracle(q, args.max_n) for q in qs}
     censuses = {q: [[] for _ in range(args.max_n + 1)] for q in qs}
     if args.bruteforce:
         for q in qs:
-            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n, args.guard).items():
+            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n).items():
                 censuses[q][ct.n].append((ct, cnt))
     per_rep = [(name, rep, {}) for name, rep in reps]
     checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
@@ -398,13 +377,13 @@ REQUIRED = object()  # the default of an option that must be given
 _FORMAT = (("table", "csv", "json"), "table", "output format")
 _BETTI = {
     "--rep": (str, REQUIRED, "V1, V11, V2, or an expression like 'C(X1,2)-X2'"),
-    "--max-i": (int, 13, "last row"),
-    "--max-n": (int, 14, "last column"),
+    "--max-i": (range(MAX_GRID + 1), 13, "last row"),
+    "--max-n": (range(MAX_GRID + 1), 14, "last column"),
     "--stable": (bool, False, "also emit stable values and the recurrence"),
     "--format": _FORMAT,
 }
-# name: (handler, fixed args, help, {option: (type, default, help)}), where
-# a type is int, str, bool (a flag without a value) or a tuple of choices.
+# name: (handler, fixed args, help, {option: (type, default, help)}), where a
+# type is str, bool (a flag without a value), a tuple of choices or an int range.
 COMMANDS = {
     "conf-betti": (cmd_betti, {"side": "conf"}, "conf Betti table", _BETTI),
     "tori-betti": (cmd_betti, {"side": "tori"}, "tori Betti table", _BETTI),
@@ -413,17 +392,16 @@ COMMANDS = {
         "--q": (str, None, "prime power (builtin varieties)"),
         "--rep": (str, None, "character polynomial weight"),
         "--lambda": (str, None, "binomial weight, e.g. 1 or 0,1"),
-        "--max-n": (int, 10, "last n"),
+        "--max-n": (range(MAX_COUNT_N + 1), 10, "last n"),
         "--limits": (bool, False, "emit the n->infinity limits instead of the series"),
         "--format": _FORMAT,
     }),
     "verify": (cmd_verify, {}, "cross-check point counts against Betti tables", {
         "--side": (tuple(SIDES), REQUIRED, "which Betti tables"),
         "--q": (str, REQUIRED, "comma-separated prime powers"),
-        "--max-n": (int, 6, "last n"),
+        "--max-n": (range(MAX_VERIFY_N + 1), 6, "last n"),
         "--rep": (str, "1,V1,V11,V2", "comma-separated reps"),
         "--bruteforce": (bool, False, "also enumerate polynomials over F_q (conf side, prime q)"),
-        "--guard": (int, DEFAULT_GUARD, "brute-force size guard on q^n"),
         "--format": _FORMAT,
     }),
 }
@@ -451,11 +429,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             value = next(tokens, None)
             if value is None or value.startswith("--"):
                 raise ValueError(f"{flag} expects a value")
-        if kind is int:
+        if type(kind) is range:
             try:
                 value = int(value)
             except ValueError:
                 raise ValueError(f"{flag} expects an integer, got {value!r}") from None
+            if value not in kind:
+                raise ValueError(f"{flag} must be nonnegative" if value < 0
+                                 else f"{flag} is capped at {kind[-1]}")
         elif type(kind) is tuple and value not in kind:
             raise ValueError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
         values[flag] = value
@@ -478,7 +459,8 @@ def usage(command: str | None = None) -> str:
         rows = []
         for flag, (kind, default, about) in options.items():
             if kind is not bool:
-                flag += (" {%s}" % ",".join(kind)) if type(kind) is tuple else f" {kind.__name__.upper()}"
+                flag += (" {%s}" % ",".join(kind) if type(kind) is tuple
+                         else f" INT 0..{kind[-1]}" if type(kind) is range else " STR")
                 if default is not None:
                     about += " (required)" if default is REQUIRED else f" (default {default})"
             rows.append((flag, about))

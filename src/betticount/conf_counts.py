@@ -26,17 +26,18 @@ from .series import divide_in_place, poly_mul
 from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
-    "DEFAULT_GUARD",
+    "GUARD",
     "weighted_count_series",
     "weighted_count",
     "partition_weighted_count",
+    "check_bruteforce",
     "bruteforce_census",
     "bruteforce_weighted_count",
     "limit_normalized",
     "limit_expectation",
 ]
 
-DEFAULT_GUARD = 10**6
+GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest runs
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,15 @@ def _sieve(p: int, n: int) -> list[Counter]:
     return tallies
 
 
-def bruteforce_census(p: int, n: int, guard: int = DEFAULT_GUARD) -> dict[CycleType, int]:
+def check_bruteforce(p: int, n: int) -> None:
+    """Refuse brute force over F_p up to degree n unless p is prime and p^n <= GUARD."""
+    if not is_prime(p):
+        raise ValueError(f"q = {p} is not prime; brute force runs over prime fields only")
+    if p**n > GUARD:
+        raise ValueError(f"brute force at q={p}, n={n} exceeds the guard {GUARD}; lower --max-n")
+
+
+def bruteforce_census(p: int, n: int) -> dict[CycleType, int]:
     """Cycle-type census of the monic square-free polynomials over F_p of
     every degree from 0 to n, all from one sieve.
 
@@ -202,12 +211,9 @@ def bruteforce_census(p: int, n: int, guard: int = DEFAULT_GUARD) -> dict[CycleT
     irreducible factorization has those factor degrees; the size of a cycle
     type is the degree of the polynomials it counts.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime; brute force runs over prime fields only")
+    check_bruteforce(p, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if p**n > guard:
-        raise ValueError(f"p^n = {p**n} exceeds the brute-force guard {guard}")
     tallies = _sieve(p, n)
     return {
         CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))): cnt
@@ -216,13 +222,11 @@ def bruteforce_census(p: int, n: int, guard: int = DEFAULT_GUARD) -> dict[CycleT
     }
 
 
-def bruteforce_weighted_count(
-    p: int, n: int, rep: CharPoly, guard: int = DEFAULT_GUARD
-) -> Fraction:
+def bruteforce_weighted_count(p: int, n: int, rep: CharPoly) -> Fraction:
     """Sum of rep over all monic square-free degree-n polynomials over F_p,
     each weighted by the cycle type of its factor degrees."""
     total = Fraction(0)
-    for ct, cnt in bruteforce_census(p, n, guard).items():
+    for ct, cnt in bruteforce_census(p, n).items():
         if ct.n == n:
             total += cnt * rep.evaluate(ct)
     return total

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import Scalar, _Frozen, _strip, poly_mul
 
@@ -29,7 +28,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius is defined for positive integers")

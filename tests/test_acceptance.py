@@ -127,7 +127,7 @@ def test_criterion_06_gl_conf_suite():
     reps = [CharPoly.constant(1), builtin_rep("V1"), builtin_rep("V11"), builtin_rep("V2")]
     ok = True
     for q in (3, 5, 7):
-        census = bruteforce_census(q, 6, )
+        census = bruteforce_census(q, 6)
         for rep in reps:
             for n in range(7):
                 check = gl_crosscheck(SIDE, rep, q, n)
@@ -143,7 +143,7 @@ def test_criterion_07_three_path_oracle_equivalence():
     ok = True
     for p in (3, 5):
         v = builtin_variety("affine", 1, p)
-        census = bruteforce_census(p, 6, )
+        census = bruteforce_census(p, 6)
         for lam in lams:
             rep = CharPoly.binom(lam)
             series = weighted_count_series(v, rep, 6)

@@ -13,16 +13,18 @@ from hypothesis import strategies as st
 
 import betticount
 from betticount.cli import (
+    MAX_COUNT_N,
     MAX_GRID,
     MAX_VERIFY_N,
     OutputDocument,
     format_rational,
     main,
+    parse_args,
     render,
     render_csv,
     render_json,
 )
-from betticount.conf_counts import DEFAULT_GUARD, partition_weighted_count
+from betticount.conf_counts import GUARD, partition_weighted_count
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
 
@@ -498,16 +500,6 @@ def test_verify_tori_passes(capsys):
     assert keys == sorted(keys, key=lambda k: (k[0], k[1], ["1", "V1"].index(k[2])))
 
 
-def test_verify_guard_error(capsys):
-    code, out, err = run(
-        capsys,
-        "verify", "--side", "conf", "--q", "3", "--max-n", "12",
-        "--rep", "1", "--bruteforce", "--guard", "100",
-    )
-    assert code == 2
-    assert "guard" in err
-
-
 @pytest.mark.parametrize("max_n", ["10000000", "100000000"])
 def test_verify_checks_its_n_cap_before_the_bruteforce_guard(max_n):
     # the guard's 3^max_n ran for over 60 s at 10^8, and at 10^7 the
@@ -515,18 +507,18 @@ def test_verify_checks_its_n_cap_before_the_bruteforce_guard(max_n):
     proc, _ = run_child("verify", "--side", "conf", "--q", "3", "--max-n", max_n,
                         "--bruteforce", timeout=5)
     assert proc.returncode == 2
-    assert proc.stderr.strip() == "error: --max-n is capped at 12 for verify"
+    assert proc.stderr.strip() == "error: --max-n is capped at 12"
 
 
 def test_verify_default_guard_rejects_5_to_the_11(capsys):
     # checked first, so a guard that admits 5^11 (about 29 GB of polynomials)
     # never starts the enumeration
-    assert 5**11 > DEFAULT_GUARD
+    assert 5**11 > GUARD
     code, out, err = run(
         capsys, "verify", "--side", "conf", "--q", "5", "--max-n", "11", "--rep", "1", "--bruteforce"
     )
     assert code == 2
-    assert f"brute force at q=5, n=11 exceeds the guard {DEFAULT_GUARD}" in err
+    assert f"brute force at q=5, n=11 exceeds the guard {GUARD}" in err
 
 
 def test_verify_even_q_note(capsys):
@@ -586,9 +578,9 @@ def test_verify_tori_budget_at_the_n_cap(capsys):
 
 
 def test_verify_bruteforce_budget_at_the_top_of_the_guard():
-    # 3^12 is the largest power of 3 under the default guard; the child
+    # 3^12 is the largest power of 3 under GUARD; the child
     # reports its own peak RSS, so the bound covers the whole sieve
-    assert 3**12 <= DEFAULT_GUARD < 3**13
+    assert 3**12 <= GUARD < 3**13
     env = _child_env()
     code = (
         "import resource, sys\n"
@@ -623,6 +615,23 @@ def test_verify_rejects_a_non_prime_q_before_any_brute_force(capsys, monkeypatch
     )
     assert code == 2
     assert "q = 4 is not prime" in err
+    assert calls == []
+
+
+def test_verify_checks_the_guard_for_every_q_before_any_brute_force(capsys, monkeypatch):
+    import betticount.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(
+        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or {}
+    )
+    assert 3**6 <= GUARD < 11**6
+    code, out, err = run(
+        capsys, "verify", "--side", "conf", "--q", "3,11", "--max-n", "6", "--bruteforce"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: brute force at q=11, n=6 exceeds the guard {GUARD}; lower --max-n\n"
     assert calls == []
 
 
@@ -746,12 +755,14 @@ def test_betti_stable_rejects_the_zero_rep(capsys, side):
         (["conf-betti", "--max-n", "3"], "conf-betti needs --rep"),
         (["count", "--q", "3"], "count needs --variety"),
         (["verify"], "verify needs --side and --q"),
+        (["verify", "--side", "conf", "--q", "3", "--guard", "10"],
+         "verify takes no argument '--guard'"),
     ],
     ids=[
         "no-command", "unknown-command", "unknown-option", "stray-argument", "abbreviation",
         "abbreviated-flag", "missing-value-at-end", "option-for-value", "flag-with-value",
         "non-integer", "non-integer-after-equals", "integer-too-long", "bad-format",
-        "bad-side", "missing-rep", "missing-variety", "missing-side-and-q",
+        "bad-side", "missing-rep", "missing-variety", "missing-side-and-q", "removed-guard",
     ],
 )
 def test_a_bad_command_line_exits_2_with_one_error_line(capsys, argv, message):
@@ -759,6 +770,41 @@ def test_a_bad_command_line_exits_2_with_one_error_line(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, hi",
+    [
+        (["conf-betti", "--rep", "V1"], "--max-i", MAX_GRID),
+        (["tori-betti", "--rep", "V1"], "--max-n", MAX_GRID),
+        (["count", "--variety", "affine:1"], "--max-n", MAX_COUNT_N),
+        (["verify", "--side", "conf", "--q", "3"], "--max-n", MAX_VERIFY_N),
+    ],
+    ids=["betti-max-i", "betti-max-n", "count-max-n", "verify-max-n"],
+)
+def test_an_integer_option_takes_exactly_its_range(capsys, argv, flag, hi):
+    assert getattr(parse_args([*argv, flag, str(hi)]), flag[2:].replace("-", "_")) == hi
+    for value, message in ((hi + 1, f"{flag} is capped at {hi}"), (-1, f"{flag} must be nonnegative")):
+        code, out, err = run(capsys, *argv, flag, str(value))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--side", "conf", "--q", "3", "--rep", ""],
+        ["verify", "--side", "conf", "--q", "3", "--rep", ","],
+        ["verify", "--side", "conf", "--q", "3", "--rep", "1,,V1"],
+        ["conf-betti", "--rep="],
+    ],
+    ids=["verify-empty", "verify-comma", "verify-empty-entry", "betti-empty-after-equals"],
+)
+def test_an_empty_rep_is_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: ") and "--rep" in err
 
 
 def test_an_option_may_be_joined_to_its_value_with_equals(capsys):
@@ -782,10 +828,10 @@ def test_help_lists_the_commands_and_each_option_with_its_default(capsys):
     code, out, err = run(capsys, "verify", "-h")
     assert (code, err) == (0, "")
     lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
-    assert list(lines) == ["--side", "--q", "--max-n", "--rep", "--bruteforce", "--guard", "--format"]
+    assert list(lines) == ["--side", "--q", "--max-n", "--rep", "--bruteforce", "--format"]
     assert lines["--side"].startswith("  --side {conf,tori}") and lines["--side"].endswith("(required)")
+    assert lines["--max-n"].startswith(f"  --max-n INT 0..{MAX_VERIFY_N} ")
     assert lines["--max-n"].endswith("(default 6)")
-    assert lines["--guard"].endswith(f"(default {DEFAULT_GUARD})")
     assert lines["--format"].endswith("(default table)")
     assert "default" not in lines["--bruteforce"]
 
