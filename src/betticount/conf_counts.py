@@ -6,20 +6,22 @@ bijection with monic square-free degree-n polynomials; the number of
 k-cycles of the Frobenius permutation of a configuration equals the number
 of degree-k irreducible factors.  The oracle runs one smallest-factor sieve
 over every monic polynomial over F_p of degree <= n and tallies the
-square-free ones of each degree by their factor degrees.  A polynomial is a
-packed int, one bit field per coefficient, so adding two of them mod p
-takes no loop; each product g * h is the previous one plus a multiple of g,
-one packed addition; and each polynomial's factor type is read from a table
-kept for its cofactor.  It never uses the closed-point counts or the
-binomial formula it checks.
+square-free ones of each degree by their factor degrees.  Polynomials are
+packed ints, many to one big int, so the products of an irreducible with
+all cofactors of one degree take a few whole-int operations.  It never uses
+the closed-point counts or the binomial formula it checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress, filterfalse, repeat
+from operator import add, and_, gt, le
 
 from .chars import CharPoly, CycleType, binomial, partitions
 from .series import divide_in_place, poly_mul
@@ -112,85 +114,117 @@ def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction
 # brute force over F_p
 #
 # A monic polynomial c_0 + c_1 x + ... + x^m is the int sum_i c_i 2^(b i),
-# one b-bit field per coefficient (leading 1 included) with 2p <= 2^(b-1);
-# the int is its own dict key and orders polynomials degree first.  Two
-# such ints add mod p without a loop: each field of s = x + y is below 2p,
-# so adding 2^(b-1) - p to every field sets its top bit exactly where the
-# field reached p, and p comes off those fields.
+# one b-bit field per coefficient (leading 1 included) with p - 1 below the
+# field's top bit 2^(b-1).  Such ints add mod p without a loop: each field
+# of s = x + y is below 2p, so adding 2^(b-1) - p to every field sets its
+# top bit exactly where the field reached p, and p comes off those fields.
+# A batch is one int of 64-bit slots, one polynomial of (n + 1) b <= 42 bits
+# each, and the same few operations reduce every field of every slot.
 #
 # One sieve per prime, run up to degree n, builds every composite exactly
 # once as g * h, with g its smallest irreducible factor (as an int) and h a
 # cofactor with no factor below g, like an integer smallest-prime-factor
-# sieve.  For each irreducible g the cofactors h of degree e are walked in
-# odometer order, c_0 fastest.  The k-th step adds 1 + x + ... + x^v to h,
-# v = nu_p(k) (digit v goes up and the v digits below wrap from p - 1 to
-# 0), so it adds g (1 + ... + x^v) to the product: one packed addition.
-# Every monic of degree < n keeps its smallest factor and its cycle-type
-# key, the factor-degree counts a_k packed in base n + 1, or -1 when a
-# factor repeats.  g * h is square-free iff h is and h's smallest factor is
-# not g, and then its key is h's plus one degree-d factor; an irreducible
-# is its own smallest factor.  The monics that no product reaches are the
-# irreducibles, and every product must be a monic.  Degree-n products are
-# only tallied.
+# sieve.  The monics h of degree e are one batch in odometer order, c_0
+# fastest, and so are their multiples v h; g * h for all h is the sum of
+# the multiples by g's coefficients, each shifted to its degree.  A monic
+# of degree < n keeps one code: its smallest factor above its cycle-type
+# key, the factor-degree counts a_k in base n + 1, with a flag bit when a
+# factor repeats.  g * h is square-free iff h is and small(h) != g, and
+# then its key is h's plus one degree-d factor.  The monics that no product
+# reaches are the irreducibles.  The top degree keeps only the set of its
+# products and takes its tally from the cofactors.
+
+
+def _width(p: int) -> int:
+    """The bits b of a coefficient field over F_p."""
+    return (p - 1).bit_length() + 1
+
+
+def _slots(x: int, count: int) -> memoryview:
+    """The count 64-bit slots of x, lowest first."""
+    view = memoryview(x.to_bytes(8 * count, sys.byteorder)).cast("Q")
+    return view if sys.byteorder == "little" else view[::-1]
+
+
+def _products(g: int, table: list[int], p: int, ones: int, lift: int) -> int:
+    """The batch of g * h for the monics h of one degree; table[v] is the
+    batch of v h, and ones and lift are the reduction's constants for it."""
+    b, s = _width(p), 0
+    for i in range(0, g.bit_length(), b):
+        if v := (g >> i) & ((1 << b) - 1):
+            s += table[v] << i
+            s -= p * (((s + lift) >> (b - 1)) & ones)
+    return s
 
 
 def _sieve(p: int, n: int) -> list[Counter]:
     """tallies[m][key]: the number of monic square-free degree-m polynomials
     over F_p with cycle-type key `key`, for every m <= n."""
-    b = (2 * p).bit_length() + 1
-    top = b - 1
-    ones = sum(1 << (b * i) for i in range(n + 1))
-    lift = ((1 << top) - p) * ones
-    base = n + 1
-    # nus[i] = nu_p(i + 1): the highest odometer digit that moves at step i + 1
-    size = p ** max(n - 1, 0)
-    nus = [0] * size
-    for v in range(1, n):
-        nus[p**v - 1 :: p**v] = [v] * (size // p**v)
-    mons = [1]  # the monics of the current degree, in odometer order
-    small = [mons]  # small[e][i]: the smallest factor of the i-th monic of degree e
-    types = [[0]]  # types[e][i]: its cycle-type key
+    b, base = _width(p), n + 1
+    shift = (base**n).bit_length() + 1
+    flag, low = 1 << (shift - 1), (1 << shift) - 1
+    # units[e]: a 1 in each of p^e slots; ones[e]: a 1 in each field of them
+    units = [int.from_bytes((1).to_bytes(8, "little") * p**e, "little") for e in range(n)]
+    ones = [sum(1 << (b * i) for i in range(n + 1)) * u for u in units]
+    lift1 = (1 << (b - 1)) - p  # added to a field, it sets the top bit iff the field reached p
+    tables = [[0, 1]]  # tables[e][v]: the batch of v h for the monics h of degree e
+    codes: list[list[int]] = [[]]  # codes[e][i]: small << shift | key of the i-th of them
     irr: list[list[int]] = [[]]
     tallies = [Counter({0: 1})]
-    for m in range(1, n + 1):
-        last = m == n
-        made: dict[int, int] = {}  # product -> cycle-type key
-        spf: dict[int, int] = {}  # product -> smallest factor
+
+    def batches(m):
+        """(d, g, the slots g * h, whether small(h) >= g) for each g of degree d <= m / 2."""
         for d in range(1, m // 2 + 1):
             e = m - d
-            unit = base ** (d - 1)
+            lift, tops, high = lift1 * ones[e], ones[e] << (b - 1), ((1 << (64 - b * m)) - 1) * units[e]
             for g in irr[d]:
-                steps = [g]  # steps[v] = g (1 + x + ... + x^v) mod p
-                for j in range(1, e + 1):
-                    s = steps[-1] + (g << (b * j))
-                    steps.append(s - p * (((s + lift) >> top) & ones))
-                f = g << (b * e)
-                for v, hs, ht in zip(nus, small[e], types[e]):
-                    if hs >= g:
-                        if f in made:
-                            raise ArithmeticError(f"the sieve over F_{p} reached {f:#x} twice")
-                        made[f] = ht + unit if ht >= 0 and hs != g else -1
-                        if not last:
-                            spf[f] = g
-                    s = f + steps[v]
-                    f = s - p * (((s + lift) >> top) & ones)
-        # the degree-m monics are f + x^m + (c - 1) x^(m-1), f of degree m - 1
-        offsets = [(1 << (b * m)) + ((c - 1) << (b * (m - 1))) for c in range(p)]
-        unit = base ** (m - 1)
-        if last:
-            reached = sum(sum(map(made.__contains__, map(o.__add__, mons))) for o in offsets)
-            tally = Counter(made.values())
-            tally[unit] = p * len(mons) - reached
-        else:
-            mons = [f + o for o in offsets for f in mons]
-            small.append([spf.get(f, f) for f in mons])
-            types.append([made.get(f, unit) for f in mons])
-            irr.append([f for f, s in zip(mons, small[m]) if f == s])
-            reached = len(mons) - len(irr[m])
-            tally = Counter(types[m])
-        if reached != len(made):
+                batch = _products(g, tables[e], p, ones[e], lift)
+                if (batch >> (b * m)) & high != units[e] or (batch | (batch + lift)) & tops:
+                    raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
+                yield d, g, _slots(batch, p**e), list(map(le, repeat(g << shift), codes[e]))
+
+    for m in range(1, n):
+        # p copies of the monics of degree m - 1, x^m + (c - 1) x^(m-1) added to the c-th
+        size = p ** (m - 1)
+        h = int.from_bytes(tables[-1][1].to_bytes(8 * size, "little") * p, "little")
+        h += sum(((1 << b) + c - 1) * units[m - 1] << (b * (m - 1) + 64 * c * size) for c in range(p))
+        tables.append([0, h])
+        for v in range(2, p):
+            s = tables[m][v - 1] + h
+            tables[m].append(s - p * (((s + lift1 * ones[m]) >> (b - 1)) & ones[m]))
+        made: dict[int, int] = {}  # product -> code
+        for d, g, slots, mask in batches(m):
+            prods = list(compress(slots, mask))
+            cofs = list(compress(codes[m - d], mask))
+            before = len(made)
+            keys = map(add, map(and_, cofs, repeat(low)), repeat((g << shift) + base ** (d - 1)))
+            made.update(zip(prods, keys))
+            if len(made) - before != len(prods):
+                raise ArithmeticError(f"the sieve over F_{p} reached a degree-{m} product twice")
+            squares = compress(prods, map(gt, repeat(g + 1 << shift), cofs))  # small(h) = g
+            made.update(zip(squares, repeat(g << shift | flag)))
+        mons = _slots(h, p**m)
+        irr.append(list(filterfalse(made.__contains__, mons)))
+        if len(mons) - len(irr[m]) != len(made):
             raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
-        del tally[-1]
+        made.update([(f, f << shift | base ** (m - 1)) for f in irr[m]])
+        codes.append(list(map(made.__getitem__, mons)))
+        del made, mons  # the codes replace them
+        tally = Counter(map(and_, codes[m], repeat(low)))
+        tallies.append(Counter({key: c for key, c in tally.items() if key < flag}))
+    if n:
+        seen: set[int] = set()  # the top degree keeps only its products
+        for d, g, slots, mask in batches(n):
+            before = len(seen)
+            seen.update(compress(slots, mask))
+            if len(seen) - before != mask.count(True):
+                raise ArithmeticError(f"the sieve over F_{p} reached a degree-{n} product twice")
+        tally = Counter({base ** (n - 1): p**n - len(seen)})
+        for d in range(1, n // 2 + 1):
+            # a square-free h is the cofactor of one square-free product per g < small(h)
+            for code, c in Counter(codes[n - d]).items():
+                if (w := bisect_left(irr[d], code >> shift)) and not code & flag:
+                    tally[(code & low) + base ** (d - 1)] += w * c
         tallies.append(tally)
     return tallies
 
@@ -199,7 +233,7 @@ def check_bruteforce(p: int, n: int) -> None:
     """Refuse brute force over F_p up to degree n unless p is prime and p^n <= GUARD."""
     if not is_prime(p):
         raise ValueError(f"q = {p} is not prime; brute force runs over prime fields only")
-    if p**n > GUARD:
+    if n >= GUARD.bit_length() or p**n > GUARD:
         raise ValueError(f"brute force at q={p}, n={n} exceeds the guard {GUARD}; lower --max-n")
 
 
@@ -214,22 +248,18 @@ def bruteforce_census(p: int, n: int) -> dict[CycleType, int]:
     check_bruteforce(p, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tallies = _sieve(p, n)
     return {
         CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))): cnt
-        for m in range(n + 1)
-        for key, cnt in tallies[m].items()
+        for m, tally in enumerate(_sieve(p, n))
+        for key, cnt in tally.items()
     }
 
 
 def bruteforce_weighted_count(p: int, n: int, rep: CharPoly) -> Fraction:
     """Sum of rep over all monic square-free degree-n polynomials over F_p,
     each weighted by the cycle type of its factor degrees."""
-    total = Fraction(0)
-    for ct, cnt in bruteforce_census(p, n).items():
-        if ct.n == n:
-            total += cnt * rep.evaluate(ct)
-    return total
+    census = bruteforce_census(p, n).items()
+    return sum((cnt * rep.evaluate(ct) for ct, cnt in census if ct.n == n), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

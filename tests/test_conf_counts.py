@@ -1,12 +1,15 @@
 import itertools
+import re
 import time
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
+from betticount import conf_counts
 from betticount.chars import CharPoly, CycleType, binomial, builtin_rep, parse_char_poly, partitions
 from betticount.conf_counts import (
+    GUARD,
     bruteforce_census,
     bruteforce_weighted_count,
     limit_expectation,
@@ -19,6 +22,7 @@ from betticount.zeta import (
     PointCountData,
     builtin_variety,
     closed_point_counts,
+    is_prime,
     parse_variety_text,
 )
 
@@ -166,6 +170,61 @@ def test_bruteforce_guard():
 
 def test_bruteforce_degree_zero():
     assert bruteforce_census(3, 0) == {CycleType(()): 1}
+
+
+def test_bruteforce_refuses_a_huge_n_without_computing_p_to_the_n():
+    message = f"brute force at q=3, n={10**7} exceeds the guard {GUARD}; lower --max-n"
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bruteforce_census(3, 10**7)
+    assert time.monotonic() - start < 0.5
+
+
+def test_every_admitted_prime_power_fits_a_64_bit_slot():
+    # one polynomial of degree <= n takes n + 1 fields of the sieve's width;
+    # 524309 and 999983 are primes near the top of the guard
+    assert is_prime(524309) and is_prime(999983)
+    for p in [p for p in range(2, 1000) if is_prime(p)] + [524309, 999983]:
+        n = max(k for k in range(GUARD.bit_length()) if p**k <= GUARD)
+        assert (n + 1) * conf_counts._width(p) <= 64, (p, n)
+
+
+def _slot(batch, i):
+    return (batch >> (64 * i)) & ((1 << 64) - 1)
+
+
+# each corrupts the batch of products x * h, h = x + c, that the first
+# irreducible x builds at degree 2; every cofactor there is admissible
+CORRUPTIONS = {
+    "the second product repeats the first": (
+        lambda batch, p, b: batch + ((_slot(batch, 0) - _slot(batch, 1)) << 64),
+        "the sieve over F_3 reached a degree-2 product twice",
+    ),
+    "a coefficient field holds p": (
+        lambda batch, p, b: batch + p,
+        "the sieve over F_3 made a degree-2 product outside the monics",
+    ),
+    "a leading coefficient is 2": (
+        lambda batch, p, b: batch + (1 << (2 * b)),
+        "the sieve over F_3 made a degree-2 product outside the monics",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["top-degree", "below-the-top"])
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_sieve_catches_a_corrupted_product_batch(monkeypatch, case, n):
+    corrupt, message = CORRUPTIONS[case]
+    builder = conf_counts._products
+
+    def corrupted(g, *args):
+        batch = builder(g, *args)
+        b = conf_counts._width(3)
+        return corrupt(batch, 3, b) if g == 1 << b and _slot(batch, 0) == 1 << (2 * b) else batch
+
+    monkeypatch.setattr(conf_counts, "_products", corrupted)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        bruteforce_census(3, n)
 
 
 # ---------------------------------------------------------------------------
