@@ -8,8 +8,8 @@ of degree-k irreducible factors.  The oracle runs one smallest-factor sieve
 over every monic polynomial over F_p of degree <= n and tallies the
 square-free ones of each degree by their factor degrees.  Polynomials are
 packed ints, many to one big int, so the products of an irreducible with
-all cofactors of one degree take a few whole-int operations.  It never uses
-the closed-point counts or the binomial formula it checks.
+all its cofactors of one degree take a few whole-int operations.  It never
+uses the closed-point counts or the binomial formula it checks.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, filterfalse, repeat
-from operator import add, and_, gt, le
+from itertools import filterfalse, repeat
+from operator import add, and_
 
 from .chars import CharPoly, CycleType, binomial, partitions
 from .series import divide_in_place, poly_mul
@@ -30,7 +30,6 @@ from .zeta import PointCountData, closed_point_counts, is_prime
 __all__ = [
     "GUARD",
     "weighted_count_series",
-    "weighted_count",
     "partition_weighted_count",
     "check_bruteforce",
     "bruteforce_census",
@@ -92,11 +91,6 @@ def weighted_count_series(
     return [Fraction(x, den) for x in out]
 
 
-def weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
-    """Sum of p over the cycle types of Conf_n V(F_q)."""
-    return weighted_count_series(v, p, n)[n]
-
-
 def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
     """Independent evaluation path: sum over partitions mu of n of N_mu *
     p(mu), where N_mu = binomial(M, mu) = prod_k binom(M_k(V,q), mu_k) is
@@ -123,16 +117,19 @@ def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction
 #
 # One sieve per prime, run up to degree n, builds every composite exactly
 # once as g * h, with g its smallest irreducible factor (as an int) and h a
-# cofactor with no factor below g, like an integer smallest-prime-factor
-# sieve.  The monics h of degree e are one batch in odometer order, c_0
-# fastest, and so are their multiples v h; g * h for all h is the sum of
-# the multiples by g's coefficients, each shifted to its degree.  A monic
-# of degree < n keeps one code: its smallest factor above its cycle-type
-# key, the factor-degree counts a_k in base n + 1, with a flag bit when a
-# factor repeats.  g * h is square-free iff h is and small(h) != g, and
-# then its key is h's plus one degree-d factor.  The monics that no product
-# reaches are the irreducibles.  The top degree keeps only the set of its
-# products and takes its tally from the cofactors.
+# cofactor with small(h) >= g, like an integer smallest-prime-factor sieve.
+# A monic of degree < n keeps one code: small(h) above its cycle-type key,
+# the factor-degree counts a_k in base n + 1, with a flag bit when a factor
+# repeats.  g * h is square-free iff h is and small(h) != g, and then its
+# key is h's plus one degree-d factor.  The monics h of each degree below n,
+# their multiples v h and their codes are kept sorted by smallest factor, at
+# no cost: degree m is built by d upward and each irr[d] upward, a monic of
+# lower degree is a smaller int, and the irreducibles of degree m, which no
+# product reaches, come last in ascending order.  So the cofactors of g are
+# the suffix of codes[e] from bisect_left(codes[e], g << shift), and g * h
+# for all of them is the sum of the multiples by g's coefficients, each
+# shifted to its degree.  The top degree keeps only the set of its products;
+# every degree takes its tally from the cofactors.
 
 
 def _width(p: int) -> int:
@@ -140,19 +137,20 @@ def _width(p: int) -> int:
     return (p - 1).bit_length() + 1
 
 
-def _slots(x: int, count: int) -> memoryview:
-    """The count 64-bit slots of x, lowest first."""
-    view = memoryview(x.to_bytes(8 * count, sys.byteorder)).cast("Q")
-    return view if sys.byteorder == "little" else view[::-1]
+def _slots(data: bytes) -> memoryview:
+    """The 64-bit slots of the little-endian batch data, lowest first."""
+    return memoryview(data).cast("Q") if sys.byteorder == "little" else memoryview(data[::-1]).cast("Q")[::-1]
 
 
-def _products(g: int, table: list[int], p: int, ones: int, lift: int) -> int:
-    """The batch of g * h for the monics h of one degree; table[v] is the
-    batch of v h, and ones and lift are the reduction's constants for it."""
-    b, s = _width(p), 0
+def _products(g: int, table: list[int], p: int, ones: int, lift: int, start: int) -> int:
+    """The batch of g * h for the monics h of one degree from slot start on,
+    which, in their order by smallest factor, are the h with small(h) >= g;
+    table[v] is the batch of v h for all of them, and ones and lift are the
+    reduction's constants for the slots from start on."""
+    b, s, r = _width(p), 0, 64 * start
     for i in range(0, g.bit_length(), b):
         if v := (g >> i) & ((1 << b) - 1):
-            s += table[v] << i
+            s += table[v] >> r << i
             s -= p * (((s + lift) >> (b - 1)) & ones)
     return s
 
@@ -166,65 +164,80 @@ def _sieve(p: int, n: int) -> list[Counter]:
     # units[e]: a 1 in each of p^e slots; ones[e]: a 1 in each field of them
     units = [int.from_bytes((1).to_bytes(8, "little") * p**e, "little") for e in range(n)]
     ones = [sum(1 << (b * i) for i in range(n + 1)) * u for u in units]
-    lift1 = (1 << (b - 1)) - p  # added to a field, it sets the top bit iff the field reached p
+    lifts = [((1 << (b - 1)) - p) * o for o in ones]  # adding 2^(b-1) - p sets a top bit iff a field reached p
     tables = [[0, 1]]  # tables[e][v]: the batch of v h for the monics h of degree e
     codes: list[list[int]] = [[]]  # codes[e][i]: small << shift | key of the i-th of them
     irr: list[list[int]] = [[]]
-    tallies = [Counter({0: 1})]
 
     def batches(m):
-        """(d, g, the slots g * h, whether small(h) >= g) for each g of degree d <= m / 2."""
+        """(d, g, start, the bytes of g * h for the h of degree m - d from
+        slot start on, those with small(h) >= g) for each g of degree d <= m / 2."""
         for d in range(1, m // 2 + 1):
             e = m - d
-            lift, tops, high = lift1 * ones[e], ones[e] << (b - 1), ((1 << (64 - b * m)) - 1) * units[e]
+            high = ((1 << (64 - b * m)) - 1) * units[e]
             for g in irr[d]:
-                batch = _products(g, tables[e], p, ones[e], lift)
-                if (batch >> (b * m)) & high != units[e] or (batch | (batch + lift)) & tops:
+                start = bisect_left(codes[e], g << shift)
+                r = 64 * start
+                one, lift = ones[e] >> r, lifts[e] >> r
+                batch = _products(g, tables[e], p, one, lift, start)
+                if (batch >> (b * m)) & (high >> r) != units[e] >> r or (batch | (batch + lift)) & one << (b - 1):
                     raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
-                yield d, g, _slots(batch, p**e), list(map(le, repeat(g << shift), codes[e]))
+                data = batch.to_bytes(8 * (p**e - start), "little")
+                del batch, one, lift  # only the bytes stay alive while the caller works
+                yield d, g, start, data
 
+    odo = 1  # the monics of degree m - 1 in odometer order
     for m in range(1, n):
-        # p copies of the monics of degree m - 1, x^m + (c - 1) x^(m-1) added to the c-th
+        # p copies of them, x^m + (c - 1) x^(m-1) added to the c-th
         size = p ** (m - 1)
-        h = int.from_bytes(tables[-1][1].to_bytes(8 * size, "little") * p, "little")
-        h += sum(((1 << b) + c - 1) * units[m - 1] << (b * (m - 1) + 64 * c * size) for c in range(p))
-        tables.append([0, h])
-        for v in range(2, p):
-            s = tables[m][v - 1] + h
-            tables[m].append(s - p * (((s + lift1 * ones[m]) >> (b - 1)) & ones[m]))
-        made: dict[int, int] = {}  # product -> code
-        for d, g, slots, mask in batches(m):
-            prods = list(compress(slots, mask))
-            cofs = list(compress(codes[m - d], mask))
+        odo = int.from_bytes(odo.to_bytes(8 * size, "little") * p, "little")
+        odo += sum(((1 << b) + c - 1) * units[m - 1] << (b * (m - 1) + 64 * c * size) for c in range(p))
+        made: dict[int, int] = {}  # product -> code, in batch order
+        batch, at = bytearray(8 * p**m), 0
+        for d, g, start, data in batches(m):
+            slots, cofs = _slots(data), codes[m - d]
+            k = bisect_left(cofs, g + 1 << shift, start) - start  # small(h) = g: g^2 divides g * h
             before = len(made)
-            keys = map(add, map(and_, cofs, repeat(low)), repeat((g << shift) + base ** (d - 1)))
-            made.update(zip(prods, keys))
-            if len(made) - before != len(prods):
+            made.update(zip(slots[:k], repeat(g << shift | flag)))
+            keys = map(add, map(and_, cofs[start + k :], repeat(low)), repeat((g << shift) + base ** (d - 1)))
+            made.update(zip(slots[k:], keys))
+            if len(made) - before != len(slots):
                 raise ArithmeticError(f"the sieve over F_{p} reached a degree-{m} product twice")
-            squares = compress(prods, map(gt, repeat(g + 1 << shift), cofs))  # small(h) = g
-            made.update(zip(squares, repeat(g << shift | flag)))
-        mons = _slots(h, p**m)
+            batch[at : at + len(data)] = data
+            at += len(data)
+        mons = _slots(odo.to_bytes(8 * p**m, "little"))
         irr.append(list(filterfalse(made.__contains__, mons)))
         if len(mons) - len(irr[m]) != len(made):
             raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
         made.update([(f, f << shift | base ** (m - 1)) for f in irr[m]])
-        codes.append(list(map(made.__getitem__, mons)))
+        codes.append(list(made.values()))
         del made, mons  # the codes replace them
-        tally = Counter(map(and_, codes[m], repeat(low)))
-        tallies.append(Counter({key: c for key, c in tally.items() if key < flag}))
-    if n:
-        seen: set[int] = set()  # the top degree keeps only its products
-        for d, g, slots, mask in batches(n):
-            before = len(seen)
-            seen.update(compress(slots, mask))
-            if len(seen) - before != mask.count(True):
-                raise ArithmeticError(f"the sieve over F_{p} reached a degree-{n} product twice")
-        tally = Counter({base ** (n - 1): p**n - len(seen)})
-        for d in range(1, n // 2 + 1):
-            # a square-free h is the cofactor of one square-free product per g < small(h)
-            for code, c in Counter(codes[n - d]).items():
-                if (w := bisect_left(irr[d], code >> shift)) and not code & flag:
-                    tally[(code & low) + base ** (d - 1)] += w * c
+        batch[at:] = b"".join(map(int.to_bytes, irr[m], repeat(8), repeat("little")))
+        tables.append([0, h := int.from_bytes(batch, "little")])
+        del batch
+        for v in range(2, p):
+            s = tables[m][v - 1] + h
+            tables[m].append(s - p * (((s + lifts[m]) >> (b - 1)) & ones[m]))
+    del odo
+    seen: set[int] = set()  # the top degree keeps only its products
+    for d, g, start, data in batches(n):
+        before = len(seen)
+        seen.update(_slots(data))
+        if len(seen) - before != len(data) // 8:
+            raise ArithmeticError(f"the sieve over F_{p} reached a degree-{n} product twice")
+    irreducibles = [len(f) for f in irr] + [p**n - len(seen)]
+    tallies = [Counter({0: 1})]
+    for m in range(1, n + 1):
+        tally = Counter({base ** (m - 1): irreducibles[m]})
+        for d in range(1, m // 2 + 1):
+            # a square-free h is the cofactor of one square-free product per g < small(h),
+            # so of w of them for the h from ends[w - 1] to ends[w]
+            cofs = codes[m - d]
+            ends = [bisect_left(cofs, g + 1 << shift) for g in irr[d]] + [len(cofs)]
+            for w in range(1, len(ends)):
+                for key, c in Counter(map(and_, cofs[ends[w - 1] : ends[w]], repeat(low))).items():
+                    if key < flag:
+                        tally[key + base ** (d - 1)] += w * c
         tallies.append(tally)
     return tallies
 

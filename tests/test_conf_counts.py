@@ -15,7 +15,6 @@ from betticount.conf_counts import (
     limit_expectation,
     limit_normalized,
     partition_weighted_count,
-    weighted_count,
     weighted_count_series,
 )
 from betticount.zeta import (
@@ -193,20 +192,54 @@ def _slot(batch, i):
     return (batch >> (64 * i)) & ((1 << 64) - 1)
 
 
-# each corrupts the batch of products x * h, h = x + c, that the first
-# irreducible x builds at degree 2; every cofactor there is admissible
+def _pack(coeffs, b):
+    """A polynomial c_0 + c_1 x + ... as the sieve's int, one b-bit field per coefficient."""
+    return sum(c << (b * i) for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize(
+    "p,e,g,start",
+    [(3, 2, (1, 1), 1), (5, 2, (2, 3, 1), 7), (7, 1, (3, 1), 3), (2, 3, (1, 1, 1), 5), (3, 3, (2, 2, 1), 26)],
+)
+def test_products_from_a_start_slot_are_the_full_batch_shifted(p, e, g, start):
+    # cofactors in odometer order; every coefficient of (2, 3, 1), (1, 1, 1)
+    # and (2, 2, 1) is nonzero, so each of their fields adds a shifted table
+    b, n = conf_counts._width(p), len(g) - 1 + e
+    cofactors = [rest + (1,) for rest in itertools.product(range(p), repeat=e)]
+    table = [
+        sum(_pack([v * c % p for c in h], b) << (64 * j) for j, h in enumerate(cofactors)) for v in range(p)
+    ]
+    ones = sum(_pack([1] * (n + 1), b) << (64 * j) for j in range(len(cofactors)))
+    lift = ((1 << (b - 1)) - p) * ones
+    full = conf_counts._products(_pack(g, b), table, p, ones, lift, 0)
+    assert [_slot(full, j) for j in range(len(cofactors))] == [_pack(_poly_mul(g, h, p), b) for h in cofactors]
+    r = 64 * start
+    assert conf_counts._products(_pack(g, b), table, p, ones >> r, lift >> r, start) == full >> r
+
+
+# each corrupts the batch of products g * h that the irreducible g builds at
+# degree 2, told by its first slot g^2: for g = x every cofactor x + c is
+# admissible, for g = x + 1 only x + 1 and x + 2, from slot 1 on
 CORRUPTIONS = {
     "the second product repeats the first": (
+        (0, 1),
         lambda batch, p, b: batch + ((_slot(batch, 0) - _slot(batch, 1)) << 64),
         "the sieve over F_3 reached a degree-2 product twice",
     ),
     "a coefficient field holds p": (
+        (0, 1),
         lambda batch, p, b: batch + p,
         "the sieve over F_3 made a degree-2 product outside the monics",
     ),
     "a leading coefficient is 2": (
+        (0, 1),
         lambda batch, p, b: batch + (1 << (2 * b)),
         "the sieve over F_3 made a degree-2 product outside the monics",
+    ),
+    "past slot 0, the second product repeats the first": (
+        (1, 1),
+        lambda batch, p, b: batch + ((_slot(batch, 0) - _slot(batch, 1)) << 64),
+        "the sieve over F_3 reached a degree-2 product twice",
     ),
 }
 
@@ -214,17 +247,30 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("n", [2, 3], ids=["top-degree", "below-the-top"])
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_sieve_catches_a_corrupted_product_batch(monkeypatch, case, n):
-    corrupt, message = CORRUPTIONS[case]
+    target, corrupt, message = CORRUPTIONS[case]
     builder = conf_counts._products
+    b = conf_counts._width(3)
 
     def corrupted(g, *args):
         batch = builder(g, *args)
-        b = conf_counts._width(3)
-        return corrupt(batch, 3, b) if g == 1 << b and _slot(batch, 0) == 1 << (2 * b) else batch
+        hit = g == _pack(target, b) and _slot(batch, 0) == _pack(_poly_mul(target, target, 3), b)
+        return corrupt(batch, 3, b) if hit else batch
 
     monkeypatch.setattr(conf_counts, "_products", corrupted)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         bruteforce_census(3, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 9), (5, 6), (7, 6), (31, 3), (997, 2)])
+def test_sieve_census_matches_the_closed_point_formula_at_every_degree(p, n):
+    # N_mu = prod_k C(M_k, mu_k) square-free monics of factor degrees mu, with
+    # M_k the degree-k irreducibles: beyond the sizes trial division reaches
+    mk = closed_point_counts(builtin_variety("affine", 1, p), n)
+    census = bruteforce_census(p, n)
+    for m in range(n + 1):
+        want = {mu: binomial(mk, mu) for mu in partitions(m) if binomial(mk, mu)}
+        assert {ct: cnt for ct, cnt in census.items() if ct.n == m} == want, m
+    assert all(ct.n <= n for ct in census)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +295,14 @@ def test_weighted_series_empty_configuration():
 
 def test_weighted_count_linearity():
     # V1 = X1 - 1 on square-free cubics over F_3: 12 - 18 = -6
-    assert weighted_count(A1_Q3, builtin_rep("V1"), 3) == -6
+    assert weighted_count_series(A1_Q3, builtin_rep("V1"), 3)[3] == -6
 
 
 def test_weighted_count_v11():
-    assert weighted_count(A1_Q3, builtin_rep("V11"), 4) == bruteforce_weighted_count(
+    assert weighted_count_series(A1_Q3, builtin_rep("V11"), 4)[4] == bruteforce_weighted_count(
         3, 4, builtin_rep("V11")
     )
-    assert weighted_count(A1_Q3, builtin_rep("V11"), 4) == 6
+    assert weighted_count_series(A1_Q3, builtin_rep("V11"), 4)[4] == 6
 
 
 def test_weighted_count_insufficient_data():
