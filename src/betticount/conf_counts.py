@@ -8,8 +8,10 @@ of degree-k irreducible factors.  The oracle runs one smallest-factor sieve
 over every monic polynomial over F_p of degree <= n and tallies the
 square-free ones of each degree by their factor degrees.  Polynomials are
 packed ints, many to one big int, so the products of an irreducible with
-all its cofactors of one degree take a few whole-int operations.  It never
-uses the closed-point counts or the binomial formula it checks.
+all its cofactors of one degree take a few whole-int operations.  The top
+degree only marks its products in a bytearray, to see that none is reached
+twice.  It never uses the closed-point counts or the binomial formula it
+checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import filterfalse, repeat
-from operator import add, and_
+from operator import add, and_, mul
 
 from .chars import CharPoly, CycleType, binomial, partitions
 from .series import divide_in_place, poly_mul
@@ -74,7 +76,7 @@ def weighted_count_series(
                 c[i] -= km
     prod = [1] + [0] * n_max
     for m in range(1, n_max + 1):
-        total = sum(c[i] * prod[m - i] for i in range(1, m + 1))
+        total = sum(map(mul, c[1 : m + 1], prod[m - 1 :: -1]))
         prod[m], rem = divmod(total, m)
         if rem:
             raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
@@ -128,8 +130,11 @@ def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction
 # product reaches, come last in ascending order.  So the cofactors of g are
 # the suffix of codes[e] from bisect_left(codes[e], g << shift), and g * h
 # for all of them is the sum of the multiples by g's coefficients, each
-# shifted to its degree.  The top degree keeps only the set of its products;
-# every degree takes its tally from the cofactors.
+# shifted to its degree.  The top degree keeps no products: it marks each in
+# a bytearray of 2^((b-1) n) bytes, at an index injective on monics, the low
+# n fields squeezed to b - 1 bits each (their top bit is 0 once a batch has
+# passed its checks).  Fewer marks than products means a product was
+# reached twice.  Every degree takes its tally from the cofactors.
 
 
 def _width(p: int) -> int:
@@ -140,6 +145,32 @@ def _width(p: int) -> int:
 def _slots(data: bytes) -> memoryview:
     """The 64-bit slots of the little-endian batch data, lowest first."""
     return memoryview(data).cast("Q") if sys.byteorder == "little" else memoryview(data[::-1]).cast("Q")[::-1]
+
+
+def _index_masks(b: int, n: int, units: int) -> tuple[int, list[tuple[int, int]]]:
+    """The masks of _squeeze at degree n, repeated in every slot that units
+    has a 1 in: the n low fields, and for each step j the fields i < n with
+    bit j of i set, with the gap 2^j that step closes."""
+    steps = []
+    for j in range(max(1, (n - 1).bit_length())):
+        hi = 0
+        for i in range(n):
+            if i >> j & 1:
+                hi |= ((1 << b) - 1) << b * i
+        steps.append((hi * units, 1 << j))
+    return ((1 << b * n) - 1) * units, steps
+
+
+def _squeeze(x: int, fields: int, steps: list[tuple[int, int]]) -> int:
+    """Every slot of x, a monic of degree n with fields below 2^(b-1), as
+    sum_{i<n} c_i 2^((b-1) i): step j moves each odd block of 2^j fields
+    down by the 2^j spare bits of the block below it.  A mask longer than x
+    is cut to x's length by &."""
+    x &= fields
+    for hi, gap in steps:
+        t = x & hi
+        x = x ^ t | t >> gap
+    return x
 
 
 def _products(g: int, table: list[int], p: int, ones: int, lift: int, start: int) -> int:
@@ -163,15 +194,17 @@ def _sieve(p: int, n: int) -> list[Counter]:
     flag, low = 1 << (shift - 1), (1 << shift) - 1
     # units[e]: a 1 in each of p^e slots; ones[e]: a 1 in each field of them
     units = [int.from_bytes((1).to_bytes(8, "little") * p**e, "little") for e in range(n)]
-    ones = [sum(1 << (b * i) for i in range(n + 1)) * u for u in units]
+    spread = sum(1 << (b * i) for i in range(n + 1))
+    ones = [spread * u for u in units]
     lifts = [((1 << (b - 1)) - p) * o for o in ones]  # adding 2^(b-1) - p sets a top bit iff a field reached p
     tables = [[0, 1]]  # tables[e][v]: the batch of v h for the monics h of degree e
     codes: list[list[int]] = [[]]  # codes[e][i]: small << shift | key of the i-th of them
     irr: list[list[int]] = [[]]
 
-    def batches(m):
+    def batches(m, masks=None):
         """(d, g, start, the bytes of g * h for the h of degree m - d from
-        slot start on, those with small(h) >= g) for each g of degree d <= m / 2."""
+        slot start on, those with small(h) >= g, squeezed when masks are
+        given) for each g of degree d <= m / 2."""
         for d in range(1, m // 2 + 1):
             e = m - d
             high = ((1 << (64 - b * m)) - 1) * units[e]
@@ -182,6 +215,8 @@ def _sieve(p: int, n: int) -> list[Counter]:
                 batch = _products(g, tables[e], p, one, lift, start)
                 if (batch >> (b * m)) & (high >> r) != units[e] >> r or (batch | (batch + lift)) & one << (b - 1):
                     raise ArithmeticError(f"the sieve over F_{p} made a degree-{m} product outside the monics")
+                if masks:
+                    batch = _squeeze(batch, *masks)
                 data = batch.to_bytes(8 * (p**e - start), "little")
                 del batch, one, lift  # only the bytes stay alive while the caller works
                 yield d, g, start, data
@@ -219,13 +254,14 @@ def _sieve(p: int, n: int) -> list[Counter]:
             s = tables[m][v - 1] + h
             tables[m].append(s - p * (((s + lifts[m]) >> (b - 1)) & ones[m]))
     del odo
-    seen: set[int] = set()  # the top degree keeps only its products
-    for d, g, start, data in batches(n):
-        before = len(seen)
-        seen.update(_slots(data))
-        if len(seen) - before != len(data) // 8:
-            raise ArithmeticError(f"the sieve over F_{p} reached a degree-{n} product twice")
-    irreducibles = [len(f) for f in irr] + [p**n - len(seen)]
+    seen, products = bytearray(1 << (b - 1) * n), 0  # the top degree only marks its products
+    for d, g, start, data in batches(n, _index_masks(b, n, units[n - 1]) if n else None):
+        for i in _slots(data):
+            seen[i] = 1
+        products += len(data) // 8
+    if seen.count(1) != products:
+        raise ArithmeticError(f"the sieve over F_{p} reached a degree-{n} product twice")
+    irreducibles = [len(f) for f in irr] + [p**n - products]
     tallies = [Counter({0: 1})]
     for m in range(1, n + 1):
         tally = Counter({base ** (m - 1): irreducibles[m]})

@@ -182,9 +182,6 @@ class PointCountData(_Frozen):
             out.append(int(v))
         return out
 
-    def point_count(self, m: int) -> int:
-        return self.point_counts(m)[m - 1]
-
 
 def _log_derivative(p: Sequence[int], depth: int) -> list[Scalar]:
     """s_1..s_depth of t p'(t)/p(t) = sum_m s_m t^m, for p(0) != 0, by

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -241,6 +242,11 @@ CORRUPTIONS = {
         lambda batch, p, b: batch + ((_slot(batch, 0) - _slot(batch, 1)) << 64),
         "the sieve over F_3 reached a degree-2 product twice",
     ),
+    "a product of x + 1 repeats the product x (x + 1) of x": (
+        (1, 1),
+        lambda batch, p, b: batch - _slot(batch, 0) + _pack((0, 1, 1), b),
+        "the sieve over F_3 reached a degree-2 product twice",
+    ),
 }
 
 
@@ -259,6 +265,33 @@ def test_sieve_catches_a_corrupted_product_batch(monkeypatch, case, n):
     monkeypatch.setattr(conf_counts, "_products", corrupted)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         bruteforce_census(3, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (17, 2), (997, 1)])
+def test_index_squeezes_every_monic_to_its_low_fields(p, n):
+    # the monics of degree n in odometer order, c_0 turning fastest; masks
+    # built over more slots than a batch holds are cut to it by &
+    b = conf_counts._width(p)
+    monics = [tuple(reversed(rest)) + (1,) for rest in itertools.product(range(p), repeat=n)]
+    batch = sum(_pack(h, b) << (64 * j) for j, h in enumerate(monics))
+    masks = conf_counts._index_masks(b, n, sum(1 << (64 * j) for j in range(len(monics) + 3)))
+    squeezed = conf_counts._squeeze(batch, *masks)
+    index = [_slot(squeezed, j) for j in range(len(monics))]
+    assert index == [sum(c << ((b - 1) * i) for i, c in enumerate(h[:n])) for h in monics]
+    assert len(set(index)) == len(monics) and max(index) < 1 << ((b - 1) * n)
+    assert squeezed >> (64 * len(monics)) == 0
+    assert conf_counts._squeeze(batch >> 64 * 5, *masks) == squeezed >> 64 * 5
+
+
+def test_the_sieve_at_7_to_the_6_peaks_below_6_mb():
+    # the top degree marks a bytearray of 2^18 bytes, not a set of its ~100,000 products
+    tracemalloc.start()
+    try:
+        conf_counts._sieve(7, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 9), (5, 6), (7, 6), (31, 3), (997, 2)])

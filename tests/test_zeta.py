@@ -159,9 +159,9 @@ def test_zeta_series_matches_taylor(d, q):
 
 
 def test_builtin_point_counts():
-    assert builtin_variety("affine", 1, 5).point_count(1) == 5
-    assert builtin_variety("projective", 1, 3).point_count(1) == 4
-    assert builtin_variety("affine", 2, 2).point_count(2) == 16
+    assert builtin_variety("affine", 1, 5).point_counts(1)[0] == 5
+    assert builtin_variety("projective", 1, 3).point_counts(1)[0] == 4
+    assert builtin_variety("affine", 2, 2).point_counts(2)[1] == 16
     with pytest.raises(ValueError):
         builtin_variety("weird", 1, 2)
     with pytest.raises(ValueError):
