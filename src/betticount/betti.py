@@ -18,7 +18,7 @@ from .series import (
     RatFun, RecurrenceSpec, _Frozen, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs,
 )
 
-__all__ = ["BettiTable", "GLCheck", "Side", "weighted_sum"]
+__all__ = ["BettiTable", "GLCheck", "ScaledValues", "Side", "weighted_sum"]
 
 
 class BettiTable(_Frozen):
@@ -54,16 +54,55 @@ class GLCheck(_Frozen):
         return self.lhs == self.rhs
 
 
-def weighted_sum(p: CharPoly, types, values: dict[CycleType, Fraction]) -> Fraction:
-    """sum_mu N_mu p(mu) over the pairs (mu, N_mu) in types.  values holds
-    p(mu) by cycle type and is filled in on first use, so sums over the
-    same p that share it evaluate p once per cycle type."""
-    total = Fraction(0)
-    for mu, cnt in types:
-        if mu not in values:
-            values[mu] = p.evaluate(mu)
-        total += cnt * values[mu]
+class ScaledValues(dict):
+    """den * p(mu) by cycle type mu, an integer computed on first use, for
+    p = sum_lam c_lam C(X, lam) and den the lcm of the c_lam.denominator.
+
+    The lam of p sit in a trie keyed by lam_1, lam_2, ...: a node is the
+    integer m_lam = c_lam den of the lam that ends there (0 if none) and its
+    children in ascending order of the next lam_k, so p(mu) den is one walk
+    that multiplies by C(mu_k, lam_k) on the way down and skips the rest of
+    a node's children at the first lam_k > mu_k, where C(mu_k, lam_k) = 0."""
+
+    def __init__(self, p: CharPoly):
+        super().__init__()
+        items = p.items()
+        self.den = math.lcm(*(c.denominator for _, c in items))
+        root = [0, {}]
+        for lam, c in items:
+            node = root
+            for lk in lam.counts:
+                node = node[1].setdefault(lk, [0, {}])
+            node[0] += c.numerator * (self.den // c.denominator)
+        self.trie = _freeze(root)
+
+    def __missing__(self, mu: CycleType) -> int:
+        value = self[mu] = _trie_value(self.trie, mu.counts, 0)
+        return value
+
+
+def _freeze(node: list) -> tuple:
+    m, children = node
+    return m, sorted((lk, _freeze(child)) for lk, child in children.items())
+
+
+def _trie_value(node: tuple, a: tuple[int, ...], j: int) -> int:
+    """sum_lam m_lam prod_(k > j) C(a_k, lam_k) over the lam below node,
+    a node at depth j (a_k = a[k-1], and 0 past the end of a)."""
+    total, children = node
+    ak = a[j] if j < len(a) else 0
+    for lk, child in children:
+        if lk > ak:
+            break
+        total += math.comb(ak, lk) * _trie_value(child, a, j + 1)
     return total
+
+
+def weighted_sum(values: ScaledValues, types) -> Fraction:
+    """sum_mu N_mu p(mu) over the pairs (mu, N_mu) in types, for values the
+    ScaledValues of p: one integer sum over values.den.  Sums that share
+    values evaluate p once per cycle type."""
+    return Fraction(sum([cnt * values[mu] for mu, cnt in types]), values.den)
 
 
 class Side:
@@ -135,16 +174,16 @@ class Side:
         return recurrence_from_ratfun(self.stable_series(p) if series is None else series)
 
     def gl_checks(
-        self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: dict
+        self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: ScaledValues
     ) -> dict[tuple[int, int], GLCheck]:
         """The GL checks of p at every n <= max_n and every q in oracles
         (q -> count_oracle(q, max_n)), from one Betti table: lhs is the
-        weighted count over oracles[q][n] (p(mu) cached in values), rhs is
-        sum_i weight(q, n, i) b_i(n) over the support of column n."""
+        weighted count over oracles[q][n] (values, the ScaledValues of p),
+        rhs is sum_i weight(q, n, i) b_i(n) over the support of column n."""
         table = self.betti_table(p, self.top(max_n), max_n)
         return {
             (q, n): GLCheck(
-                lhs=weighted_sum(p, oracle[n], values),
+                lhs=weighted_sum(values, oracle[n]),
                 rhs=Fraction(sum(self.weight(q, n, i) * table.rows[i][n]
                                  for i in range(self.top(n) + 1)), table.den),
             )

@@ -26,7 +26,6 @@ __all__ = [
     "binomial",
     "partitions",
     "centralizer_order",
-    "class_function_to_binomial",
     "builtin_rep",
     "parse_char_poly",
     "parse_rep",
@@ -255,29 +254,6 @@ def centralizer_order(c: CycleType) -> int:
     for k, a in enumerate(c.counts, start=1):
         out *= k**a * factorial(a)
     return out
-
-
-# ---------------------------------------------------------------------------
-# class functions
-
-
-def class_function_to_binomial(
-    n: int, values: Mapping[CycleType, Scalar]
-) -> CharPoly:
-    """The unique binomial-basis combination agreeing with `values` on S_n.
-
-    C(X, a(mu)) is the indicator of the class mu among partitions of n, so
-    the answer is simply sum_mu values[mu] * C(X, a(mu)).  Requires a value
-    for every partition of n.
-    """
-    out: dict[CycleType, Fraction] = {}
-    for mu in partitions(n):
-        if mu not in values:
-            raise ValueError(f"missing partition {mu.parts()} of {n}")
-        c = _frac(values[mu])
-        if c:
-            out[mu] = c
-    return CharPoly(out)
 
 
 # ---------------------------------------------------------------------------

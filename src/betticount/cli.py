@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
-from .betti import weighted_sum
+from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
 from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
@@ -30,12 +30,25 @@ SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 
 
 class OutputDocument:
-    __slots__ = ("kind", "meta", "data")
+    """A command's output: its kind, a dict of metadata, and the rows of
+    data, each a tuple with one cell per name in columns."""
 
-    def __init__(self, kind: str, meta: dict | None = None, data: list | None = None):
+    __slots__ = ("kind", "meta", "data", "columns")
+
+    def __init__(self, kind: str, meta: dict | None = None, data: list | None = None,
+                 columns: tuple[str, ...] = ()):
         self.kind = kind  # table | recurrence | verification | limits
         self.meta = {} if meta is None else meta
         self.data = [] if data is None else data
+        self.columns = columns
+
+
+def _too_long() -> ValueError:
+    # str() refuses such integers; lifting the limit costs minutes
+    return ValueError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits; "
+        "lower --q, --max-n or the dimension of the variety"
+    )
 
 
 def _text(x) -> str:
@@ -43,23 +56,23 @@ def _text(x) -> str:
     "p" or "p/q", a CharPoly with its coefficients."""
     try:
         return str(x)
-    except ValueError:  # str() refuses such integers; lifting the limit costs minutes
-        raise ValueError(
-            f"a value has more than {sys.get_int_max_str_digits()} digits; "
-            "lower --q, --max-n or the dimension of the variety"
-        ) from None
+    except ValueError:
+        raise _too_long() from None
 
 
 def format_rational(x) -> str:
     return _text(Fraction(x))
 
 
-def _ratio(c: int, den: int) -> str:
-    """format_rational(Fraction(c, den)) for integers c and den > 0."""
-    g = math.gcd(c, den)
-    if g == den:
-        return _text(c // g)
-    return f"{_text(c // g)}/{_text(den // g)}"
+def _ratios(cells: list[int], den: int) -> list[str]:
+    """format_rational(Fraction(c, den)) for each integer c, den > 0."""
+    try:
+        if den == 1:
+            return list(map(str, cells))
+        return [str(c // g) if (g := math.gcd(c, den)) == den else f"{c // g}/{den // g}"
+                for c in cells]
+    except ValueError:
+        raise _too_long() from None
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +82,13 @@ def _ratio(c: int, den: int) -> str:
 _JSON_SCALARS = {
     str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get,
 }
+
+
+def _json_scalar(x) -> str:
+    enc = _JSON_SCALARS.get(type(x))
+    if enc is None:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return enc(x)
 
 
 def _json(x, pad: str) -> str:
@@ -92,11 +112,36 @@ def _json(x, pad: str) -> str:
         if not x:
             return "[]"
         return "[\n" + ",\n".join([inner + _json(value, inner) for value in x]) + f"\n{pad}]"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _json_scalar(x)
+
+
+def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
+    """_json of the rows as dicts over columns, at indent "  ", written one
+    column at a time: an int column through %d, a str or bool column through
+    its encoder, a column of mixed scalars cell by cell, and then every row
+    through one template."""
+    if not rows:
+        return "[]"
+    if not columns:
+        return "[\n" + ",\n".join(["    {}"] * len(rows)) + "\n  ]"
+    fields, cols = [], []
+    for name, col in zip(columns, zip(*rows)):
+        kinds = set(map(type, col))
+        key = encode_basestring_ascii(name).replace("%", "%%")
+        if kinds == {int}:
+            fields.append(f"      {key}: %d")
+        else:
+            enc = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            fields.append(f"      {key}: %s")
+            col = map(enc or _json_scalar, col)
+        cols.append(col)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cols))) + "\n  ]"
 
 
 def render_json(doc: OutputDocument) -> str:
-    return _json({"kind": doc.kind, "meta": doc.meta, "data": doc.data}, "")
+    return (f'{{\n  "kind": {_json_scalar(doc.kind)},\n  "meta": {_json(doc.meta, "  ")},\n'
+            f'  "data": {_json_rows(doc.columns, doc.data)}\n}}')
 
 
 def render_csv(doc: OutputDocument) -> str:
@@ -109,8 +154,8 @@ def render_csv(doc: OutputDocument) -> str:
     for key, value in doc.meta.items():
         out.write(f"# {key}: {json.dumps(value)}\n")
     if doc.data:
-        writer = csv.DictWriter(out, fieldnames=list(doc.data[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(out)
+        writer.writerow(doc.columns)
         writer.writerows(doc.data)
     return out.getvalue().rstrip("\n")
 
@@ -118,7 +163,7 @@ def render_csv(doc: OutputDocument) -> str:
 def _render_grid(doc: OutputDocument) -> str:
     side = doc.meta["side"]
     max_i, max_n = doc.meta["max_i"], doc.meta["max_n"]
-    cells = {(row["i"], row["n"]): row["value"] for row in doc.data}
+    cells = {(i, n): value for i, n, value in doc.data}
     name = "alpha" if side == "conf" else "beta"
     lines = [f"{name}_i(n) for rep {doc.meta['rep']}"]
     widths = [max(len(str(n)), *(len(cells.get((i, n), "")) for i in range(max_i + 1)))
@@ -146,35 +191,28 @@ def _render_verification(doc: OutputDocument) -> str:
     lines = []
     for note in doc.meta.get("notes", []):
         lines.append(f"note: {note}")
-    for row in doc.data:
-        status = "PASS" if row["pass"] else "FAIL"
-        extra = f" brute={row['brute']}" if "brute" in row else ""
-        lines.append(
-            f"q={row['q']} n={row['n']} rep={row['rep']}: "
-            f"lhs={row['lhs']} rhs={row['rhs']}{extra} {status}"
-        )
+    for q, n, rep, lhs, rhs, *brute, ok in doc.data:  # brute: [] or [value]
+        extra = f" brute={brute[0]}" if brute else ""
+        status = "PASS" if ok else "FAIL"
+        lines.append(f"q={q} n={n} rep={rep}: lhs={lhs} rhs={rhs}{extra} {status}")
     total = len(doc.data)
-    passed = sum(1 for row in doc.data if row["pass"])
+    passed = sum(1 for row in doc.data if row[-1])
     lines.append(f"{passed}/{total} checks passed")
     return "\n".join(lines)
 
 
 def render_table(doc: OutputDocument) -> str:
-    if doc.kind == "table" and doc.data and "i" in doc.data[0]:
+    if doc.kind == "table" and doc.data and "i" in doc.columns:
         return _render_grid(doc)
     if doc.kind == "verification":
         return _render_verification(doc)
     if doc.kind == "limits":
         return "\n".join(
-            f"{row['weight']}: normalized limit = {row['normalized']}, "
-            f"expectation = {row['expectation']}"
-            for row in doc.data
+            f"{weight}: normalized limit = {normalized}, expectation = {expectation}"
+            for weight, normalized, expectation in doc.data
         )
     # count series and anything else row-shaped
-    lines = []
-    for row in doc.data:
-        lines.append("  ".join(f"{k}={v}" for k, v in row.items()))
-    return "\n".join(lines)
+    return "\n".join("  ".join(f"{k}={v}" for k, v in zip(doc.columns, row)) for row in doc.data)
 
 
 def render(doc: OutputDocument, fmt: str) -> str:
@@ -260,10 +298,10 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
             "valid_from": spec.valid_from,
         }
     tops = [side.top(n) for n in range(args.max_n + 1)]
-    for i, row in enumerate(table.rows):
-        for n, c in enumerate(row):
-            if i <= tops[n]:
-                doc.data.append({"i": i, "n": n, "value": _ratio(c, table.den)})
+    support = [[n for n, top in enumerate(tops) if i <= top] for i in range(args.max_i + 1)]
+    values = iter(_ratios([row[n] for row, ns in zip(table.rows, support) for n in ns], table.den))
+    doc.columns = ("i", "n", "value")
+    doc.data = [(i, n, next(values)) for i, ns in enumerate(support) for n in ns]
     return doc, 0
 
 
@@ -295,21 +333,11 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     if args.limits:
         base = conf_counts.limit_normalized(v, CharPoly.constant(1))
         normalized = conf_counts.limit_normalized(v, rep)
-        doc = OutputDocument(kind="limits", meta=meta)
-        doc.data.append(
-            {
-                "weight": weight_desc,
-                "normalized": format_rational(normalized),
-                "expectation": format_rational(normalized / base),
-            }
-        )
-        return doc, 0
+        row = (weight_desc, format_rational(normalized), format_rational(normalized / base))
+        return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
     values = conf_counts.weighted_count_series(v, rep, args.max_n)
-    doc = OutputDocument(kind="table", meta=meta)
-    doc.data = [
-        {"n": n, "value": format_rational(c)} for n, c in enumerate(values)
-    ]
-    return doc, 0
+    data = list(enumerate(map(format_rational, values)))
+    return OutputDocument("table", meta, data, ("n", "value")), 0
 
 
 def cmd_verify(args) -> tuple[OutputDocument, int]:
@@ -332,23 +360,22 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
         for q in qs:
             for ct, cnt in conf_counts.bruteforce_census(q, args.max_n).items():
                 censuses[q][ct.n].append((ct, cnt))
-    per_rep = [(name, rep, {}) for name, rep in reps]
+    per_rep = [(name, rep, ScaledValues(rep)) for name, rep in reps]
     checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
     rows = []
     for q in qs:
         for n in range(args.max_n + 1):
             for (name, rep, values), by_qn in zip(per_rep, checks):
                 check = by_qn[q, n]
-                row = {"q": q, "n": n, "rep": name,
-                       "lhs": format_rational(check.lhs), "rhs": format_rational(check.rhs)}
+                row = (q, n, name, format_rational(check.lhs), format_rational(check.rhs))
                 ok = check.equal
                 if args.bruteforce:
-                    brute = weighted_sum(rep, censuses[q][n], values)
-                    row["brute"] = format_rational(brute)
+                    brute = weighted_sum(values, censuses[q][n])
+                    row += (format_rational(brute),)
                     ok = ok and brute == check.lhs
-                row["pass"] = ok
-                rows.append(row)
+                rows.append(row + (ok,))
     doc = OutputDocument(kind="verification")
+    doc.columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")
     doc.meta = {
         "side": args.side,
         "q": qs,
@@ -366,7 +393,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
         doc.meta["notes"] = notes
     doc.data = rows
     # an empty verification checks nothing and must not pass
-    all_pass = bool(rows) and all(row["pass"] for row in rows)
+    all_pass = bool(rows) and all(row[-1] for row in rows)
     return doc, (0 if all_pass else 1)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from operator import mul
 
 Rational = Fraction
 Scalar = int | Fraction
@@ -186,18 +187,22 @@ def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int)
 
 def taylor_coeffs(f: RatFun, order: int) -> list[Fraction]:
     """First order+1 Taylor coefficients at 0 of num/den, exact, for
-    f = (num, den) integer lists with den(0) != 0: they follow
-    den_0 a_n = num_n - sum_(k>=1) den_k a_(n-k)."""
+    f = (num, den) integer lists with den(0) != 0 dividing every den_k, as
+    in each pair that cyclotomic_sum returns.  With D = den / den_0, so
+    that D(0) = 1, the coefficients are A_n / den_0 for the integers
+    A_n = num_n - sum_(k>=1) D_k A_(n-k)."""
     num, den = f
     if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0")
-    out: list[Fraction] = []
+    d0 = den[0]
+    if any(d % d0 for d in den):
+        raise ValueError(f"the constant term {d0} of the denominator does not divide all of it")
+    tail = [d // d0 for d in den[1:]]
+    a: list[int] = []
     for n in range(order + 1):
-        s = Fraction(num[n] if n < len(num) else 0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            s -= den[k] * out[n - k]
-        out.append(s / den[0])
-    return out
+        # a[n-1::-1] is a_(n-1), a_(n-2), ..., a_0 (empty at n = 0)
+        a.append((num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1])))
+    return [Fraction(x, d0) for x in a]
 
 
 class RecurrenceSpec(_Frozen):

@@ -16,6 +16,7 @@ from .series import Scalar, _Frozen, _strip, poly_mul
 
 __all__ = [
     "mobius",
+    "mobius_table",
     "divisors",
     "is_prime",
     "is_prime_power",
@@ -197,16 +198,37 @@ def _log_derivative(p: Sequence[int], depth: int) -> list[Scalar]:
     return s[1:]
 
 
+def mobius_table(n: int) -> list[int]:
+    """[0, mu(1), ..., mu(n)] by a sieve: each prime p flips the sign at
+    its multiples and zeroes the multiples of p^2."""
+    mu = [0] + [1] * n
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p::p] = b"\1" * (n // p)
+            mu[p::p] = [-x for x in mu[p::p]]
+            mu[p * p::p * p] = [0] * (n // (p * p))
+    return mu
+
+
 def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
-    """M_k(V, q) for k = 1..depth via Moebius inversion of the point counts.
+    """M_k(V, q) for k = 1..depth via Moebius inversion of the point counts:
+    k M_k = sum_(jm = k) mu(j) |V(F_(q^m))|, summed over the multiples of
+    each m, with mu sieved once up to depth.
 
     Each M_k counts closed points of degree k, so a non-integer or negative
     value flags inconsistent user data.
     """
     pts = v.point_counts(depth)
+    mu = mobius_table(depth)
+    totals = [0] * (depth + 1)
+    for m, count in enumerate(pts, start=1):
+        for j in range(1, depth // m + 1):
+            if mu[j]:
+                totals[j * m] += mu[j] * count
     out = []
     for k in range(1, depth + 1):
-        total = sum(mobius(k // m) * pts[m - 1] for m in divisors(k))
+        total = totals[k]
         if total % k or total < 0:
             raise ValueError(
                 f"Moebius inversion gives non-count M_{k} = {Fraction(total, k)}; "

@@ -7,6 +7,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
+from betticount.betti import ScaledValues
+
 
 def binomial(x, m: int) -> Fraction:
     """binom(x, m) = x(x-1)...(x-m+1)/m! for a rational x; binom(x, 0) = 1."""
@@ -48,4 +50,4 @@ def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
 
 def gl_crosscheck(side, p, q: int, n: int):
     """The GL check of p at one (q, n) on side (a betti.Side)."""
-    return side.gl_checks(p, {q: side.count_oracle(q, n)}, n, {})[q, n]
+    return side.gl_checks(p, {q: side.count_oracle(q, n)}, n, ScaledValues(p))[q, n]

@@ -14,7 +14,6 @@ from betticount.chars import (
     binomial,
     builtin_rep,
     centralizer_order,
-    class_function_to_binomial,
     parse_char_poly,
     parse_rep,
     partitions,
@@ -227,54 +226,6 @@ def test_parsed_expressions_match_a_reference_evaluator():
         p = parse_char_poly(text)
         for mu in cycle_types:
             assert p.evaluate(mu) == reference_value(text, mu), (text, mu.counts)
-
-
-# ---------------------------------------------------------------------------
-# class functions
-
-
-def test_indicator_of_identity_class():
-    values = {mu: (1 if mu == CycleType((3,)) else 0) for mu in partitions(3)}
-    assert class_function_to_binomial(3, values) == CharPoly.binom(CycleType((3,)))
-
-
-def test_constant_function_on_s2():
-    values = {mu: 1 for mu in partitions(2)}
-    got = class_function_to_binomial(2, values)
-    assert got == CharPoly(
-        {CycleType((2,)): 1, CycleType((0, 1)): 1}
-    )
-    for mu in partitions(2):
-        assert got.evaluate(mu) == 1
-
-
-def test_sign_character_of_s3():
-    # sign = (-1)^(n - number of cycles)
-    values = {}
-    for mu in partitions(3):
-        cycles = sum(mu.counts)
-        values[mu] = (-1) ** (3 - cycles)
-    got = class_function_to_binomial(3, values)
-    expected = {(3, 0, 0): 1, (1, 1, 0): -1, (0, 0, 1): 1}
-    for counts, v in expected.items():
-        assert got.evaluate(CycleType(counts)) == v
-
-
-def test_class_function_missing_partition():
-    with pytest.raises(ValueError):
-        class_function_to_binomial(3, {CycleType((3,)): 1})
-
-
-@settings(max_examples=20)
-@given(st.integers(1, 6), st.data())
-def test_class_function_roundtrip_random(n, data):
-    values = {
-        mu: data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-        for mu in partitions(n)
-    }
-    got = class_function_to_binomial(n, values)
-    for mu, v in values.items():
-        assert got.evaluate(mu) == v
 
 
 # ---------------------------------------------------------------------------

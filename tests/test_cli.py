@@ -912,9 +912,9 @@ def test_render_handles_empty_document():
 
 
 def _json_equal(tree):
-    """render_json of a document holding tree, against json.dumps(indent=2)."""
-    doc = OutputDocument(kind="table", meta={"tree": tree}, data=[tree])
-    expected = json.dumps({"kind": "table", "meta": {"tree": tree}, "data": [tree]}, indent=2)
+    """render_json of a document whose meta holds tree, against json.dumps(indent=2)."""
+    doc = OutputDocument(kind="table", meta={"tree": tree})
+    expected = json.dumps({"kind": "table", "meta": {"tree": tree}, "data": []}, indent=2)
     return render_json(doc) == expected
 
 
@@ -949,12 +949,90 @@ def test_render_json_matches_json_dumps_on_any_tree(tree):
     assert _json_equal(tree)
 
 
+_cells = st.one_of(st.integers(), st.booleans(), st.text())
+# each column of one scalar kind, or mixed; rows are tuples under unique names
+_column_kinds = st.sampled_from([st.integers(), st.booleans(), st.text(), _cells])
+
+
+@st.composite
+def _row_documents(draw):
+    columns = draw(st.lists(st.text(), max_size=4, unique=True))
+    kinds = [draw(_column_kinds) for _ in columns]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=5))
+    meta = draw(st.dictionaries(st.text(), _cells, max_size=2))
+    return columns, rows, meta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_documents())
+def test_render_json_writes_tuple_rows_as_json_dumps_writes_dict_rows(document):
+    columns, rows, meta = document
+    doc = OutputDocument("table", meta, rows, tuple(columns))
+    dict_rows = [dict(zip(columns, row)) for row in rows]
+    assert render_json(doc) == json.dumps(
+        {"kind": "table", "meta": meta, "data": dict_rows}, indent=2
+    )
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (("n", "value"), [(0, "1"), (10**40, "-1/2"), (-3, "0")]),
+        (("q", "pass"), [(3, True), (5, False)]),
+        (("s",), [('say "hi"',), ("caf\u00e9 \U0001f600",), ("new\nline\x00",)]),
+        (("mixed", '%d "%s"'), [(1, True), ("x", 2), (False, "y")]),
+        (("i",), []),
+        ((), [(), ()]),
+    ],
+    ids=["int-and-str", "bool", "escapes", "mixed", "no-rows", "no-columns"],
+)
+def test_render_json_writes_each_kind_of_column(columns, rows):
+    doc = OutputDocument("table", {"x": [1]}, rows, columns)
+    dict_rows = [dict(zip(columns, row)) for row in rows]
+    assert render_json(doc) == json.dumps(
+        {"kind": "table", "meta": {"x": [1]}, "data": dict_rows}, indent=2
+    )
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, None])
 def test_render_json_refuses_other_types(value):
     for doc in (OutputDocument("table", meta={"x": value}),
-                OutputDocument("table", data=[[value]])):
+                OutputDocument("table", data=[(value,)], columns=("x",)),
+                OutputDocument("table", data=[(1,), (value,)], columns=("x",))):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             render_json(doc)
+
+
+# SHA-256 of the csv and table output, recorded before the rows became
+# tuples; the pool digests cover the json output only
+CSV_AND_TABLE_SHA256 = [
+    (["conf-betti", "--rep", "1/2*C(X1,2)-5/3*X2+1/4*X1", "--max-i", "10", "--max-n", "12",
+      "--stable"],
+     "1c4a2b696f3dfc4cef70feda32d5eaf6f54657d13494518f881f270aab1d69e1",
+     "dedda50c48a124c6a1017fd9c796c3951d4a95f43eadfc8fa17eacd96e4b862e"),
+    (["tori-betti", "--rep", "V2", "--max-i", "6", "--max-n", "7", "--stable"],
+     "4967b50c422753cc65ae0d00aea4d52bee06f5f30a40cd1a6b98f1f02921011d",
+     "5f2a3630d8abd88288afcab3ddf694c7dd08eaced0c096aeadab3e37c418c9d2"),
+    (["count", "--variety", "projective:1", "--q", "3", "--rep", "V11", "--max-n", "30"],
+     "07bfdd0ca117730c14a0b4309317dcdb187204e90eb3a96fff327b418e0205b9",
+     "bfa28f4e1036be5935fa83fadb1fe7d4c84ac036483ef90a149822584065fdc0"),
+    (["count", "--variety", "affine:1", "--q", "5", "--rep", "V11", "--limits"],
+     "b719587da326af7f1efdc496ff43e23970f2d16c02f8dc36acd39fdce12b7f42",
+     "045978960de2427d7f32710e999b4b8e19fd5eefcf81e9cd2394ae3e18807160"),
+    (["verify", "--side", "conf", "--q", "2,3", "--max-n", "4", "--rep", "1,V1,C(X1,2)",
+      "--bruteforce"],
+     "0f304c314c08c01b83515f9426e76c77c0883b7728e49cda1e8edf9b3a4925d8",
+     "cf4b6522a80c2cf8682a15655b713718b523ee49363864ce3d2badabbd1846aa"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_sha, table_sha", CSV_AND_TABLE_SHA256,
+                         ids=["conf-betti", "tori-betti", "count", "count-limits", "verify"])
+def test_csv_and_table_output_keep_their_recorded_bytes(capsys, argv, csv_sha, table_sha):
+    for fmt, sha in (("csv", csv_sha), ("table", table_sha)):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, fmt
 
 
 def test_import_loads_only_what_the_commands_use():

@@ -94,6 +94,34 @@ def test_taylor_rejects_pole_at_zero():
         taylor_coeffs(((1,), (0, 1)), 3)
 
 
+def test_taylor_divides_by_the_constant_term_once():
+    # 1 / (6 (1 - z)^2): (n + 1) / 6
+    assert taylor_coeffs(((1,), (6, -12, 6)), 5) == [F(n + 1, 6) for n in range(6)]
+    # (1 + z) / (4 (1 + z^2)): 1/4, 1/4, -1/4, -1/4, ...
+    assert taylor_coeffs(((1, 1), (4, 0, 4)), 5) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
+
+
+@given(
+    st.lists(st.integers(-4, 4), max_size=4),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    st.integers(-6, 6).filter(bool),
+)
+def test_taylor_matches_the_rational_recurrence(num, tail, d0):
+    den = [d0] + [d0 * d for d in tail]
+    expected = []  # den_0 a_n = num_n - sum_(k>=1) den_k a_(n-k), over Fractions
+    for n in range(13):
+        s = F(num[n] if n < len(num) else 0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            s -= den[k] * expected[n - k]
+        expected.append(s / d0)
+    assert taylor_coeffs((num, den), 12) == expected
+
+
+def test_taylor_refuses_a_constant_term_that_does_not_divide():
+    with pytest.raises(ValueError, match="does not divide"):
+        taylor_coeffs(((1,), (2, -3)), 3)
+
+
 @given(
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),

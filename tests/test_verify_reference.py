@@ -14,7 +14,8 @@ from fractions import Fraction as F
 import pytest
 
 from betticount import conf_betti, tori
-from betticount.chars import parse_rep
+from betticount.betti import ScaledValues, weighted_sum
+from betticount.chars import parse_rep, partitions
 from betticount.cli import format_rational, main
 from betticount.conf_counts import bruteforce_census, partition_weighted_count
 from betticount.zeta import builtin_variety
@@ -85,3 +86,18 @@ def test_verify_rows_match_a_per_row_reference(capsys, side, qs, max_n, brute):
     assert rows == expected
     assert all(row["pass"] for row in expected)
     assert code == 0
+
+
+R6 = "*".join(["(X1+X2+X3+X4+X5+X6+1)"] * 6)  # 924 terms
+
+
+@pytest.mark.parametrize("name", ["V1", "V11", "V2", R6, "1/2*C(X1,2) - 5/3*X2 + 1/4*X1 + 2/7"],
+                         ids=["V1", "V11", "V2", "R6", "rational"])
+def test_scaled_values_equal_evaluate_on_every_cycle_type(name):
+    rep = parse_rep(name)
+    values = ScaledValues(rep)
+    types = [mu for n in range(13) for mu in partitions(n)]
+    for mu in types:
+        assert F(values[mu], values.den) == rep.evaluate(mu), mu.counts
+    weighted = [(mu, 3 * k - 5) for k, mu in enumerate(types)]
+    assert weighted_sum(values, weighted) == sum(cnt * rep.evaluate(mu) for mu, cnt in weighted)

@@ -9,6 +9,7 @@ from betticount.zeta import (
     closed_point_counts,
     divisors,
     mobius,
+    mobius_table,
     necklace_numerator,
     parse_variety_text,
 )
@@ -18,6 +19,11 @@ from helpers import truncated_inverse
 
 def test_mobius_small():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_mobius_table_agrees_with_mobius():
+    assert mobius_table(500) == [0] + [mobius(k) for k in range(1, 501)]
+    assert mobius_table(0) == [0]
 
 
 def test_divisors():
@@ -112,9 +118,9 @@ def test_inconsistent_counts_error():
 )
 def test_mobius_roundtrip(kind, d, q):
     v = builtin_variety(kind, d, q)
-    pts = v.point_counts(8)
-    mk = closed_point_counts(v, 8)
-    for k in range(1, 9):
+    pts = v.point_counts(40)
+    mk = closed_point_counts(v, 40)
+    for k in range(1, 41):
         assert pts[k - 1] == sum(m * mk[m - 1] for m in divisors(k))
 
 
