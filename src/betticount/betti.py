@@ -18,7 +18,7 @@ from .series import (
     RatFun, RecurrenceSpec, _Frozen, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs,
 )
 
-__all__ = ["BettiTable", "GLCheck", "ScaledValues", "Side", "weighted_sum"]
+__all__ = ["BettiTable", "ScaledValues", "Side", "weighted_sum"]
 
 
 class BettiTable(_Frozen):
@@ -38,20 +38,6 @@ class BettiTable(_Frozen):
 
     def entry(self, i: int, n: int) -> Fraction:
         return Fraction(self.rows[i][n], self.den)
-
-
-class GLCheck(_Frozen):
-    """One Grothendieck-Lefschetz comparison: a weighted point count (lhs)
-    against the q-weighted sum of Betti numbers (rhs), both exact."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Fraction, rhs: Fraction):
-        self._set(lhs, rhs)
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
 
 
 class ScaledValues(dict):
@@ -111,8 +97,9 @@ class Side:
 
     - grid(terms, max_i, max_n) -> rows: the integers rows[i][n] =
       sum_lam m_lam z_lam b_i(n; C(X, lam)) over the pairs (lam, m_lam);
-    - stable_term(lam) -> (num, {d: e}): the stable series of C(X, lam) is
-      num(z) / (z_lam * prod_d Psi_d(z)^e), with an integer list num;
+    - stable_term(lam) -> (num, factors): the stable series of C(X, lam)
+      is num(z) / (z_lam * prod (1 + sign z^k)^e) over the stride factors
+      (k, e, sign), with an integer list num;
     - top(n): the largest i with a nonzero Betti number at n;
     - weight(q, n, i): the factor of the i-th Betti number in the
       Grothendieck-Lefschetz sum at (q, n);
@@ -155,8 +142,8 @@ class Side:
         (num, den) in lowest terms."""
         terms = []
         for lam, coeff in p.items():
-            num, exps = self.stable_term(lam)
-            terms.append((num, coeff / centralizer_order(lam), exps))
+            num, factors = self.stable_term(lam)
+            terms.append((num, coeff / centralizer_order(lam), factors))
         return cyclotomic_sum(terms)
 
     def stable_betti_numbers(
@@ -175,17 +162,17 @@ class Side:
 
     def gl_checks(
         self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: ScaledValues
-    ) -> dict[tuple[int, int], GLCheck]:
-        """The GL checks of p at every n <= max_n and every q in oracles
-        (q -> count_oracle(q, max_n)), from one Betti table: lhs is the
-        weighted count over oracles[q][n] (values, the ScaledValues of p),
-        rhs is sum_i weight(q, n, i) b_i(n) over the support of column n."""
+    ) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+        """The GL checks (lhs, rhs) of p, equal when they pass, at every
+        n <= max_n and q in oracles (q -> count_oracle(q, max_n)), from one
+        Betti table: lhs is the weighted count over oracles[q][n] (values,
+        the ScaledValues of p), rhs is sum_i weight(q, n, i) b_i(n)."""
         table = self.betti_table(p, self.top(max_n), max_n)
         return {
-            (q, n): GLCheck(
-                lhs=weighted_sum(values, oracle[n]),
-                rhs=Fraction(sum(self.weight(q, n, i) * table.rows[i][n]
-                                 for i in range(self.top(n) + 1)), table.den),
+            (q, n): (
+                weighted_sum(values, oracle[n]),
+                Fraction(sum(self.weight(q, n, i) * table.rows[i][n]
+                             for i in range(self.top(n) + 1)), table.den),
             )
             for q, oracle in oracles.items()
             for n in range(max_n + 1)

@@ -299,8 +299,11 @@ def builtin_rep(name: str) -> CharPoly:
 # and a product multiplies in the basis, so nothing is expanded.  The row
 # kernels are sized to the grid, and C(X, l) vanishes on S_n for n below its
 # degree, so atoms and products above MAX_DEGREE (the grid cap) are rejected.
+# A level of parentheses costs four frames of the recursive descent, so
+# nesting past MAX_NESTING is rejected well before Python's recursion limit.
 
 MAX_DEGREE = 64
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<name>C)|(?P<op>[+\-*(),]))"
@@ -340,6 +343,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -347,7 +351,9 @@ class _Parser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
+            want = "more input" if expected is None else repr(expected)
+            found = "the end of the expression" if tok is None else repr(tok)
+            raise ValueError(f"expected {want}, found {found}")
         self.pos += 1
         return tok
 
@@ -370,18 +376,23 @@ class _Parser:
         return out
 
     def parse_factor(self) -> CharPoly:
-        if self.peek() == "-":
+        minus = False
+        while self.peek() == "-":
             self.take()
-            return -self.parse_factor()
-        return self.parse_atom()
+            minus = not minus
+        return -self.parse_atom() if minus else self.parse_atom()
 
     def parse_atom(self) -> CharPoly:
         tok = self.peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ValueError(f"parentheses are nested more than {MAX_NESTING} deep")
             self.take()
+            self.depth += 1
             out = self.parse_expr()
+            self.depth -= 1
             self.take(")")
             return out
         if tok == "C":

@@ -256,7 +256,7 @@ def _parse_lambda(text: str) -> CycleType:
 def _parse_variety(spec: str, q: int | None) -> PointCountData:
     kind, _, arg = spec.partition(":")
     if kind in ("affine", "projective"):
-        if not arg.isdigit():
+        if not (arg.isascii() and arg.isdigit()):
             raise ValueError(f"expected {kind}:<dim>, got {spec!r}")
         # the length first: int() refuses strings of more than 4300 digits
         if len(arg.lstrip("0")) > len(str(MAX_DIM)) or int(arg) > MAX_DIM:
@@ -366,13 +366,13 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     for q in qs:
         for n in range(args.max_n + 1):
             for (name, rep, values), by_qn in zip(per_rep, checks):
-                check = by_qn[q, n]
-                row = (q, n, name, format_rational(check.lhs), format_rational(check.rhs))
-                ok = check.equal
+                lhs, rhs = by_qn[q, n]
+                row = (q, n, name, format_rational(lhs), format_rational(rhs))
+                ok = lhs == rhs
                 if args.bruteforce:
                     brute = weighted_sum(values, censuses[q][n])
                     row += (format_rational(brute),)
-                    ok = ok and brute == check.lhs
+                    ok = ok and brute == lhs
                 rows.append(row + (ok,))
     doc = OutputDocument(kind="verification")
     doc.columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")

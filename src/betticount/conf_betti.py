@@ -26,17 +26,12 @@ from itertools import accumulate
 from .betti import Side
 from .chars import CycleType, binomial, centralizer_order, partitions
 from .series import divide_in_place, poly_mul
-from .zeta import builtin_variety, closed_point_counts, divisors, necklace_numerator
+from .zeta import builtin_variety, closed_point_counts, necklace_numerator
 
 __all__ = [
     "SIDE",
     "difference_series",
-    "betti_table",
-    "stable_series",
-    "stable_betti_numbers",
-    "recurrence",
     "count_oracle",
-    "gl_checks",
 ]
 
 
@@ -103,26 +98,17 @@ def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[li
     return rows
 
 
-def _stable_term(lam: CycleType) -> tuple[list[int], dict[int, int]]:
-    """(num, {d: e}): the stable series sum_i alpha_i z^i of C(X, lam) is
-    num / (z_lam * prod_d Psi_d^e).
-
-    The signed series sum_i alpha_i (-z)^i is
-    (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k, so z -> -z turns each
-    factor into 1 - (-z)^k: 1 - z^k = prod_(d | k) Psi_d for odd k, and
-    1 + z^k = prod_(d | 2k, d not | k) Psi_d for even k.
+def _stable_term(lam: CycleType) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """(num, factors): the stable series sum_i alpha_i z^i of C(X, lam) is
+    num / (z_lam * prod_k (1 + (-z)^k)^lam_k), the signed series
+    sum_i alpha_i (-z)^i = (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k at -z.
     """
     b = _necklace_binomials(lam)
     w = lam.n
     b += [0] * (w + 1 - len(b))
     # (1 + z) z^w B(-1/z)
     num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
-    exps: dict[int, int] = {}
-    for k, lk in lam.active():
-        factors = divisors(k) if k % 2 else [d for d in divisors(2 * k) if k % d]
-        for d in factors:
-            exps[d] = exps.get(d, 0) + lk
-    return num, exps
+    return num, [(k, lk, (-1) ** k) for k, lk in lam.active()]
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
@@ -144,6 +130,3 @@ SIDE = Side(
     weight=lambda q, n, i: (-1) ** i * q ** (n - i),
     count_oracle=count_oracle,
 )
-betti_table, stable_series = SIDE.betti_table, SIDE.stable_series
-stable_betti_numbers, recurrence = SIDE.stable_betti_numbers, SIDE.recurrence
-gl_checks = SIDE.gl_checks

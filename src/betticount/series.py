@@ -10,7 +10,7 @@ a pair (num, den) of integer coefficient lists, ascending by exponent.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -94,14 +94,15 @@ def _strip(a: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# sums over cyclotomic denominators
+# sums over stride denominators
 #
-# Psi_1 = 1 - z and Psi_d = Phi_d, the d-th cyclotomic polynomial, for
+# A term's denominator is a product of stride factors 1 + sign z^k, sign
+# +-1.  Psi_1 = 1 - z and Psi_d = Phi_d, the d-th cyclotomic polynomial, for
 # d > 1: every Psi_d has constant term 1 and leading coefficient +-1, and
-# 1 - z^k = prod_{d | k} Psi_d.  The Psi_d are irreducible over Q, so a sum
-# of terms n_j / prod_d Psi_d^(e_jd), put over prod_d Psi_d^(max_j e_jd),
-# is in lowest terms once every Psi_d that still divides the summed
-# numerator has been divided out of it, and no gcd is needed.
+# 1 - z^k = prod_(d | k) Psi_d, 1 + z^k = prod_(d | 2k, d not | k) Psi_d.
+# The Psi_d are irreducible over Q, so a sum put over a common multiple of
+# its denominators is in lowest terms once every Psi_d that still divides
+# the summed numerator has been divided out of it, and no gcd is needed.
 
 
 def _exact_quotient(a: Sequence[int], f: Sequence[int]) -> list[int] | None:
@@ -136,39 +137,55 @@ def _cyclotomics(ds: Iterable[int]) -> dict[int, list[int]]:
     return psi
 
 
-def cyclotomic_sum(terms: Iterable[tuple[Sequence[int], Fraction, Mapping[int, int]]]) -> RatFun:
-    """sum_j c_j n_j(z) / prod_d Psi_d(z)^(e_jd) in lowest terms, for terms
-    (n_j, c_j, {d: e_jd}) with integer lists n_j and rationals c_j.
+def cyclotomic_sum(
+    terms: Iterable[tuple[Sequence[int], Fraction, Sequence[tuple[int, int, int]]]]
+) -> RatFun:
+    """sum_j c_j n_j(z) / prod (1 + sign z^k)^e in lowest terms, for terms
+    (n_j, c_j, factors_j) with integer lists n_j, rationals c_j and the
+    stride factors (k, e, sign) of each denominator.
+
+    Q = prod (1 + sign z^k)^(max_j e) is a multiple of every denominator,
+    so N = Q sum_j c_j n_j / den_j is a polynomial of degree below
+    size = max_j (len n_j + deg Q - deg den_j): the sum of the terms'
+    Taylor series to that order, times Q, is N.
 
     Returns integer tuples (num, den) with no common factor, not even an
     integer one, and den(0) > 0; a zero sum is ((), (1,)).
     """
     terms = list(terms)
-    top: dict[int, int] = {}
-    for _, _, exps in terms:
-        for d, e in exps.items():
-            top[d] = max(top.get(d, 0), e)
-    psi = _cyclotomics(top)
+    top: dict[tuple[int, int], int] = {}
+    for _, _, factors in terms:
+        for k, e, sign in factors:
+            top[k, sign] = max(top.get((k, sign), 0), e)
+    deg_q = sum(k * e for (k, _), e in top.items())
+    size = max((len(num) + deg_q - sum(k * e for k, e, _ in factors)
+                for num, _, factors in terms), default=0)
     scale = math.lcm(*(c.denominator for _, c, _ in terms))
-    total: list[int] = []
-    for num, c, exps in terms:
-        part = [c.numerator * (scale // c.denominator) * x for x in num]
-        for d, e in top.items():
-            for _ in range(e - exps.get(d, 0)):
-                part = poly_mul(part, psi[d])
-        if len(part) > len(total):
-            total += [0] * (len(part) - len(total))
-        for i, x in enumerate(part):
-            total[i] += x
+    total = [0] * size
+    for num, c, factors in terms:
+        part = [c.numerator * (scale // c.denominator) * x for x in num] + [0] * (size - len(num))
+        for k, e, sign in factors:
+            divide_in_place(part, [(k, e)], sign)
+        total = [a + b for a, b in zip(total, part)]
+    for (k, sign), e in top.items():
+        for _ in range(e):
+            for m in range(size - 1, k - 1, -1):
+                total[m] += sign * total[m - k]
     total = _strip(total)
     if not total:
         return (), (1,)
-    for d in top:
-        while top[d] and (q := _exact_quotient(total, psi[d])) is not None:
+    exps: dict[int, int] = {}
+    for (k, sign), e in top.items():
+        for d in range(1, 2 * k + 1):
+            if 2 * k % d == 0 and (k % d == 0) == (sign < 0):
+                exps[d] = exps.get(d, 0) + e
+    psi = _cyclotomics(exps)
+    for d in exps:
+        while exps[d] and (q := _exact_quotient(total, psi[d])) is not None:
             total = q
-            top[d] -= 1
+            exps[d] -= 1
     den = [scale]
-    for d, e in top.items():
+    for d, e in exps.items():
         for _ in range(e):
             den = poly_mul(den, psi[d])
     g = math.gcd(scale, *total)
@@ -213,28 +230,6 @@ class RecurrenceSpec(_Frozen):
 
     def __init__(self, coefficients: tuple[Fraction, ...], valid_from: int):
         self._set(coefficients, valid_from)
-
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
-    def predict(self, seq: Sequence[Fraction], i: int) -> Fraction:
-        s = Fraction(0)
-        for k, c in enumerate(self.coefficients, start=1):
-            if i - k >= 0:
-                s += c * _frac(seq[i - k])
-        return s
-
-    def holds_on(self, seq: Sequence[Fraction]) -> bool:
-        start = max(self.valid_from, 0)
-        return all(_frac(seq[i]) == self.predict(seq, i) for i in range(start, len(seq)))
-
-    def extend(self, prefix: Sequence[Fraction], upto: int) -> list[Fraction]:
-        """Continue a sequence with the recurrence through index upto."""
-        out = [_frac(v) for v in prefix]
-        for i in range(len(out), upto + 1):
-            out.append(self.predict(out, i))
-        return out
 
 
 def recurrence_from_ratfun(f: RatFun) -> RecurrenceSpec:

@@ -32,7 +32,6 @@ from itertools import repeat
 from .betti import Side
 from .chars import CharPoly, CycleType, centralizer_order, partitions
 from .series import divide_in_place
-from .zeta import divisors
 
 __all__ = [
     "SIDE",
@@ -40,12 +39,7 @@ __all__ = [
     "weighted_series",
     "partition_weighted_count",
     "tori_count_by_type",
-    "betti_table",
-    "stable_series",
-    "stable_betti_numbers",
-    "recurrence",
     "count_oracle",
-    "gl_checks",
 ]
 
 
@@ -135,14 +129,10 @@ def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tu
     return list(zip(*cols))
 
 
-def _stable_term(lam: CycleType) -> tuple[list[int], dict[int, int]]:
-    """(num, {d: e}): the stable series sum_i beta_i z^i of C(X, lam) is
-    (1/z_lam) / prod_k (1 - z^k)^lam_k, and 1 - z^k = prod_(d | k) Psi_d."""
-    exps: dict[int, int] = {}
-    for k, lk in lam.active():
-        for d in divisors(k):
-            exps[d] = exps.get(d, 0) + lk
-    return [1], exps
+def _stable_term(lam: CycleType) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """(num, factors): the stable series sum_i beta_i z^i of C(X, lam) is
+    (1/z_lam) / prod_k (1 - z^k)^lam_k."""
+    return [1], [(k, lk, -1) for k, lk in lam.active()]
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
@@ -172,6 +162,3 @@ SIDE = Side(
     weight=lambda q, n, i: q ** (n * (n - 1) - i),
     count_oracle=count_oracle,
 )
-betti_table, stable_series = SIDE.betti_table, SIDE.stable_series
-stable_betti_numbers, recurrence = SIDE.stable_betti_numbers, SIDE.recurrence
-gl_checks = SIDE.gl_checks

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .series import Scalar, _Frozen, _strip, poly_mul
 
 __all__ = [
-    "mobius",
     "mobius_table",
     "divisors",
     "is_prime",
@@ -29,24 +28,6 @@ __all__ = [
 ]
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius is defined for positive integers")
-    if n == 1:
-        return 1
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def divisors(n: int) -> list[int]:
     small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
     large = [n // d for d in reversed(small) if d * d != n]
@@ -58,9 +39,10 @@ def necklace_numerator(k: int) -> list[int]:
     k times the k-th necklace polynomial M_k."""
     if k < 1:
         raise ValueError("necklace polynomials are indexed by k >= 1")
+    mu = mobius_table(k)
     coeffs = [0] * (k + 1)
     for j in divisors(k):
-        coeffs[j] = mobius(k // j)
+        coeffs[j] = mu[k // j]
     return coeffs
 
 

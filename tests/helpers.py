@@ -1,6 +1,7 @@
 """Reference helpers shared by the tests: a scalar binomial, truncated
-univariate series products and reciprocals over Fractions, and the
-Grothendieck-Lefschetz check of one (q, n).  The package's kernels work on
+univariate series products and reciprocals over Fractions, a sequence
+continued by a recurrence, and the Grothendieck-Lefschetz check of one
+(q, n).  The package's kernels work on
 integer lists and do not use them, so they stay independent references."""
 
 import math
@@ -48,6 +49,18 @@ def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def gl_crosscheck(side, p, q: int, n: int):
-    """The GL check of p at one (q, n) on side (a betti.Side)."""
+def extend_by_recurrence(spec, prefix: Sequence[Fraction], upto: int) -> list[Fraction]:
+    """prefix continued through index upto by a_i = sum_k c_k a_(i-k), for
+    the coefficients c_1, c_2, ... of spec (a RecurrenceSpec), reading
+    indices below zero as zero.  A sequence seq satisfies spec exactly when
+    continuing seq[:spec.valid_from] to its length gives seq back."""
+    out = [Fraction(v) for v in prefix]
+    for i in range(len(out), upto + 1):
+        out.append(sum((c * out[i - k] for k, c in enumerate(spec.coefficients, start=1)
+                        if k <= i), Fraction(0)))
+    return out
+
+
+def gl_crosscheck(side, p, q: int, n: int) -> tuple[Fraction, Fraction]:
+    """The GL check (lhs, rhs) of p at one (q, n) on side (a betti.Side)."""
     return side.gl_checks(p, {q: side.count_oracle(q, n)}, n, ScaledValues(p))[q, n]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from betticount.chars import (
     MAX_DEGREE,
+    MAX_NESTING,
     CharPoly,
     CycleType,
     binomial,
@@ -261,6 +262,15 @@ def test_parse_rejects_garbage():
     for bad in ("X0", "C(2,X1)", "X1 +", "1//2", "C(X1,1/2)", "(X1"):
         with pytest.raises(ValueError):
             parse_char_poly(bad)
+
+
+def test_parse_reads_a_run_of_minus_signs_and_caps_the_nesting():
+    assert parse_char_poly("-" * 1501 + "X1") == -CharPoly.variable(1)
+    assert parse_char_poly("1+" + "-" * 1500 + "1") == CharPoly.constant(2)
+    deepest = "(" * MAX_NESTING + "X1" + ")" * MAX_NESTING
+    assert parse_char_poly(deepest) == CharPoly.variable(1)
+    with pytest.raises(ValueError, match=f"parentheses are nested more than {MAX_NESTING} deep"):
+        parse_char_poly("(" + deepest + ")")
 
 
 @pytest.mark.parametrize("bad, token", [("X1+*X2", "*"), ("X1+,X2", ","), ("()", ")")])

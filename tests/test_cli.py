@@ -24,6 +24,7 @@ from betticount.cli import (
     render_csv,
     render_json,
 )
+from betticount.chars import MAX_NESTING
 from betticount.conf_counts import GUARD, partition_weighted_count
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
@@ -199,6 +200,38 @@ def test_betti_names_a_bad_number_in_the_rep(capsys, rep, token):
     assert "set_int_max_str_digits" not in err
 
 
+CONF_ARGS = ("conf-betti", "--max-i", "2", "--max-n", "2")
+VERIFY_ARGS = ("verify", "--side", "tori", "--q", "3", "--max-n", "2")
+
+
+@pytest.mark.parametrize("argv", [CONF_ARGS, VERIFY_ARGS], ids=["conf-betti", "verify"])
+def test_deeply_nested_parentheses_are_refused_without_a_traceback(argv):
+    # ran into Python's recursion limit: a traceback and exit 1, which on
+    # verify means that a check failed
+    proc, _ = run_child(*argv, "--rep", "(" * 400 + "1" + ")" * 400, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: parentheses are nested more than {MAX_NESTING} deep"]
+    assert proc.stdout == ""
+
+
+def test_a_long_run_of_unary_minus_signs_is_read_in_a_loop():
+    # 1500 signs ran into Python's recursion limit; an even run cancels
+    rep = "1+" + "-" * 1500 + "1"
+    proc, _ = run_child(*CONF_ARGS, "--rep", rep, "--format", "json", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["meta"]["rep_binomial"] == "2"
+    proc, _ = run_child(*VERIFY_ARGS, "--rep", rep, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("rep, want", [("(1", "')'"), ("C(X1", "','"), ("C(", "more input")])
+def test_a_rep_cut_short_names_the_end_of_the_expression(capsys, rep, want):
+    # printed "expected ')', found None"
+    code, out, err = run(capsys, *CONF_ARGS, "--rep", rep)
+    assert code == 2
+    assert err == f"error: expected {want}, found the end of the expression\n"
+
+
 @pytest.mark.parametrize(
     "side, digest",
     [
@@ -288,7 +321,7 @@ MANY_TERM_REP = "*".join(["(X1+X2+X3+X4+X5+X6+1)"] * 6)
 def test_betti_budget_for_a_many_term_rep_at_the_grid_cap(command):
     cap = str(MAX_GRID)
     proc, elapsed = run_child(command, "--rep", MANY_TERM_REP, "--max-i", cap, "--max-n", cap,
-                              timeout=10)
+                              "--stable", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 2.5
 
@@ -385,6 +418,15 @@ def test_count_rejects_an_input_above_its_cap_at_once(argv, message):
     assert proc.returncode == 2
     assert proc.stderr.strip() == f"error: {message}"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("dim", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_count_accepts_only_ascii_digits_as_a_dimension(capsys, dim):
+    # isdigit() accepts both; int() refused the superscript with its own
+    # message and read the Arabic-Indic digit as 3
+    code, out, err = run(capsys, "count", "--variety", f"affine:{dim}", "--q", "3")
+    assert code == 2
+    assert err == f"error: expected affine:<dim>, got 'affine:{dim}'\n"
 
 
 # 10^18 + 3 is prime, and 1000000016000000063 = (10^9 + 7)(10^9 + 9)
@@ -531,11 +573,10 @@ def test_verify_even_q_note(capsys):
 
 def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     import betticount.cli as cli_mod
-    from betticount.betti import GLCheck
     from fractions import Fraction as F
 
     def disagree(rep, oracles, max_n, values):
-        return {(q, n): GLCheck(F(1), F(2)) for q in oracles for n in range(max_n + 1)}
+        return {(q, n): (F(1), F(2)) for q in oracles for n in range(max_n + 1)}
 
     monkeypatch.setattr(cli_mod.SIDES["tori"], "gl_checks", disagree)
     code, out, err = run(

@@ -15,7 +15,7 @@ from betticount.series import (
     taylor_coeffs,
 )
 
-from helpers import binomial, truncated_inverse, truncated_mul
+from helpers import binomial, extend_by_recurrence, truncated_inverse, truncated_mul
 
 
 # ---------------------------------------------------------------------------
@@ -43,31 +43,49 @@ def test_poly_basics():
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
 
 
-# sums over cyclotomic denominators: Psi_1 = 1 - z, Psi_2 = 1 + z,
+# sums over stride denominators: a factor (k, e, sign) is (1 + sign z^k)^e,
+# and the reduction divides out Psi_1 = 1 - z, Psi_2 = 1 + z,
 # Psi_3 = 1 + z + z^2, Psi_4 = 1 + z^2, Psi_6 = 1 - z + z^2
+
+ONE_MINUS = {k: (k, 1, -1) for k in (1, 2, 3, 4, 6)}  # 1 - z^k
+ONE_PLUS = {k: (k, 1, 1) for k in (1, 2)}  # 1 + z^k
 
 
 def test_rational_function_reduces():
     # (1 - z^2)/(1 - z) = 1 + z, and (1 - z)/(1 - z^2) = 1/(1 + z)
-    assert cyclotomic_sum([([1, 0, -1], F(1), {1: 1})]) == ((1, 1), (1,))
-    assert cyclotomic_sum([([1, -1], F(1), {1: 1, 2: 1})]) == ((1,), (1, 1))
+    assert cyclotomic_sum([([1, 0, -1], F(1), [ONE_MINUS[1]])]) == ((1, 1), (1,))
+    assert cyclotomic_sum([([1, -1], F(1), [ONE_MINUS[2]])]) == ((1,), (1, 1))
     # integer content is divided out, and den(0) > 0: (2/4) / (1 - z^3)
-    assert cyclotomic_sum([([2], F(1, 4), {1: 1, 3: 1})]) == ((1,), (2, 0, 0, -2))
-    assert cyclotomic_sum([([-6, 0, 0, 6], F(1, 3), {1: 1, 3: 1})]) == ((-2,), (1,))
+    assert cyclotomic_sum([([2], F(1, 4), [ONE_MINUS[3]])]) == ((1,), (2, 0, 0, -2))
+    assert cyclotomic_sum([([-6, 0, 0, 6], F(1, 3), [ONE_MINUS[3]])]) == ((-2,), (1,))
     assert cyclotomic_sum([]) == ((), (1,))
 
 
 def test_rational_function_arith():
     # 1/(1 - z) - 1/(1 - z) = 0 and 1/(1 - z) + 1/(1 + z) = 2/(1 - z^2)
-    assert cyclotomic_sum([([1], F(1), {1: 1}), ([1], F(-1), {1: 1})]) == ((), (1,))
-    assert cyclotomic_sum([([1], F(1), {1: 1}), ([1], F(1), {2: 1})]) == ((2,), (1, 0, -1))
+    assert cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(-1), [ONE_MINUS[1]])]) == ((), (1,))
+    assert cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(1), [ONE_PLUS[1]])]) == ((2,), (1, 0, -1))
     # 1/(1 - z^4) - 1/(1 + z^2) = z^2/(1 - z^4), with no Psi_4 left to cancel
-    got = cyclotomic_sum([([1], F(1), {1: 1, 2: 1, 4: 1}), ([1], F(-1), {4: 1})])
+    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[4]]), ([1], F(-1), [ONE_PLUS[2]])])
     assert got == ((0, 0, 1), (1, 0, 0, 0, -1))
     # 1/(1 - z^6) - 1/((1 - z^3)(1 + z)) = (z - z^2)/(1 - z^6), and 1 - z
     # cancels: z/((1 + z)(1 + z + z^2)(1 - z + z^2)) = z/(1 + z + ... + z^5)
-    got = cyclotomic_sum([([1], F(1), {1: 1, 2: 1, 3: 1, 6: 1}), ([1], F(-1), {1: 1, 2: 1, 3: 1})])
+    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[6]]), ([1], F(-1), [ONE_MINUS[3], ONE_PLUS[1]])])
     assert got == ((0, 1), (1, 1, 1, 1, 1, 1))
+
+
+def test_rational_function_mixes_odd_and_even_conf_factors():
+    # the conf side's factors, 1 - z^k for odd k and 1 + z^k for even k:
+    # 1/(1 - z) + 1/(1 + z^2) = (2 - z + z^2)/((1 - z)(1 + z^2))
+    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(1), [ONE_PLUS[2]])])
+    assert got == ((2, -1, 1), (1, -1, 1, -1))
+    # (1 + z^2)/((1 - z)(1 + z^2)) = 1/(1 - z): Psi_4 cancels from the sum
+    both = [ONE_MINUS[1], ONE_PLUS[2]]
+    got = cyclotomic_sum([([1], F(1), both), ([0, 0, 1], F(1), both)])
+    assert got == ((1,), (1, -1))
+    # 1/((1 - z)^2 (1 + z^2)) - 1/((1 - z)(1 + z^2)) = z/((1 - z)^2 (1 + z^2))
+    got = cyclotomic_sum([([1], F(1), [(1, 2, -1), ONE_PLUS[2]]), ([1], F(-1), both)])
+    assert got == ((0, 1), (1, -2, 2, -2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +182,7 @@ def test_recurrence_geometric():
     spec = recurrence_from_ratfun(((1,), (1, -1)))
     assert spec.coefficients == (F(1),)
     assert spec.valid_from == 1
-    assert spec.holds_on([F(1)] * 20)
+    assert extend_by_recurrence(spec, [F(1)], 19) == [F(1)] * 20
 
 
 def test_recurrence_normalizes_constant_term():
@@ -179,7 +197,7 @@ def test_recurrence_double_pole():
     spec = recurrence_from_ratfun(f)
     assert spec.coefficients == (F(2), F(-1))
     coeffs = taylor_coeffs(f, 25)
-    assert spec.holds_on(coeffs)
+    assert extend_by_recurrence(spec, coeffs[:spec.valid_from], 25) == coeffs
     assert coeffs[7] == F(8, 2)  # a_i = (i+1)/2
 
 
@@ -192,19 +210,22 @@ def test_recurrence_holds_on_taylor_expansion(num, den):
     f = (num, den)
     spec = recurrence_from_ratfun(f)
     coeffs = taylor_coeffs(f, spec.valid_from + 20)
-    assert spec.holds_on(coeffs)
+    assert extend_by_recurrence(spec, coeffs[:spec.valid_from], spec.valid_from + 20) == coeffs
 
 
 def test_recurrence_extend():
-    spec = RecurrenceSpec((F(2), F(-1)), 2)
-    assert spec.extend([F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5]
+    # z/(1 - z)^2 = sum_i i z^i: a_i = 2a_(i-1) - a_(i-2) from a_0 = 0, a_1 = 1
+    f = ((0, 1), (1, -2, 1))
+    spec = recurrence_from_ratfun(f)
+    assert spec == RecurrenceSpec((F(2), F(-1)), 2)
+    assert extend_by_recurrence(spec, [F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5] == taylor_coeffs(f, 5)
 
 
 def test_recurrence_of_polynomial_is_empty():
     spec = recurrence_from_ratfun(((1, 2, 0), (1,)))
     assert spec.coefficients == ()
     assert spec.valid_from == 2
-    assert spec.holds_on([F(1), F(2), F(0), F(0), F(0)])
+    assert extend_by_recurrence(spec, [F(1), F(2)], 4) == [F(1), F(2), F(0), F(0), F(0)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from betticount.chars import CycleType
-from betticount.betti import GLCheck
 from betticount.series import RecurrenceSpec
 from betticount.zeta import PointCountData
 
@@ -16,7 +15,6 @@ ZETA_A1 = ((1,), (1, -3))
 # (instance, an equal one built another way, a different one)
 CASES = [
     (CycleType((2, 1)), CycleType(counts=(2, 1, 0, 0)), CycleType((1, 1))),
-    (GLCheck(F(1), F(2)), GLCheck(lhs=1, rhs=F(4, 2)), GLCheck(F(2), F(1))),
     (
         RecurrenceSpec((F(1), F(-1)), 3),
         RecurrenceSpec(coefficients=(F(1), F(-1)), valid_from=3),
@@ -43,7 +41,7 @@ def test_equality_and_hash_by_value(value, same, other):
 
 @pytest.mark.parametrize("value, same, other", CASES, ids=IDS)
 def test_assignment_raises(value, same, other):
-    name = next(k for k in ("counts", "lhs", "coefficients", "q") if hasattr(value, k))
+    name = next(k for k in ("counts", "coefficients", "q") if hasattr(value, k))
     with pytest.raises(AttributeError):
         setattr(value, name, getattr(other, name))
     with pytest.raises(AttributeError):
@@ -53,8 +51,7 @@ def test_assignment_raises(value, same, other):
 
 def test_unequal_to_another_class_with_the_same_fields():
     assert CycleType((1, 2)) != (1, 2)
-    assert GLCheck(F(1), F(1)) != (F(1), F(1))
-    assert RecurrenceSpec((F(1),), 0) != GLCheck((F(1),), 0)
+    assert RecurrenceSpec((F(1),), 0) != ((F(1),), 0)
 
 
 def test_constructors_normalize_and_keep_their_defaults():
@@ -62,8 +59,7 @@ def test_constructors_normalize_and_keep_their_defaults():
     assert CycleType([0, 0]).counts == ()
     v = PointCountData(q=2, dim=1, counts=(3, 5))
     assert v.zeta is None and v.counts == (3, 5)
-    assert GLCheck(lhs=F(1), rhs=F(1)).equal
-    assert RecurrenceSpec(coefficients=(F(2),), valid_from=1).length == 1
+    assert RecurrenceSpec(coefficients=(F(2),), valid_from=1).coefficients == (F(2),)
 
 
 @pytest.mark.parametrize(

@@ -44,12 +44,12 @@ def reference_row(side, q, n, name, census):
     if side == "conf":
         lhs = partition_weighted_count(builtin_variety("affine", 1, q), rep, n)
         top = max(n - 1, 0)
-        table = conf_betti.betti_table(rep, top, n)
+        table = conf_betti.SIDE.betti_table(rep, top, n)
         rhs = q**n * sum(((-1) ** i * table.entry(i, n) * F(1, q**i) for i in range(top + 1)), F(0))
     else:
         lhs = tori.partition_weighted_count(rep, q, n)
         top = n * (n - 1) // 2
-        table = tori.betti_table(rep, top, n)
+        table = tori.SIDE.betti_table(rep, top, n)
         rhs = q ** (n * (n - 1)) * sum((table.entry(i, n) * F(1, q**i) for i in range(top + 1)), F(0))
     row = {"q": q, "n": n, "rep": name, "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
     ok = lhs == rhs
