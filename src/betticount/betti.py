@@ -1,5 +1,5 @@
-"""What the two families Y_n share: Betti tables, stable series, stable
-values and recurrences, and the Grothendieck-Lefschetz checks.
+"""What the two families Y_n share: Betti tables, stable series, and the
+Grothendieck-Lefschetz checks.
 
 Y_n is Conf_n(C) (module conf_betti) or the space of maximal tori in
 GL_n(C) (module tori).  Each of the two modules exports a Side, SIDE, with
@@ -14,9 +14,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .chars import CharPoly, CycleType, centralizer_order
-from .series import (
-    RatFun, RecurrenceSpec, _Frozen, cyclotomic_sum, recurrence_from_ratfun, taylor_coeffs,
-)
+from .series import RatFun, _Frozen, cyclotomic_sum
 
 __all__ = ["BettiTable", "ScaledValues", "Side", "weighted_sum"]
 
@@ -145,20 +143,6 @@ class Side:
             num, factors = self.stable_term(lam)
             terms.append((num, coeff / centralizer_order(lam), factors))
         return cyclotomic_sum(terms)
-
-    def stable_betti_numbers(
-        self, p: CharPoly, count: int, series: RatFun | None = None
-    ) -> list[Fraction]:
-        """The stable values b_0, ..., b_count, read from `series`, p's
-        stable_series, when it is already built."""
-        return taylor_coeffs(self.stable_series(p) if series is None else series, count)
-
-    def recurrence(self, p: CharPoly, series: RatFun | None = None) -> RecurrenceSpec:
-        """Linear recurrence satisfied by the stable Betti numbers of p,
-        extracted from its stable series (built unless given)."""
-        if p.is_zero():
-            raise ValueError("zero character polynomial")
-        return recurrence_from_ratfun(self.stable_series(p) if series is None else series)
 
     def gl_checks(
         self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: ScaledValues

@@ -11,6 +11,7 @@ when every row passes.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
+from .series import recurrence_from_ratfun, taylor_coeffs
 from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
 MAX_GRID = 64
@@ -289,9 +291,11 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.stable:
+        if rep.is_zero():
+            raise ValueError("zero character polynomial")
         series = side.stable_series(rep)
-        stable = side.stable_betti_numbers(rep, args.max_i, series)
-        spec = side.recurrence(rep, series)
+        stable = taylor_coeffs(series, args.max_i)
+        spec = recurrence_from_ratfun(series)
         doc.meta["stable"] = [format_rational(v) for v in stable]
         doc.meta["recurrence"] = {
             "coefficients": [format_rational(c) for c in spec.coefficients],
@@ -331,9 +335,9 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.limits:
-        base = conf_counts.limit_normalized(v, CharPoly.constant(1))
         normalized = conf_counts.limit_normalized(v, rep)
-        row = (weight_desc, format_rational(normalized), format_rational(normalized / base))
+        expectation = conf_counts.limit_expectation(v, rep)
+        row = (weight_desc, format_rational(normalized), format_rational(expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
     values = conf_counts.weighted_count_series(v, rep, args.max_n)
     data = list(enumerate(map(format_rational, values)))
@@ -355,11 +359,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     # each input is built once per command: per q one count oracle and one
     # sieve, per rep one Betti table and one p(mu) per cycle type
     oracles = {q: side.count_oracle(q, args.max_n) for q in qs}
-    censuses = {q: [[] for _ in range(args.max_n + 1)] for q in qs}
-    if args.bruteforce:
-        for q in qs:
-            for ct, cnt in conf_counts.bruteforce_census(q, args.max_n).items():
-                censuses[q][ct.n].append((ct, cnt))
+    censuses = {q: conf_counts.bruteforce_census(q, args.max_n) for q in qs if args.bruteforce}
     per_rep = [(name, rep, ScaledValues(rep)) for name, rep in reps]
     checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
     rows = []
@@ -506,7 +506,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(doc, args.format))
+    try:
+        print(render(doc, args.format))
+    except BrokenPipeError:
+        # the reader left early; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
+from . import conf_counts
 from .betti import Side
-from .chars import CycleType, binomial, centralizer_order, partitions
+from .chars import CycleType, centralizer_order
 from .series import divide_in_place, poly_mul
-from .zeta import builtin_variety, closed_point_counts, necklace_numerator
+from .zeta import builtin_variety, necklace_numerator
 
 __all__ = [
     "SIDE",
@@ -112,13 +113,8 @@ def _stable_term(lam: CycleType) -> tuple[list[int], list[tuple[int, int, int]]]
 
 
 def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
-    """oracle[n], n <= max_n: the cycle types of n-point configurations of
-    the affine line over F_q, each with its nonzero count, from one list of
-    closed-point counts."""
-    if max_n < 0:
-        raise ValueError("n must be nonnegative")
-    mk = closed_point_counts(builtin_variety("affine", 1, q), max_n)
-    return [[(mu, c) for mu in partitions(n) if (c := binomial(mk, mu))] for n in range(max_n + 1)]
+    """conf_counts.count_oracle of the affine line over F_q."""
+    return conf_counts.count_oracle(builtin_variety("affine", 1, q), max_n)
 
 
 SIDE = Side(

@@ -32,6 +32,7 @@ from .zeta import PointCountData, closed_point_counts, is_prime
 __all__ = [
     "GUARD",
     "weighted_count_series",
+    "count_oracle",
     "partition_weighted_count",
     "check_bruteforce",
     "bruteforce_census",
@@ -93,17 +94,20 @@ def weighted_count_series(
     return [Fraction(x, den) for x in out]
 
 
+def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[CycleType, int]]]:
+    """rows[n], n <= max_n: the cycle types mu of n-point configurations of
+    V over F_q, each with its nonzero count N_mu = binomial(M, mu) =
+    prod_k binom(M_k(V,q), mu_k), from one list of closed-point counts."""
+    if max_n < 0:
+        raise ValueError("n must be nonnegative")
+    mk = closed_point_counts(v, max_n)
+    return [[(mu, c) for mu in partitions(n) if (c := binomial(mk, mu))] for n in range(max_n + 1)]
+
+
 def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
-    """Independent evaluation path: sum over partitions mu of n of N_mu *
-    p(mu), where N_mu = binomial(M, mu) = prod_k binom(M_k(V,q), mu_k) is
-    the number of n-point configurations of Frobenius cycle type mu."""
-    mk = closed_point_counts(v, n) if n else []
-    total = Fraction(0)
-    for mu in partitions(n):
-        cnt = binomial(mk, mu)
-        if cnt:
-            total += cnt * p.evaluate(mu)
-    return total
+    """Independent evaluation path: sum over the rows (mu, N_mu) of
+    count_oracle at n of N_mu * p(mu)."""
+    return sum((cnt * p.evaluate(mu) for mu, cnt in count_oracle(v, n)[n]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +290,24 @@ def check_bruteforce(p: int, n: int) -> None:
         raise ValueError(f"brute force at q={p}, n={n} exceeds the guard {GUARD}; lower --max-n")
 
 
-def bruteforce_census(p: int, n: int) -> dict[CycleType, int]:
-    """Cycle-type census of the monic square-free polynomials over F_p of
-    every degree from 0 to n, all from one sieve.
-
-    Returns a mapping CycleType -> number of square-free polynomials whose
-    irreducible factorization has those factor degrees; the size of a cycle
-    type is the degree of the polynomials it counts.
-    """
+def bruteforce_census(p: int, n: int) -> list[list[tuple[CycleType, int]]]:
+    """rows[m], m <= n: the cycle types of the monic square-free degree-m
+    polynomials over F_p, by their irreducible factor degrees, each with
+    the number of polynomials of that type; all from one sieve."""
     check_bruteforce(p, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return {
-        CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))): cnt
+    return [
+        [(CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))), cnt)
+         for key, cnt in tally.items()]
         for m, tally in enumerate(_sieve(p, n))
-        for key, cnt in tally.items()
-    }
+    ]
 
 
 def bruteforce_weighted_count(p: int, n: int, rep: CharPoly) -> Fraction:
     """Sum of rep over all monic square-free degree-n polynomials over F_p,
     each weighted by the cycle type of its factor degrees."""
-    census = bruteforce_census(p, n).items()
-    return sum((cnt * rep.evaluate(ct) for ct, cnt in census if ct.n == n), Fraction(0))
+    return sum((cnt * rep.evaluate(ct) for ct, cnt in bruteforce_census(p, n)[n]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,41 +340,36 @@ def _at(p: list[int], x: Fraction) -> Fraction:
 def limit_normalized(v: PointCountData, p: CharPoly) -> Fraction:
     """Exact limit of q^(-n d) times the p-weighted count on Conf_n V(F_q).
 
-    For p = C(X, lam) the counts are the Taylor coefficients of
-    F(t) = Z(V,t)/Z(V,t^2) times binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k
-    for each k, which has a simple pole at t = 1/c, c = q^d: the limit is
-    (1 - c t) F(t) at t = 1/c.  Factors 1 - c t common to its numerator and
-    denominator are divided out first; a denominator that still vanishes
-    there is a pole of order >= 2.  The limit is linear in p.
+    The counts of p = C(X, lam) are the Taylor coefficients of
+    Z(V,t)/Z(V,t^2) times binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k for
+    each k.  The ratio has a simple pole at t = 1/c, c = q^d, where the
+    other factors are regular, so the limit is its residue (1 - c t)
+    Z(V,t)/Z(V,t^2) at t = 1/c times limit_expectation(v, p).  Factors
+    1 - c t common to the ratio's numerator and denominator are divided out
+    first; a denominator that still vanishes there is a pole of order >= 2.
     """
     if v.zeta is None:
         raise ValueError("limits need the zeta function as a rational function")
     zn, zd = v.zeta
-    terms = p.items()
-    depth = max([0] + [len(lam.counts) for lam, _ in terms])
-    mk = closed_point_counts(v, depth) if depth else []
     c = v.q**v.dim
+    num = poly_mul(poly_mul(zn, _at_t_squared(zd)), [1, -c])
+    den = poly_mul(zd, _at_t_squared(zn))
+    while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
+        num, den = qn, qd
     x = Fraction(1, c)
-    total = Fraction(0)
-    for lam, coeff in terms:
-        scale = binomial(mk, lam)
-        if not scale:
-            continue
-        num, den = poly_mul(zn, _at_t_squared(zd)), poly_mul(zd, _at_t_squared(zn))
-        for k, lk in lam.active():
-            for _ in range(lk):
-                num = [0] * k + num
-                den = poly_mul(den, [1] + [0] * (k - 1) + [1])
-        num = poly_mul(num, [1, -c])
-        while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
-            num, den = qn, qd
-        if _deflate(den, c) is not None:
-            raise ValueError(f"pole of order >= 2 at t = {x}")
-        total += coeff * scale * _at(num, x) / _at(den, x)
-    return total
+    if _deflate(den, c) is not None:
+        raise ValueError(f"pole of order >= 2 at t = {x}")
+    return _at(num, x) / _at(den, x) * limit_expectation(v, p)
 
 
 def limit_expectation(v: PointCountData, p: CharPoly) -> Fraction:
     """Limiting expected value of p over a uniform random point of
-    Conf_n V(F_q): the ratio of the normalized limit to that of p = 1."""
-    return limit_normalized(v, p) / limit_normalized(v, CharPoly.constant(1))
+    Conf_n V(F_q): sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k,
+    c = q^d, the factors of the count series at t = 1/c.  It reads only
+    the closed-point counts, and wherever limit_normalized exists it is
+    limit_normalized(v, p) / limit_normalized(v, 1)."""
+    terms = p.items()
+    mk = closed_point_counts(v, max([0] + [len(lam.counts) for lam, _ in terms]))
+    c = v.q**v.dim
+    return sum((coeff * binomial(mk, lam) / math.prod((1 + c**k) ** lk for k, lk in lam.active())
+                for lam, coeff in terms), Fraction(0))

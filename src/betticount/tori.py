@@ -38,7 +38,6 @@ __all__ = [
     "gl_order",
     "weighted_series",
     "partition_weighted_count",
-    "tori_count_by_type",
     "count_oracle",
 ]
 
@@ -85,23 +84,10 @@ def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
 
 
 def partition_weighted_count(p: CharPoly, q: int, n: int) -> Fraction:
-    """Independent path: sum over partitions mu of n of N_mu * p(mu), where
-    N_mu counts the tori whose Frobenius permutation has cycle type mu."""
-    return sum(
-        (tori_count_by_type(q, n, mu) * p.evaluate(mu) for mu in partitions(n)),
-        Fraction(0),
-    )
-
-
-def tori_count_by_type(q: int, n: int, mu: CycleType) -> int:
-    """Number of Frobenius-stable maximal tori of GL_n(F_q) with the given
-    Frobenius cycle type."""
-    if mu.n != n:
-        raise ValueError(f"cycle type has size {mu.n}, expected {n}")
-    count = Fraction(gl_order(n, q), _torus_denominator(mu, q))
-    if count.denominator != 1:
-        raise ArithmeticError(f"non-integral torus count {count} at {mu.parts()}")
-    return int(count)
+    """Independent path: sum over the rows (mu, N_mu) of count_oracle at n
+    of N_mu * p(mu), where N_mu counts the tori whose Frobenius permutation
+    has cycle type mu."""
+    return sum((cnt * p.evaluate(mu) for mu, cnt in count_oracle(q, n)[n]), Fraction(0))
 
 
 def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tuple[int, ...]]:

@@ -152,6 +152,21 @@ def test_conf_betti_rejects_a_high_degree_rep_before_expanding_it():
     assert "C(X1,5000) has degree 5000; degrees are capped at 64" in proc.stderr
 
 
+def test_a_reader_that_leaves_early_leaves_nothing_on_stderr():
+    # the JSON is about 128 KB, more than a pipe holds, so the child is
+    # still writing when the reader closes its end, as `| head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "betticount.cli", "conf-betti", "--rep", "1",
+         "--max-i", "64", "--max-n", "64", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=30) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_conf_betti_stable_budget_at_a_high_degree():
     # the stable series of C(X1,48) is a rational function of degree 48
     # with large coefficients; its reduction must not blow up
@@ -649,7 +664,7 @@ def test_verify_rejects_a_non_prime_q_before_any_brute_force(capsys, monkeypatch
 
     calls = []
     monkeypatch.setattr(
-        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or {}
+        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
     )
     code, out, err = run(
         capsys, "verify", "--side", "conf", "--q", "3,4", "--max-n", "6", "--bruteforce"
@@ -664,7 +679,7 @@ def test_verify_checks_the_guard_for_every_q_before_any_brute_force(capsys, monk
 
     calls = []
     monkeypatch.setattr(
-        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or {}
+        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
     )
     assert 3**6 <= GUARD < 11**6
     code, out, err = run(
@@ -701,7 +716,7 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
 
     calls = {"betti_table": [], "closed_point_counts": []}
     for owner, name in ((cli_mod.SIDES["conf"], "betti_table"),
-                        (cli_mod.conf_betti, "closed_point_counts")):
+                        (cli_mod.conf_counts, "closed_point_counts")):
         def counted(*args, _fn=getattr(owner, name), _log=calls[name]):
             _log.append(args)
             return _fn(*args)

@@ -9,7 +9,7 @@ from betticount.conf_betti import (
     difference_series,
 )
 from betticount.conf_counts import bruteforce_weighted_count
-from betticount.series import taylor_coeffs
+from betticount.series import recurrence_from_ratfun, taylor_coeffs
 
 from helpers import binomial, extend_by_recurrence, gl_crosscheck
 
@@ -265,7 +265,7 @@ def test_stable_gf_single_cycle():
 
 
 def test_stable_v1_values():
-    vals = SIDE.stable_betti_numbers(builtin_rep("V1"), 12)
+    vals = taylor_coeffs(SIDE.stable_series(builtin_rep("V1")), 12)
     assert vals[0] == 0 and vals[1] == 1
     assert all(v == 2 for v in vals[2:])
 
@@ -278,9 +278,9 @@ def test_stable_v11_series_matches_printed():
 
 def test_recurrence_coefficients():
     for rep in ("V11", "V2"):
-        spec = SIDE.recurrence(builtin_rep(rep))
+        spec = recurrence_from_ratfun(SIDE.stable_series(builtin_rep(rep)))
         assert spec.coefficients == (2, -2, 2, -1)
-    spec1 = SIDE.recurrence(builtin_rep("V1"))
+    spec1 = recurrence_from_ratfun(SIDE.stable_series(builtin_rep("V1")))
     assert spec1.coefficients == (1,)
     assert spec1.valid_from <= 3
 
@@ -312,7 +312,7 @@ def test_recurrence_roots_are_roots_of_unity(side):
         num, den = series = side.stable_series(rep)
         assert den[0] > 0 and all(d % den[0] == 0 for d in den), lam
         char = [d // den[0] for d in den]
-        assert side.recurrence(rep, series).coefficients == tuple(-c for c in char[1:])
+        assert recurrence_from_ratfun(series).coefficients == tuple(-c for c in char[1:])
         assert abs(char[-1]) == 1, lam
         base = _remainder([1] + [0] * 119 + [-1], char)
         power = _remainder([1], char)
@@ -328,17 +328,17 @@ def test_recurrence_roots_are_roots_of_unity(side):
 def test_recurrence_holds_on_stable_sequence():
     for rep in ("V1", "V11", "V2"):
         p = builtin_rep(rep)
-        spec = SIDE.recurrence(p)
-        vals = SIDE.stable_betti_numbers(p, 40)
+        spec = recurrence_from_ratfun(SIDE.stable_series(p))
+        vals = taylor_coeffs(SIDE.stable_series(p), 40)
         assert extend_by_recurrence(spec, vals[:spec.valid_from], 40) == vals
 
 
 def test_stable_closed_forms_mod_four():
-    v11 = SIDE.stable_betti_numbers(builtin_rep("V11"), 50)
+    v11 = taylor_coeffs(SIDE.stable_series(builtin_rep("V11")), 50)
     for i in range(3, 51):
         expected = {0: 2 * i - 2, 1: 2 * i - 3, 2: 2 * i - 2, 3: 2 * i - 1}[i % 4]
         assert v11[i] == expected
-    v2 = SIDE.stable_betti_numbers(builtin_rep("V2"), 50)
+    v2 = taylor_coeffs(SIDE.stable_series(builtin_rep("V2")), 50)
     for i in range(1, 51):
         expected = {0: 2 * i - 2, 1: 2 * i - 1, 2: 2 * i - 2, 3: 2 * i - 3}[i % 4]
         assert v2[i] == expected
@@ -348,7 +348,7 @@ def test_table_rows_reach_stable_values():
     for rep in ("V1", "V11", "V2"):
         p = builtin_rep(rep)
         table = SIDE.betti_table(p, 8, 14)
-        stable = SIDE.stable_betti_numbers(p, 8)
+        stable = taylor_coeffs(SIDE.stable_series(p), 8)
         deg = p.degree()
         for i in range(9):
             for n in range(i + deg + 1, 15):

@@ -8,7 +8,9 @@ from math import comb
 import pytest
 
 from betticount import conf_counts
-from betticount.chars import CharPoly, CycleType, binomial, builtin_rep, parse_char_poly, partitions
+from betticount.chars import (
+    CharPoly, CycleType, binomial, builtin_rep, parse_char_poly, parse_rep, partitions,
+)
 from betticount.conf_counts import (
     GUARD,
     bruteforce_census,
@@ -127,19 +129,19 @@ def trial_division_census(p, n):
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (3, 4), (5, 3)])
 def test_sieve_census_matches_trial_division(p, n):
     census = bruteforce_census(p, n)
-    assert {ct: cnt for ct, cnt in census.items() if ct.n == n} == trial_division_census(p, n)
+    assert dict(census[n]) == trial_division_census(p, n)
 
 
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2)])
 def test_one_sieve_matches_trial_division_at_every_degree(p, n):
     census = bruteforce_census(p, n)
     for m in range(n + 1):
-        got = {ct: cnt for ct, cnt in census.items() if ct.n == m}
+        got = dict(census[m])
         # the reference counts the constant 1 as not square-free; it is the
         # one degree-0 monic and has no factors
         want = trial_division_census(p, m) if m else {CycleType(()): 1}
         assert got == want, m
-    assert all(ct.n <= n for ct in census)
+    assert len(census) == n + 1 and all(ct.n == m for m, row in enumerate(census) for ct, _ in row)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ def test_one_sieve_matches_trial_division_at_every_degree(p, n):
 
 def test_bruteforce_squarefree_count_q3_n2():
     census = bruteforce_census(3, 2)
-    assert sum(cnt for ct, cnt in census.items() if ct.n == 2) == 6  # 9 monic quadratics, 3 with repeated roots
+    assert sum(cnt for _, cnt in census[2]) == 6  # 9 monic quadratics, 3 with repeated roots
     assert bruteforce_weighted_count(3, 2, CharPoly.constant(1)) == 6
 
 
@@ -169,7 +171,7 @@ def test_bruteforce_guard():
 
 
 def test_bruteforce_degree_zero():
-    assert bruteforce_census(3, 0) == {CycleType(()): 1}
+    assert bruteforce_census(3, 0) == [[(CycleType(()), 1)]]
 
 
 def test_bruteforce_refuses_a_huge_n_without_computing_p_to_the_n():
@@ -302,8 +304,8 @@ def test_sieve_census_matches_the_closed_point_formula_at_every_degree(p, n):
     census = bruteforce_census(p, n)
     for m in range(n + 1):
         want = {mu: binomial(mk, mu) for mu in partitions(m) if binomial(mk, mu)}
-        assert {ct: cnt for ct, cnt in census.items() if ct.n == m} == want, m
-    assert all(ct.n <= n for ct in census)
+        assert dict(census[m]) == want, m
+    assert len(census) == n + 1 and all(ct.n == m for m, row in enumerate(census) for ct, _ in row)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +465,8 @@ def test_partition_sum_equals_series_for_trivial_weight(kind, d, q):
 
 
 def census_sum(census, rep, n):
-    """The sum of rep over the degree-n part of a census of every degree."""
-    return sum((cnt * rep.evaluate(ct) for ct, cnt in census.items() if ct.n == n), F(0))
+    """The sum of rep over row n of a census of every degree."""
+    return sum((cnt * rep.evaluate(ct) for ct, cnt in census[n]), F(0))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -554,6 +556,18 @@ def test_projective_line_limit_close_to_coefficients():
         lim = limit_normalized(v, CharPoly.binom(lam))
         series = weighted_count_series(v, CharPoly.binom(lam), 25)
         assert abs(series[25] / F(2) ** 25 - lim) < F(1, 10**6)
+
+
+def test_elliptic_curve_limits_are_the_trivial_limit_times_the_expectation():
+    # Z = (1 - 2t + 5t^2) / ((1 - t)(1 - 5t)), an elliptic curve over F_5:
+    # the numerator's reciprocal roots have absolute value sqrt(5)
+    v = parse_variety_text("q = 5\ndim = 1\nzeta_num = 1 -2 5\nzeta_den = 1 -6 5\n")
+    one = limit_normalized(v, CharPoly.constant(1))
+    for name in ("1", "X1", "V11", "1/2*X4+C(X2,2)"):
+        p = parse_rep(name)
+        lim = limit_normalized(v, p)
+        assert lim == one * limit_expectation(v, p), name
+        assert abs(weighted_count_series(v, p, 25)[25] / F(5) ** 25 - lim) < F(1, 10**6), name
 
 
 def test_bruteforce_budget():

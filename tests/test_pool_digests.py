@@ -1,7 +1,8 @@
 """Every op of the benchmark pools, run in process, prints the bytes
 recorded for it: the exit code and the SHA-256 of stdout must equal
 perfbench/expected.json.  Both perfbench files are only read.  The same
-holds for scripts/paper_tables.py, run as a script."""
+holds for scripts/paper_tables.py and scripts/census_digest.py, each run as
+a script."""
 
 import hashlib
 import importlib.util
@@ -20,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 # SHA-256 of the reference tables as scripts/paper_tables.py prints them
 PAPER_TABLES_SHA256 = "9b0d87390a5f2c6ad6d0e1b335e5f5b369d6ce76c766c61372f6812332d3b7c5"
+# SHA-256 of the 27 census digests as scripts/census_digest.py prints them
+CENSUS_DIGEST_SHA256 = "f121e3ca7d3860aea0de0c1f8e9bb5c1e00060376d06450b568efd6ad8c1015b"
 
 
 def _workloads():
@@ -51,11 +54,19 @@ def test_every_recorded_op_is_in_a_pool():
     }
 
 
-def test_paper_tables_script_prints_its_recorded_bytes():
+def _script_stdout(name: str) -> bytes:
     src = os.path.dirname(os.path.dirname(betticount.__file__))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "paper_tables.py")],
+        [sys.executable, str(ROOT / "scripts" / name)],
         capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == PAPER_TABLES_SHA256
+    return proc.stdout
+
+
+def test_paper_tables_script_prints_its_recorded_bytes():
+    assert hashlib.sha256(_script_stdout("paper_tables.py")).hexdigest() == PAPER_TABLES_SHA256
+
+
+def test_census_digest_script_prints_its_recorded_bytes():
+    assert hashlib.sha256(_script_stdout("census_digest.py")).hexdigest() == CENSUS_DIGEST_SHA256
