@@ -1,10 +1,10 @@
 """Exact computation of twisted Betti numbers of configuration spaces of the
 complex line and of spaces of maximal tori, cross-validated by weighted point
-counts over finite fields.  All arithmetic is exact rational."""
+counts over finite fields.  All arithmetic is exact: integers over one denominator."""
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
-from .chars import CharPoly, CycleType, builtin_rep, parse_rep
-from .series import Rational, RecurrenceSpec
+from .chars import CharPoly, CycleType, parse_rep
+from .series import RecurrenceSpec
 from .zeta import PointCountData, builtin_variety
 
 __all__ = [
@@ -16,9 +16,7 @@ __all__ = [
     "zeta",
     "CharPoly",
     "CycleType",
-    "builtin_rep",
     "parse_rep",
-    "Rational",
     "RecurrenceSpec",
     "PointCountData",
     "builtin_variety",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from fractions import Fraction
 
 from .chars import CharPoly, CycleType, centralizer_order
 from .series import RatFun, _Frozen, cyclotomic_sum
@@ -34,13 +33,10 @@ class BettiTable(_Frozen):
                  rows: tuple[tuple[int, ...], ...], den: int):
         self._set(rep, side, max_i, max_n, rows, den)
 
-    def entry(self, i: int, n: int) -> Fraction:
-        return Fraction(self.rows[i][n], self.den)
-
 
 class ScaledValues(dict):
     """den * p(mu) by cycle type mu, an integer computed on first use, for
-    p = sum_lam c_lam C(X, lam) and den the lcm of the c_lam.denominator.
+    p = sum_lam c_lam C(X, lam) and den = p.den.
 
     The lam of p sit in a trie keyed by lam_1, lam_2, ...: a node is the
     integer m_lam = c_lam den of the lam that ends there (0 if none) and its
@@ -50,14 +46,13 @@ class ScaledValues(dict):
 
     def __init__(self, p: CharPoly):
         super().__init__()
-        items = p.items()
-        self.den = math.lcm(*(c.denominator for _, c in items))
+        self.den = p.den
         root = [0, {}]
-        for lam, c in items:
+        for lam, m in p.items():
             node = root
             for lk in lam.counts:
                 node = node[1].setdefault(lk, [0, {}])
-            node[0] += c.numerator * (self.den // c.denominator)
+            node[0] += m
         self.trie = _freeze(root)
 
     def __missing__(self, mu: CycleType) -> int:
@@ -82,11 +77,11 @@ def _trie_value(node: tuple, a: tuple[int, ...], j: int) -> int:
     return total
 
 
-def weighted_sum(values: ScaledValues, types) -> Fraction:
+def weighted_sum(values: ScaledValues, types) -> tuple[int, int]:
     """sum_mu N_mu p(mu) over the pairs (mu, N_mu) in types, for values the
-    ScaledValues of p: one integer sum over values.den.  Sums that share
-    values evaluate p once per cycle type."""
-    return Fraction(sum([cnt * values[mu] for mu, cnt in types]), values.den)
+    ScaledValues of p: one integer sum, returned with values.den.  Sums
+    that share values evaluate p once per cycle type."""
+    return sum([cnt * values[mu] for mu, cnt in types]), values.den
 
 
 class Side:
@@ -118,14 +113,12 @@ class Side:
 
     def betti_table(self, p: CharPoly, max_i: int, max_n: int) -> BettiTable:
         """The Betti numbers of p = sum_lam c_lam C(X, lam) at every
-        i <= max_i, n <= max_n: one integer grid over the lcm den of the
-        c_lam.denominator * z_lam, with multipliers m_lam = c_lam den / z_lam."""
+        i <= max_i, n <= max_n: one integer grid over den = p.den * L, L
+        the lcm of the z_lam, with multipliers m_lam = c_lam den / z_lam."""
         if max_i < 0 or max_n < 0:
             raise ValueError("max_i and max_n must be nonnegative")
-        scales = [(lam, c, c.denominator * centralizer_order(lam)) for lam, c in p.items()]
-        den = math.lcm(*(scale for _, _, scale in scales))
-        rows = self.grid([(lam, c.numerator * (den // scale)) for lam, c, scale in scales],
-                         max_i, max_n)
+        terms, den = _multipliers(p)
+        rows = self.grid(terms, max_i, max_n)
         tops = [self.top(n) for n in range(max_n + 1)]
         for i, row in enumerate(rows):
             for n, c in enumerate(row):
@@ -138,26 +131,37 @@ class Side:
     def stable_series(self, p: CharPoly) -> RatFun:
         """The stable series sum_i b_i z^i of p as an integer pair
         (num, den) in lowest terms."""
-        terms = []
-        for lam, coeff in p.items():
+        terms, den = _multipliers(p)
+        parts = []
+        for lam, m in terms:
             num, factors = self.stable_term(lam)
-            terms.append((num, coeff / centralizer_order(lam), factors))
-        return cyclotomic_sum(terms)
+            parts.append((num, m, factors))
+        return cyclotomic_sum(parts, den)
 
     def gl_checks(
         self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: ScaledValues
-    ) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    ) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
         """The GL checks (lhs, rhs) of p, equal when they pass, at every
         n <= max_n and q in oracles (q -> count_oracle(q, max_n)), from one
-        Betti table: lhs is the weighted count over oracles[q][n] (values,
-        the ScaledValues of p), rhs is sum_i weight(q, n, i) b_i(n)."""
+        Betti table, each side a pair (numerator, positive denominator):
+        lhs is the weighted count over oracles[q][n] (values, the
+        ScaledValues of p), rhs is sum_i weight(q, n, i) b_i(n)."""
         table = self.betti_table(p, self.top(max_n), max_n)
         return {
             (q, n): (
                 weighted_sum(values, oracle[n]),
-                Fraction(sum(self.weight(q, n, i) * table.rows[i][n]
-                             for i in range(self.top(n) + 1)), table.den),
+                (sum(self.weight(q, n, i) * table.rows[i][n] for i in range(self.top(n) + 1)),
+                 table.den),
             )
             for q, oracle in oracles.items()
             for n in range(max_n + 1)
         }
+
+
+def _multipliers(p: CharPoly) -> tuple[list[tuple[CycleType, int]], int]:
+    """([(lam, m_lam)], den) with sum_lam c_lam C(X, lam) / z_lam =
+    sum_lam m_lam C(X, lam) / den: den = p.den * L for L the lcm of the z_lam,
+    and m_lam = (numerator of c_lam) * L / z_lam."""
+    terms = [(lam, m, centralizer_order(lam)) for lam, m in p.items()]
+    scale = math.lcm(*(z for _, _, z in terms))
+    return [(lam, m * (scale // z)) for lam, m, z in terms], p.den * scale

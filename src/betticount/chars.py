@@ -12,13 +12,13 @@ maps each atom to one basis element.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
+from itertools import zip_longest
 
-from .series import Scalar, _frac, _Frozen, _strip
+from .series import _Frozen, _strip, ratio
 
 __all__ = [
     "CycleType",
@@ -26,7 +26,6 @@ __all__ = [
     "binomial",
     "partitions",
     "centralizer_order",
-    "builtin_rep",
     "parse_char_poly",
     "parse_rep",
 ]
@@ -57,9 +56,6 @@ class CycleType(_Frozen):
     @property
     def n(self) -> int:
         return sum(k * c for k, c in enumerate(self.counts, start=1))
-
-    def count(self, k: int) -> int:
-        return self.counts[k - 1] if 1 <= k <= len(self.counts) else 0
 
     def active(self) -> list[tuple[int, int]]:
         """(k, counts[k-1]) pairs with a nonzero count."""
@@ -98,29 +94,44 @@ def binomial(a: Sequence[int], lam: CycleType) -> int:
 
 class CharPoly:
     """A class function in the binomial basis: a finite rational combination
-    of C(X, l) terms, with zero coefficients never stored."""
+    of C(X, l) terms, held as integer numerators over one denominator den.
+    The form is canonical: den > 0, no numerator is zero, and den and the
+    numerators have no common factor, so equal polynomials hold equal data.
 
-    __slots__ = ("_terms",)
+    The coefficients given to the constructor are ints or Fractions, read
+    through .numerator and .denominator."""
 
-    def __init__(self, terms: Mapping[CycleType, Scalar] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[CycleType, Fraction] = {}
+    __slots__ = ("_nums", "den")
+
+    def __init__(self, terms: Mapping[CycleType, int] = ()):
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        scale = lcm(*(c.denominator for _, c in items))
+        nums: dict[CycleType, int] = {}
         for lam, c in items:
-            c = _frac(c)
-            if c:
-                d[lam] = d.get(lam, Fraction(0)) + c
-                if not d[lam]:
-                    del d[lam]
-        self._terms = d
+            nums[lam] = nums.get(lam, 0) + c.numerator * (scale // c.denominator)
+        self._reduce(nums, scale)
+
+    def _reduce(self, nums: dict[CycleType, int], den: int) -> None:
+        """Hold nums / den, den > 0, in the canonical form."""
+        nums = {lam: c for lam, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        self._nums = {lam: c // g for lam, c in nums.items()} if g != 1 else nums
+        self.den = den // g
+
+    @staticmethod
+    def _of(nums: dict[CycleType, int], den: int) -> CharPoly:
+        out = CharPoly.__new__(CharPoly)
+        out._reduce(nums, den)
+        return out
 
     @staticmethod
     def binom(lam: CycleType | Sequence[int]) -> CharPoly:
         if not isinstance(lam, CycleType):
             lam = CycleType(lam)
-        return CharPoly({lam: 1})
+        return CharPoly._of({lam: 1}, 1)
 
     @staticmethod
-    def constant(c: Scalar) -> CharPoly:
+    def constant(c: int) -> CharPoly:
         return CharPoly({CycleType(()): c})
 
     @staticmethod
@@ -128,80 +139,75 @@ class CharPoly:
         """X_k itself, i.e. C(X_k, 1)."""
         return CharPoly.binom([0] * (k - 1) + [1])
 
-    def items(self) -> list[tuple[CycleType, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].n, kv[0].counts))
-
-    def coefficient(self, lam: CycleType) -> Fraction:
-        return self._terms.get(lam, Fraction(0))
+    def items(self) -> list[tuple[CycleType, int]]:
+        """The pairs (l, numerator of the coefficient of C(X, l)), by
+        degree and then by l; each coefficient is its numerator / den."""
+        return sorted(self._nums.items(), key=lambda kv: (kv[0].n, kv[0].counts))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CharPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.den == other.den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._nums.items()), self.den))
 
     def __neg__(self) -> CharPoly:
-        return CharPoly({l: -c for l, c in self._terms.items()})
+        return CharPoly._of({l: -c for l, c in self._nums.items()}, self.den)
 
     def __add__(self, other: CharPoly) -> CharPoly:
-        return CharPoly([*self._terms.items(), *other._terms.items()])
+        den = lcm(self.den, other.den)
+        nums = {l: c * (den // self.den) for l, c in self._nums.items()}
+        s = den // other.den
+        for l, c in other._nums.items():
+            nums[l] = nums.get(l, 0) + c * s
+        return CharPoly._of(nums, den)
 
     def __sub__(self, other: CharPoly) -> CharPoly:
         return self + (-other)
 
-    def __mul__(self, other: CharPoly | Scalar) -> CharPoly:
-        """A scalar multiple, or the product of two character polynomials.
+    def __mul__(self, other: CharPoly | int) -> CharPoly:
+        """A scalar multiple (an int or a Fraction), or the product of two
+        character polynomials.
 
         Per variable C(x,a) * C(x,b) = sum_{c=max(a,b)}^{a+b} C(c,a) *
         C(a,a+b-c) * C(x,c), with integer coefficients; distinct variables
         multiply freely.
         """
         if not isinstance(other, CharPoly):
-            s = _frac(other)
-            return CharPoly({l: c * s for l, c in self._terms.items()})
-        return CharPoly(
-            (lam, c1 * c2 * w)
-            for l1, c1 in self._terms.items()
-            for l2, c2 in other._terms.items()
-            for lam, w in _binomial_product(l1, l2)
-        )
+            num = other.numerator
+            return CharPoly._of({l: c * num for l, c in self._nums.items()},
+                                self.den * other.denominator)
+        nums: dict[CycleType, int] = {}
+        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for l1, c1 in self._nums.items():
+            for l2, c2 in other._nums.items():
+                c = c1 * c2
+                for lam, w in _binomial_product(l1, l2, table):
+                    nums[lam] = nums.get(lam, 0) + c * w
+        return CharPoly._of(nums, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def degree(self) -> int:
-        """Largest degree n of C(X, l) over the terms; X_k has degree k."""
-        if not self._terms:
-            raise ValueError("the zero character polynomial has no degree")
-        return max(l.n for l in self._terms)
-
-    def evaluate(self, c: CycleType) -> Fraction:
-        """Value on a conjugacy class: sum of coeff * prod_k C(a_k, l_k)."""
-        total = Fraction(0)
-        for lam, coeff in self._terms.items():
-            if v := binomial(c.counts, lam):
-                total += coeff * v
-        return total
-
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         chunks: list[str] = []
-        for lam, coeff in self.items():
+        for lam, num in self.items():
             factors = []
             for k, lk in lam.active():
                 factors.append(f"X{k}" if lk == 1 else f"C(X{k},{lk})")
             body = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
+            coeff = ratio(num, self.den)
+            if coeff == "1" and factors:
                 term = body
-            elif coeff == -1 and factors:
+            elif coeff == "-1" and factors:
                 term = f"-{body}"
             else:
-                term = f"{coeff}" if not factors else f"{coeff}*{body}"
+                term = coeff if not factors else f"{coeff}*{body}"
             chunks.append(term)
         out = chunks[0]
         for t in chunks[1:]:
@@ -212,16 +218,16 @@ class CharPoly:
         return f"CharPoly({self})"
 
 
-def _binomial_product(l1: CycleType, l2: CycleType) -> list[tuple[CycleType, int]]:
-    """C(X, l1) * C(X, l2) as integer-weighted basis elements."""
+def _binomial_product(l1: CycleType, l2: CycleType, table: dict) -> list[tuple[CycleType, int]]:
+    """C(X, l1) * C(X, l2) as integer-weighted basis elements, with the
+    expansions (c, w_c) of C(x,a) * C(x,b) kept in table by (a, b)."""
     out: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for k in range(1, max(len(l1.counts), len(l2.counts)) + 1):
-        a, b = l1.count(k), l2.count(k)
-        out = [
-            (ent + (c,), w * comb(c, a) * comb(a, a + b - c))
-            for ent, w in out
-            for c in range(max(a, b), a + b + 1)
-        ]
+    for a, b in zip_longest(l1.counts, l2.counts, fillvalue=0):
+        terms = table.get((a, b))
+        if terms is None:
+            terms = table[a, b] = [(c, comb(c, a) * comb(a, a + b - c))
+                                   for c in range(max(a, b), a + b + 1)]
+        out = [(ent + (c,), v * w) for ent, v in out for c, w in terms]
     return [(CycleType(ent), w) for ent, w in out]
 
 
@@ -283,14 +289,6 @@ _BUILTINS = {
 }
 
 
-def builtin_rep(name: str) -> CharPoly:
-    """One of the built-in representations V1, V11, V2."""
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown representation {name!r}; choose from V1, V11, V2")
-
-
 # ---------------------------------------------------------------------------
 # expression parser for user-entered character polynomials
 #
@@ -331,7 +329,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _degree(p: CharPoly) -> int:
-    return max((lam.n for lam in p._terms), default=0)
+    return max((lam.n for lam in p._nums), default=0)
 
 
 def _check_degree(d: int, what: str) -> None:
@@ -415,9 +413,10 @@ class _Parser:
         self.take()
         if tok.startswith("X"):
             return CharPoly.variable(int(tok[1:]))
-        if "/" in tok and not tok.partition("/")[2].strip("0"):
+        num, _, den = tok.partition("/")
+        if den and not den.strip("0"):
             raise ValueError(f"the number {tok} has a zero denominator")
-        return CharPoly.constant(Fraction(tok))
+        return CharPoly._of({CycleType(()): int(num)}, int(den or 1))
 
 
 def parse_char_poly(text: str) -> CharPoly:

@@ -10,18 +10,16 @@ when every row passes.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
-from .series import recurrence_from_ratfun, taylor_coeffs
+from .series import ratio, recurrence_from_ratfun, taylor_coeffs
 from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
 MAX_GRID = 64
@@ -53,28 +51,32 @@ def _too_long() -> ValueError:
     )
 
 
-def _text(x) -> str:
-    """str(x) for anything that prints exact rationals: a Fraction prints as
-    "p" or "p/q", a CharPoly with its coefficients."""
+def _text(rep: CharPoly) -> str:
+    """str(rep), its coefficients printed by series.ratio."""
     try:
-        return str(x)
+        return str(rep)
     except ValueError:
         raise _too_long() from None
-
-
-def format_rational(x) -> str:
-    return _text(Fraction(x))
 
 
 def _ratios(cells: list[int], den: int) -> list[str]:
-    """format_rational(Fraction(c, den)) for each integer c, den > 0."""
+    """The text of every value c / den, for integers c and den > 0: "p/q" in
+    lowest terms, or "p" for an integer; every value is printed by it."""
     try:
         if den == 1:
             return list(map(str, cells))
-        return [str(c // g) if (g := math.gcd(c, den)) == den else f"{c // g}/{den // g}"
-                for c in cells]
+        return [ratio(c, den) for c in cells]
     except ValueError:
         raise _too_long() from None
+
+
+def _ratio(value: tuple[int, int]) -> str:
+    """_ratios of one value, a pair (numerator, positive denominator)."""
+    return _ratios([value[0]], value[1])[0]
+
+
+def _equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] == b[0] * a[1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +296,10 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
         if rep.is_zero():
             raise ValueError("zero character polynomial")
         series = side.stable_series(rep)
-        stable = taylor_coeffs(series, args.max_i)
         spec = recurrence_from_ratfun(series)
-        doc.meta["stable"] = [format_rational(v) for v in stable]
+        doc.meta["stable"] = _ratios(*taylor_coeffs(series, args.max_i))
         doc.meta["recurrence"] = {
-            "coefficients": [format_rational(c) for c in spec.coefficients],
+            "coefficients": _ratios(spec.coefficients, spec.den),
             "valid_from": spec.valid_from,
         }
     tops = [side.top(n) for n in range(args.max_n + 1)]
@@ -337,10 +338,20 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     if args.limits:
         normalized = conf_counts.limit_normalized(v, rep)
         expectation = conf_counts.limit_expectation(v, rep)
-        row = (weight_desc, format_rational(normalized), format_rational(expectation))
+        row = (weight_desc, _ratio(normalized), _ratio(expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
-    values = conf_counts.weighted_count_series(v, rep, args.max_n)
-    data = list(enumerate(map(format_rational, values)))
+    # refused before the work when a value is sure to be too long to print:
+    # on affine and projective d-space the number of n-point configurations
+    # is at least q^(dn) / 2, and a weight with a constant term c and no
+    # negative coefficient counts at least c times it (other weights cancel)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    nums = dict(rep.items())
+    c = nums.get(CycleType(()), 0)
+    if (limit and args.variety.partition(":")[0] in ("affine", "projective") and c > 0
+            and min(nums.values()) > 0
+            and c * v.q ** (v.dim * args.max_n) >= 2 * rep.den * 10**limit):
+        raise _too_long()
+    data = list(enumerate(_ratios(*conf_counts.weighted_count_series(v, rep, args.max_n))))
     return OutputDocument("table", meta, data, ("n", "value")), 0
 
 
@@ -367,12 +378,12 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
         for n in range(args.max_n + 1):
             for (name, rep, values), by_qn in zip(per_rep, checks):
                 lhs, rhs = by_qn[q, n]
-                row = (q, n, name, format_rational(lhs), format_rational(rhs))
-                ok = lhs == rhs
+                row = (q, n, name, _ratio(lhs), _ratio(rhs))
+                ok = _equal(lhs, rhs)
                 if args.bruteforce:
                     brute = weighted_sum(values, censuses[q][n])
-                    row += (format_rational(brute),)
-                    ok = ok and brute == lhs
+                    row += (_ratio(brute),)
+                    ok = ok and _equal(brute, lhs)
                 rows.append(row + (ok,))
     doc = OutputDocument(kind="verification")
     doc.columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")

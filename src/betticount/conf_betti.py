@@ -20,18 +20,16 @@ running sum per row; betti.Side assembles everything else.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from . import conf_counts
 from .betti import Side
-from .chars import CycleType, centralizer_order
+from .chars import CycleType
 from .series import divide_in_place, poly_mul
 from .zeta import builtin_variety, necklace_numerator
 
 __all__ = [
     "SIDE",
-    "difference_series",
     "count_oracle",
 ]
 
@@ -72,21 +70,6 @@ def _difference_columns(
     for n in range(t_order, 1, -1):
         cols[n][1:] = [c - d for c, d in zip(cols[n][1:], cols[n - 2])]
     return cols
-
-
-def difference_series(
-    lam: CycleType, max_i: int, t_order: int
-) -> dict[tuple[int, int], Fraction]:
-    """(1 - t) times the Betti generating series for C(X, lam), as its
-    nonzero terms {(i, n): c} with i <= max_i and n <= t_order.
-
-    The coefficient c is (-1)^i (alpha_i(n) - alpha_i(n-1)), so every term
-    satisfies the slope bound n - i <= weight + 1, which is what makes the
-    stability range explicit.
-    """
-    den = centralizer_order(lam)
-    cols = _difference_columns([(lam, 1)], max_i, t_order)
-    return {(i, n): Fraction(c, den) for n, col in enumerate(cols) for i, c in enumerate(col) if c}
 
 
 def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[list[int]]:

@@ -21,22 +21,19 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import filterfalse, repeat
 from operator import add, and_, mul
 
 from .chars import CharPoly, CycleType, binomial, partitions
-from .series import divide_in_place, poly_mul
+from .series import divide_in_place, poly_mul, ratio
 from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
     "GUARD",
     "weighted_count_series",
     "count_oracle",
-    "partition_weighted_count",
     "check_bruteforce",
     "bruteforce_census",
-    "bruteforce_weighted_count",
     "limit_normalized",
     "limit_expectation",
 ]
@@ -50,9 +47,10 @@ GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest r
 
 def weighted_count_series(
     v: PointCountData, p: CharPoly, n_max: int
-) -> list[Fraction]:
-    """Coefficients c_0..c_{n_max} with c_n the sum of p over the Frobenius
-    cycle types of all n-point configurations of V over F_q.
+) -> tuple[list[int], int]:
+    """Coefficients c_0..c_{n_max}, as integers over the one denominator
+    p.den, with c_n the sum of p over the Frobenius cycle types of all
+    n-point configurations of V over F_q.
 
     For p = C(X, lam) the generating function is Z(V,t)/Z(V,t^2) times,
     for each k with lam_k > 0, the factor
@@ -81,17 +79,16 @@ def weighted_count_series(
         prod[m], rem = divmod(total, m)
         if rem:
             raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
-    den = math.lcm(*(coeff.denominator for _, coeff in terms))
     out = [0] * (n_max + 1)
-    for lam, coeff in terms:
+    for lam, m in terms:
         w = lam.n
-        mult = coeff.numerator * (den // coeff.denominator) * binomial(mk, lam)
+        mult = m * binomial(mk, lam)
         if mult and w <= n_max:
             s = prod[: n_max + 1 - w]
             divide_in_place(s, lam.active(), 1)
             for m, x in enumerate(s, start=w):
                 out[m] += mult * x
-    return [Fraction(x, den) for x in out]
+    return out, p.den
 
 
 def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[CycleType, int]]]:
@@ -102,12 +99,6 @@ def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[CycleType, in
         raise ValueError("n must be nonnegative")
     mk = closed_point_counts(v, max_n)
     return [[(mu, c) for mu in partitions(n) if (c := binomial(mk, mu))] for n in range(max_n + 1)]
-
-
-def partition_weighted_count(v: PointCountData, p: CharPoly, n: int) -> Fraction:
-    """Independent evaluation path: sum over the rows (mu, N_mu) of
-    count_oracle at n of N_mu * p(mu)."""
-    return sum((cnt * p.evaluate(mu) for mu, cnt in count_oracle(v, n)[n]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +295,6 @@ def bruteforce_census(p: int, n: int) -> list[list[tuple[CycleType, int]]]:
     ]
 
 
-def bruteforce_weighted_count(p: int, n: int, rep: CharPoly) -> Fraction:
-    """Sum of rep over all monic square-free degree-n polynomials over F_p,
-    each weighted by the cycle type of its factor degrees."""
-    return sum((cnt * rep.evaluate(ct) for ct, cnt in bruteforce_census(p, n)[n]), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # limits as n grows
 
@@ -330,15 +315,23 @@ def _deflate(p: list[int], c: int) -> list[int] | None:
     return q if p[-1] + c * acc == 0 else None
 
 
-def _at(p: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
+def _at_inverse(p: list[int], c: int) -> int:
+    """c^(len(p) - 1) p(1/c), by Horner's rule from the constant term."""
+    acc = 0
+    for a in p:
+        acc = acc * c + a
     return acc
 
 
-def limit_normalized(v: PointCountData, p: CharPoly) -> Fraction:
-    """Exact limit of q^(-n d) times the p-weighted count on Conf_n V(F_q).
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den as (p, q) in lowest terms with q > 0."""
+    g = math.gcd(num, den) * (1 if den > 0 else -1)
+    return num // g, den // g
+
+
+def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
+    """Exact limit of q^(-n d) times the p-weighted count on Conf_n V(F_q),
+    as (numerator, positive denominator) in lowest terms.
 
     The counts of p = C(X, lam) are the Taylor coefficients of
     Z(V,t)/Z(V,t^2) times binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k for
@@ -347,6 +340,7 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> Fraction:
     Z(V,t)/Z(V,t^2) at t = 1/c times limit_expectation(v, p).  Factors
     1 - c t common to the ratio's numerator and denominator are divided out
     first; a denominator that still vanishes there is a pole of order >= 2.
+    Each polynomial f is evaluated at 1/c on integers, as c^deg(f) f(1/c).
     """
     if v.zeta is None:
         raise ValueError("limits need the zeta function as a rational function")
@@ -356,20 +350,27 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> Fraction:
     den = poly_mul(zd, _at_t_squared(zn))
     while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
         num, den = qn, qd
-    x = Fraction(1, c)
     if _deflate(den, c) is not None:
-        raise ValueError(f"pole of order >= 2 at t = {x}")
-    return _at(num, x) / _at(den, x) * limit_expectation(v, p)
+        raise ValueError(f"pole of order >= 2 at t = {ratio(1, c)}")
+    e_num, e_den = limit_expectation(v, p)
+    return _lowest(_at_inverse(num, c) * c ** (len(den) - 1) * e_num,
+                   _at_inverse(den, c) * c ** (len(num) - 1) * e_den)
 
 
-def limit_expectation(v: PointCountData, p: CharPoly) -> Fraction:
+def limit_expectation(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     """Limiting expected value of p over a uniform random point of
-    Conf_n V(F_q): sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k,
-    c = q^d, the factors of the count series at t = 1/c.  It reads only
-    the closed-point counts, and wherever limit_normalized exists it is
+    Conf_n V(F_q), as (numerator, positive denominator) in lowest terms:
+    sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k, c = q^d, the
+    factors of the count series at t = 1/c.  It reads only the closed-point
+    counts, and wherever limit_normalized exists it is
     limit_normalized(v, p) / limit_normalized(v, 1)."""
     terms = p.items()
     mk = closed_point_counts(v, max([0] + [len(lam.counts) for lam, _ in terms]))
     c = v.q**v.dim
-    return sum((coeff * binomial(mk, lam) / math.prod((1 + c**k) ** lk for k, lk in lam.active())
-                for lam, coeff in terms), Fraction(0))
+    num, den = 0, 1
+    for lam, m in terms:
+        b = math.prod((1 + c**k) ** lk for k, lk in lam.active())
+        common = math.lcm(den, b)
+        num = num * (common // den) + m * binomial(mk, lam) * (common // b)
+        den = common
+    return _lowest(num, den * p.den)

@@ -1,26 +1,24 @@
-"""Exact series kernel: rationals, integer polynomials, sums of
-rational functions over cyclotomic denominators, and power-series helpers.
+"""Exact series kernel: integer polynomials, sums of rational functions
+over cyclotomic denominators, and power-series helpers.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
-Scalars are `fractions.Fraction` (re-exported as `Rational`), which already
-guarantees lowest terms and a positive denominator.  A rational function is
-a pair (num, den) of integer coefficient lists, ascending by exponent.
+A rational value is an integer numerator over a positive integer
+denominator, and a list of them shares one denominator; `ratio` prints one
+as "p/q" in lowest terms.  A rational function is a pair (num, den) of
+integer coefficient lists, ascending by exponent.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from operator import mul
 
-Rational = Fraction
-Scalar = int | Fraction
 RatFun = tuple[tuple[int, ...], tuple[int, ...]]  # (num, den)
 
 __all__ = [
-    "Rational",
     "RatFun",
+    "ratio",
     "RecurrenceSpec",
     "poly_mul",
     "cyclotomic_sum",
@@ -30,8 +28,11 @@ __all__ = [
 ]
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def ratio(num: int, den: int) -> str:
+    """num / den, den > 0, as text: "p/q" in lowest terms, or "p" for an
+    integer, as a Fraction prints."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class _Frozen:
@@ -138,14 +139,14 @@ def _cyclotomics(ds: Iterable[int]) -> dict[int, list[int]]:
 
 
 def cyclotomic_sum(
-    terms: Iterable[tuple[Sequence[int], Fraction, Sequence[tuple[int, int, int]]]]
+    terms: Iterable[tuple[Sequence[int], int, Sequence[tuple[int, int, int]]]], scale: int
 ) -> RatFun:
-    """sum_j c_j n_j(z) / prod (1 + sign z^k)^e in lowest terms, for terms
-    (n_j, c_j, factors_j) with integer lists n_j, rationals c_j and the
-    stride factors (k, e, sign) of each denominator.
+    """sum_j m_j n_j(z) / (scale prod (1 + sign z^k)^e) in lowest terms,
+    for terms (n_j, m_j, factors_j) with integer lists n_j, integers m_j and
+    the stride factors (k, e, sign) of each denominator, and scale > 0.
 
     Q = prod (1 + sign z^k)^(max_j e) is a multiple of every denominator,
-    so N = Q sum_j c_j n_j / den_j is a polynomial of degree below
+    so N = Q sum_j m_j n_j / den_j is a polynomial of degree below
     size = max_j (len n_j + deg Q - deg den_j): the sum of the terms'
     Taylor series to that order, times Q, is N.
 
@@ -160,10 +161,9 @@ def cyclotomic_sum(
     deg_q = sum(k * e for (k, _), e in top.items())
     size = max((len(num) + deg_q - sum(k * e for k, e, _ in factors)
                 for num, _, factors in terms), default=0)
-    scale = math.lcm(*(c.denominator for _, c, _ in terms))
     total = [0] * size
-    for num, c, factors in terms:
-        part = [c.numerator * (scale // c.denominator) * x for x in num] + [0] * (size - len(num))
+    for num, m, factors in terms:
+        part = [m * x for x in num] + [0] * (size - len(num))
         for k, e, sign in factors:
             divide_in_place(part, [(k, e)], sign)
         total = [a + b for a, b in zip(total, part)]
@@ -202,12 +202,12 @@ def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int)
                 s[m] -= sign * s[m - k]
 
 
-def taylor_coeffs(f: RatFun, order: int) -> list[Fraction]:
-    """First order+1 Taylor coefficients at 0 of num/den, exact, for
-    f = (num, den) integer lists with den(0) != 0 dividing every den_k, as
-    in each pair that cyclotomic_sum returns.  With D = den / den_0, so
-    that D(0) = 1, the coefficients are A_n / den_0 for the integers
-    A_n = num_n - sum_(k>=1) D_k A_(n-k)."""
+def taylor_coeffs(f: RatFun, order: int) -> tuple[list[int], int]:
+    """The first order+1 Taylor coefficients at 0 of num/den, as integers
+    over one positive denominator, for f = (num, den) integer lists with
+    den(0) != 0 dividing every den_k, as in each pair that cyclotomic_sum
+    returns.  With D = den / den_0, so that D(0) = 1, the coefficients are
+    A_n / den_0 for the integers A_n = num_n - sum_(k>=1) D_k A_(n-k)."""
     num, den = f
     if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0")
@@ -219,17 +219,18 @@ def taylor_coeffs(f: RatFun, order: int) -> list[Fraction]:
     for n in range(order + 1):
         # a[n-1::-1] is a_(n-1), a_(n-2), ..., a_0 (empty at n = 0)
         a.append((num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1])))
-    return [Fraction(x, d0) for x in a]
+    return (a, d0) if d0 > 0 else ([-x for x in a], -d0)
 
 
 class RecurrenceSpec(_Frozen):
-    """A linear recurrence a_i = sum_k coefficients[k-1] * a_{i-k}, valid for
-    all indices i >= valid_from (indices below zero read as zero)."""
+    """A linear recurrence a_i = sum_k (coefficients[k-1] / den) a_{i-k},
+    valid for all indices i >= valid_from (indices below zero read as
+    zero), with integer coefficients over one positive den."""
 
-    __slots__ = ("coefficients", "valid_from")
+    __slots__ = ("coefficients", "den", "valid_from")
 
-    def __init__(self, coefficients: tuple[Fraction, ...], valid_from: int):
-        self._set(coefficients, valid_from)
+    def __init__(self, coefficients: tuple[int, ...], den: int, valid_from: int):
+        self._set(coefficients, den, valid_from)
 
 
 def recurrence_from_ratfun(f: RatFun) -> RecurrenceSpec:
@@ -243,5 +244,5 @@ def recurrence_from_ratfun(f: RatFun) -> RecurrenceSpec:
     num, den = (_strip(p) for p in f)
     if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0")
-    coeffs = tuple(Fraction(-c, den[0]) for c in den[1:])
-    return RecurrenceSpec(coeffs, len(num))
+    sign = 1 if den[0] > 0 else -1
+    return RecurrenceSpec(tuple(-sign * c for c in den[1:]), sign * den[0], len(num))

@@ -26,18 +26,15 @@ betti.Side assembles everything else.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 
 from .betti import Side
-from .chars import CharPoly, CycleType, centralizer_order, partitions
-from .series import divide_in_place
+from .chars import CycleType, centralizer_order, partitions
+from .series import divide_in_place, ratio
 
 __all__ = [
     "SIDE",
     "gl_order",
-    "weighted_series",
-    "partition_weighted_count",
     "count_oracle",
 ]
 
@@ -59,35 +56,6 @@ def _torus_denominator(mu: CycleType, q: int) -> int:
     for k, a in mu.active():
         out *= (q**k - 1) ** a
     return out
-
-
-def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
-    """Coefficients c_0..c_{n_max} of the torus-count generating function:
-    c_n * |GL_n(F_q)| is the sum of C(X, lam) over the Frobenius cycle types
-    of all maximal tori of GL_n(F_q).
-
-    Expanded from (1/z_lam) prod_k (t^k/(q^k - 1))^lam_k times
-    prod_{i>=1} 1/(1 - q^(-i) t), whose t^m coefficient is
-    q^(-m) / prod_{j=1..m} (1 - q^(-j)).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    w = lam.n
-    scale = Fraction(1, _torus_denominator(lam, q))
-    out = [Fraction(0)] * (n_max + 1)
-    tail = Fraction(1)  # q^(-m) / prod_{j<=m} (1 - q^(-j)) at m = 0
-    for m in range(0, n_max - w + 1):
-        if m:
-            tail *= Fraction(1, q) / (1 - Fraction(1, q**m))
-        out[w + m] = scale * tail
-    return out
-
-
-def partition_weighted_count(p: CharPoly, q: int, n: int) -> Fraction:
-    """Independent path: sum over the rows (mu, N_mu) of count_oracle at n
-    of N_mu * p(mu), where N_mu counts the tori whose Frobenius permutation
-    has cycle type mu."""
-    return sum((cnt * p.evaluate(mu) for mu, cnt in count_oracle(q, n)[n]), Fraction(0))
 
 
 def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tuple[int, ...]]:
@@ -133,7 +101,7 @@ def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
         for mu in partitions(n):
             count, rem = divmod(order, den := _torus_denominator(mu, q))
             if rem:
-                raise ArithmeticError(f"non-integral torus count {Fraction(order, den)} at {mu.parts()}")
+                raise ArithmeticError(f"non-integral torus count {ratio(order, den)} at {mu.parts()}")
             row.append((mu, count))
         oracle.append(row)
     return oracle

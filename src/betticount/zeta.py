@@ -10,9 +10,9 @@ d-space, which pins the variable of the product to t.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
+from operator import mul
 
-from .series import Scalar, _Frozen, _strip, poly_mul
+from .series import _Frozen, _strip, poly_mul, ratio
 
 __all__ = [
     "mobius_table",
@@ -154,30 +154,27 @@ class PointCountData(_Frozen):
                     f"need point counts to depth {depth}, only {len(self.counts)} supplied"
                 )
             return list(self.counts[:depth])
-        # t Z'/Z = sum_m |V(F_{q^m})| t^m, and t Z'/Z = t N'/N - t D'/D
+        # t Z'/Z = sum_m |V(F_{q^m})| t^m = r / f, r = t N' D - N t D' and
+        # f = N D; with f_0 > 0 the counts are c_m / f_0^m for the integers
+        # c_m = f_0^(m-1) r_m - sum_(j=1..m-1) f_j f_0^(j-1) c_(m-j) of
+        # Newton's identity
         num, den = self.zeta
-        out = []
-        counts = zip(_log_derivative(num, depth), _log_derivative(den, depth))
-        for m, (a, b) in enumerate(counts, start=1):
-            v = a - b
-            if v.denominator != 1 or v < 0:
-                raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
-            out.append(int(v))
+        f = poly_mul(num, den)
+        r = [a - b for a, b in zip(poly_mul([j * x for j, x in enumerate(num)], den),
+                                   poly_mul(num, [j * x for j, x in enumerate(den)]))]
+        if f[0] < 0:
+            f, r = [-x for x in f], [-x for x in r]
+        powers = [f[0] ** j for j in range(depth + 1)]
+        scaled = list(map(mul, f[1:], powers))  # f_j f_0^(j-1), j >= 1
+        c, out = [0], []
+        for m in range(1, depth + 1):
+            total = (powers[m - 1] * r[m] if m < len(r) else 0) - sum(map(mul, scaled, c[m - 1:0:-1]))
+            v, rem = divmod(total, powers[m])
+            if rem or v < 0:
+                raise ValueError(f"zeta function gives invalid count {ratio(total, powers[m])} at depth {m}")
+            c.append(total)
+            out.append(v)
         return out
-
-
-def _log_derivative(p: Sequence[int], depth: int) -> list[Scalar]:
-    """s_1..s_depth of t p'(t)/p(t) = sum_m s_m t^m, for p(0) != 0, by
-    Newton's identity p_0 s_m = m p_m - sum_(j=1..m-1) p_j s_(m-j); on
-    integers while p_0 divides."""
-    s: list[Scalar] = [0]
-    for m in range(1, depth + 1):
-        total = m * p[m] if m < len(p) else 0
-        for j in range(1, min(m, len(p))):
-            total -= p[j] * s[m - j]
-        a, rem = divmod(total, p[0])
-        s.append(Fraction(total, p[0]) if rem else a)
-    return s[1:]
 
 
 def mobius_table(n: int) -> list[int]:
@@ -213,7 +210,7 @@ def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
         total = totals[k]
         if total % k or total < 0:
             raise ValueError(
-                f"Moebius inversion gives non-count M_{k} = {Fraction(total, k)}; "
+                f"Moebius inversion gives non-count M_{k} = {ratio(total, k)}; "
                 "point-count data is inconsistent"
             )
         out.append(total // k)

@@ -17,16 +17,18 @@ from betticount.cli import (
     MAX_GRID,
     MAX_VERIFY_N,
     OutputDocument,
-    format_rational,
+    _ratios,
     main,
     parse_args,
     render,
     render_csv,
     render_json,
 )
-from betticount.chars import MAX_NESTING
-from betticount.conf_counts import GUARD, partition_weighted_count
+from betticount.chars import MAX_NESTING, parse_rep
+from betticount.conf_counts import GUARD, weighted_count_series
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
+
+from helpers import entry, partition_weighted_count
 
 
 def _child_env():
@@ -61,19 +63,22 @@ def run_json(capsys, *argv):
 # rational serialization
 
 
-def test_format_rational():
-    from fractions import Fraction as F
-
-    assert format_rational(F(6)) == "6"
-    assert format_rational(F(-1, 2)) == "-1/2"
-    assert Fraction("-1/2") == F(-1, 2)
+def test_values_print_as_fractions_do():
+    assert _ratios([12, -1, 0, 4], 2) == ["6", "-1/2", "0", "2"]
+    assert _ratios([12, -1], 1) == ["12", "-1"]
+    assert Fraction("-1/2") == Fraction(-1, 2)
     assert Fraction("6") == 6
+    cells = list(range(-30, 31))
+    for den in range(1, 13):
+        assert _ratios(cells, den) == [str(Fraction(c, den)) for c in cells]
 
 
-def test_format_rational_refuses_a_value_too_long_to_print():
+def test_a_value_too_long_to_print_is_refused():
     limit = sys.get_int_max_str_digits()
     with pytest.raises(ValueError, match=f"more than {limit} digits; lower --q, --max-n"):
-        format_rational(Fraction(1, 10**limit))
+        _ratios([1], 10**limit)
+    with pytest.raises(ValueError, match=f"more than {limit} digits; lower --q, --max-n"):
+        _ratios([10**limit], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +329,7 @@ def test_tori_betti_stable_budget_at_the_grid_cap():
     assert proc.returncode == 0, proc.stderr
     # (1/64!) / (1 - z)^64: the stable values are binom(i + 63, 63) / 64!
     stable = json.loads(proc.stdout)["meta"]["stable"]
-    assert stable[-1] == format_rational(Fraction(math.comb(64 + 63, 63), math.factorial(64)))
+    assert stable[-1] == str(Fraction(math.comb(64 + 63, 63), math.factorial(64)))
     assert elapsed < 2
 
 
@@ -487,6 +492,64 @@ def test_count_names_the_inputs_to_lower_when_a_value_is_too_long_to_print():
     assert proc.stdout == ""
 
 
+TOO_LONG = (f"error: a value has more than {sys.get_int_max_str_digits()} digits; "
+            "lower --q, --max-n or the dimension of the variety")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each computed for 2-3 s before the digit limit refused to print it
+        ("--variety", "projective:64", "--q", "3", "--max-n", "200"),
+        ("--variety", "affine:64", "--q", "7", "--max-n", "200", "--format", "json"),
+        ("--variety", "affine:64", "--q", "7", "--max-n", "80", "--rep", "2/3+X1"),
+    ],
+    ids=["projective", "affine-json", "affine-just-outside"],
+)
+def test_count_refuses_a_series_too_long_to_print_before_the_work(argv):
+    # on A^d and P^d the unweighted count at n is at least q^(d n) / 2, and a
+    # weight with a positive constant term and no negative coefficient counts
+    # at least that term times it
+    proc, elapsed = run_child("count", *argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == TOO_LONG
+    assert proc.stdout == ""
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "rep, n",
+    [
+        # 7^(64 * 79) has 4,270 digits; at n = 80 the same weight is refused above
+        ("2/3+X1", 79),
+        # V11 cancels: its counts stay far below the unweighted ones, so it
+        # prints at n = 80 and is not refused by their size
+        ("V11", 80),
+        ("0", 80),
+    ],
+    ids=["just-inside", "cancelling-weight", "zero-weight"],
+)
+def test_count_prints_what_fits_the_digit_limit(rep, n):
+    proc, elapsed = run_child("count", "--variety", "affine:64", "--q", "7", "--max-n", str(n),
+                              "--rep", rep, "--format", "json", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    values = [row["value"] for row in json.loads(proc.stdout)["data"]]
+    assert len(values) == n + 1
+    if rep == "2/3+X1":
+        # the unweighted count 7^(64 n) - 7^(64 (n - 1)) times 2/3, plus the
+        # count of rational points over all configurations
+        assert Fraction(values[n]) >= Fraction(2, 3) * (7 ** (64 * n) - 7 ** (64 * (n - 1)))
+    assert elapsed < 5
+
+
+def test_the_unweighted_count_is_at_least_half_of_q_to_the_d_n():
+    # the bound that lets count refuse before the work, on every builtin
+    for kind, d, q in (("affine", 1, 2), ("affine", 3, 5), ("projective", 1, 2),
+                       ("projective", 2, 3), ("projective", 4, 2)):
+        nums, den = weighted_count_series(builtin_variety(kind, d, q), parse_rep("1"), 40)
+        assert den == 1 and all(2 * c >= q ** (d * n) for n, c in enumerate(nums)), (kind, d, q)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -588,18 +651,19 @@ def test_verify_even_q_note(capsys):
 
 def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     import betticount.cli as cli_mod
-    from fractions import Fraction as F
 
     def disagree(rep, oracles, max_n, values):
-        return {(q, n): (F(1), F(2)) for q in oracles for n in range(max_n + 1)}
+        # 1 and 2/2: equal, and 1 and 2: not
+        return {(q, n): ((1, 1), (2, 2) if n else (2, 1)) for q in oracles for n in range(max_n + 1)}
 
     monkeypatch.setattr(cli_mod.SIDES["tori"], "gl_checks", disagree)
     code, out, err = run(
         capsys, "verify", "--side", "tori", "--q", "2", "--max-n", "1", "--rep", "1"
     )
     assert code == 1
-    assert "FAIL" in out
-    assert "lhs=1 rhs=2" in out
+    assert "q=2 n=0 rep=1: lhs=1 rhs=2 FAIL" in out
+    # values compare by cross-multiplying: 2/2 prints as 1 and passes
+    assert "q=2 n=1 rep=1: lhs=1 rhs=1 PASS" in out
 
 
 @pytest.mark.parametrize("side", ["conf", "tori"])
@@ -916,7 +980,7 @@ def test_json_round_trip_bytes(capsys):
     assert redumped == out
     for row in parsed["data"]:
         v = Fraction(row["value"])
-        assert format_rational(v) == row["value"]
+        assert str(v) == row["value"]
 
 
 @pytest.mark.parametrize("side", ["conf", "tori"])
@@ -928,7 +992,7 @@ def test_betti_cells_print_each_entry_in_lowest_terms(capsys, side):
     assert code == 0
     sd = cli_mod.SIDES[side]
     table = sd.betti_table(cli_mod.parse_rep(rep), 6, 7)
-    expected = [(i, n, format_rational(table.entry(i, n)))
+    expected = [(i, n, str(entry(table, i, n)))
                 for i in range(7) for n in range(8) if i <= sd.top(n)]
     assert [(r["i"], r["n"], r["value"]) for r in doc["data"]] == expected
     values = {r["value"] for r in doc["data"]}
@@ -1108,4 +1172,32 @@ def test_import_loads_only_what_the_commands_use():
     assert not extra & {
         "dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing",
         "argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+        "fractions", "decimal", "_decimal", "numbers",
     }
+
+
+def test_no_command_family_loads_fractions():
+    # one op of each family in one child process, and then no fractions
+    code = """if True:
+        import contextlib, io, sys
+        before = set(sys.modules)  # what site preloads on some hosts does not count
+        from betticount.cli import main
+        ops = [
+            ["tori-betti", "--rep", "1/2*C(X1,2)-X2", "--max-i", "6", "--max-n", "6", "--stable"],
+            ["conf-betti", "--rep", "1/2*C(X1,2)-X2", "--max-i", "6", "--max-n", "6", "--stable"],
+            ["count", "--variety", "projective:2", "--q", "3", "--rep", "3/2*X1-1/6", "--max-n", "8"],
+            ["count", "--variety", "affine:1", "--q", "5", "--rep", "V11", "--limits"],
+            ["verify", "--side", "conf", "--q", "2,3", "--max-n", "4", "--bruteforce", "--rep", "V1,1/2"],
+            ["verify", "--side", "tori", "--q", "2,4", "--max-n", "4", "--rep", "V2,X1-1/3"],
+        ]
+        for argv in ops:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv + ["--format", "json"]) == 0, argv
+            assert out.getvalue(), argv
+        loaded = set(sys.modules) - before
+        print(sorted(loaded & {"fractions", "decimal", "_decimal", "numbers"}))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,25 +11,31 @@ from betticount.series import (
     cyclotomic_sum,
     divide_in_place,
     poly_mul,
+    ratio,
     recurrence_from_ratfun,
     taylor_coeffs,
 )
 
-from helpers import binomial, extend_by_recurrence, truncated_inverse, truncated_mul
+from helpers import as_fractions, binomial, extend_by_recurrence, truncated_inverse, truncated_mul
+
+
+def taylor(f, order):
+    """taylor_coeffs(f, order) as Fractions."""
+    return as_fractions(*taylor_coeffs(f, order))
 
 
 # ---------------------------------------------------------------------------
 # scalars
 
 
-def test_rational_scalar_invariants():
-    from betticount.series import Rational
-
-    x = Rational(2, 4)
-    assert (x.numerator, x.denominator) == (1, 2)  # lowest terms
-    y = Rational(1, -2)
-    assert y.denominator > 0 and y.numerator == -1  # positive denominator
-    assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)  # exact
+def test_ratio_prints_lowest_terms_as_a_fraction_does():
+    assert ratio(2, 4) == "1/2"  # lowest terms
+    assert ratio(-1, 2) == "-1/2"  # the sign on the numerator
+    assert ratio(6, 3) == ratio(2, 1) == "2"
+    assert ratio(0, 7) == "0"
+    for num in range(-12, 13):
+        for den in range(1, 13):
+            assert ratio(num, den) == str(F(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -53,38 +59,39 @@ ONE_PLUS = {k: (k, 1, 1) for k in (1, 2)}  # 1 + z^k
 
 def test_rational_function_reduces():
     # (1 - z^2)/(1 - z) = 1 + z, and (1 - z)/(1 - z^2) = 1/(1 + z)
-    assert cyclotomic_sum([([1, 0, -1], F(1), [ONE_MINUS[1]])]) == ((1, 1), (1,))
-    assert cyclotomic_sum([([1, -1], F(1), [ONE_MINUS[2]])]) == ((1,), (1, 1))
-    # integer content is divided out, and den(0) > 0: (2/4) / (1 - z^3)
-    assert cyclotomic_sum([([2], F(1, 4), [ONE_MINUS[3]])]) == ((1,), (2, 0, 0, -2))
-    assert cyclotomic_sum([([-6, 0, 0, 6], F(1, 3), [ONE_MINUS[3]])]) == ((-2,), (1,))
-    assert cyclotomic_sum([]) == ((), (1,))
+    assert cyclotomic_sum([([1, 0, -1], 1, [ONE_MINUS[1]])], 1) == ((1, 1), (1,))
+    assert cyclotomic_sum([([1, -1], 1, [ONE_MINUS[2]])], 1) == ((1,), (1, 1))
+    # integer content, with the scale, is divided out, and den(0) > 0:
+    # (2/4) / (1 - z^3)
+    assert cyclotomic_sum([([2], 1, [ONE_MINUS[3]])], 4) == ((1,), (2, 0, 0, -2))
+    assert cyclotomic_sum([([-6, 0, 0, 6], 1, [ONE_MINUS[3]])], 3) == ((-2,), (1,))
+    assert cyclotomic_sum([], 1) == ((), (1,))
 
 
 def test_rational_function_arith():
     # 1/(1 - z) - 1/(1 - z) = 0 and 1/(1 - z) + 1/(1 + z) = 2/(1 - z^2)
-    assert cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(-1), [ONE_MINUS[1]])]) == ((), (1,))
-    assert cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(1), [ONE_PLUS[1]])]) == ((2,), (1, 0, -1))
+    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], -1, [ONE_MINUS[1]])], 1) == ((), (1,))
+    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], 1, [ONE_PLUS[1]])], 1) == ((2,), (1, 0, -1))
     # 1/(1 - z^4) - 1/(1 + z^2) = z^2/(1 - z^4), with no Psi_4 left to cancel
-    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[4]]), ([1], F(-1), [ONE_PLUS[2]])])
+    got = cyclotomic_sum([([1], 1, [ONE_MINUS[4]]), ([1], -1, [ONE_PLUS[2]])], 1)
     assert got == ((0, 0, 1), (1, 0, 0, 0, -1))
     # 1/(1 - z^6) - 1/((1 - z^3)(1 + z)) = (z - z^2)/(1 - z^6), and 1 - z
     # cancels: z/((1 + z)(1 + z + z^2)(1 - z + z^2)) = z/(1 + z + ... + z^5)
-    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[6]]), ([1], F(-1), [ONE_MINUS[3], ONE_PLUS[1]])])
+    got = cyclotomic_sum([([1], 1, [ONE_MINUS[6]]), ([1], -1, [ONE_MINUS[3], ONE_PLUS[1]])], 1)
     assert got == ((0, 1), (1, 1, 1, 1, 1, 1))
 
 
 def test_rational_function_mixes_odd_and_even_conf_factors():
     # the conf side's factors, 1 - z^k for odd k and 1 + z^k for even k:
     # 1/(1 - z) + 1/(1 + z^2) = (2 - z + z^2)/((1 - z)(1 + z^2))
-    got = cyclotomic_sum([([1], F(1), [ONE_MINUS[1]]), ([1], F(1), [ONE_PLUS[2]])])
+    got = cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], 1, [ONE_PLUS[2]])], 1)
     assert got == ((2, -1, 1), (1, -1, 1, -1))
     # (1 + z^2)/((1 - z)(1 + z^2)) = 1/(1 - z): Psi_4 cancels from the sum
     both = [ONE_MINUS[1], ONE_PLUS[2]]
-    got = cyclotomic_sum([([1], F(1), both), ([0, 0, 1], F(1), both)])
+    got = cyclotomic_sum([([1], 1, both), ([0, 0, 1], 1, both)], 1)
     assert got == ((1,), (1, -1))
     # 1/((1 - z)^2 (1 + z^2)) - 1/((1 - z)(1 + z^2)) = z/((1 - z)^2 (1 + z^2))
-    got = cyclotomic_sum([([1], F(1), [(1, 2, -1), ONE_PLUS[2]]), ([1], F(-1), both)])
+    got = cyclotomic_sum([([1], 1, [(1, 2, -1), ONE_PLUS[2]]), ([1], -1, both)], 1)
     assert got == ((0, 1), (1, -2, 2, -2, 1))
 
 
@@ -94,29 +101,35 @@ def test_rational_function_mixes_odd_and_even_conf_factors():
 
 def test_taylor_geometric():
     # 1/(1-3t): the zeta function of the affine line at q=3
-    assert taylor_coeffs(((1,), (1, -3)), 3) == [1, 3, 9, 27]
+    assert taylor(((1,), (1, -3)), 3) == [1, 3, 9, 27]
 
 
 def test_taylor_long_division():
-    assert taylor_coeffs(((1, 0, -3), (1, -3)), 3) == [1, 3, 6, 18]
-    assert taylor_coeffs(((1,), (2, -2)), 3) == [F(1, 2)] * 4
+    assert taylor(((1, 0, -3), (1, -3)), 3) == [1, 3, 6, 18]
+    assert taylor(((1,), (2, -2)), 3) == [F(1, 2)] * 4
 
 
 def test_taylor_constant():
-    assert taylor_coeffs(((1,), (1,)), 4) == [1, 0, 0, 0, 0]
-    assert taylor_coeffs(((), (1,)), 2) == [0, 0, 0]
+    assert taylor(((1,), (1,)), 4) == [1, 0, 0, 0, 0]
+    assert taylor(((), (1,)), 2) == [0, 0, 0]
 
 
 def test_taylor_rejects_pole_at_zero():
     with pytest.raises(ValueError):
-        taylor_coeffs(((1,), (0, 1)), 3)
+        taylor(((1,), (0, 1)), 3)
+
+
+def test_taylor_returns_integers_over_one_positive_denominator():
+    assert taylor_coeffs(((1,), (6, -12, 6)), 5) == ([1, 2, 3, 4, 5, 6], 6)
+    # 1 / (-2 + 2z) = -1/2 - z/2 - ...: the sign moves to the numerators
+    assert taylor_coeffs(((1,), (-2, 2)), 2) == ([-1, -1, -1], 2)
 
 
 def test_taylor_divides_by_the_constant_term_once():
     # 1 / (6 (1 - z)^2): (n + 1) / 6
-    assert taylor_coeffs(((1,), (6, -12, 6)), 5) == [F(n + 1, 6) for n in range(6)]
+    assert taylor(((1,), (6, -12, 6)), 5) == [F(n + 1, 6) for n in range(6)]
     # (1 + z) / (4 (1 + z^2)): 1/4, 1/4, -1/4, -1/4, ...
-    assert taylor_coeffs(((1, 1), (4, 0, 4)), 5) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
+    assert taylor(((1, 1), (4, 0, 4)), 5) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
 
 
 @given(
@@ -132,12 +145,12 @@ def test_taylor_matches_the_rational_recurrence(num, tail, d0):
         for k in range(1, min(n, len(den) - 1) + 1):
             s -= den[k] * expected[n - k]
         expected.append(s / d0)
-    assert taylor_coeffs((num, den), 12) == expected
+    assert taylor((num, den), 12) == expected
 
 
 def test_taylor_refuses_a_constant_term_that_does_not_divide():
     with pytest.raises(ValueError, match="does not divide"):
-        taylor_coeffs(((1,), (2, -3)), 3)
+        taylor(((1,), (2, -3)), 3)
 
 
 @given(
@@ -150,8 +163,8 @@ def test_taylor_of_product_is_convolution(na, nb, da, db):
     da[0], db[0] = 1, 1  # keep denominators invertible at 0
     f, g = (na, da), (nb, db)
     order = 8
-    lhs = taylor_coeffs((poly_mul(na, nb), poly_mul(da, db)), order)
-    rhs = truncated_mul(taylor_coeffs(f, order), taylor_coeffs(g, order), order)
+    lhs = taylor((poly_mul(na, nb), poly_mul(da, db)), order)
+    rhs = truncated_mul(taylor(f, order), taylor(g, order), order)
     assert lhs == rhs
 
 
@@ -180,7 +193,7 @@ def test_divide_in_place_inverts_the_product(sign):
 
 def test_recurrence_geometric():
     spec = recurrence_from_ratfun(((1,), (1, -1)))
-    assert spec.coefficients == (F(1),)
+    assert (spec.coefficients, spec.den) == ((1,), 1)
     assert spec.valid_from == 1
     assert extend_by_recurrence(spec, [F(1)], 19) == [F(1)] * 20
 
@@ -188,15 +201,18 @@ def test_recurrence_geometric():
 def test_recurrence_normalizes_constant_term():
     # 1/(2 - 2z) has the same recurrence as 1/(1 - z)
     spec = recurrence_from_ratfun(((1,), (2, -2)))
-    assert spec.coefficients == (F(1),)
+    assert as_fractions(spec.coefficients, spec.den) == [1]
+    # and so does 1/(-2 + 2z), over a positive denominator
+    spec = recurrence_from_ratfun(((1,), (-2, 2)))
+    assert spec.den > 0 and as_fractions(spec.coefficients, spec.den) == [1]
 
 
 def test_recurrence_double_pole():
     # (1/z_lam) / (1-z)^2 for lambda=(2): a_i = 2a_{i-1} - a_{i-2}
     f = ((1,), (2, -4, 2))
     spec = recurrence_from_ratfun(f)
-    assert spec.coefficients == (F(2), F(-1))
-    coeffs = taylor_coeffs(f, 25)
+    assert as_fractions(spec.coefficients, spec.den) == [2, -1]
+    coeffs = taylor(f, 25)
     assert extend_by_recurrence(spec, coeffs[:spec.valid_from], 25) == coeffs
     assert coeffs[7] == F(8, 2)  # a_i = (i+1)/2
 
@@ -209,7 +225,7 @@ def test_recurrence_holds_on_taylor_expansion(num, den):
     den[0] = 1
     f = (num, den)
     spec = recurrence_from_ratfun(f)
-    coeffs = taylor_coeffs(f, spec.valid_from + 20)
+    coeffs = taylor(f, spec.valid_from + 20)
     assert extend_by_recurrence(spec, coeffs[:spec.valid_from], spec.valid_from + 20) == coeffs
 
 
@@ -217,8 +233,8 @@ def test_recurrence_extend():
     # z/(1 - z)^2 = sum_i i z^i: a_i = 2a_(i-1) - a_(i-2) from a_0 = 0, a_1 = 1
     f = ((0, 1), (1, -2, 1))
     spec = recurrence_from_ratfun(f)
-    assert spec == RecurrenceSpec((F(2), F(-1)), 2)
-    assert extend_by_recurrence(spec, [F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5] == taylor_coeffs(f, 5)
+    assert spec == RecurrenceSpec((2, -1), 1, 2)
+    assert extend_by_recurrence(spec, [F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5] == taylor(f, 5)
 
 
 def test_recurrence_of_polynomial_is_empty():

@@ -2,7 +2,6 @@
 validation in the constructor, and keyword construction."""
 
 import pickle
-from fractions import Fraction as F
 
 import pytest
 
@@ -16,9 +15,9 @@ ZETA_A1 = ((1,), (1, -3))
 CASES = [
     (CycleType((2, 1)), CycleType(counts=(2, 1, 0, 0)), CycleType((1, 1))),
     (
-        RecurrenceSpec((F(1), F(-1)), 3),
-        RecurrenceSpec(coefficients=(F(1), F(-1)), valid_from=3),
-        RecurrenceSpec((F(1), F(-1)), 2),
+        RecurrenceSpec((1, -1), 2, 3),
+        RecurrenceSpec(coefficients=(1, -1), den=2, valid_from=3),
+        RecurrenceSpec((1, -1), 2, 2),
     ),
     (
         PointCountData(3, 1, ZETA_A1),
@@ -51,7 +50,7 @@ def test_assignment_raises(value, same, other):
 
 def test_unequal_to_another_class_with_the_same_fields():
     assert CycleType((1, 2)) != (1, 2)
-    assert RecurrenceSpec((F(1),), 0) != ((F(1),), 0)
+    assert RecurrenceSpec((1,), 1, 0) != ((1,), 1, 0)
 
 
 def test_constructors_normalize_and_keep_their_defaults():
@@ -59,7 +58,7 @@ def test_constructors_normalize_and_keep_their_defaults():
     assert CycleType([0, 0]).counts == ()
     v = PointCountData(q=2, dim=1, counts=(3, 5))
     assert v.zeta is None and v.counts == (3, 5)
-    assert RecurrenceSpec(coefficients=(F(2),), valid_from=1).coefficients == (F(2),)
+    assert RecurrenceSpec(coefficients=(2,), den=1, valid_from=1).coefficients == (2,)
 
 
 @pytest.mark.parametrize(
