@@ -10,28 +10,11 @@ here, linear in the character polynomial p = sum_lam c_lam C(X, lam).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 from .chars import CharPoly, CycleType, centralizer_order
-from .series import RatFun, _Frozen, cyclotomic_sum
+from .series import RatFun, cyclotomic_sum
 
-__all__ = ["BettiTable", "ScaledValues", "Side", "weighted_sum"]
-
-
-class BettiTable(_Frozen):
-    """A grid of twisted Betti numbers rows[i][n] / den, 0 <= i <= max_i and
-    0 <= n <= max_n, of one character polynomial on one side: alpha_i(n)
-    (conf, all cohomological degrees) or beta_i(n) (tori, even degrees 2i
-    only).  rows holds integers over the one positive integer den, so the
-    values are exact rationals; genuine representations give nonnegative
-    integers, virtual ones need not.
-    """
-
-    __slots__ = ("rep", "side", "max_i", "max_n", "rows", "den")
-
-    def __init__(self, rep: CharPoly, side: Side, max_i: int, max_n: int,
-                 rows: tuple[tuple[int, ...], ...], den: int):
-        self._set(rep, side, max_i, max_n, rows, den)
+__all__ = ["ScaledValues", "Side", "weighted_sum"]
 
 
 class ScaledValues(dict):
@@ -111,22 +94,27 @@ class Side:
     def __repr__(self) -> str:
         return f"Side({self.name!r})"
 
-    def betti_table(self, p: CharPoly, max_i: int, max_n: int) -> BettiTable:
-        """The Betti numbers of p = sum_lam c_lam C(X, lam) at every
-        i <= max_i, n <= max_n: one integer grid over den = p.den * L, L
-        the lcm of the z_lam, with multipliers m_lam = c_lam den / z_lam."""
+    def betti_table(self, p: CharPoly, max_i: int, max_n: int) -> tuple[list[tuple], int]:
+        """(cells, den): the Betti numbers c / den of p = sum_lam c_lam C(X, lam)
+        as cells (i, n, c), one per i <= min(max_i, top(n)) and n <= max_n,
+        by i and then n; alpha_i(n) on conf, beta_i(n) (degree 2i) on tori.
+        They come from one integer grid over den = p.den * L, L the lcm of
+        the z_lam, with multipliers m_lam = c_lam den / z_lam, checked to
+        vanish beyond top(n)."""
         if max_i < 0 or max_n < 0:
             raise ValueError("max_i and max_n must be nonnegative")
         terms, den = _multipliers(p)
-        rows = self.grid(terms, max_i, max_n)
         tops = [self.top(n) for n in range(max_n + 1)]
-        for i, row in enumerate(rows):
+        cells = []
+        for i, row in enumerate(self.grid(terms, max_i, max_n)):
             for n, c in enumerate(row):
-                if c and i > tops[n]:
+                if i <= tops[n]:
+                    cells.append((i, n, c))
+                elif c:
                     raise ArithmeticError(
                         f"nonzero Betti number beyond i = {tops[n]} at i={i}, n={n}"
                     )
-        return BettiTable(p, self, max_i, max_n, tuple(map(tuple, rows)), den)
+        return cells, den
 
     def stable_series(self, p: CharPoly) -> RatFun:
         """The stable series sum_i b_i z^i of p as an integer pair
@@ -138,24 +126,16 @@ class Side:
             parts.append((num, m, factors))
         return cyclotomic_sum(parts, den)
 
-    def gl_checks(
-        self, p: CharPoly, oracles: Mapping[int, list], max_n: int, values: ScaledValues
-    ) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
-        """The GL checks (lhs, rhs) of p, equal when they pass, at every
-        n <= max_n and q in oracles (q -> count_oracle(q, max_n)), from one
-        Betti table, each side a pair (numerator, positive denominator):
-        lhs is the weighted count over oracles[q][n] (values, the
-        ScaledValues of p), rhs is sum_i weight(q, n, i) b_i(n)."""
-        table = self.betti_table(p, self.top(max_n), max_n)
-        return {
-            (q, n): (
-                weighted_sum(values, oracle[n]),
-                (sum(self.weight(q, n, i) * table.rows[i][n] for i in range(self.top(n) + 1)),
-                 table.den),
-            )
-            for q, oracle in oracles.items()
-            for n in range(max_n + 1)
-        }
+    def gl_sums(self, p: CharPoly, qs, max_n: int) -> dict[tuple[int, int], tuple[int, int]]:
+        """The Betti side sum_i weight(q, n, i) b_i(n) of the GL check of p
+        at every q in qs and n <= max_n, from one Betti table, each a pair
+        (numerator, positive denominator)."""
+        cells, den = self.betti_table(p, self.top(max_n), max_n)
+        sums = dict.fromkeys([(q, n) for q in qs for n in range(max_n + 1)], 0)
+        for q in qs:
+            for i, n, c in cells:
+                sums[q, n] += self.weight(q, n, i) * c
+        return {key: (s, den) for key, s in sums.items()}
 
 
 def _multipliers(p: CharPoly) -> tuple[list[tuple[CycleType, int]], int]:

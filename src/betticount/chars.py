@@ -296,7 +296,8 @@ _BUILTINS = {
 # C(Xk, m) for binomial-coefficient atoms.  Each atom is one basis element
 # and a product multiplies in the basis, so nothing is expanded.  The row
 # kernels are sized to the grid, and C(X, l) vanishes on S_n for n below its
-# degree, so atoms and products above MAX_DEGREE (the grid cap) are rejected.
+# degree, so atoms and products above MAX_DEGREE are rejected; it is also the
+# cap of the betti commands' --max-i and --max-n.
 # A level of parentheses costs four frames of the recursive descent, so
 # nesting past MAX_NESTING is rejected well before Python's recursion limit.
 
@@ -306,7 +307,6 @@ MAX_NESTING = 100
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<name>C)|(?P<op>[+\-*(),]))"
 )
-_VARIABLE = re.compile(r"X[1-9]")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -319,7 +319,7 @@ def _tokenize(text: str) -> list[str]:
         if not m:
             raise ValueError(f"cannot parse {text[pos:]!r}")
         tok = m.group(m.lastgroup)
-        if m.lastgroup == "var" and not _VARIABLE.fullmatch(tok):
+        if m.lastgroup == "var" and (len(tok) != 2 or tok[1] not in "123456789"):
             raise ValueError(f"unknown variable {tok}; variables are X1..X9")
         if m.lastgroup == "num" and 0 < limit <= len(tok):
             raise ValueError(f"the number {tok} is too long; numbers have fewer than {limit} digits")

@@ -22,7 +22,6 @@ from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
 from .series import ratio, recurrence_from_ratfun, taylor_coeffs
 from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
-MAX_GRID = 64
 MAX_COUNT_N = 200
 MAX_VERIFY_N = 12
 MAX_DIM = 64  # builtin affine and projective spaces
@@ -283,7 +282,7 @@ def _parse_variety(spec: str, q: int | None) -> PointCountData:
 def cmd_betti(args) -> tuple[OutputDocument, int]:
     rep = _parse_rep(args.rep)
     side = SIDES[args.side]
-    table = side.betti_table(rep, args.max_i, args.max_n)
+    cells, den = side.betti_table(rep, args.max_i, args.max_n)
     doc = OutputDocument(kind="table")
     doc.meta = {
         "side": args.side,
@@ -302,11 +301,9 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
             "coefficients": _ratios(spec.coefficients, spec.den),
             "valid_from": spec.valid_from,
         }
-    tops = [side.top(n) for n in range(args.max_n + 1)]
-    support = [[n for n, top in enumerate(tops) if i <= top] for i in range(args.max_i + 1)]
-    values = iter(_ratios([row[n] for row, ns in zip(table.rows, support) for n in ns], table.den))
+    values = _ratios([c for _, _, c in cells], den)
     doc.columns = ("i", "n", "value")
-    doc.data = [(i, n, next(values)) for i, ns in enumerate(support) for n in ns]
+    doc.data = [(i, n, value) for (i, n, _), value in zip(cells, values)]
     return doc, 0
 
 
@@ -367,24 +364,21 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     reps = [(tok.strip(), _parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
     for q in qs if args.bruteforce else ():
         conf_counts.check_bruteforce(q, args.max_n)
-    # each input is built once per command: per q one count oracle and one
-    # sieve, per rep one Betti table and one p(mu) per cycle type
-    oracles = {q: side.count_oracle(q, args.max_n) for q in qs}
-    censuses = {q: conf_counts.bruteforce_census(q, args.max_n) for q in qs if args.bruteforce}
-    per_rep = [(name, rep, ScaledValues(rep)) for name, rep in reps]
-    checks = [side.gl_checks(rep, oracles, args.max_n, values) for _, rep, values in per_rep]
+    # each input is built once per command: per q one count oracle and, for
+    # the brute column, one sieve; per rep one Betti table and one p(mu) per
+    # cycle type.  lhs and brute are the same weighted sum over their counts.
+    counts = [{q: side.count_oracle(q, args.max_n) for q in qs}]
+    if args.bruteforce:
+        counts.append({q: conf_counts.bruteforce_census(q, args.max_n) for q in qs})
+    per_rep = [(name, ScaledValues(rep), side.gl_sums(rep, qs, args.max_n)) for name, rep in reps]
     rows = []
     for q in qs:
         for n in range(args.max_n + 1):
-            for (name, rep, values), by_qn in zip(per_rep, checks):
-                lhs, rhs = by_qn[q, n]
-                row = (q, n, name, _ratio(lhs), _ratio(rhs))
-                ok = _equal(lhs, rhs)
-                if args.bruteforce:
-                    brute = weighted_sum(values, censuses[q][n])
-                    row += (_ratio(brute),)
-                    ok = ok and _equal(brute, lhs)
-                rows.append(row + (ok,))
+            for name, values, sums in per_rep:
+                lhs, *brute = [weighted_sum(values, by_q[q][n]) for by_q in counts]
+                rhs = sums[q, n]
+                ok = all(_equal(lhs, value) for value in (rhs, *brute))
+                rows.append((q, n, name, *map(_ratio, (lhs, rhs, *brute)), ok))
     doc = OutputDocument(kind="verification")
     doc.columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")
     doc.meta = {
@@ -415,8 +409,8 @@ REQUIRED = object()  # the default of an option that must be given
 _FORMAT = (("table", "csv", "json"), "table", "output format")
 _BETTI = {
     "--rep": (str, REQUIRED, "V1, V11, V2, or an expression like 'C(X1,2)-X2'"),
-    "--max-i": (range(MAX_GRID + 1), 13, "last row"),
-    "--max-n": (range(MAX_GRID + 1), 14, "last column"),
+    "--max-i": (range(MAX_DEGREE + 1), 13, "last row"),
+    "--max-n": (range(MAX_DEGREE + 1), 14, "last column"),
     "--stable": (bool, False, "also emit stable values and the recurrence"),
     "--format": _FORMAT,
 }

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from betticount import conf_betti, conf_counts, tori
-from betticount.betti import ScaledValues
 from betticount.chars import CharPoly, CycleType, centralizer_order
 
 
@@ -33,9 +32,14 @@ def degree(p: CharPoly) -> int:
     return max(lam.n for lam, _ in p.items())
 
 
-def entry(table, i: int, n: int) -> Fraction:
-    """The Betti number at (i, n) of a BettiTable."""
-    return Fraction(table.rows[i][n], table.den)
+def betti_rows(side, p: CharPoly, max_i: int, max_n: int) -> list[list[Fraction]]:
+    """side.betti_table(p, max_i, max_n) as rows[i][n] of Fractions, the
+    cells beyond the support i <= top(n) read as zero."""
+    cells, den = side.betti_table(p, max_i, max_n)
+    rows = [[Fraction(0)] * (max_n + 1) for _ in range(max_i + 1)]
+    for i, n, c in cells:
+        rows[i][n] = Fraction(c, den)
+    return rows
 
 
 def evaluate(p: CharPoly, mu: CycleType) -> Fraction:
@@ -205,6 +209,7 @@ def extend_by_recurrence(spec, prefix: Sequence[Fraction], upto: int) -> list[Fr
 
 def gl_crosscheck(side, p, q: int, n: int) -> tuple[Fraction, Fraction]:
     """The GL check (lhs, rhs) of p at one (q, n) on side (a betti.Side),
-    each side as a Fraction."""
-    lhs, rhs = side.gl_checks(p, {q: side.count_oracle(q, n)}, n, ScaledValues(p))[q, n]
-    return Fraction(*lhs), Fraction(*rhs)
+    each side as a Fraction: lhs sums N_mu p(mu) over side.count_oracle
+    here, rhs is side.gl_sums."""
+    lhs = sum((cnt * evaluate(p, mu) for mu, cnt in side.count_oracle(q, n)[n]), Fraction(0))
+    return lhs, Fraction(*side.gl_sums(p, [q], n)[q, n])

@@ -24,9 +24,9 @@ from betticount.zeta import builtin_variety
 
 from helpers import (
     as_fractions,
+    betti_rows,
     degree,
     difference_series,
-    entry,
     gl_crosscheck,
     partition_weighted_count,
     tori_partition_weighted_count,
@@ -79,7 +79,7 @@ def test_criterion_02_v2_golden_table(capsys):
 
 
 def test_criterion_03_v1_case_formula():
-    table = SIDE.betti_table(parse_rep("V1"), 12, 13)
+    table = betti_rows(SIDE, parse_rep("V1"), 12, 13)
     ok = True
     for n in range(3, 13):
         for i in range(n):
@@ -89,7 +89,7 @@ def test_criterion_03_v1_case_formula():
                 want = 1
             else:
                 want = 2
-            ok = ok and entry(table, i, n) == want
+            ok = ok and table[i][n] == want
     report(3, "V(1) case formula for 3 <= n <= 12, exact", ok)
 
 
@@ -114,14 +114,14 @@ def test_criterion_05_stability_bound_and_sharpness():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)
         deg = degree(p)
-        table = SIDE.betti_table(p, 8, 14)
+        table = betti_rows(SIDE, p, 8, 14)
         for i in range(9):
             for n in range(i + deg + 1, 14):
-                ok = ok and entry(table, i, n) == entry(table, i, n + 1)
+                ok = ok and table[i][n] == table[i][n + 1]
     for rep in ("V11", "V2"):
-        table = SIDE.betti_table(parse_rep(rep), 8, 14)
+        table = betti_rows(SIDE, parse_rep(rep), 8, 14)
         for i in range(2, 9):
-            ok = ok and entry(table, i, i + 2) != entry(table, i, i + 3)
+            ok = ok and table[i][i + 2] != table[i][i + 3]
     report(5, "stability for n >= i+deg+1 and sharpness at n = i+2 vs i+3", ok)
 
 
@@ -178,14 +178,14 @@ def test_criterion_09_tori_suite():
     for q in (2, 3, 5):
         for n in range(8):
             ok = ok and tori_partition_weighted_count(CharPoly.constant(1), q, n) == q ** (n * (n - 1))
-    trivial = tori.SIDE.betti_table(CharPoly.constant(1), 6, 10)
+    trivial = betti_rows(tori.SIDE, CharPoly.constant(1), 6, 10)
     for n in range(11):
         for i in range(7):
-            ok = ok and entry(trivial, i, n) == (1 if i == 0 else 0)
-    x1 = tori.SIDE.betti_table(CharPoly.variable(1), 9, 10)
+            ok = ok and trivial[i][n] == (1 if i == 0 else 0)
+    x1 = betti_rows(tori.SIDE, CharPoly.variable(1), 9, 10)
     for n in range(11):
         for i in range(10):
-            ok = ok and entry(x1, i, n) == (1 if i <= n - 1 else 0)
+            ok = ok and x1[i][n] == (1 if i <= n - 1 else 0)
     reps = [CharPoly.constant(1), parse_rep("V1"), parse_rep("V11"), parse_rep("V2")]
     for q in (2, 3, 5):
         for rep in reps:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import betticount
 from betticount.cli import (
     MAX_COUNT_N,
-    MAX_GRID,
     MAX_VERIFY_N,
     OutputDocument,
     _ratios,
@@ -24,11 +23,11 @@ from betticount.cli import (
     render_csv,
     render_json,
 )
-from betticount.chars import MAX_NESTING, parse_rep
+from betticount.chars import MAX_DEGREE, MAX_NESTING, parse_rep
 from betticount.conf_counts import GUARD, weighted_count_series
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
-from helpers import entry, partition_weighted_count
+from helpers import betti_rows, partition_weighted_count
 
 
 def _child_env():
@@ -311,7 +310,7 @@ def test_tori_betti_stable_recurrence_v11(capsys):
 
 
 def test_tori_betti_budget_at_the_grid_cap(capsys):
-    cap = str(MAX_GRID)
+    cap = str(MAX_DEGREE)
     start = time.monotonic()
     code, doc = run_json(
         capsys, "tori-betti", "--rep", "C(X1,3)", "--max-i", cap, "--max-n", cap
@@ -321,7 +320,7 @@ def test_tori_betti_budget_at_the_grid_cap(capsys):
 
 
 def test_tori_betti_stable_budget_at_the_grid_cap():
-    cap = str(MAX_GRID)
+    cap = str(MAX_DEGREE)
     proc, elapsed = run_child(
         "tori-betti", "--rep", "C(X1,64)", "--max-i", cap, "--max-n", cap, "--stable",
         "--format", "json", timeout=30,
@@ -339,7 +338,7 @@ MANY_TERM_REP = "*".join(["(X1+X2+X3+X4+X5+X6+1)"] * 6)
 
 @pytest.mark.parametrize("command", ["tori-betti", "conf-betti"])
 def test_betti_budget_for_a_many_term_rep_at_the_grid_cap(command):
-    cap = str(MAX_GRID)
+    cap = str(MAX_DEGREE)
     proc, elapsed = run_child(command, "--rep", MANY_TERM_REP, "--max-i", cap, "--max-n", cap,
                               "--stable", timeout=10)
     assert proc.returncode == 0, proc.stderr
@@ -652,11 +651,12 @@ def test_verify_even_q_note(capsys):
 def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     import betticount.cli as cli_mod
 
-    def disagree(rep, oracles, max_n, values):
-        # 1 and 2/2: equal, and 1 and 2: not
-        return {(q, n): ((1, 1), (2, 2) if n else (2, 1)) for q in oracles for n in range(max_n + 1)}
+    def disagree(rep, qs, max_n):
+        # against the count 1 of the trivial rep on T_0 and T_1:
+        # 2/2 is equal, and 2 is not
+        return {(q, n): (2, 2) if n else (2, 1) for q in qs for n in range(max_n + 1)}
 
-    monkeypatch.setattr(cli_mod.SIDES["tori"], "gl_checks", disagree)
+    monkeypatch.setattr(cli_mod.SIDES["tori"], "gl_sums", disagree)
     code, out, err = run(
         capsys, "verify", "--side", "tori", "--q", "2", "--max-n", "1", "--rep", "1"
     )
@@ -664,6 +664,7 @@ def test_verify_exit_code_nonzero_on_fail(capsys, monkeypatch):
     assert "q=2 n=0 rep=1: lhs=1 rhs=2 FAIL" in out
     # values compare by cross-multiplying: 2/2 prints as 1 and passes
     assert "q=2 n=1 rep=1: lhs=1 rhs=1 PASS" in out
+    assert out.count("FAIL") == 1 and out.endswith("1/2 checks passed\n")
 
 
 @pytest.mark.parametrize("side", ["conf", "tori"])
@@ -895,8 +896,8 @@ def test_a_bad_command_line_exits_2_with_one_error_line(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, flag, hi",
     [
-        (["conf-betti", "--rep", "V1"], "--max-i", MAX_GRID),
-        (["tori-betti", "--rep", "V1"], "--max-n", MAX_GRID),
+        (["conf-betti", "--rep", "V1"], "--max-i", MAX_DEGREE),
+        (["tori-betti", "--rep", "V1"], "--max-n", MAX_DEGREE),
         (["count", "--variety", "affine:1"], "--max-n", MAX_COUNT_N),
         (["verify", "--side", "conf", "--q", "3"], "--max-n", MAX_VERIFY_N),
     ],
@@ -991,8 +992,8 @@ def test_betti_cells_print_each_entry_in_lowest_terms(capsys, side):
     code, doc = run_json(capsys, f"{side}-betti", "--rep", rep, "--max-i", "6", "--max-n", "7")
     assert code == 0
     sd = cli_mod.SIDES[side]
-    table = sd.betti_table(cli_mod.parse_rep(rep), 6, 7)
-    expected = [(i, n, str(entry(table, i, n)))
+    table = betti_rows(sd, cli_mod.parse_rep(rep), 6, 7)
+    expected = [(i, n, str(table[i][n]))
                 for i in range(7) for n in range(8) if i <= sd.top(n)]
     assert [(r["i"], r["n"], r["value"]) for r in doc["data"]] == expected
     values = {r["value"] for r in doc["data"]}

@@ -9,12 +9,12 @@ from betticount.series import recurrence_from_ratfun, taylor_coeffs
 
 from helpers import (
     as_fractions,
+    betti_rows,
     binomial,
     bruteforce_weighted_count,
     coefficients,
     degree,
     difference_series,
-    entry,
     extend_by_recurrence,
     gl_crosscheck,
 )
@@ -78,11 +78,7 @@ assert all(l.n <= 6 for l in LAMBDA_SWEEP_6)
 def signed_column(table, n):
     """The nonzero coefficients of z^i t^n in the generating series,
     (-1)^i alpha_i(n), read back from a table."""
-    return {
-        i: (-1) ** i * entry(table, i, n)
-        for i in range(table.max_i + 1)
-        if entry(table, i, n)
-    }
+    return {i: (-1) ** i * row[n] for i, row in enumerate(table) if row[n]}
 
 
 def test_trivial_weight_series():
@@ -91,15 +87,15 @@ def test_trivial_weight_series():
 
 
 def test_t0_coefficient():
-    assert signed_column(SIDE.betti_table(CharPoly.constant(1), 4, 4), 0) == {0: 1}
+    assert signed_column(betti_rows(SIDE, CharPoly.constant(1), 4, 4), 0) == {0: 1}
     for lam in (CycleType((1,)), CycleType((0, 1)), CycleType((2,))):
-        assert signed_column(SIDE.betti_table(CharPoly.binom(lam), 4, 4), 0) == {}
+        assert signed_column(betti_rows(SIDE, CharPoly.binom(lam), 4, 4), 0) == {}
 
 
 def test_standard_rep_series_matches_printed_expansion():
     # combination for V1 = X1 - 1: (-z + z^2) t^3 + (-z + 2z^2 - z^3) t^4
     # + (-z + 2z^2 - 2z^3 + z^4) t^5
-    table = SIDE.betti_table(parse_rep("V1"), 8, 8)
+    table = betti_rows(SIDE, parse_rep("V1"), 8, 8)
     assert signed_column(table, 3) == {1: -1, 2: 1}
     assert signed_column(table, 4) == {1: -1, 2: 2, 3: -1}
     assert signed_column(table, 5) == {1: -1, 2: 2, 3: -2, 4: 1}
@@ -107,12 +103,12 @@ def test_standard_rep_series_matches_printed_expansion():
 
 def test_series_addition_matches_per_term_recomputation():
     # the table of a sum of weights is the sum of the per-term tables
-    a = SIDE.betti_table(CharPoly.binom(CycleType((1,))), 6, 8)
-    b = SIDE.betti_table(CharPoly.constant(1), 6, 8)
-    s = SIDE.betti_table(CharPoly.binom(CycleType((1,))) + CharPoly.constant(1), 6, 8)
+    a = betti_rows(SIDE, CharPoly.binom(CycleType((1,))), 6, 8)
+    b = betti_rows(SIDE, CharPoly.constant(1), 6, 8)
+    s = betti_rows(SIDE, CharPoly.binom(CycleType((1,))) + CharPoly.constant(1), 6, 8)
     for i in range(7):
         for n in range(9):
-            assert entry(s, i, n) == entry(a, i, n) + entry(b, i, n)
+            assert s[i][n] == a[i][n] + b[i][n]
 
 
 def test_necklace_binomials_match_scalar_binomials():
@@ -152,19 +148,19 @@ def test_slope_bound(lam):
 
 
 def test_v11_golden_table():
-    table = SIDE.betti_table(parse_rep("V11"), 13, 14)
+    table = betti_rows(SIDE, parse_rep("V11"), 13, 14)
     for (i, n), v in V11_TABLE.items():
-        assert entry(table, i, n) == v, (i, n)
+        assert table[i][n] == v, (i, n)
 
 
 def test_v2_golden_table():
-    table = SIDE.betti_table(parse_rep("V2"), 13, 14)
+    table = betti_rows(SIDE, parse_rep("V2"), 13, 14)
     for (i, n), v in V2_TABLE.items():
-        assert entry(table, i, n) == v, (i, n)
+        assert table[i][n] == v, (i, n)
 
 
 def test_v1_case_formula():
-    table = SIDE.betti_table(parse_rep("V1"), 13, 14)
+    table = betti_rows(SIDE, parse_rep("V1"), 13, 14)
     for n in range(3, 13):
         for i in range(n):
             if i == 0:
@@ -175,15 +171,43 @@ def test_v1_case_formula():
                 expected = 1
             else:
                 expected = 2
-            assert entry(table, i, n) == expected, (i, n)
+            assert table[i][n] == expected, (i, n)
 
 
 def test_entries_vanish_beyond_cohomological_dimension():
+    # the raw grid is zero at every i > max(n - 1, 0), and the table holds
+    # exactly the cells inside that support
     for rep in ("V1", "V11", "V2"):
-        table = SIDE.betti_table(parse_rep(rep), 10, 11)
+        p = parse_rep(rep)
+        rows = SIDE.grid(list(p.items()), 10, 11)
         for n in range(12):
             for i in range(max(n, 1), 11):
-                assert entry(table, i, n) == 0
+                assert rows[i][n] == 0, (rep, i, n)
+        cells, _ = SIDE.betti_table(p, 10, 11)
+        assert [(i, n) for i, n, _ in cells] == [
+            (i, n) for i in range(11) for n in range(12) if i <= max(n - 1, 0)
+        ]
+
+
+@pytest.mark.parametrize(
+    "side, message",
+    [(SIDE, "beyond i = 2 at i=3, n=3"), (tori.SIDE, "beyond i = 3 at i=4, n=3")],
+    ids=["conf", "tori"],
+)
+def test_a_nonzero_cell_beyond_the_support_is_refused(side, message, monkeypatch, capsys):
+    from betticount.cli import main
+
+    def grid(terms, max_i, max_n):
+        # one nonzero cell at n = 3, one row past top(3)
+        rows = [[0] * (max_n + 1) for _ in range(max_i + 1)]
+        rows[side.top(3) + 1][3] = 1
+        return rows
+
+    monkeypatch.setattr(side, "grid", grid)
+    with pytest.raises(ArithmeticError, match=f"^nonzero Betti number {message}$"):
+        side.betti_table(CharPoly.constant(1), 4, 3)
+    assert main([f"{side.name}-betti", "--rep", "1", "--max-i", "4", "--max-n", "3"]) == 2
+    assert capsys.readouterr().err == f"error: nonzero Betti number {message}\n"
 
 
 def test_tables_of_genuine_reps_are_nonnegative_integral():
@@ -191,10 +215,10 @@ def test_tables_of_genuine_reps_are_nonnegative_integral():
     # n >= 2, V11 n >= 3, V2 n >= 4); below that the character polynomial
     # is merely virtual and the boundary value can dip negative
     for rep, n_min in (("V1", 2), ("V11", 3), ("V2", 4)):
-        table = SIDE.betti_table(parse_rep(rep), 13, 14)
+        table = betti_rows(SIDE, parse_rep(rep), 13, 14)
         for i in range(14):
             for n in range(15):
-                v = entry(table, i, n)
+                v = table[i][n]
                 assert v.denominator == 1
                 if n >= n_min:
                     assert v >= 0, (rep, i, n)
@@ -204,15 +228,15 @@ def test_standard_rep_boundary_value():
     # X1 - 1 evaluates to -1 on the empty cycle type, so alpha_0(0) = -1;
     # this matches the point count: the single empty configuration has
     # weight -1 = q^0 * (-1)
-    assert entry(SIDE.betti_table(parse_rep("V1"), 2, 2), 0, 0) == -1
+    assert betti_rows(SIDE, parse_rep("V1"), 2, 2)[0][0] == -1
     assert gl_crosscheck(SIDE, parse_rep("V1"), 3, 0) == (-1, -1)
 
 
 def test_trivial_rep_table():
-    table = SIDE.betti_table(CharPoly.constant(1), 2, 5)
+    table = betti_rows(SIDE, CharPoly.constant(1), 2, 5)
     for n in range(6):
-        assert entry(table, 0, n) == 1
-        assert entry(table, 1, n) == (1 if n >= 2 else 0)
+        assert table[0][n] == 1
+        assert table[1][n] == (1 if n >= 2 else 0)
 
 
 def test_betti_table_rejects_negative_bounds():
@@ -224,15 +248,11 @@ def test_betti_table_rejects_negative_bounds():
 @pytest.mark.parametrize("side", ["conf", "tori"])
 def test_table_holds_integer_rows_over_one_denominator(side):
     p = parse_rep("1/2*C(X1,2) - 2/3*X2 + 3/4")
-    table = (SIDE if side == "conf" else tori.SIDE).betti_table(p, 6, 7)
+    cells, den = (SIDE if side == "conf" else tori.SIDE).betti_table(p, 6, 7)
     # p.den times 2, the lcm of the z_lam
-    assert (p.den, table.den) == (12, 24)
-    for i in range(7):
-        for n in range(8):
-            c = table.rows[i][n]
-            assert type(c) is int
-            assert entry(table, i, n) == F(c, 24)
-    assert any(entry(table, i, n).denominator > 1 for i in range(7) for n in range(8))
+    assert (p.den, den) == (12, 24)
+    assert all(type(c) is int for _, _, c in cells)
+    assert any(F(c, den).denominator > 1 for _, _, c in cells)
 
 
 # fractional coefficients, two lam of weight 2 and three of weight 3
@@ -244,15 +264,15 @@ MIXED_REP = "1/2*C(X1,2) - 2/3*C(X2,1) + 1/5*C(X1,1)*C(X2,1) + C(X1,3) + C(X3,1)
 def test_table_of_a_rep_is_the_sum_of_its_basis_tables(side, grid):
     p = parse_rep(MIXED_REP)
     assert sorted(lam.n for lam, _ in p.items()) == [0, 2, 2, 3, 3, 3]
-    table = side.betti_table(p, *grid)
-    parts = [(c, side.betti_table(CharPoly.binom(lam), *grid)) for lam, c in coefficients(p).items()]
+    table = betti_rows(side, p, *grid)
+    parts = [(c, betti_rows(side, CharPoly.binom(lam), *grid)) for lam, c in coefficients(p).items()]
     for i in range(grid[0] + 1):
         for n in range(grid[1] + 1):
-            assert entry(table, i, n) == sum(c * entry(t, i, n) for c, t in parts), (i, n)
+            assert table[i][n] == sum(c * t[i][n] for c, t in parts), (i, n)
 
 
 def test_empty_configuration_entry():
-    assert entry(SIDE.betti_table(parse_rep("V11"), 2, 2), 0, 0) == 1
+    assert betti_rows(SIDE, parse_rep("V11"), 2, 2)[0][0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +375,12 @@ def test_stable_closed_forms_mod_four():
 def test_table_rows_reach_stable_values():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)
-        table = SIDE.betti_table(p, 8, 14)
+        table = betti_rows(SIDE, p, 8, 14)
         stable = as_fractions(*taylor_coeffs(SIDE.stable_series(p), 8))
         deg = degree(p)
         for i in range(9):
             for n in range(i + deg + 1, 15):
-                assert entry(table, i, n) == stable[i], (rep, i, n)
+                assert table[i][n] == stable[i], (rep, i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +389,14 @@ def test_table_rows_reach_stable_values():
 
 def test_stability_sharpness():
     for rep in ("V11", "V2"):
-        table = SIDE.betti_table(parse_rep(rep), 8, 14)
+        table = betti_rows(SIDE, parse_rep(rep), 8, 14)
         for i in range(2, 9):
-            assert entry(table, i, i + 2) != entry(table, i, i + 3), (rep, i)
+            assert table[i][i + 2] != table[i][i + 3], (rep, i)
 
 
 def test_v11_first_stable_row2():
-    table = SIDE.betti_table(parse_rep("V11"), 4, 14)
-    assert entry(table, 2, 4) == 1 != entry(table, 2, 5) == 2
+    table = betti_rows(SIDE, parse_rep("V11"), 4, 14)
+    assert table[2][4] == 1 != table[2][5] == 2
 
 
 # ---------------------------------------------------------------------------

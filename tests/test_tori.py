@@ -20,8 +20,8 @@ from betticount.tori import (
 
 from helpers import (
     as_fractions,
+    betti_rows,
     coefficients,
-    entry,
     extend_by_recurrence,
     gl_crosscheck,
     truncated_mul,
@@ -174,18 +174,18 @@ def product_gf_coeff(p, n, max_i):
 
 
 def test_trivial_weight_is_euler_identity():
-    table = SIDE.betti_table(ONE, 8, 8)
+    table = betti_rows(SIDE, ONE, 8, 8)
     for n in range(9):
         euler = euler_inverse_qfactorial(n, 8)
         assert product_gf_coeff(ONE, n, 8) == euler
         # the kernel's row over (z;z)_n is the same t^n coefficient
-        row = [entry(table, i, n) for i in range(9)]
+        row = [table[i][n] for i in range(9)]
         assert truncated_mul(row, euler, 8) == euler
 
 
 def test_t0_coefficient():
-    assert [entry(SIDE.betti_table(ONE, 4, 4), i, 0) for i in range(5)] == [1, 0, 0, 0, 0]
-    assert all(entry(SIDE.betti_table(X1, 4, 4), i, 0) == 0 for i in range(5))
+    assert [betti_rows(SIDE, ONE, 4, 4)[i][0] for i in range(5)] == [1, 0, 0, 0, 0]
+    assert all(betti_rows(SIDE, X1, 4, 4)[i][0] == 0 for i in range(5))
 
 
 def test_linear_weight_normalizes_to_geometric_sums():
@@ -203,10 +203,10 @@ def test_kernel_matches_product_expansion(rep):
     # beta(n) = (z;z)_n * [t^n] of the double generating function; the
     # q-factorial has nonnegative exponents, so truncating at z^max_i is exact
     max_i, max_n = 7, 7
-    table = SIDE.betti_table(rep, max_i, max_n)
+    table = betti_rows(SIDE, rep, max_i, max_n)
     for n in range(max_n + 1):
         expected = truncated_mul(product_gf_coeff(rep, n, max_i), qfactorial(n, max_i), max_i)
-        assert [entry(table, i, n) for i in range(max_i + 1)] == expected, n
+        assert [table[i][n] for i in range(max_i + 1)] == expected, n
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +214,37 @@ def test_kernel_matches_product_expansion(rep):
 
 
 def test_trivial_rep_rows():
-    table = SIDE.betti_table(ONE, 6, 10)
+    table = betti_rows(SIDE, ONE, 6, 10)
     for n in range(11):
         for i in range(7):
-            assert entry(table, i, n) == (1 if i == 0 else 0)
+            assert table[i][n] == (1 if i == 0 else 0)
 
 
 def test_standard_variable_rows():
-    table = SIDE.betti_table(X1, 9, 10)
+    table = betti_rows(SIDE, X1, 9, 10)
     for n in range(11):
         for i in range(10):
-            assert entry(table, i, n) == (1 if 0 <= i <= n - 1 else 0)
+            assert table[i][n] == (1 if 0 <= i <= n - 1 else 0)
 
 
 def test_x2_row_n2():
-    table = SIDE.betti_table(X2, 1, 2)
-    assert entry(table, 0, 2) == F(1, 2)
-    assert entry(table, 1, 2) == F(-1, 2)
+    table = betti_rows(SIDE, X2, 1, 2)
+    assert table[0][2] == F(1, 2)
+    assert table[1][2] == F(-1, 2)
 
 
 def test_entries_vanish_beyond_top_degree():
-    table = SIDE.betti_table(parse_rep("V11"), 10, 4)
+    # the raw grid is zero at every i > n(n-1)/2, and the table holds
+    # exactly the cells inside that support
+    p = parse_rep("V11")
+    rows = SIDE.grid(list(p.items()), 10, 4)
     for n in range(5):
         for i in range(n * (n - 1) // 2 + 1, 11):
-            assert entry(table, i, n) == 0
+            assert rows[i][n] == 0, (i, n)
+    cells, _ = SIDE.betti_table(p, 10, 4)
+    assert [(i, n) for i, n, _ in cells] == [
+        (i, n) for i in range(11) for n in range(5) if i <= n * (n - 1) // 2
+    ]
 
 
 def test_betti_table_rejects_negative_bounds():
@@ -248,10 +255,10 @@ def test_betti_table_rejects_negative_bounds():
 
 def test_genuine_rep_tables_integral_nonnegative():
     for rep, n_min in (("V1", 2), ("V11", 3), ("V2", 4)):
-        table = SIDE.betti_table(parse_rep(rep), 8, 8)
+        table = betti_rows(SIDE, parse_rep(rep), 8, 8)
         for i in range(9):
             for n in range(n_min, 9):
-                v = entry(table, i, n)
+                v = table[i][n]
                 assert v.denominator == 1 and v >= 0, (rep, i, n)
 
 
@@ -268,12 +275,12 @@ def test_stable_gf_values():
 
 def test_stable_rows_emerge_in_tables():
     for rep in (ONE, X1, parse_rep("V11")):
-        table = SIDE.betti_table(rep, 6, 12)
+        table = betti_rows(SIDE, rep, 6, 12)
         stable = as_fractions(*taylor_coeffs(SIDE.stable_series(rep), 6))
         for i in range(7):
-            assert entry(table, i, 12) == stable[i]
+            assert table[i][12] == stable[i]
             # eventual constancy within the grid
-            assert entry(table, i, 11) == entry(table, i, 12)
+            assert table[i][11] == table[i][12]
 
 
 def test_recurrence_single_cycle():

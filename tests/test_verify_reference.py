@@ -20,7 +20,7 @@ from betticount.cli import main
 from betticount.conf_counts import bruteforce_census
 from betticount.zeta import builtin_variety
 
-from helpers import entry, evaluate, partition_weighted_count, tori_partition_weighted_count
+from helpers import betti_rows, evaluate, partition_weighted_count, tori_partition_weighted_count
 
 from test_conf_counts import census_sum
 
@@ -46,13 +46,13 @@ def reference_row(side, q, n, name, census):
     if side == "conf":
         lhs = partition_weighted_count(builtin_variety("affine", 1, q), rep, n)
         top = max(n - 1, 0)
-        table = conf_betti.SIDE.betti_table(rep, top, n)
-        rhs = q**n * sum(((-1) ** i * entry(table, i, n) * F(1, q**i) for i in range(top + 1)), F(0))
+        table = betti_rows(conf_betti.SIDE, rep, top, n)
+        rhs = q**n * sum(((-1) ** i * table[i][n] * F(1, q**i) for i in range(top + 1)), F(0))
     else:
         lhs = tori_partition_weighted_count(rep, q, n)
         top = n * (n - 1) // 2
-        table = tori.SIDE.betti_table(rep, top, n)
-        rhs = q ** (n * (n - 1)) * sum((entry(table, i, n) * F(1, q**i) for i in range(top + 1)), F(0))
+        table = betti_rows(tori.SIDE, rep, top, n)
+        rhs = q ** (n * (n - 1)) * sum((table[i][n] * F(1, q**i) for i in range(top + 1)), F(0))
     row = {"q": q, "n": n, "rep": name, "lhs": str(lhs), "rhs": str(rhs)}
     ok = lhs == rhs
     if census is not None:
