@@ -4,7 +4,6 @@ counts over finite fields.  All arithmetic is exact: integers over one denominat
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
 from .chars import CharPoly, CycleType, parse_rep
-from .series import RecurrenceSpec
 from .zeta import PointCountData, builtin_variety
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "CharPoly",
     "CycleType",
     "parse_rep",
-    "RecurrenceSpec",
     "PointCountData",
     "builtin_variety",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .chars import CharPoly, CycleType, centralizer_order
-from .series import RatFun, cyclotomic_sum
+from .series import cyclotomic_sum
 
 __all__ = ["ScaledValues", "Side", "weighted_sum"]
 
@@ -116,9 +116,9 @@ class Side:
                     )
         return cells, den
 
-    def stable_series(self, p: CharPoly) -> RatFun:
-        """The stable series sum_i b_i z^i of p as an integer pair
-        (num, den) in lowest terms."""
+    def stable_series(self, p: CharPoly) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The stable series sum_i b_i z^i of p as the triple (num, D, d)
+        of series.cyclotomic_sum: num / (d D) in lowest terms, D(0) = 1."""
         terms, den = _multipliers(p)
         parts = []
         for lam, m in terms:

@@ -267,25 +267,9 @@ def centralizer_order(c: CycleType) -> int:
 
 
 _BUILTINS = {
-    # standard representation: X_1 - 1
-    "V1": CharPoly({CycleType((1,)): 1, CycleType(()): -1}),
-    # exterior square of the standard representation: C(X_1,2) - X_1 - X_2 + 1
-    "V11": CharPoly(
-        {
-            CycleType((2,)): 1,
-            CycleType((1,)): -1,
-            CycleType((0, 1)): -1,
-            CycleType(()): 1,
-        }
-    ),
-    # complement of the trivial in the symmetric square: C(X_1,2) + X_2 - X_1
-    "V2": CharPoly(
-        {
-            CycleType((2,)): 1,
-            CycleType((0, 1)): 1,
-            CycleType((1,)): -1,
-        }
-    ),
+    "V1": "X1-1",  # the standard representation
+    "V11": "C(X1,2)-X1-X2+1",  # the exterior square of the standard one
+    "V2": "C(X1,2)+X2-X1",  # the complement of the trivial in the symmetric square
 }
 
 
@@ -305,7 +289,7 @@ MAX_DEGREE = 64
 MAX_NESTING = 100
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<name>C)|(?P<op>[+\-*(),]))"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>X[0-9]+)|(?P<name>C)|(?P<op>[+\-*(),]))"
 )
 
 
@@ -431,6 +415,4 @@ def parse_char_poly(text: str) -> CharPoly:
 def parse_rep(text: str) -> CharPoly:
     """Resolve a CLI rep argument: a builtin name, '1', or an expression."""
     name = text.strip()
-    if name in _BUILTINS:
-        return _BUILTINS[name]
-    return parse_char_poly(name)
+    return parse_char_poly(_BUILTINS.get(name, name))

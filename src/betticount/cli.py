@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
-from .series import ratio, recurrence_from_ratfun, taylor_coeffs
+from .series import ratio, taylor_coeffs
 from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
 
 MAX_COUNT_N = 200
@@ -36,7 +36,7 @@ class OutputDocument:
 
     def __init__(self, kind: str, meta: dict | None = None, data: list | None = None,
                  columns: tuple[str, ...] = ()):
-        self.kind = kind  # table | recurrence | verification | limits
+        self.kind = kind  # table | verification | limits
         self.meta = {} if meta is None else meta
         self.data = [] if data is None else data
         self.columns = columns
@@ -230,9 +230,18 @@ def render(doc: OutputDocument, fmt: str) -> str:
 # shared argument handling
 
 
+def _int(text: str) -> int:
+    """text as an integer: an optional "-" and ASCII digits, in surrounding
+    whitespace (int() also reads "+", "_" and other scripts' digits)."""
+    text = text.strip()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_q_list(text: str) -> list[int]:
     try:
-        qs = [int(tok) for tok in text.split(",") if tok.strip()]
+        qs = [_int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--q expects integers, got {text!r}") from None
     if not qs:
@@ -248,7 +257,7 @@ def _parse_rep(text: str) -> CharPoly:
 
 def _parse_lambda(text: str) -> CycleType:
     try:
-        lam = CycleType(int(tok) for tok in text.split(",") if tok.strip())
+        lam = CycleType(_int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"--lambda expects nonnegative integers, got {text!r}") from None
     if lam.n > MAX_DEGREE:
@@ -294,13 +303,11 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
     if args.stable:
         if rep.is_zero():
             raise ValueError("zero character polynomial")
-        series = side.stable_series(rep)
-        spec = recurrence_from_ratfun(series)
-        doc.meta["stable"] = _ratios(*taylor_coeffs(series, args.max_i))
-        doc.meta["recurrence"] = {
-            "coefficients": _ratios(spec.coefficients, spec.den),
-            "valid_from": spec.valid_from,
-        }
+        # a_i = -sum_k D_k a_(i-k) for i >= len(num): the recurrence is D
+        num, D, d = side.stable_series(rep)
+        doc.meta["stable"] = _ratios(taylor_coeffs(num, D, args.max_i), d)
+        doc.meta["recurrence"] = {"coefficients": _ratios([-c for c in D[1:]], 1),
+                                  "valid_from": len(num)}
     values = _ratios([c for _, _, c in cells], den)
     doc.columns = ("i", "n", "value")
     doc.data = [(i, n, value) for (i, n, _), value in zip(cells, values)]
@@ -463,7 +470,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 raise ValueError(f"{flag} expects a value")
         if type(kind) is range:
             try:
-                value = int(value)
+                value = _int(value)
             except ValueError:
                 raise ValueError(f"{flag} expects an integer, got {value!r}") from None
             if value not in kind:

@@ -4,8 +4,9 @@ over cyclotomic denominators, and power-series helpers.
 All arithmetic is exact; there is no floating point anywhere in this module.
 A rational value is an integer numerator over a positive integer
 denominator, and a list of them shares one denominator; `ratio` prints one
-as "p/q" in lowest terms.  A rational function is a pair (num, den) of
-integer coefficient lists, ascending by exponent.
+as "p/q" in lowest terms.  A polynomial is a list of integer coefficients,
+ascending by exponent, and a sum of rational functions comes back as a
+triple (num, D, d) that stands for num / (d D), with D(0) = 1 and d > 0.
 """
 
 from __future__ import annotations
@@ -14,17 +15,12 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-RatFun = tuple[tuple[int, ...], tuple[int, ...]]  # (num, den)
-
 __all__ = [
-    "RatFun",
     "ratio",
-    "RecurrenceSpec",
     "poly_mul",
     "cyclotomic_sum",
     "divide_in_place",
     "taylor_coeffs",
-    "recurrence_from_ratfun",
 ]
 
 
@@ -140,7 +136,7 @@ def _cyclotomics(ds: Iterable[int]) -> dict[int, list[int]]:
 
 def cyclotomic_sum(
     terms: Iterable[tuple[Sequence[int], int, Sequence[tuple[int, int, int]]]], scale: int
-) -> RatFun:
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """sum_j m_j n_j(z) / (scale prod (1 + sign z^k)^e) in lowest terms,
     for terms (n_j, m_j, factors_j) with integer lists n_j, integers m_j and
     the stride factors (k, e, sign) of each denominator, and scale > 0.
@@ -150,8 +146,10 @@ def cyclotomic_sum(
     size = max_j (len n_j + deg Q - deg den_j): the sum of the terms'
     Taylor series to that order, times Q, is N.
 
-    Returns integer tuples (num, den) with no common factor, not even an
-    integer one, and den(0) > 0; a zero sum is ((), (1,)).
+    Returns (num, D, d), the sum being num / (d D) in lowest terms: D is
+    the product of the Psi_d left after the reduction, so D(0) = 1, d =
+    scale / g > 0 and num is the stripped numerator over g, for g the gcd
+    of scale and the numerator's coefficients; a zero sum is ((), (1,), 1).
     """
     terms = list(terms)
     top: dict[tuple[int, int], int] = {}
@@ -173,7 +171,7 @@ def cyclotomic_sum(
                 total[m] += sign * total[m - k]
     total = _strip(total)
     if not total:
-        return (), (1,)
+        return (), (1,), 1
     exps: dict[int, int] = {}
     for (k, sign), e in top.items():
         for d in range(1, 2 * k + 1):
@@ -184,12 +182,12 @@ def cyclotomic_sum(
         while exps[d] and (q := _exact_quotient(total, psi[d])) is not None:
             total = q
             exps[d] -= 1
-    den = [scale]
+    D = [1]
     for d, e in exps.items():
         for _ in range(e):
-            den = poly_mul(den, psi[d])
+            D = poly_mul(D, psi[d])
     g = math.gcd(scale, *total)
-    return tuple(x // g for x in total), tuple(x // g for x in den)
+    return tuple(x // g for x in total), tuple(D), scale // g
 
 
 def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int) -> None:
@@ -202,47 +200,13 @@ def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int)
                 s[m] -= sign * s[m - k]
 
 
-def taylor_coeffs(f: RatFun, order: int) -> tuple[list[int], int]:
-    """The first order+1 Taylor coefficients at 0 of num/den, as integers
-    over one positive denominator, for f = (num, den) integer lists with
-    den(0) != 0 dividing every den_k, as in each pair that cyclotomic_sum
-    returns.  With D = den / den_0, so that D(0) = 1, the coefficients are
-    A_n / den_0 for the integers A_n = num_n - sum_(k>=1) D_k A_(n-k)."""
-    num, den = f
-    if not den or den[0] == 0:
-        raise ValueError("denominator vanishes at 0")
-    d0 = den[0]
-    if any(d % d0 for d in den):
-        raise ValueError(f"the constant term {d0} of the denominator does not divide all of it")
-    tail = [d // d0 for d in den[1:]]
+def taylor_coeffs(num: Sequence[int], D: Sequence[int], order: int) -> list[int]:
+    """The first order+1 Taylor coefficients at 0 of num / D, for integer
+    lists num and D with D(0) = 1, as in each triple that cyclotomic_sum
+    returns: the integers a_n = num_n - sum_(k>=1) D_k a_(n-k)."""
+    tail = D[1:]
     a: list[int] = []
     for n in range(order + 1):
         # a[n-1::-1] is a_(n-1), a_(n-2), ..., a_0 (empty at n = 0)
         a.append((num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1])))
-    return (a, d0) if d0 > 0 else ([-x for x in a], -d0)
-
-
-class RecurrenceSpec(_Frozen):
-    """A linear recurrence a_i = sum_k (coefficients[k-1] / den) a_{i-k},
-    valid for all indices i >= valid_from (indices below zero read as
-    zero), with integer coefficients over one positive den."""
-
-    __slots__ = ("coefficients", "den", "valid_from")
-
-    def __init__(self, coefficients: tuple[int, ...], den: int, valid_from: int):
-        self._set(coefficients, den, valid_from)
-
-
-def recurrence_from_ratfun(f: RatFun) -> RecurrenceSpec:
-    """Recurrence satisfied by the Taylor coefficients of num/den, for
-    f = (num, den) integer lists with den(0) != 0.
-
-    With the denominator normalized to constant term 1, written as
-    1 - sum_k c_k z^k, the coefficients a_i satisfy a_i = sum_k c_k a_{i-k}
-    for every i > deg(num).
-    """
-    num, den = (_strip(p) for p in f)
-    if not den or den[0] == 0:
-        raise ValueError("denominator vanishes at 0")
-    sign = 1 if den[0] > 0 else -1
-    return RecurrenceSpec(tuple(-sign * c for c in den[1:]), sign * den[0], len(num))
+    return a

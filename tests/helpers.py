@@ -1,12 +1,12 @@
 """Reference helpers shared by the tests: a scalar binomial, truncated
 univariate series products and reciprocals over Fractions, a sequence
-continued by a recurrence, the Grothendieck-Lefschetz check of one (q, n),
-and the reference paths over Fractions: a character polynomial as a dict
-of Fraction coefficients with its own sum, product and text, its value on
-a cycle type, the partition and brute-force sums of weighted counts, the
-torus count series and the conf difference series.  The package's kernels
-work on integers over one denominator and do not use them, so they stay
-independent references."""
+continued by a recurrence, a side's stable values as Fractions, the
+Grothendieck-Lefschetz check of one (q, n), and the reference paths over
+Fractions: a character polynomial as a dict of Fraction coefficients with
+its own sum, product and text, its value on a cycle type, the partition
+and brute-force sums of weighted counts, the torus count series and the
+conf difference series.  The package's kernels work on integers over one
+denominator and do not use them, so they stay independent references."""
 
 import math
 from collections.abc import Sequence
@@ -15,6 +15,7 @@ from itertools import zip_longest
 
 from betticount import conf_betti, conf_counts, tori
 from betticount.chars import CharPoly, CycleType, centralizer_order
+from betticount.series import taylor_coeffs
 
 
 def as_fractions(nums: Sequence[int], den: int) -> list[Fraction]:
@@ -195,16 +196,23 @@ def truncated_inverse(a: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def extend_by_recurrence(spec, prefix: Sequence[Fraction], upto: int) -> list[Fraction]:
-    """prefix continued through index upto by a_i = sum_k c_k a_(i-k), for
-    the coefficients c_1, c_2, ... of spec (a RecurrenceSpec), reading
-    indices below zero as zero.  A sequence seq satisfies spec exactly when
-    continuing seq[:spec.valid_from] to its length gives seq back."""
+def extend_by_recurrence(D: Sequence[int], prefix: Sequence[Fraction], upto: int) -> list[Fraction]:
+    """prefix continued through index upto by a_i = -sum_(k>=1) D_k a_(i-k),
+    the recurrence of num / (d D) for an integer list D with D(0) = 1,
+    reading indices below zero as zero.  The Taylor coefficients of num /
+    (d D) satisfy it from i = len(num) on: continuing their first len(num)
+    to their length gives them back."""
     out = [Fraction(v) for v in prefix]
     for i in range(len(out), upto + 1):
-        out.append(sum((Fraction(c, spec.den) * out[i - k]
-                        for k, c in enumerate(spec.coefficients, start=1) if k <= i), Fraction(0)))
+        out.append(-sum((D[k] * out[i - k] for k in range(1, min(i, len(D) - 1) + 1)), Fraction(0)))
     return out
+
+
+def stable_values(side, p: CharPoly, order: int) -> list[Fraction]:
+    """The stable values b_0, ..., b_order of p on side (a betti.Side) as
+    Fractions, read from the package's triple (num, D, d) by taylor_coeffs."""
+    num, D, d = side.stable_series(p)
+    return as_fractions(taylor_coeffs(num, D, order), d)
 
 
 def gl_crosscheck(side, p, q: int, n: int) -> tuple[Fraction, Fraction]:

@@ -448,6 +448,36 @@ def test_count_accepts_only_ascii_digits_as_a_dimension(capsys, dim):
     assert err == f"error: expected affine:<dim>, got 'affine:{dim}'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conf-betti", "--rep", "٣*X1"],
+        ["conf-betti", "--rep", "C(X1,٢)"],
+        ["conf-betti", "--rep", "V1", "--max-i", "٣"],
+        ["conf-betti", "--rep", "V1", "--max-i", "1_0"],
+        ["verify", "--side", "conf", "--q", "٣"],
+        ["verify", "--side", "conf", "--q", "1_1"],
+        ["count", "--variety", "affine:1", "--q", "3", "--lambda", "١"],
+    ],
+    ids=["rep-factor", "rep-binomial", "max-i-arabic-indic", "max-i-underscore",
+         "q-arabic-indic", "q-underscore", "lambda-arabic-indic"],
+)
+def test_integers_in_argv_and_reps_take_only_ascii_digits(capsys, argv):
+    # int() reads Arabic-Indic digits and "_" separators, and \d matches
+    # every decimal digit: each of these ran as if its digits were ASCII
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n")
+
+
+def test_integers_in_argv_may_carry_surrounding_whitespace(capsys):
+    assert parse_args(["conf-betti", "--rep", "V1", "--max-i", " 3 "]).max_i == 3
+    code, doc = run_json(capsys, "verify", "--side", "conf", "--q", "3, 5", "--max-n", "1")
+    assert code == 0 and doc["meta"]["q"] == [3, 5]
+    code, doc = run_json(capsys, "count", "--variety", "affine:1", "--q", "3", "--lambda", " 1 ")
+    assert code == 0 and doc["meta"]["weight"] == "lambda=( 1 )"
+
+
 # 10^18 + 3 is prime, and 1000000016000000063 = (10^9 + 7)(10^9 + 9)
 
 

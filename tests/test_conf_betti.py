@@ -1,14 +1,16 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betticount import tori
 from betticount.chars import CharPoly, CycleType, parse_rep, partitions
 from betticount.conf_betti import SIDE
-from betticount.series import recurrence_from_ratfun, taylor_coeffs
+from betticount.series import taylor_coeffs
 
 from helpers import (
-    as_fractions,
     betti_rows,
     binomial,
     bruteforce_weighted_count,
@@ -17,6 +19,7 @@ from helpers import (
     difference_series,
     extend_by_recurrence,
     gl_crosscheck,
+    stable_values,
 )
 
 # Golden grids, entered row by row exactly as printed; keys are (i, n).
@@ -284,32 +287,32 @@ def test_empty_configuration_entry():
 
 
 def test_stable_gf_trivial():
-    assert SIDE.stable_series(CharPoly.binom(CycleType(()))) == ((1, 1), (1,))
+    assert SIDE.stable_series(CharPoly.binom(CycleType(()))) == ((1, 1), (1,), 1)
 
 
 def test_stable_gf_single_cycle():
-    assert SIDE.stable_series(CharPoly.binom(CycleType((1,)))) == ((1, 1), (1, -1))
+    assert SIDE.stable_series(CharPoly.binom(CycleType((1,)))) == ((1, 1), (1, -1), 1)
 
 
 def test_stable_v1_values():
-    vals = as_fractions(*taylor_coeffs(SIDE.stable_series(parse_rep("V1")), 12))
+    vals = stable_values(SIDE, parse_rep("V1"), 12)
     assert vals[0] == 0 and vals[1] == 1
     assert all(v == 2 for v in vals[2:])
 
 
 def test_stable_v11_series_matches_printed():
-    unsigned = as_fractions(*taylor_coeffs(SIDE.stable_series(parse_rep("V11")), 11))
+    unsigned = stable_values(SIDE, parse_rep("V11"), 11)
     signed = [(-1) ** i * a for i, a in enumerate(unsigned)]
     assert signed == [0, 0, 2, -5, 6, -7, 10, -13, 14, -15, 18, -21]
 
 
 def test_recurrence_coefficients():
+    # the recurrence of (num, D, d) is a_i = -sum_k D_k a_(i-k) for i >= len(num)
     for rep in ("V11", "V2"):
-        spec = recurrence_from_ratfun(SIDE.stable_series(parse_rep(rep)))
-        assert as_fractions(spec.coefficients, spec.den) == [2, -2, 2, -1]
-    spec1 = recurrence_from_ratfun(SIDE.stable_series(parse_rep("V1")))
-    assert as_fractions(spec1.coefficients, spec1.den) == [1]
-    assert spec1.valid_from <= 3
+        assert SIDE.stable_series(parse_rep(rep))[1] == (1, -2, 2, -2, 1)
+    num, D, _ = SIDE.stable_series(parse_rep("V1"))
+    assert D == (1, -1)
+    assert len(num) <= 3
 
 
 def _remainder(a, f):
@@ -328,19 +331,16 @@ def _remainder(a, f):
 
 @pytest.mark.parametrize("side", [SIDE, tori.SIDE], ids=["conf", "tori"])
 def test_recurrence_roots_are_roots_of_unity(side):
-    # the reduced denominator den = den(0) * (1 - sum_k c_k z^k) of every
-    # |lam| <= 6 has the recurrence's characteristic polynomial as its
-    # primitive part, and that divides (1 - z^120)^m, m its degree: 120 is
-    # a multiple of every order 2k (conf) or k (tori) with k <= 6
+    # the reduced denominator d D of every |lam| <= 6 has D, the
+    # recurrence's characteristic polynomial, as its primitive part, and D
+    # divides (1 - z^120)^m, m its degree: 120 is a multiple of every order
+    # 2k (conf) or k (tori) with k <= 6
     lambdas = [CycleType(mu.counts) for w in range(7) for mu in partitions(w)]
     assert len(lambdas) == 30
     for lam in lambdas:
         rep = CharPoly.binom(lam)
-        num, den = series = side.stable_series(rep)
-        assert den[0] > 0 and all(d % den[0] == 0 for d in den), lam
-        char = [d // den[0] for d in den]
-        spec = recurrence_from_ratfun(series)
-        assert as_fractions(spec.coefficients, spec.den) == [-c for c in char[1:]]
+        _, char, d = side.stable_series(rep)
+        assert char[0] == 1 and d > 0, lam
         assert abs(char[-1]) == 1, lam
         base = _remainder([1] + [0] * 119 + [-1], char)
         power = _remainder([1], char)
@@ -353,20 +353,39 @@ def test_recurrence_roots_are_roots_of_unity(side):
         assert power == [], lam
 
 
+SMALL_LAMBDAS = [CycleType(mu.counts) for w in range(5) for mu in partitions(w)]
+
+
+@pytest.mark.parametrize("side", [SIDE, tori.SIDE], ids=["conf", "tori"])
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SMALL_LAMBDAS),
+                          st.fractions(-3, 3, max_denominator=4)), max_size=4))
+def test_stable_series_keeps_its_contract(side, terms):
+    # sum_lam c_lam C(X, lam), |lam| <= 4, comes back as num / (d D) with
+    # D(0) = 1, d > 0, num stripped and no integer factor common to d and
+    # num, and its values follow D from i = len(num) on
+    num, D, d = side.stable_series(CharPoly(terms))
+    assert D[0] == 1 and d > 0
+    assert not num or num[-1]
+    assert math.gcd(d, *num) == 1
+    values = taylor_coeffs(num, D, 40)
+    assert extend_by_recurrence(D, values[:len(num)], 40) == values
+
+
 def test_recurrence_holds_on_stable_sequence():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)
-        spec = recurrence_from_ratfun(SIDE.stable_series(p))
-        vals = as_fractions(*taylor_coeffs(SIDE.stable_series(p), 40))
-        assert extend_by_recurrence(spec, vals[:spec.valid_from], 40) == vals
+        num, D, _ = SIDE.stable_series(p)
+        vals = stable_values(SIDE, p, 40)
+        assert extend_by_recurrence(D, vals[:len(num)], 40) == vals
 
 
 def test_stable_closed_forms_mod_four():
-    v11 = as_fractions(*taylor_coeffs(SIDE.stable_series(parse_rep("V11")), 50))
+    v11 = stable_values(SIDE, parse_rep("V11"), 50)
     for i in range(3, 51):
         expected = {0: 2 * i - 2, 1: 2 * i - 3, 2: 2 * i - 2, 3: 2 * i - 1}[i % 4]
         assert v11[i] == expected
-    v2 = as_fractions(*taylor_coeffs(SIDE.stable_series(parse_rep("V2")), 50))
+    v2 = stable_values(SIDE, parse_rep("V2"), 50)
     for i in range(1, 51):
         expected = {0: 2 * i - 2, 1: 2 * i - 1, 2: 2 * i - 2, 3: 2 * i - 3}[i % 4]
         assert v2[i] == expected
@@ -376,7 +395,7 @@ def test_table_rows_reach_stable_values():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)
         table = betti_rows(SIDE, p, 8, 14)
-        stable = as_fractions(*taylor_coeffs(SIDE.stable_series(p), 8))
+        stable = stable_values(SIDE, p, 8)
         deg = degree(p)
         for i in range(9):
             for n in range(i + deg + 1, 15):

@@ -6,22 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticount.series import (
-    RecurrenceSpec,
-    cyclotomic_sum,
-    divide_in_place,
-    poly_mul,
-    ratio,
-    recurrence_from_ratfun,
-    taylor_coeffs,
-)
+from betticount.series import cyclotomic_sum, divide_in_place, poly_mul, ratio, taylor_coeffs
 
 from helpers import as_fractions, binomial, extend_by_recurrence, truncated_inverse, truncated_mul
 
 
-def taylor(f, order):
-    """taylor_coeffs(f, order) as Fractions."""
-    return as_fractions(*taylor_coeffs(f, order))
+def taylor(num, D, order, d=1):
+    """The first order+1 Taylor coefficients of num / (d D) as Fractions."""
+    return as_fractions(taylor_coeffs(num, D, order), d)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +43,8 @@ def test_poly_basics():
 
 # sums over stride denominators: a factor (k, e, sign) is (1 + sign z^k)^e,
 # and the reduction divides out Psi_1 = 1 - z, Psi_2 = 1 + z,
-# Psi_3 = 1 + z + z^2, Psi_4 = 1 + z^2, Psi_6 = 1 - z + z^2
+# Psi_3 = 1 + z + z^2, Psi_4 = 1 + z^2, Psi_6 = 1 - z + z^2; a sum comes
+# back as (num, D, d), standing for num / (d D) with D(0) = 1
 
 ONE_MINUS = {k: (k, 1, -1) for k in (1, 2, 3, 4, 6)}  # 1 - z^k
 ONE_PLUS = {k: (k, 1, 1) for k in (1, 2)}  # 1 + z^k
@@ -59,40 +52,40 @@ ONE_PLUS = {k: (k, 1, 1) for k in (1, 2)}  # 1 + z^k
 
 def test_rational_function_reduces():
     # (1 - z^2)/(1 - z) = 1 + z, and (1 - z)/(1 - z^2) = 1/(1 + z)
-    assert cyclotomic_sum([([1, 0, -1], 1, [ONE_MINUS[1]])], 1) == ((1, 1), (1,))
-    assert cyclotomic_sum([([1, -1], 1, [ONE_MINUS[2]])], 1) == ((1,), (1, 1))
-    # integer content, with the scale, is divided out, and den(0) > 0:
+    assert cyclotomic_sum([([1, 0, -1], 1, [ONE_MINUS[1]])], 1) == ((1, 1), (1,), 1)
+    assert cyclotomic_sum([([1, -1], 1, [ONE_MINUS[2]])], 1) == ((1,), (1, 1), 1)
+    # integer content, with the scale, is divided out into d > 0:
     # (2/4) / (1 - z^3)
-    assert cyclotomic_sum([([2], 1, [ONE_MINUS[3]])], 4) == ((1,), (2, 0, 0, -2))
-    assert cyclotomic_sum([([-6, 0, 0, 6], 1, [ONE_MINUS[3]])], 3) == ((-2,), (1,))
-    assert cyclotomic_sum([], 1) == ((), (1,))
+    assert cyclotomic_sum([([2], 1, [ONE_MINUS[3]])], 4) == ((1,), (1, 0, 0, -1), 2)
+    assert cyclotomic_sum([([-6, 0, 0, 6], 1, [ONE_MINUS[3]])], 3) == ((-2,), (1,), 1)
+    assert cyclotomic_sum([], 1) == ((), (1,), 1)
 
 
 def test_rational_function_arith():
     # 1/(1 - z) - 1/(1 - z) = 0 and 1/(1 - z) + 1/(1 + z) = 2/(1 - z^2)
-    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], -1, [ONE_MINUS[1]])], 1) == ((), (1,))
-    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], 1, [ONE_PLUS[1]])], 1) == ((2,), (1, 0, -1))
+    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], -1, [ONE_MINUS[1]])], 1) == ((), (1,), 1)
+    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], 1, [ONE_PLUS[1]])], 1) == ((2,), (1, 0, -1), 1)
     # 1/(1 - z^4) - 1/(1 + z^2) = z^2/(1 - z^4), with no Psi_4 left to cancel
     got = cyclotomic_sum([([1], 1, [ONE_MINUS[4]]), ([1], -1, [ONE_PLUS[2]])], 1)
-    assert got == ((0, 0, 1), (1, 0, 0, 0, -1))
+    assert got == ((0, 0, 1), (1, 0, 0, 0, -1), 1)
     # 1/(1 - z^6) - 1/((1 - z^3)(1 + z)) = (z - z^2)/(1 - z^6), and 1 - z
     # cancels: z/((1 + z)(1 + z + z^2)(1 - z + z^2)) = z/(1 + z + ... + z^5)
     got = cyclotomic_sum([([1], 1, [ONE_MINUS[6]]), ([1], -1, [ONE_MINUS[3], ONE_PLUS[1]])], 1)
-    assert got == ((0, 1), (1, 1, 1, 1, 1, 1))
+    assert got == ((0, 1), (1, 1, 1, 1, 1, 1), 1)
 
 
 def test_rational_function_mixes_odd_and_even_conf_factors():
     # the conf side's factors, 1 - z^k for odd k and 1 + z^k for even k:
     # 1/(1 - z) + 1/(1 + z^2) = (2 - z + z^2)/((1 - z)(1 + z^2))
     got = cyclotomic_sum([([1], 1, [ONE_MINUS[1]]), ([1], 1, [ONE_PLUS[2]])], 1)
-    assert got == ((2, -1, 1), (1, -1, 1, -1))
+    assert got == ((2, -1, 1), (1, -1, 1, -1), 1)
     # (1 + z^2)/((1 - z)(1 + z^2)) = 1/(1 - z): Psi_4 cancels from the sum
     both = [ONE_MINUS[1], ONE_PLUS[2]]
     got = cyclotomic_sum([([1], 1, both), ([0, 0, 1], 1, both)], 1)
-    assert got == ((1,), (1, -1))
+    assert got == ((1,), (1, -1), 1)
     # 1/((1 - z)^2 (1 + z^2)) - 1/((1 - z)(1 + z^2)) = z/((1 - z)^2 (1 + z^2))
     got = cyclotomic_sum([([1], 1, [(1, 2, -1), ONE_PLUS[2]]), ([1], -1, both)], 1)
-    assert got == ((0, 1), (1, -2, 2, -2, 1))
+    assert got == ((0, 1), (1, -2, 2, -2, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -101,56 +94,48 @@ def test_rational_function_mixes_odd_and_even_conf_factors():
 
 def test_taylor_geometric():
     # 1/(1-3t): the zeta function of the affine line at q=3
-    assert taylor(((1,), (1, -3)), 3) == [1, 3, 9, 27]
+    assert taylor((1,), (1, -3), 3) == [1, 3, 9, 27]
 
 
 def test_taylor_long_division():
-    assert taylor(((1, 0, -3), (1, -3)), 3) == [1, 3, 6, 18]
-    assert taylor(((1,), (2, -2)), 3) == [F(1, 2)] * 4
+    assert taylor((1, 0, -3), (1, -3), 3) == [1, 3, 6, 18]
+    assert taylor((1,), (1, -1), 3, 2) == [F(1, 2)] * 4
 
 
 def test_taylor_constant():
-    assert taylor(((1,), (1,)), 4) == [1, 0, 0, 0, 0]
-    assert taylor(((), (1,)), 2) == [0, 0, 0]
-
-
-def test_taylor_rejects_pole_at_zero():
-    with pytest.raises(ValueError):
-        taylor(((1,), (0, 1)), 3)
+    assert taylor((1,), (1,), 4) == [1, 0, 0, 0, 0]
+    assert taylor((), (1,), 2) == [0, 0, 0]
 
 
 def test_taylor_returns_integers_over_one_positive_denominator():
-    assert taylor_coeffs(((1,), (6, -12, 6)), 5) == ([1, 2, 3, 4, 5, 6], 6)
-    # 1 / (-2 + 2z) = -1/2 - z/2 - ...: the sign moves to the numerators
-    assert taylor_coeffs(((1,), (-2, 2)), 2) == ([-1, -1, -1], 2)
+    # 1 / (6 (1 - z)^2): the sum carries d = 6, and taylor_coeffs integers
+    assert cyclotomic_sum([([1], 1, [(1, 2, -1)])], 6) == ((1,), (1, -2, 1), 6)
+    assert taylor_coeffs((1,), (1, -2, 1), 5) == [1, 2, 3, 4, 5, 6]
+    # -1 / (2 (1 - z)): the sign stays on the numerator, d > 0
+    assert cyclotomic_sum([([1], -1, [ONE_MINUS[1]])], 2) == ((-1,), (1, -1), 2)
+    assert taylor_coeffs((-1,), (1, -1), 2) == [-1, -1, -1]
 
 
 def test_taylor_divides_by_the_constant_term_once():
     # 1 / (6 (1 - z)^2): (n + 1) / 6
-    assert taylor(((1,), (6, -12, 6)), 5) == [F(n + 1, 6) for n in range(6)]
+    assert taylor((1,), (1, -2, 1), 5, 6) == [F(n + 1, 6) for n in range(6)]
     # (1 + z) / (4 (1 + z^2)): 1/4, 1/4, -1/4, -1/4, ...
-    assert taylor(((1, 1), (4, 0, 4)), 5) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
+    assert taylor((1, 1), (1, 0, 1), 5, 4) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
 
 
 @given(
     st.lists(st.integers(-4, 4), max_size=4),
     st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-    st.integers(-6, 6).filter(bool),
 )
-def test_taylor_matches_the_rational_recurrence(num, tail, d0):
-    den = [d0] + [d0 * d for d in tail]
-    expected = []  # den_0 a_n = num_n - sum_(k>=1) den_k a_(n-k), over Fractions
+def test_taylor_matches_the_rational_recurrence(num, tail):
+    D = [1] + tail
+    expected = []  # a_n = num_n - sum_(k>=1) D_k a_(n-k), over Fractions
     for n in range(13):
         s = F(num[n] if n < len(num) else 0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            s -= den[k] * expected[n - k]
-        expected.append(s / d0)
-    assert taylor((num, den), 12) == expected
-
-
-def test_taylor_refuses_a_constant_term_that_does_not_divide():
-    with pytest.raises(ValueError, match="does not divide"):
-        taylor(((1,), (2, -3)), 3)
+        for k in range(1, min(n, len(D) - 1) + 1):
+            s -= D[k] * expected[n - k]
+        expected.append(s)
+    assert taylor(num, D, 12) == expected
 
 
 @given(
@@ -160,11 +145,10 @@ def test_taylor_refuses_a_constant_term_that_does_not_divide():
     st.lists(st.integers(-4, 4), min_size=1, max_size=3),
 )
 def test_taylor_of_product_is_convolution(na, nb, da, db):
-    da[0], db[0] = 1, 1  # keep denominators invertible at 0
-    f, g = (na, da), (nb, db)
+    da[0], db[0] = 1, 1  # D(0) = 1
     order = 8
-    lhs = taylor((poly_mul(na, nb), poly_mul(da, db)), order)
-    rhs = truncated_mul(taylor(f, order), taylor(g, order), order)
+    lhs = taylor(poly_mul(na, nb), poly_mul(da, db), order)
+    rhs = truncated_mul(taylor(na, da, order), taylor(nb, db, order), order)
     assert lhs == rhs
 
 
@@ -188,32 +172,24 @@ def test_divide_in_place_inverts_the_product(sign):
 
 
 # ---------------------------------------------------------------------------
-# recurrence extraction
+# the recurrence a_i = -sum_k D_k a_(i-k), from i = len(num) on
 
 
 def test_recurrence_geometric():
-    spec = recurrence_from_ratfun(((1,), (1, -1)))
-    assert (spec.coefficients, spec.den) == ((1,), 1)
-    assert spec.valid_from == 1
-    assert extend_by_recurrence(spec, [F(1)], 19) == [F(1)] * 20
+    assert taylor((1,), (1, -1), 19) == extend_by_recurrence((1, -1), [F(1)], 19) == [F(1)] * 20
 
 
 def test_recurrence_normalizes_constant_term():
     # 1/(2 - 2z) has the same recurrence as 1/(1 - z)
-    spec = recurrence_from_ratfun(((1,), (2, -2)))
-    assert as_fractions(spec.coefficients, spec.den) == [1]
+    assert cyclotomic_sum([([1], 1, [ONE_MINUS[1]])], 2) == ((1,), (1, -1), 2)
     # and so does 1/(-2 + 2z), over a positive denominator
-    spec = recurrence_from_ratfun(((1,), (-2, 2)))
-    assert spec.den > 0 and as_fractions(spec.coefficients, spec.den) == [1]
+    assert cyclotomic_sum([([-1], 1, [ONE_MINUS[1]])], 2) == ((-1,), (1, -1), 2)
 
 
 def test_recurrence_double_pole():
     # (1/z_lam) / (1-z)^2 for lambda=(2): a_i = 2a_{i-1} - a_{i-2}
-    f = ((1,), (2, -4, 2))
-    spec = recurrence_from_ratfun(f)
-    assert as_fractions(spec.coefficients, spec.den) == [2, -1]
-    coeffs = taylor(f, 25)
-    assert extend_by_recurrence(spec, coeffs[:spec.valid_from], 25) == coeffs
+    coeffs = taylor((1,), (1, -2, 1), 25, 2)
+    assert extend_by_recurrence((1, -2, 1), coeffs[:1], 25) == coeffs
     assert coeffs[7] == F(8, 2)  # a_i = (i+1)/2
 
 
@@ -221,27 +197,23 @@ def test_recurrence_double_pole():
     st.lists(st.integers(-3, 3), min_size=1, max_size=4),
     st.lists(st.integers(-3, 3), min_size=1, max_size=4),
 )
-def test_recurrence_holds_on_taylor_expansion(num, den):
-    den[0] = 1
-    f = (num, den)
-    spec = recurrence_from_ratfun(f)
-    coeffs = taylor(f, spec.valid_from + 20)
-    assert extend_by_recurrence(spec, coeffs[:spec.valid_from], spec.valid_from + 20) == coeffs
+def test_recurrence_holds_on_taylor_expansion(num, D):
+    D[0] = 1
+    upto = len(num) + 20
+    coeffs = taylor(num, D, upto)
+    assert extend_by_recurrence(D, coeffs[:len(num)], upto) == coeffs
 
 
 def test_recurrence_extend():
     # z/(1 - z)^2 = sum_i i z^i: a_i = 2a_(i-1) - a_(i-2) from a_0 = 0, a_1 = 1
-    f = ((0, 1), (1, -2, 1))
-    spec = recurrence_from_ratfun(f)
-    assert spec == RecurrenceSpec((2, -1), 1, 2)
-    assert extend_by_recurrence(spec, [F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5] == taylor(f, 5)
+    assert extend_by_recurrence((1, -2, 1), [F(0), F(1)], 5) == [0, 1, 2, 3, 4, 5]
+    assert taylor((0, 1), (1, -2, 1), 5) == [0, 1, 2, 3, 4, 5]
 
 
 def test_recurrence_of_polynomial_is_empty():
-    spec = recurrence_from_ratfun(((1, 2, 0), (1,)))
-    assert spec.coefficients == ()
-    assert spec.valid_from == 2
-    assert extend_by_recurrence(spec, [F(1), F(2)], 4) == [F(1), F(2), F(0), F(0), F(0)]
+    # D = 1: every a_i with i >= len(num) is 0
+    assert extend_by_recurrence((1,), [F(1), F(2)], 4) == [F(1), F(2), F(0), F(0), F(0)]
+    assert taylor((1, 2), (1,), 4) == [1, 2, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

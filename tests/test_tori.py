@@ -11,7 +11,6 @@ from betticount.chars import (
     parse_rep,
     partitions,
 )
-from betticount.series import recurrence_from_ratfun, taylor_coeffs
 from betticount.tori import (
     SIDE,
     count_oracle,
@@ -19,11 +18,11 @@ from betticount.tori import (
 )
 
 from helpers import (
-    as_fractions,
     betti_rows,
     coefficients,
     extend_by_recurrence,
     gl_crosscheck,
+    stable_values,
     truncated_mul,
     weighted_series,
 )
@@ -268,42 +267,45 @@ def test_genuine_rep_tables_integral_nonnegative():
 
 def test_stable_gf_values():
     # 1, 1/(1 - z) and (1/2)/(1 - z)^2
-    assert SIDE.stable_series(CharPoly.binom(CycleType(()))) == ((1,), (1,))
-    assert SIDE.stable_series(CharPoly.binom(CycleType((1,)))) == ((1,), (1, -1))
-    assert SIDE.stable_series(CharPoly.binom(CycleType((2,)))) == ((1,), (2, -4, 2))
+    assert SIDE.stable_series(CharPoly.binom(CycleType(()))) == ((1,), (1,), 1)
+    assert SIDE.stable_series(CharPoly.binom(CycleType((1,)))) == ((1,), (1, -1), 1)
+    assert SIDE.stable_series(CharPoly.binom(CycleType((2,)))) == ((1,), (1, -2, 1), 2)
 
 
 def test_stable_rows_emerge_in_tables():
     for rep in (ONE, X1, parse_rep("V11")):
         table = betti_rows(SIDE, rep, 6, 12)
-        stable = as_fractions(*taylor_coeffs(SIDE.stable_series(rep), 6))
+        stable = stable_values(SIDE, rep, 6)
         for i in range(7):
             assert table[i][12] == stable[i]
             # eventual constancy within the grid
             assert table[i][11] == table[i][12]
 
 
+# the recurrence of a stable series (num, D, d) is a_i = -sum_k D_k a_(i-k)
+# for i >= len(num)
+
+
 def test_recurrence_single_cycle():
-    spec = recurrence_from_ratfun(SIDE.stable_series(X1))
-    assert as_fractions(spec.coefficients, spec.den) == [1]
-    assert spec.valid_from <= 1
+    num, D, _ = SIDE.stable_series(X1)
+    assert D == (1, -1)  # a_i = a_(i-1)
+    assert len(num) <= 1
 
 
 def test_recurrence_two_cycle():
-    spec = recurrence_from_ratfun(SIDE.stable_series(X2))
-    assert as_fractions(spec.coefficients, spec.den) == [0, 1]
+    assert SIDE.stable_series(X2)[1] == (1, 0, -1)  # a_i = a_(i-2)
 
 
 def test_recurrence_lambda_2():
-    spec = recurrence_from_ratfun(SIDE.stable_series(CharPoly.binom(CycleType((2,)))))
-    assert as_fractions(spec.coefficients, spec.den) == [2, -1]
+    # a_i = 2 a_(i-1) - a_(i-2)
+    assert SIDE.stable_series(CharPoly.binom(CycleType((2,))))[1] == (1, -2, 1)
 
 
 def test_recurrences_hold_to_40():
     for rep in (X1, X2, parse_rep("V11"), parse_rep("V2"), CharPoly.binom(CycleType((2,)))):
-        spec = recurrence_from_ratfun(SIDE.stable_series(rep))
-        vals = as_fractions(*taylor_coeffs(SIDE.stable_series(rep), 40))
-        assert extend_by_recurrence(spec, vals[:spec.valid_from], 40) == vals
+        num, D, _ = SIDE.stable_series(rep)
+        vals = stable_values(SIDE, rep, 40)
+        assert extend_by_recurrence(D, vals[:len(num)], 40) == vals
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from betticount.chars import CycleType
-from betticount.series import RecurrenceSpec
 from betticount.zeta import PointCountData
 
 ZETA_A1 = ((1,), (1, -3))
@@ -14,11 +13,6 @@ ZETA_A1 = ((1,), (1, -3))
 # (instance, an equal one built another way, a different one)
 CASES = [
     (CycleType((2, 1)), CycleType(counts=(2, 1, 0, 0)), CycleType((1, 1))),
-    (
-        RecurrenceSpec((1, -1), 2, 3),
-        RecurrenceSpec(coefficients=(1, -1), den=2, valid_from=3),
-        RecurrenceSpec((1, -1), 2, 2),
-    ),
     (
         PointCountData(3, 1, ZETA_A1),
         # a common power of t and trailing zeros are stripped
@@ -40,7 +34,7 @@ def test_equality_and_hash_by_value(value, same, other):
 
 @pytest.mark.parametrize("value, same, other", CASES, ids=IDS)
 def test_assignment_raises(value, same, other):
-    name = next(k for k in ("counts", "coefficients", "q") if hasattr(value, k))
+    name = next(k for k in ("counts", "q") if hasattr(value, k))
     with pytest.raises(AttributeError):
         setattr(value, name, getattr(other, name))
     with pytest.raises(AttributeError):
@@ -50,7 +44,6 @@ def test_assignment_raises(value, same, other):
 
 def test_unequal_to_another_class_with_the_same_fields():
     assert CycleType((1, 2)) != (1, 2)
-    assert RecurrenceSpec((1,), 1, 0) != ((1,), 1, 0)
 
 
 def test_constructors_normalize_and_keep_their_defaults():
@@ -58,7 +51,6 @@ def test_constructors_normalize_and_keep_their_defaults():
     assert CycleType([0, 0]).counts == ()
     v = PointCountData(q=2, dim=1, counts=(3, 5))
     assert v.zeta is None and v.counts == (3, 5)
-    assert RecurrenceSpec(coefficients=(2,), den=1, valid_from=1).coefficients == (2,)
 
 
 @pytest.mark.parametrize(
