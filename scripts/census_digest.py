@@ -15,5 +15,5 @@ from betticount.zeta import is_prime
 if __name__ == "__main__":
     for p in [p for p in range(2, 100) if is_prime(p)] + [101, 997]:
         n = max(k for k in range(GUARD.bit_length()) if p**k <= GUARD)
-        census = sorted((ct.counts, cnt) for row in bruteforce_census(p, n) for ct, cnt in row)
+        census = sorted((ct, cnt) for row in bruteforce_census(p, n) for ct, cnt in row)
         print(p, n, hashlib.sha256(repr(census).encode()).hexdigest(), flush=True)

@@ -3,7 +3,7 @@ complex line and of spaces of maximal tori, cross-validated by weighted point
 counts over finite fields.  All arithmetic is exact: integers over one denominator."""
 
 from . import chars, conf_betti, conf_counts, series, tori, zeta
-from .chars import CharPoly, CycleType, parse_rep
+from .chars import CharPoly, cycle_type, parse_rep
 from .zeta import PointCountData, builtin_variety
 
 __all__ = [
@@ -14,7 +14,7 @@ __all__ = [
     "tori",
     "zeta",
     "CharPoly",
-    "CycleType",
+    "cycle_type",
     "parse_rep",
     "PointCountData",
     "builtin_variety",

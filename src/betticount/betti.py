@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .chars import CharPoly, CycleType, centralizer_order
+from .chars import CharPoly, centralizer_order
 from .series import cyclotomic_sum
 
 __all__ = ["ScaledValues", "Side", "weighted_sum"]
@@ -33,13 +33,13 @@ class ScaledValues(dict):
         root = [0, {}]
         for lam, m in p.items():
             node = root
-            for lk in lam.counts:
+            for lk in lam:
                 node = node[1].setdefault(lk, [0, {}])
             node[0] += m
         self.trie = _freeze(root)
 
-    def __missing__(self, mu: CycleType) -> int:
-        value = self[mu] = _trie_value(self.trie, mu.counts, 0)
+    def __missing__(self, mu: tuple[int, ...]) -> int:
+        value = self[mu] = _trie_value(self.trie, mu, 0)
         return value
 
 
@@ -138,7 +138,7 @@ class Side:
         return {key: (s, den) for key, s in sums.items()}
 
 
-def _multipliers(p: CharPoly) -> tuple[list[tuple[CycleType, int]], int]:
+def _multipliers(p: CharPoly) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """([(lam, m_lam)], den) with sum_lam c_lam C(X, lam) / z_lam =
     sum_lam m_lam C(X, lam) / den: den = p.den * L for L the lcm of the z_lam,
     and m_lam = (numerator of c_lam) * L / z_lam."""

@@ -4,8 +4,8 @@ A character polynomial is a polynomial in the class functions X_k (number of
 k-cycles of a permutation); it defines a class function on every symmetric
 group at once.  Its one representation here is in the basis of products
 C(X_1, l_1) * C(X_2, l_2) * ... of binomial coefficients, indexed by the
-exponent sequence l = (l_1, ..., l_r), a CycleType; X_k is assigned degree
-k.  Sums and
+exponent sequence l = (l_1, ..., l_r), a cycle type: a plain tuple of
+counts without trailing zeros.  X_k is assigned degree k.  Sums and
 products stay in that basis, and the parser of user-entered expressions
 maps each atom to one basis element.
 """
@@ -18,10 +18,12 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import zip_longest
 
-from .series import _Frozen, _strip, ratio
+from .series import _strip, ratio
 
 __all__ = [
-    "CycleType",
+    "cycle_type",
+    "weight",
+    "active",
     "CharPoly",
     "binomial",
     "partitions",
@@ -31,60 +33,34 @@ __all__ = [
 ]
 
 
-class CycleType(_Frozen):
-    """A vector of nonnegative counts without trailing zeros, in two roles:
-    the cycle type of a permutation, counts[k-1] being its number of
-    k-cycles, and the exponent sequence l = (l_1, ..., l_r) of the
-    binomial-basis element C(X, l), whose degree is n = sum(k * l_k)."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Iterable[int]):
-        counts = tuple(_strip(counts))
-        if any(c < 0 for c in counts):
-            raise ValueError("cycle counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is CycleType:
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
-
-    @property
-    def n(self) -> int:
-        return sum(k * c for k, c in enumerate(self.counts, start=1))
-
-    def active(self) -> list[tuple[int, int]]:
-        """(k, counts[k-1]) pairs with a nonzero count."""
-        return [(k, c) for k, c in enumerate(self.counts, start=1) if c]
-
-    @staticmethod
-    def from_partition(parts: Iterable[int]) -> CycleType:
-        parts = list(parts)
-        counts = [0] * (max(parts) if parts else 0)
-        for p in parts:
-            if p < 1:
-                raise ValueError("partition parts must be positive")
-            counts[p - 1] += 1
-        return CycleType(tuple(counts))
-
-    def parts(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for k, c in enumerate(self.counts, start=1):
-            out.extend([k] * c)
-        return tuple(sorted(out, reverse=True))
+def cycle_type(counts: Iterable[int]) -> tuple[int, ...]:
+    """counts as a cycle type: a tuple of nonnegative counts without
+    trailing zeros, in two roles: the cycle type of a permutation, its
+    (k-1)-th entry the number of k-cycles, and the exponent sequence
+    l = (l_1, ..., l_r) of the binomial-basis element C(X, l)."""
+    counts = tuple(_strip(counts))
+    if any(c < 0 for c in counts):
+        raise ValueError("cycle counts must be nonnegative")
+    return counts
 
 
-def binomial(a: Sequence[int], lam: CycleType) -> int:
+def weight(lam: tuple[int, ...]) -> int:
+    """The degree |lam| = sum_k k lam_k of a cycle type."""
+    return sum(k * c for k, c in enumerate(lam, start=1))
+
+
+def active(lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pairs (k, lam_k) with lam_k > 0."""
+    return [(k, c) for k, c in enumerate(lam, start=1) if c]
+
+
+def binomial(a: Sequence[int], lam: tuple[int, ...]) -> int:
     """prod_k C(a_k, lam_k), with a_k = a[k-1] (0 past the end of a): the
     value of C(X, lam) at the cycle type with counts a, and, when a_k counts
     the degree-k closed points of V, the number of configurations of V with
     Frobenius cycle type lam."""
     out = 1
-    for k, lk in enumerate(lam.counts):
+    for k, lk in enumerate(lam):
         if lk:
             out *= comb(a[k], lk) if k < len(a) else 0
             if not out:
@@ -98,20 +74,23 @@ class CharPoly:
     The form is canonical: den > 0, no numerator is zero, and den and the
     numerators have no common factor, so equal polynomials hold equal data.
 
+    The constructor and binom take any sequence of counts as an l and
+    normalize it by cycle_type; every other key is built as a cycle type.
     The coefficients given to the constructor are ints or Fractions, read
     through .numerator and .denominator."""
 
     __slots__ = ("_nums", "den")
 
-    def __init__(self, terms: Mapping[CycleType, int] = ()):
+    def __init__(self, terms: Mapping[Sequence[int], int] = ()):
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
         scale = lcm(*(c.denominator for _, c in items))
-        nums: dict[CycleType, int] = {}
+        nums: dict[tuple[int, ...], int] = {}
         for lam, c in items:
+            lam = cycle_type(lam)
             nums[lam] = nums.get(lam, 0) + c.numerator * (scale // c.denominator)
         self._reduce(nums, scale)
 
-    def _reduce(self, nums: dict[CycleType, int], den: int) -> None:
+    def _reduce(self, nums: dict[tuple[int, ...], int], den: int) -> None:
         """Hold nums / den, den > 0, in the canonical form."""
         nums = {lam: c for lam, c in nums.items() if c}
         g = gcd(den, *nums.values())
@@ -119,30 +98,28 @@ class CharPoly:
         self.den = den // g
 
     @staticmethod
-    def _of(nums: dict[CycleType, int], den: int) -> CharPoly:
+    def _of(nums: dict[tuple[int, ...], int], den: int) -> CharPoly:
         out = CharPoly.__new__(CharPoly)
         out._reduce(nums, den)
         return out
 
     @staticmethod
-    def binom(lam: CycleType | Sequence[int]) -> CharPoly:
-        if not isinstance(lam, CycleType):
-            lam = CycleType(lam)
-        return CharPoly._of({lam: 1}, 1)
+    def binom(lam: Sequence[int]) -> CharPoly:
+        return CharPoly._of({cycle_type(lam): 1}, 1)
 
     @staticmethod
     def constant(c: int) -> CharPoly:
-        return CharPoly({CycleType(()): c})
+        return CharPoly({(): c})
 
     @staticmethod
     def variable(k: int) -> CharPoly:
         """X_k itself, i.e. C(X_k, 1)."""
         return CharPoly.binom([0] * (k - 1) + [1])
 
-    def items(self) -> list[tuple[CycleType, int]]:
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
         """The pairs (l, numerator of the coefficient of C(X, l)), by
         degree and then by l; each coefficient is its numerator / den."""
-        return sorted(self._nums.items(), key=lambda kv: (kv[0].n, kv[0].counts))
+        return sorted(self._nums.items(), key=lambda kv: (weight(kv[0]), kv[0]))
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -181,7 +158,7 @@ class CharPoly:
             num = other.numerator
             return CharPoly._of({l: c * num for l, c in self._nums.items()},
                                 self.den * other.denominator)
-        nums: dict[CycleType, int] = {}
+        nums: dict[tuple[int, ...], int] = {}
         table: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for l1, c1 in self._nums.items():
             for l2, c2 in other._nums.items():
@@ -198,7 +175,7 @@ class CharPoly:
         chunks: list[str] = []
         for lam, num in self.items():
             factors = []
-            for k, lk in lam.active():
+            for k, lk in active(lam):
                 factors.append(f"X{k}" if lk == 1 else f"C(X{k},{lk})")
             body = "*".join(factors) if factors else "1"
             coeff = ratio(num, self.den)
@@ -218,32 +195,39 @@ class CharPoly:
         return f"CharPoly({self})"
 
 
-def _binomial_product(l1: CycleType, l2: CycleType, table: dict) -> list[tuple[CycleType, int]]:
+def _binomial_product(l1: tuple[int, ...], l2: tuple[int, ...],
+                      table: dict) -> list[tuple[tuple[int, ...], int]]:
     """C(X, l1) * C(X, l2) as integer-weighted basis elements, with the
-    expansions (c, w_c) of C(x,a) * C(x,b) kept in table by (a, b)."""
+    expansions (c, w_c) of C(x,a) * C(x,b) kept in table by (a, b).  For
+    cycle types l1 and l2 each l comes out a cycle type as built: at the
+    last entry a or b is positive, and every c there is >= max(a, b)."""
     out: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for a, b in zip_longest(l1.counts, l2.counts, fillvalue=0):
+    for a, b in zip_longest(l1, l2, fillvalue=0):
         terms = table.get((a, b))
         if terms is None:
             terms = table[a, b] = [(c, comb(c, a) * comb(a, a + b - c))
                                    for c in range(max(a, b), a + b + 1)]
         out = [(ent + (c,), v * w) for ent, v in out for c, w in terms]
-    return [(CycleType(ent), w) for ent, w in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # partitions and centralizers
 
 
-def partitions(n: int) -> list[CycleType]:
+def partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as cycle types, each exactly once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[CycleType] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, largest: int, acc: list[int]):
         if remaining == 0:
-            out.append(CycleType.from_partition(acc))
+            # acc descends, so its first part is the length of the counts
+            counts = [0] * (acc[0] if acc else 0)
+            for part in acc:
+                counts[part - 1] += 1
+            out.append(tuple(counts))
             return
         for part in range(min(remaining, largest), 0, -1):
             acc.append(part)
@@ -254,10 +238,10 @@ def partitions(n: int) -> list[CycleType]:
     return out
 
 
-def centralizer_order(c: CycleType) -> int:
+def centralizer_order(c: tuple[int, ...]) -> int:
     """Order of the centralizer of the class in S_n: prod_k k^a_k * a_k!."""
     out = 1
-    for k, a in enumerate(c.counts, start=1):
+    for k, a in enumerate(c, start=1):
         out *= k**a * factorial(a)
     return out
 
@@ -313,7 +297,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _degree(p: CharPoly) -> int:
-    return max((lam.n for lam in p._nums), default=0)
+    return max(map(weight, p._nums), default=0)
 
 
 def _check_degree(d: int, what: str) -> None:
@@ -400,7 +384,7 @@ class _Parser:
         num, _, den = tok.partition("/")
         if den and not den.strip("0"):
             raise ValueError(f"the number {tok} has a zero denominator")
-        return CharPoly._of({CycleType(()): int(num)}, int(den or 1))
+        return CharPoly._of({(): int(num)}, int(den or 1))
 
 
 def parse_char_poly(text: str) -> CharPoly:

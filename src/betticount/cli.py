@@ -18,9 +18,9 @@ from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
-from .chars import MAX_DEGREE, CharPoly, CycleType, parse_rep
+from .chars import MAX_DEGREE, CharPoly, cycle_type, parse_rep, weight
 from .series import ratio, taylor_coeffs
-from .zeta import PointCountData, builtin_variety, is_prime_power, load_variety_file
+from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_variety_file
 
 MAX_COUNT_N = 200
 MAX_VERIFY_N = 12
@@ -211,8 +211,8 @@ def render_table(doc: OutputDocument) -> str:
         return _render_verification(doc)
     if doc.kind == "limits":
         return "\n".join(
-            f"{weight}: normalized limit = {normalized}, expectation = {expectation}"
-            for weight, normalized, expectation in doc.data
+            f"{desc}: normalized limit = {normalized}, expectation = {expectation}"
+            for desc, normalized, expectation in doc.data
         )
     # count series and anything else row-shaped
     return "\n".join("  ".join(f"{k}={v}" for k, v in zip(doc.columns, row)) for row in doc.data)
@@ -228,15 +228,6 @@ def render(doc: OutputDocument, fmt: str) -> str:
 
 # ---------------------------------------------------------------------------
 # shared argument handling
-
-
-def _int(text: str) -> int:
-    """text as an integer: an optional "-" and ASCII digits, in surrounding
-    whitespace (int() also reads "+", "_" and other scripts' digits)."""
-    text = text.strip()
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(text)
-    return int(text)
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -255,13 +246,16 @@ def _parse_rep(text: str) -> CharPoly:
     return parse_rep(text)
 
 
-def _parse_lambda(text: str) -> CycleType:
+def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
-        lam = CycleType(_int(tok) for tok in text.split(",") if tok.strip())
+        counts = [_int(tok) for tok in text.split(",") if tok.strip()]
+        lam = cycle_type(counts)
     except ValueError:
         raise ValueError(f"--lambda expects nonnegative integers, got {text!r}") from None
-    if lam.n > MAX_DEGREE:
-        raise ValueError(f"--lambda has weight {lam.n}; degrees are capped at {MAX_DEGREE}")
+    if not counts:
+        raise ValueError("--lambda is empty")
+    if weight(lam) > MAX_DEGREE:
+        raise ValueError(f"--lambda has weight {weight(lam)}; degrees are capped at {MAX_DEGREE}")
     return lam
 
 
@@ -350,7 +344,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     # negative coefficient counts at least c times it (other weights cancel)
     limit = sys.get_int_max_str_digits()  # 0: no limit
     nums = dict(rep.items())
-    c = nums.get(CycleType(()), 0)
+    c = nums.get((), 0)
     if (limit and args.variety.partition(":")[0] in ("affine", "projective") and c > 0
             and min(nums.values()) > 0
             and c * v.q ** (v.dim * args.max_n) >= 2 * rep.den * 10**limit):

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 from . import conf_counts
 from .betti import Side
-from .chars import CycleType
+from .chars import active, weight
 from .series import divide_in_place, poly_mul
 from .zeta import builtin_variety, necklace_numerator
 
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def _necklace_binomials(lam: CycleType) -> list[int]:
+def _necklace_binomials(lam: tuple[int, ...]) -> list[int]:
     """The integer coefficients b of z_lam B(y), with
     B(y) = prod_k binom(M_k(y), lam_k), a polynomial of degree <= |lam|.
 
@@ -42,7 +42,7 @@ def _necklace_binomials(lam: CycleType) -> list[int]:
     a product of integer polynomials and prod_k k^lam_k lam_k! = z_lam.
     """
     b = [1]
-    for k, lk in lam.active():
+    for k, lk in active(lam):
         nk = necklace_numerator(k)
         for j in range(lk):
             b = poly_mul(b, [-j * k] + nk[1:])
@@ -50,7 +50,7 @@ def _necklace_binomials(lam: CycleType) -> list[int]:
 
 
 def _difference_columns(
-    terms: list[tuple[CycleType, int]], max_i: int, t_order: int
+    terms: list[tuple[tuple[int, ...], int]], max_i: int, t_order: int
 ) -> list[list[int]]:
     """cols[n][i] = sum_lam m_lam z_lam [z^i t^n] (1 - t) F for C(X, lam),
     over the pairs (lam, m_lam) of terms, n <= t_order and i <= max_i:
@@ -59,11 +59,11 @@ def _difference_columns(
     and deg b <= w."""
     cols = [[0] * (max_i + 1) for _ in range(t_order + 1)]
     for lam, m in terms:
-        if lam.n <= t_order:
+        if (w := weight(lam)) <= t_order:
             rb = _necklace_binomials(lam)[::-1]  # b_j, to land at i = n - j
-            g = [0] * lam.n + [m] + [0] * (t_order - lam.n)
-            divide_in_place(g, lam.active(), 1)
-            for n in range(lam.n, t_order + 1):
+            g = [0] * w + [m] + [0] * (t_order - w)
+            divide_in_place(g, active(lam), 1)
+            for n in range(w, t_order + 1):
                 if gn := g[n]:
                     lo = n + 1 - len(rb)
                     cols[n][lo:n + 1] = [c + gn * x for c, x in zip(cols[n][lo:n + 1], rb)]
@@ -72,7 +72,7 @@ def _difference_columns(
     return cols
 
 
-def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[list[int]]:
+def _grid(terms: list[tuple[tuple[int, ...], int]], max_i: int, max_n: int) -> list[list[int]]:
     """rows[i][n] = sum_lam m_lam z_lam alpha_i(n; C(X, lam)) for the pairs
     (lam, m_lam) of terms, i <= max_i and n <= max_n: the running sum of
     each row of the difference terms, negated on the odd rows."""
@@ -82,20 +82,20 @@ def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[li
     return rows
 
 
-def _stable_term(lam: CycleType) -> tuple[list[int], list[tuple[int, int, int]]]:
+def _stable_term(lam: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
     """(num, factors): the stable series sum_i alpha_i z^i of C(X, lam) is
     num / (z_lam * prod_k (1 + (-z)^k)^lam_k), the signed series
     sum_i alpha_i (-z)^i = (1 - z) z^w B(1/z) / prod_k (1 + z^k)^lam_k at -z.
     """
     b = _necklace_binomials(lam)
-    w = lam.n
+    w = weight(lam)
     b += [0] * (w + 1 - len(b))
     # (1 + z) z^w B(-1/z)
     num = poly_mul([(-1) ** e * b[w - e] for e in range(w + 1)], [1, 1])
-    return num, [(k, lk, (-1) ** k) for k, lk in lam.active()]
+    return num, [(k, lk, (-1) ** k) for k, lk in active(lam)]
 
 
-def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
+def count_oracle(q: int, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """conf_counts.count_oracle of the affine line over F_q."""
     return conf_counts.count_oracle(builtin_variety("affine", 1, q), max_n)
 

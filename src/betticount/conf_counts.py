@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from itertools import filterfalse, repeat
 from operator import add, and_, mul
 
-from .chars import CharPoly, CycleType, binomial, partitions
+from .chars import CharPoly, active, binomial, cycle_type, partitions, weight
 from .series import divide_in_place, poly_mul, ratio
 from .zeta import PointCountData, closed_point_counts, is_prime
 
@@ -64,7 +64,7 @@ def weighted_count_series(
     t^|lam| over the common denominator of p's coefficients.
     """
     terms = p.items()
-    mk = closed_point_counts(v, max([n_max] + [len(lam.counts) for lam, _ in terms]))
+    mk = closed_point_counts(v, max([n_max] + [len(lam) for lam, _ in terms]))
     c = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
         km = k * mk[k - 1]
@@ -81,17 +81,17 @@ def weighted_count_series(
             raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
     out = [0] * (n_max + 1)
     for lam, m in terms:
-        w = lam.n
+        w = weight(lam)
         mult = m * binomial(mk, lam)
         if mult and w <= n_max:
             s = prod[: n_max + 1 - w]
-            divide_in_place(s, lam.active(), 1)
+            divide_in_place(s, active(lam), 1)
             for m, x in enumerate(s, start=w):
                 out[m] += mult * x
     return out, p.den
 
 
-def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[CycleType, int]]]:
+def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """rows[n], n <= max_n: the cycle types mu of n-point configurations of
     V over F_q, each with its nonzero count N_mu = binomial(M, mu) =
     prod_k binom(M_k(V,q), mu_k), from one list of closed-point counts."""
@@ -281,7 +281,7 @@ def check_bruteforce(p: int, n: int) -> None:
         raise ValueError(f"brute force at q={p}, n={n} exceeds the guard {GUARD}; lower --max-n")
 
 
-def bruteforce_census(p: int, n: int) -> list[list[tuple[CycleType, int]]]:
+def bruteforce_census(p: int, n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """rows[m], m <= n: the cycle types of the monic square-free degree-m
     polynomials over F_p, by their irreducible factor degrees, each with
     the number of polynomials of that type; all from one sieve."""
@@ -289,7 +289,7 @@ def bruteforce_census(p: int, n: int) -> list[list[tuple[CycleType, int]]]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [
-        [(CycleType(tuple(key // (n + 1) ** k % (n + 1) for k in range(m))), cnt)
+        [(cycle_type(key // (n + 1) ** k % (n + 1) for k in range(m)), cnt)
          for key, cnt in tally.items()]
         for m, tally in enumerate(_sieve(p, n))
     ]
@@ -365,11 +365,11 @@ def limit_expectation(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     counts, and wherever limit_normalized exists it is
     limit_normalized(v, p) / limit_normalized(v, 1)."""
     terms = p.items()
-    mk = closed_point_counts(v, max([0] + [len(lam.counts) for lam, _ in terms]))
+    mk = closed_point_counts(v, max([0] + [len(lam) for lam, _ in terms]))
     c = v.q**v.dim
     num, den = 0, 1
     for lam, m in terms:
-        b = math.prod((1 + c**k) ** lk for k, lk in lam.active())
+        b = math.prod((1 + c**k) ** lk for k, lk in active(lam))
         common = math.lcm(den, b)
         num = num * (common // den) + m * binomial(mk, lam) * (common // b)
         den = common

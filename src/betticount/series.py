@@ -31,43 +31,6 @@ def ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class _Frozen:
-    """Base of the immutable value types.  A subclass names its fields in
-    __slots__ and sets them once, in __init__, through _set (or
-    object.__setattr__); assignment then raises, and two instances of the
-    same class are equal, and hash alike, exactly when their fields are."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({args})"
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials
 

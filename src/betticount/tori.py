@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .betti import Side
-from .chars import CycleType, centralizer_order, partitions
+from .chars import active, centralizer_order, partitions, weight
 from .series import divide_in_place, ratio
 
 __all__ = [
@@ -49,16 +49,16 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def _torus_denominator(mu: CycleType, q: int) -> int:
+def _torus_denominator(mu: tuple[int, ...], q: int) -> int:
     """z_mu * prod_k (q^k - 1)^(mu_k): |GL_n(F_q)| over it is the number of
     maximal tori of Frobenius cycle type mu."""
     out = centralizer_order(mu)
-    for k, a in mu.active():
+    for k, a in active(mu):
         out *= (q**k - 1) ** a
     return out
 
 
-def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tuple[int, ...]]:
+def _grid(terms: list[tuple[tuple[int, ...], int]], max_i: int, max_n: int) -> list[tuple[int, ...]]:
     """rows[i][n] = sum_lam m_lam z_lam beta_i(n; C(X, lam)) over the pairs
     (lam, m_lam) of terms.  The lam of one weight w share one series
     R_w = sum m_lam / prod_k (1 - z^k)^lam_k truncated at z^max_i, and
@@ -66,10 +66,10 @@ def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tu
     multiplies R_w by (1 - z^n) and, once n > w, divides it by (1 - z^(n-w))."""
     by_weight: dict[int, list[int]] = {}
     for lam, m in terms:
-        if lam.n <= max_n:
+        if (w := weight(lam)) <= max_n:
             s = [m] + [0] * max_i
-            divide_in_place(s, lam.active(), -1)
-            by_weight[lam.n] = [a + b for a, b in zip(by_weight.get(lam.n, repeat(0)), s)]
+            divide_in_place(s, active(lam), -1)
+            by_weight[w] = [a + b for a, b in zip(by_weight.get(w, repeat(0)), s)]
     cols = [[0] * (max_i + 1) for _ in range(max_n + 1)]
     for w, r in by_weight.items():
         for n in range(max_n + 1):
@@ -83,13 +83,13 @@ def _grid(terms: list[tuple[CycleType, int]], max_i: int, max_n: int) -> list[tu
     return list(zip(*cols))
 
 
-def _stable_term(lam: CycleType) -> tuple[list[int], list[tuple[int, int, int]]]:
+def _stable_term(lam: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
     """(num, factors): the stable series sum_i beta_i z^i of C(X, lam) is
     (1/z_lam) / prod_k (1 - z^k)^lam_k."""
-    return [1], [(k, lk, -1) for k, lk in lam.active()]
+    return [1], [(k, lk, -1) for k, lk in active(lam)]
 
 
-def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
+def count_oracle(q: int, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """oracle[n], n <= max_n: every cycle type mu of n with the number of
     Frobenius-stable maximal tori of GL_n(F_q) of type mu, from one
     |GL_n(F_q)| per n divided exactly by each type's denominator."""
@@ -101,7 +101,7 @@ def count_oracle(q: int, max_n: int) -> list[list[tuple[CycleType, int]]]:
         for mu in partitions(n):
             count, rem = divmod(order, den := _torus_denominator(mu, q))
             if rem:
-                raise ArithmeticError(f"non-integral torus count {ratio(order, den)} at {mu.parts()}")
+                raise ArithmeticError(f"non-integral torus count {ratio(order, den)} at {mu}")
             row.append((mu, count))
         oracle.append(row)
     return oracle

@@ -9,10 +9,12 @@ d-space, which pins the variable of the product to t.
 
 from __future__ import annotations
 
+import sys
+from collections import namedtuple
 from collections.abc import Sequence
 from operator import mul
 
-from .series import _Frozen, _strip, poly_mul, ratio
+from .series import _strip, poly_mul, ratio
 
 __all__ = [
     "mobius_table",
@@ -109,7 +111,7 @@ def is_prime_power(q: int) -> bool:
     return False
 
 
-class PointCountData(_Frozen):
+class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
     """A variety's arithmetic over F_q: dimension, and either an exact zeta
     function or a finite point-count sequence |V(F_{q^m})| for m = 1..M.
 
@@ -117,10 +119,10 @@ class PointCountData(_Frozen):
     extrapolating.
     """
 
-    __slots__ = ("q", "dim", "zeta", "counts")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         q: int,
         dim: int,
         zeta: tuple[Sequence[int], Sequence[int]] | None = None,
@@ -144,7 +146,7 @@ class PointCountData(_Frozen):
                 # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
                 raise ValueError("zeta function must be nonzero at t = 0")
             zeta = (tuple(num), tuple(den))
-        self._set(q, dim, zeta, counts)
+        return super().__new__(cls, q, dim, zeta, counts)
 
     def point_counts(self, depth: int) -> list[int]:
         """|V(F_{q^m})| for m = 1..depth."""
@@ -243,7 +245,16 @@ def builtin_variety(kind: str, d: int, q: int) -> PointCountData:
 # or
 #   counts = 3 9 27       # |V(F_{q^m})| for m = 1..M
 #
-# '#' starts a comment; integers only.
+# '#' starts a comment; integers only, read as the command line reads them.
+
+
+def _int(text: str) -> int:
+    """text as an integer: an optional "-" and ASCII digits, in surrounding
+    whitespace (int() also reads "+", "_" and other scripts' digits)."""
+    text = text.strip()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def parse_variety_text(text: str) -> PointCountData:
@@ -259,10 +270,17 @@ def parse_variety_text(text: str) -> PointCountData:
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = value.strip()
+    # the length first: int() refuses more digits than the limit
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for key in ("q", "dim", "zeta_num", "zeta_den", "counts"):
+        for tok in fields.get(key, "").replace(",", " ").split():
+            if 0 < limit <= len(tok):
+                raise ValueError(f"field {key!r} has an entry of {len(tok)} characters; "
+                                 f"numbers have fewer than {limit} digits")
 
     def int_list(key: str) -> list[int]:
         try:
-            return [int(tok) for tok in fields[key].replace(",", " ").split()]
+            return [_int(tok) for tok in fields[key].replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"field {key!r} must be a list of integers") from None
 
@@ -270,8 +288,8 @@ def parse_variety_text(text: str) -> PointCountData:
         if required not in fields:
             raise ValueError(f"missing field {required!r}")
     try:
-        q = int(fields["q"])
-        dim = int(fields["dim"])
+        q = _int(fields["q"])
+        dim = _int(fields["dim"])
     except ValueError:
         raise ValueError("fields 'q' and 'dim' must be integers") from None
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from betticount import conf_betti, conf_counts, tori
-from betticount.chars import CharPoly, CycleType, centralizer_order
+from betticount.chars import CharPoly, centralizer_order, cycle_type, weight
 from betticount.series import taylor_coeffs
 
 
@@ -23,14 +23,14 @@ def as_fractions(nums: Sequence[int], den: int) -> list[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
-def coefficients(p: CharPoly) -> dict[CycleType, Fraction]:
+def coefficients(p: CharPoly) -> dict[tuple[int, ...], Fraction]:
     """p's coefficient of each C(X, lam), as Fractions."""
     return {lam: Fraction(m, p.den) for lam, m in p.items()}
 
 
 def degree(p: CharPoly) -> int:
     """The largest degree |lam| of the terms of a nonzero p."""
-    return max(lam.n for lam, _ in p.items())
+    return max(weight(lam) for lam, _ in p.items())
 
 
 def betti_rows(side, p: CharPoly, max_i: int, max_n: int) -> list[list[Fraction]]:
@@ -43,9 +43,9 @@ def betti_rows(side, p: CharPoly, max_i: int, max_n: int) -> list[list[Fraction]
     return rows
 
 
-def evaluate(p: CharPoly, mu: CycleType) -> Fraction:
+def evaluate(p: CharPoly, mu: tuple[int, ...]) -> Fraction:
     """p(mu) = sum_lam c_lam prod_k C(mu_k, lam_k), over Fractions."""
-    return sum((c * math.prod(math.comb(a, lk) for a, lk in zip_longest(mu.counts, lam.counts, fillvalue=0))
+    return sum((c * math.prod(math.comb(a, lk) for a, lk in zip_longest(mu, lam, fillvalue=0))
                 for lam, c in coefficients(p).items()), Fraction(0))
 
 
@@ -72,12 +72,12 @@ def ref_mul(a: dict, b: dict) -> dict:
     for l1, c1 in a.items():
         for l2, c2 in b.items():
             terms = [((), c1 * c2)]
-            for x, y in zip_longest(l1.counts, l2.counts, fillvalue=0):
+            for x, y in zip_longest(l1, l2, fillvalue=0):
                 terms = [(ent + (c,), w * _product_weight(x, y, c))
                          for ent, w in terms for c in range(x + y + 1)]
             for ent, w in terms:
                 if w:
-                    lam = CycleType(ent)
+                    lam = cycle_type(ent)
                     out[lam] = out.get(lam, Fraction(0)) + w
     return {lam: c for lam, c in out.items() if c}
 
@@ -86,9 +86,9 @@ def ref_str(d: dict) -> str:
     """The text of {lam: Fraction} in the CLI grammar: terms by degree and
     then by lam, X_k for C(X_k, 1), a coefficient 1 or -1 left out."""
     chunks = []
-    for lam, coeff in sorted(d.items(), key=lambda kv: (kv[0].n, kv[0].counts)):
+    for lam, coeff in sorted(d.items(), key=lambda kv: (weight(kv[0]), kv[0])):
         factors = [f"X{k}" if lk == 1 else f"C(X{k},{lk})"
-                   for k, lk in enumerate(lam.counts, start=1) if lk]
+                   for k, lk in enumerate(lam, start=1) if lk]
         if factors and abs(coeff) == 1:
             chunks.append(("-" if coeff < 0 else "") + "*".join(factors))
         else:
@@ -121,7 +121,7 @@ def tori_partition_weighted_count(p: CharPoly, q: int, n: int) -> Fraction:
     return sum((cnt * evaluate(p, mu) for mu, cnt in tori.count_oracle(q, n)[n]), Fraction(0))
 
 
-def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
+def weighted_series(lam: tuple[int, ...], q: int, n_max: int) -> list[Fraction]:
     """Coefficients c_0..c_{n_max} of the torus-count generating function:
     c_n * |GL_n(F_q)| is the sum of C(X, lam) over the Frobenius cycle types
     of all maximal tori of GL_n(F_q).
@@ -132,9 +132,9 @@ def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    w = lam.n
+    w = weight(lam)
     scale = Fraction(1, centralizer_order(lam))
-    for k, lk in enumerate(lam.counts, start=1):
+    for k, lk in enumerate(lam, start=1):
         scale /= (q**k - 1) ** lk
     out = [Fraction(0)] * (n_max + 1)
     tail = Fraction(1)  # q^(-m) / prod_{j<=m} (1 - q^(-j)) at m = 0
@@ -145,7 +145,7 @@ def weighted_series(lam: CycleType, q: int, n_max: int) -> list[Fraction]:
     return out
 
 
-def difference_series(lam: CycleType, max_i: int, t_order: int) -> dict[tuple[int, int], Fraction]:
+def difference_series(lam: tuple[int, ...], max_i: int, t_order: int) -> dict[tuple[int, int], Fraction]:
     """(1 - t) times the conf Betti generating series for C(X, lam), as its
     nonzero terms {(i, n): c} with i <= max_i and n <= t_order.
 

@@ -6,10 +6,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
-from betticount.chars import CharPoly, CycleType, parse_rep, partitions
+from betticount.chars import CharPoly, cycle_type, parse_rep, partitions, weight
 from betticount.cli import main as cli_main
 from betticount.conf_betti import SIDE
 from betticount.conf_counts import (
@@ -142,7 +147,7 @@ def test_criterion_06_gl_conf_suite():
 
 
 def test_criterion_07_three_path_oracle_equivalence():
-    lams = [CycleType(e) for e in ((), (1,), (2,), (0, 1), (1, 1))]
+    lams = [cycle_type(e) for e in ((), (1,), (2,), (0, 1), (1, 1))]
     ok = True
     for p in (3, 5):
         v = builtin_variety("affine", 1, p)
@@ -165,7 +170,7 @@ def test_criterion_08_limits():
     ok = ok and F(*limit_expectation(a1_q3, CharPoly.binom((1,)))) == F(3, 4)
     ok = ok and F(*limit_expectation(a1_q2, CharPoly.binom((0, 1)))) == F(1, 5)
     p1_q2 = builtin_variety("projective", 1, 2)
-    for lam in (CycleType(()), CycleType((1,)), CycleType((0, 1))):
+    for lam in (cycle_type(()), cycle_type((1,)), cycle_type((0, 1))):
         lim = F(*limit_normalized(p1_q2, CharPoly.binom(lam)))
         series = as_fractions(*weighted_count_series(p1_q2, CharPoly.binom(lam), 25))
         ok = ok and abs(series[25] / F(2) ** 25 - lim) < F(1, 10**6)
@@ -198,10 +203,24 @@ def test_criterion_09_tori_suite():
 
 
 def test_criterion_10_cancellation_and_slope():
-    lams = [CycleType(mu.counts) for w in range(7) for mu in partitions(w)]
+    lams = [mu for w in range(7) for mu in partitions(w)]
     assert len(lams) == 30
     ok = True
     for lam in lams:
         for i, n in difference_series(lam, 12, 14):
-            ok = ok and i >= 0 and n - i <= lam.n + 1
+            ok = ok and i >= 0 and n - i <= weight(lam) + 1
     report(10, "no negative z-powers and slope <= weight+1 for all |lam| <= 6", ok)
+
+
+def test_full_verification_script_passes_every_check():
+    # the sweep of scripts/full_verification.py, run as a script: the only
+    # end-to-end check of the 924-term rep on both sides
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "scripts" / "full_verification.py")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = re.findall(r"^(\d+)/(\d+) checks passed$", proc.stdout, re.M)
+    assert len(totals) == 6 and all(a == b != "0" for a, b in totals), totals

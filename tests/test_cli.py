@@ -399,6 +399,34 @@ def test_count_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # int() read each of these as if its digits were ASCII
+        ("q = \u0663\ndim = 1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
+        ("q = +3\ndim = 1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
+        ("q = 3\ndim = +1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
+        ("q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 1 -1_2", "field 'zeta_den' must be a list of integers"),
+        ("q = 3\ndim = 1\ncounts = +3", "field 'counts' must be a list of integers"),
+        # int() refuses these with its own message
+        ("q = " + "9" * sys.get_int_max_str_digits() + "\ndim = 1\ncounts = 3",
+         f"field 'q' has an entry of {sys.get_int_max_str_digits()} characters; "
+         f"numbers have fewer than {sys.get_int_max_str_digits()} digits"),
+        ("q = 3\ndim = 1\ncounts = 3 " + "9" * 5000,
+         f"field 'counts' has an entry of 5000 characters; "
+         f"numbers have fewer than {sys.get_int_max_str_digits()} digits"),
+    ],
+    ids=["q-arabic-indic", "q-plus", "dim-plus", "zeta-den-underscore", "counts-plus",
+         "q-at-the-limit", "long-count"],
+)
+def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, message):
+    path = tmp_path / "v.zeta"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_count_budget_on_a_high_dimensional_projective_space():
     proc, elapsed = run_child(
         "count", "--variety", "projective:64", "--q", "2", "--max-n", "2", "--format", "json",
@@ -612,6 +640,13 @@ def test_count_names_a_bad_lambda(capsys, lam):
     code, out, err = run(capsys, "count", "--variety", "affine:1", "--q", "3", f"--lambda={lam}")
     assert code == 2
     assert err.strip() == f"error: --lambda expects nonnegative integers, got {lam!r}"
+
+
+def test_count_lambda_zero_is_the_empty_weight(capsys):
+    code, doc = run_json(capsys, "count", "--variety", "affine:1", "--q", "3", "--lambda", "0",
+                         "--max-n", "3")
+    assert code == 0 and doc["meta"]["weight"] == "lambda=(0)"
+    assert [r["value"] for r in doc["data"]] == ["1", "3", "6", "18"]
 
 
 def test_count_rejects_rep_and_lambda(capsys):
@@ -908,12 +943,16 @@ def test_betti_stable_rejects_the_zero_rep(capsys, side):
         (["verify"], "verify needs --side and --q"),
         (["verify", "--side", "conf", "--q", "3", "--guard", "10"],
          "verify takes no argument '--guard'"),
+        # each printed the unweighted count as lambda=()
+        (["count", "--variety", "affine:1", "--q", "3", "--lambda", ""], "--lambda is empty"),
+        (["count", "--variety", "affine:1", "--q", "3", "--lambda= , "], "--lambda is empty"),
     ],
     ids=[
         "no-command", "unknown-command", "unknown-option", "stray-argument", "abbreviation",
         "abbreviated-flag", "missing-value-at-end", "option-for-value", "flag-with-value",
         "non-integer", "non-integer-after-equals", "integer-too-long", "bad-format",
         "bad-side", "missing-rep", "missing-variety", "missing-side-and-q", "removed-guard",
+        "blank-lambda", "commas-only-lambda",
     ],
 )
 def test_a_bad_command_line_exits_2_with_one_error_line(capsys, argv, message):

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from betticount import conf_betti, tori
-from betticount.chars import CharPoly, CycleType, parse_rep
+from betticount.chars import CharPoly, cycle_type, parse_rep
 from betticount.series import taylor_coeffs
 
 MAX_WEIGHT = 6
@@ -92,7 +92,7 @@ def character_polynomial(lam):
 
 
 def as_charpoly(coeffs):
-    return CharPoly({CycleType(nu): c for nu, c in coeffs.items()})
+    return CharPoly({cycle_type(nu): c for nu, c in coeffs.items()})
 
 
 LAMBDAS = [lam for w in range(MAX_WEIGHT + 1) for lam in partitions_of(w)]

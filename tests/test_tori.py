@@ -6,10 +6,12 @@ import pytest
 from betticount import tori
 from betticount.chars import (
     CharPoly,
-    CycleType,
+    active,
     centralizer_order,
+    cycle_type,
     parse_rep,
     partitions,
+    weight,
 )
 from betticount.tori import (
     SIDE,
@@ -30,11 +32,11 @@ from helpers import tori_partition_weighted_count as partition_weighted_count
 from test_conf_betti import MIXED_REP
 
 X1 = CharPoly.variable(1)
-X2 = CharPoly.binom(CycleType((0, 1)))
+X2 = CharPoly.binom(cycle_type((0, 1)))
 ONE = CharPoly.constant(1)
 
 LAMBDA_SWEEP_4 = [
-    CycleType(tuple(e))
+    cycle_type(tuple(e))
     for e in [(), (1,), (2,), (3,), (4,), (0, 1), (1, 1), (2, 1), (0, 2), (0, 0, 1), (1, 0, 1), (0, 0, 0, 1)]
 ]
 
@@ -51,20 +53,20 @@ def test_gl_order_values():
 
 
 def test_centralizer_order_of_lambda():
-    assert centralizer_order(CycleType(())) == 1
-    assert centralizer_order(CycleType((2,))) == 2
-    assert centralizer_order(CycleType((1, 1))) == 2
-    assert centralizer_order(CycleType((0, 3))) == 48
+    assert centralizer_order(cycle_type(())) == 1
+    assert centralizer_order(cycle_type((2,))) == 2
+    assert centralizer_order(cycle_type((1, 1))) == 2
+    assert centralizer_order(cycle_type((0, 3))) == 48
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_total_tori_count_is_steinberg(q):
-    series = weighted_series(CycleType(()), q, 2)
+    series = weighted_series(cycle_type(()), q, 2)
     assert series[2] * gl_order(2, q) == q**2
 
 
 def test_weighted_series_linear_weight():
-    series = weighted_series(CycleType((1,)), 3, 2)
+    series = weighted_series(cycle_type((1,)), 3, 2)
     assert series[2] * gl_order(2, 3) == 12
     assert series[0] == 0
 
@@ -72,16 +74,16 @@ def test_weighted_series_linear_weight():
 def test_split_and_nonsplit_counts_n2():
     for q in (2, 3, 5, 7):
         counts = dict(count_oracle(q, 2)[2])
-        assert counts[CycleType((2,))] == q * (q + 1) // 2
-        assert counts[CycleType((0, 1))] == q * (q - 1) // 2
+        assert counts[cycle_type((2,))] == q * (q + 1) // 2
+        assert counts[cycle_type((0, 1))] == q * (q - 1) // 2
 
 
 def test_partition_count_n3_q2():
     # 168/6 + 168/6 + 168/21 = 28 + 28 + 8 = 64 = 2^6
     counts = dict(count_oracle(2, 3)[3])
-    assert counts[CycleType((3,))] == 28
-    assert counts[CycleType((1, 1))] == 28
-    assert counts[CycleType((0, 0, 1))] == 8
+    assert counts[cycle_type((3,))] == 28
+    assert counts[cycle_type((1, 1))] == 28
+    assert counts[cycle_type((0, 0, 1))] == 8
     assert partition_weighted_count(ONE, 2, 3) == 64
 
 
@@ -94,7 +96,7 @@ def test_count_oracle_matches_the_count_by_type(q):
         assert [mu for mu, _ in row] == list(partitions(n))
         for mu, count in row:
             den = centralizer_order(mu)
-            for k, a in mu.active():
+            for k, a in active(mu):
                 den *= (q**k - 1) ** a
             assert count == F(gl_order(n, q), den), (q, mu)
 
@@ -160,10 +162,10 @@ def product_gf_coeff(p, n, max_i):
                 rows[m][e] += rows[m - 1][e - j]
     out = [F(0)] * (max_i + 1)
     for lam, coeff in coefficients(p).items():
-        if lam.n > n:
+        if weight(lam) > n:
             continue
-        col = rows[n - lam.n]
-        for k, lk in lam.active():
+        col = rows[n - weight(lam)]
+        for k, lk in active(lam):
             geometric = [F(1) if e % k == 0 else F(0) for e in range(max_i + 1)]
             for _ in range(lk):
                 col = truncated_mul(col, geometric, max_i)
@@ -267,9 +269,9 @@ def test_genuine_rep_tables_integral_nonnegative():
 
 def test_stable_gf_values():
     # 1, 1/(1 - z) and (1/2)/(1 - z)^2
-    assert SIDE.stable_series(CharPoly.binom(CycleType(()))) == ((1,), (1,), 1)
-    assert SIDE.stable_series(CharPoly.binom(CycleType((1,)))) == ((1,), (1, -1), 1)
-    assert SIDE.stable_series(CharPoly.binom(CycleType((2,)))) == ((1,), (1, -2, 1), 2)
+    assert SIDE.stable_series(CharPoly.binom(cycle_type(()))) == ((1,), (1,), 1)
+    assert SIDE.stable_series(CharPoly.binom(cycle_type((1,)))) == ((1,), (1, -1), 1)
+    assert SIDE.stable_series(CharPoly.binom(cycle_type((2,)))) == ((1,), (1, -2, 1), 2)
 
 
 def test_stable_rows_emerge_in_tables():
@@ -298,11 +300,11 @@ def test_recurrence_two_cycle():
 
 def test_recurrence_lambda_2():
     # a_i = 2 a_(i-1) - a_(i-2)
-    assert SIDE.stable_series(CharPoly.binom(CycleType((2,))))[1] == (1, -2, 1)
+    assert SIDE.stable_series(CharPoly.binom(cycle_type((2,))))[1] == (1, -2, 1)
 
 
 def test_recurrences_hold_to_40():
-    for rep in (X1, X2, parse_rep("V11"), parse_rep("V2"), CharPoly.binom(CycleType((2,)))):
+    for rep in (X1, X2, parse_rep("V11"), parse_rep("V2"), CharPoly.binom(cycle_type((2,)))):
         num, D, _ = SIDE.stable_series(rep)
         vals = stable_values(SIDE, rep, 40)
         assert extend_by_recurrence(D, vals[:len(num)], 40) == vals

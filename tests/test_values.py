@@ -1,18 +1,16 @@
-"""The immutable value types: equality and hashing by value, no assignment,
-validation in the constructor, and keyword construction."""
+"""The immutable value type PointCountData: equality and hashing by value,
+no assignment, validation in the constructor, and keyword construction."""
 
 import pickle
 
 import pytest
 
-from betticount.chars import CycleType
 from betticount.zeta import PointCountData
 
 ZETA_A1 = ((1,), (1, -3))
 
 # (instance, an equal one built another way, a different one)
 CASES = [
-    (CycleType((2, 1)), CycleType(counts=(2, 1, 0, 0)), CycleType((1, 1))),
     (
         PointCountData(3, 1, ZETA_A1),
         # a common power of t and trailing zeros are stripped
@@ -42,13 +40,7 @@ def test_assignment_raises(value, same, other):
     assert value == same
 
 
-def test_unequal_to_another_class_with_the_same_fields():
-    assert CycleType((1, 2)) != (1, 2)
-
-
 def test_constructors_normalize_and_keep_their_defaults():
-    assert CycleType([1, 0, 2, 0]).counts == (1, 0, 2)
-    assert CycleType([0, 0]).counts == ()
     v = PointCountData(q=2, dim=1, counts=(3, 5))
     assert v.zeta is None and v.counts == (3, 5)
 
@@ -56,8 +48,6 @@ def test_constructors_normalize_and_keep_their_defaults():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: CycleType((1, -1)), "nonnegative"),
-        (lambda: CycleType(counts=(-1,)), "nonnegative"),
         (lambda: PointCountData(6, 1, ZETA_A1), "not a prime power"),
         (lambda: PointCountData(3, 0, ZETA_A1), "dimension"),
         (lambda: PointCountData(3, 1), "exactly one"),

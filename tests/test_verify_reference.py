@@ -100,7 +100,7 @@ def test_scaled_values_equal_evaluate_on_every_cycle_type(name):
     values = ScaledValues(rep)
     types = [mu for n in range(13) for mu in partitions(n)]
     for mu in types:
-        assert F(values[mu], values.den) == evaluate(rep, mu), mu.counts
+        assert F(values[mu], values.den) == evaluate(rep, mu), mu
     weighted = [(mu, 3 * k - 5) for k, mu in enumerate(types)]
     total, den = weighted_sum(values, weighted)
     assert den == values.den and F(total, den) == sum(cnt * evaluate(rep, mu) for mu, cnt in weighted)
