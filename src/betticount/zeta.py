@@ -115,8 +115,10 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
     """A variety's arithmetic over F_q: dimension, and either an exact zeta
     function or a finite point-count sequence |V(F_{q^m})| for m = 1..M.
 
-    Requests that need counts deeper than the supplied data raise instead of
-    extrapolating.
+    The constructor makes every check of variety data. It keeps counts as a
+    tuple of one or more nonnegative ints, so equal counts from any sequence
+    compare and hash alike. Requests that need counts deeper than the
+    supplied data raise instead of extrapolating.
     """
 
     __slots__ = ()
@@ -126,7 +128,7 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
         q: int,
         dim: int,
         zeta: tuple[Sequence[int], Sequence[int]] | None = None,
-        counts: tuple[int, ...] | None = None,
+        counts: Sequence[int] | None = None,
     ):
         if not is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
@@ -146,6 +148,8 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
                 # Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k) needs Z(V,0) != 0
                 raise ValueError("zeta function must be nonzero at t = 0")
             zeta = (tuple(num), tuple(den))
+        elif not (counts := tuple(counts)) or not all(isinstance(c, int) and c >= 0 for c in counts):
+            raise ValueError("counts must be one or more nonnegative integers")
         return super().__new__(cls, q, dim, zeta, counts)
 
     def point_counts(self, depth: int) -> list[int]:
@@ -222,8 +226,6 @@ def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
 def builtin_variety(kind: str, d: int, q: int) -> PointCountData:
     """Affine or projective space of dimension d with its standard zeta
     function: 1/(1 - q^d t), resp. prod_{i=0..d} 1/(1 - q^i t)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     if kind == "affine":
         den = [1, -(q**d)]
     elif kind == "projective":
@@ -246,6 +248,7 @@ def builtin_variety(kind: str, d: int, q: int) -> PointCountData:
 #   counts = 3 9 27       # |V(F_{q^m})| for m = 1..M
 #
 # '#' starts a comment; integers only, read as the command line reads them.
+# Any other field name is refused.
 
 
 def _int(text: str) -> int:
@@ -258,7 +261,8 @@ def _int(text: str) -> int:
 
 
 def parse_variety_text(text: str) -> PointCountData:
-    fields: dict[str, str] = {}
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    fields: dict[str, list[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -267,49 +271,37 @@ def parse_variety_text(text: str) -> PointCountData:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in ("q", "dim", "zeta_num", "zeta_den", "counts"):
+            raise ValueError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: duplicate field {key!r}")
-        fields[key] = value.strip()
-    # the length first: int() refuses more digits than the limit
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    for key in ("q", "dim", "zeta_num", "zeta_den", "counts"):
-        for tok in fields.get(key, "").replace(",", " ").split():
+        scalar = key in ("q", "dim")
+        fields[key] = []
+        for tok in value.split() if scalar else value.replace(",", " ").split():
+            # the length first: int() refuses more digits than the limit
             if 0 < limit <= len(tok):
                 raise ValueError(f"field {key!r} has an entry of {len(tok)} characters; "
                                  f"numbers have fewer than {limit} digits")
-
-    def int_list(key: str) -> list[int]:
-        try:
-            return [_int(tok) for tok in fields[key].replace(",", " ").split()]
-        except ValueError:
-            raise ValueError(f"field {key!r} must be a list of integers") from None
-
-    for required in ("q", "dim"):
-        if required not in fields:
-            raise ValueError(f"missing field {required!r}")
-    try:
-        q = _int(fields["q"])
-        dim = _int(fields["dim"])
-    except ValueError:
-        raise ValueError("fields 'q' and 'dim' must be integers") from None
-
-    has_zeta = "zeta_num" in fields or "zeta_den" in fields
-    has_counts = "counts" in fields
-    if has_zeta == has_counts:
-        raise ValueError("supply either zeta_num/zeta_den or counts, not both")
-    if has_zeta:
-        if not ("zeta_num" in fields and "zeta_den" in fields):
-            raise ValueError("zeta_num and zeta_den must both be present")
-        num, den = int_list("zeta_num"), int_list("zeta_den")
-        if not any(den):
-            raise ValueError("zeta_den is the zero polynomial")
-        return PointCountData(q=q, dim=dim, zeta=(num, den))
-    counts = int_list("counts")
-    if not counts:
-        raise ValueError("counts must be non-empty")
-    return PointCountData(q=q, dim=dim, counts=tuple(counts))
+            try:
+                fields[key].append(_int(tok))
+            except ValueError:
+                raise ValueError("fields 'q' and 'dim' must be integers" if scalar
+                                 else f"field {key!r} must be a list of integers") from None
+    for key in ("q", "dim"):
+        if key not in fields:
+            raise ValueError(f"missing field {key!r}")
+        if len(fields[key]) != 1:
+            raise ValueError("fields 'q' and 'dim' must be integers")
+    if ("zeta_num" in fields) != ("zeta_den" in fields):
+        raise ValueError("zeta_num and zeta_den must both be present")
+    zeta = (fields["zeta_num"], fields["zeta_den"]) if "zeta_num" in fields else None
+    return PointCountData(fields["q"][0], fields["dim"][0], zeta, fields.get("counts"))
 
 
 def load_variety_file(path: str) -> PointCountData:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_variety_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_variety_text(text)

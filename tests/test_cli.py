@@ -415,9 +415,12 @@ def test_count_missing_file(capsys):
         ("q = 3\ndim = 1\ncounts = 3 " + "9" * 5000,
          f"field 'counts' has an entry of 5000 characters; "
          f"numbers have fewer than {sys.get_int_max_str_digits()} digits"),
+        # a misspelt field was ignored, or refused as if no data were given
+        ("q = 2\ndim = 1\ncounts = 3 5\nzeta_dem = 1 -3", "line 4: unknown field 'zeta_dem'"),
+        ("q = 2\ndim = 1\ncount = 3 5", "line 3: unknown field 'count'"),
     ],
     ids=["q-arabic-indic", "q-plus", "dim-plus", "zeta-den-underscore", "counts-plus",
-         "q-at-the-limit", "long-count"],
+         "q-at-the-limit", "long-count", "misspelt-zeta-den", "misspelt-counts"],
 )
 def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, message):
     path = tmp_path / "v.zeta"
@@ -425,6 +428,14 @@ def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, mess
     code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", "1")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_an_undecodable_variety_file_is_named(tmp_path, capsys):
+    path = tmp_path / "v.zeta"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
 
 
 def test_count_budget_on_a_high_dimensional_projective_space():

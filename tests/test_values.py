@@ -45,6 +45,12 @@ def test_constructors_normalize_and_keep_their_defaults():
     assert v.zeta is None and v.counts == (3, 5)
 
 
+def test_counts_from_any_sequence_equal_and_hash_like_the_tuple():
+    v = PointCountData(2, 1, counts=[3, 5])
+    assert v == PointCountData(2, 1, counts=(3, 5)) and v.counts == (3, 5)
+    assert hash(v) == hash(PointCountData(2, 1, counts=(3, 5)))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -54,6 +60,9 @@ def test_constructors_normalize_and_keep_their_defaults():
         (lambda: PointCountData(3, 1, ZETA_A1, (3,)), "exactly one"),
         (lambda: PointCountData(3, 1, ((1,), (0, 1))), "regular at t = 0"),
         (lambda: PointCountData(3, 1, ((0, 1), (1,))), "nonzero at t = 0"),
+        (lambda: PointCountData(3, 1, counts=[]), "nonnegative integers"),
+        (lambda: PointCountData(3, 1, counts=[-1]), "nonnegative integers"),
+        (lambda: PointCountData(3, 1, counts=[1.5]), "nonnegative integers"),
     ],
 )
 def test_constructor_checks(build, message):
