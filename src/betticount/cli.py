@@ -13,13 +13,15 @@ from __future__ import annotations
 import os
 import re
 import sys
+from collections.abc import Iterable
+from itertools import islice
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, cycle_type, parse_rep, weight
-from .series import ratio, taylor_coeffs
+from .series import ratio, taylor_coeffs, taylor_series
 from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_variety_file
 
 MAX_COUNT_N = 200
@@ -58,7 +60,7 @@ def _text(rep: CharPoly) -> str:
         raise _too_long() from None
 
 
-def _ratios(cells: list[int], den: int) -> list[str]:
+def _ratios(cells: Iterable[int], den: int) -> list[str]:
     """The text of every value c / den, for integers c and den > 0: "p/q" in
     lowest terms, or "p" for an integer; every value is printed by it."""
     try:
@@ -338,18 +340,9 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         expectation = conf_counts.limit_expectation(v, rep)
         row = (weight_desc, _ratio(normalized), _ratio(expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
-    # refused before the work when a value is sure to be too long to print:
-    # on affine and projective d-space the number of n-point configurations
-    # is at least q^(dn) / 2, and a weight with a constant term c and no
-    # negative coefficient counts at least c times it (other weights cancel)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    nums = dict(rep.items())
-    c = nums.get((), 0)
-    if (limit and args.variety.partition(":")[0] in ("affine", "projective") and c > 0
-            and min(nums.values()) > 0
-            and c * v.q ** (v.dim * args.max_n) >= 2 * rep.den * 10**limit):
-        raise _too_long()
-    data = list(enumerate(_ratios(*conf_counts.weighted_count_series(v, rep, args.max_n))))
+    # read lazily: the first value too long to print ends the work
+    num, D, d = conf_counts.count_series(v, rep, args.max_n)
+    data = list(enumerate(_ratios(islice(taylor_series(num, D), args.max_n + 1), d)))
     return OutputDocument("table", meta, data, ("n", "value")), 0
 
 

@@ -25,11 +25,12 @@ from itertools import filterfalse, repeat
 from operator import add, and_, mul
 
 from .chars import CharPoly, active, binomial, cycle_type, partitions, weight
-from .series import divide_in_place, poly_mul, ratio
+from .series import cyclotomic_sum, poly_mul, ratio, taylor_coeffs
 from .zeta import PointCountData, closed_point_counts, is_prime
 
 __all__ = [
     "GUARD",
+    "count_series",
     "weighted_count_series",
     "count_oracle",
     "check_bruteforce",
@@ -45,50 +46,38 @@ GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest r
 # the generating-function path
 
 
-def weighted_count_series(
+def count_series(
     v: PointCountData, p: CharPoly, n_max: int
-) -> tuple[list[int], int]:
-    """Coefficients c_0..c_{n_max}, as integers over the one denominator
-    p.den, with c_n the sum of p over the Frobenius cycle types of all
-    n-point configurations of V over F_q.
-
-    For p = C(X, lam) the generating function is Z(V,t)/Z(V,t^2) times,
-    for each k with lam_k > 0, the factor
-    binom(M_k(V,q), lam_k) * (t^k / (1 + t^k))^lam_k.  Since
-    Z(V,t) = Z(V,0) * prod_k (1 - t^k)^(-M_k), the ratio is
-    prod_k (1 + t^k)^(M_k) and every step stays on integers: the product
-    comes once, for all of p, from Newton's identity
-    m s_m = sum_{i=1..m} c_i s_{m-i}, with c_i = sum_{k | i}
-    (-1)^(i/k + 1) k M_k its logarithmic derivative; each lam then divides
-    a prefix of it by prod_k (1 + t^k)^lam_k, in place, and adds it in at
-    t^|lam| over the common denominator of p's coefficients.
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(num, D, d), D(0) != 0: the sum over the n-point configurations of V
+    over F_q of p at their Frobenius cycle types is the t^n coefficient of
+    num / (d D), for n <= n_max.  For p = C(X, lam) the generating function
+    is Z(V,t)/Z(V,t^2) = A/B (_zeta_ratio) times binom(M_k(V,q), lam_k)
+    (t^k / (1 + t^k))^lam_k for each k; cyclotomic_sum adds the factors
+    over p.den, reading M_k up to the longest lam.  Point counts give the
+    zeta Z mod t^(n_max+1) by Newton's identity
+    m z_m = sum_(i<=m) |V(F_(q^i))| z_(m-i), exact once closed_point_counts
+    has checked them to depth n_max.
     """
     terms = p.items()
-    mk = closed_point_counts(v, max([n_max] + [len(lam) for lam, _ in terms]))
-    c = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        km = k * mk[k - 1]
-        if km:
-            for i in range(k, n_max + 1, 2 * k):
-                c[i] += km
-            for i in range(2 * k, n_max + 1, 2 * k):
-                c[i] -= km
-    prod = [1] + [0] * n_max
-    for m in range(1, n_max + 1):
-        total = sum(map(mul, c[1 : m + 1], prod[m - 1 :: -1]))
-        prod[m], rem = divmod(total, m)
-        if rem:
-            raise ArithmeticError(f"non-integer coefficient {total}/{m} at t^{m}")
-    out = [0] * (n_max + 1)
-    for lam, m in terms:
-        w = weight(lam)
-        mult = m * binomial(mk, lam)
-        if mult and w <= n_max:
-            s = prod[: n_max + 1 - w]
-            divide_in_place(s, active(lam), 1)
-            for m, x in enumerate(s, start=w):
-                out[m] += mult * x
-    return out, p.den
+    depth = max([0] + [len(lam) for lam, _ in terms])
+    mk = closed_point_counts(v, depth if v.zeta else max(depth, n_max))
+    if v.zeta is None:
+        pts, z = v.point_counts(n_max), [1]
+        for m in range(1, n_max + 1):
+            z.append(sum(map(mul, pts[:m], z[::-1])) // m)
+    A, B = _zeta_ratio(*(v.zeta or (z, [1])))
+    parts = [([0] * weight(lam) + [1], c, [(k, e, 1) for k, e in active(lam)])
+             for lam, m in terms if (c := m * binomial(mk, lam))]
+    num, D, d = cyclotomic_sum(parts, p.den)
+    return tuple(poly_mul(A, num or [0])), tuple(poly_mul(B, D)), d
+
+
+def weighted_count_series(v: PointCountData, p: CharPoly, n_max: int) -> tuple[list[int], int]:
+    """The coefficients c_0..c_{n_max} of count_series(v, p, n_max), as
+    integers over its one denominator d."""
+    num, D, d = count_series(v, p, n_max)
+    return taylor_coeffs(num, D, n_max), d
 
 
 def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
@@ -299,10 +288,12 @@ def bruteforce_census(p: int, n: int) -> list[list[tuple[tuple[int, ...], int]]]
 # limits as n grows
 
 
-def _at_t_squared(p: Sequence[int]) -> list[int]:
-    out = [0] * (2 * len(p) - 1)
-    out[::2] = p
-    return out
+def _zeta_ratio(zn: Sequence[int], zd: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(A, B) with Z(t)/Z(t^2) = A/B for Z = zn/zd: A = zn(t) zd(t^2) and
+    B = zd(t) zn(t^2)."""
+    zn2, zd2 = [0] * (2 * len(zn) - 1), [0] * (2 * len(zd) - 1)
+    zn2[::2], zd2[::2] = zn, zd
+    return poly_mul(zn, zd2), poly_mul(zd, zn2)
 
 
 def _deflate(p: list[int], c: int) -> list[int] | None:
@@ -344,10 +335,9 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     """
     if v.zeta is None:
         raise ValueError("limits need the zeta function as a rational function")
-    zn, zd = v.zeta
     c = v.q**v.dim
-    num = poly_mul(poly_mul(zn, _at_t_squared(zd)), [1, -c])
-    den = poly_mul(zd, _at_t_squared(zn))
+    num, den = _zeta_ratio(*v.zeta)
+    num = poly_mul(num, [1, -c])
     while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
         num, den = qn, qd
     if _deflate(den, c) is not None:

@@ -12,7 +12,8 @@ triple (num, D, d) that stands for num / (d D), with D(0) = 1 and d > 0.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import count, islice
 from operator import mul
 
 __all__ = [
@@ -20,6 +21,8 @@ __all__ = [
     "poly_mul",
     "cyclotomic_sum",
     "divide_in_place",
+    "NonInteger",
+    "taylor_series",
     "taylor_coeffs",
 ]
 
@@ -163,13 +166,32 @@ def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int)
                 s[m] -= sign * s[m - k]
 
 
-def taylor_coeffs(num: Sequence[int], D: Sequence[int], order: int) -> list[int]:
-    """The first order+1 Taylor coefficients at 0 of num / D, for integer
-    lists num and D with D(0) = 1, as in each triple that cyclotomic_sum
-    returns: the integers a_n = num_n - sum_(k>=1) D_k a_(n-k)."""
-    tail = D[1:]
+class NonInteger(ArithmeticError):
+    """The Taylor coefficient value (its text) at t^n is not an integer."""
+
+    def __init__(self, value: str, n: int):
+        super().__init__(f"non-integer coefficient {value} at t^{n}")
+        self.value, self.n = value, n
+
+
+def taylor_series(num: Sequence[int], D: Sequence[int]) -> Iterator[int]:
+    """The Taylor coefficients at 0 of num / D, for integer lists num and D
+    with D(0) != 0, one at a time and without end: the integers
+    a_n = (num_n - sum_(k>=1) D_k a_(n-k)) / D_0.  Raises NonInteger at the
+    first a_n that is not one."""
+    d0, tail = D[0], D[1:]
     a: list[int] = []
-    for n in range(order + 1):
+    for n in count():
         # a[n-1::-1] is a_(n-1), a_(n-2), ..., a_0 (empty at n = 0)
-        a.append((num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1])))
-    return a
+        total = (num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1]))
+        an, rem = divmod(total, d0)
+        if rem:
+            raise NonInteger(ratio(total * d0, d0 * d0), n)  # total / d0 over d0^2 > 0
+        a.append(an)
+        yield an
+
+
+def taylor_coeffs(num: Sequence[int], D: Sequence[int], order: int) -> list[int]:
+    """The first order+1 values of taylor_series(num, D), such as the
+    stable values of each triple that cyclotomic_sum returns."""
+    return list(islice(taylor_series(num, D), order + 1))

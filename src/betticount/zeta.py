@@ -12,9 +12,8 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import mul
 
-from .series import _strip, poly_mul, ratio
+from .series import NonInteger, _strip, poly_mul, ratio, taylor_coeffs
 
 __all__ = [
     "mobius_table",
@@ -137,6 +136,8 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
         if (zeta is None) == (counts is None):
             raise ValueError("supply exactly one of zeta or counts")
         if zeta is not None:
+            if not all(isinstance(c, int) for p in zeta for c in p):
+                raise ValueError("zeta function coefficients must be integers")
             num, den = (_strip(p) for p in zeta)
             if not den:
                 raise ValueError("zeta function has a zero denominator")
@@ -161,25 +162,17 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
                 )
             return list(self.counts[:depth])
         # t Z'/Z = sum_m |V(F_{q^m})| t^m = r / f, r = t N' D - N t D' and
-        # f = N D; with f_0 > 0 the counts are c_m / f_0^m for the integers
-        # c_m = f_0^(m-1) r_m - sum_(j=1..m-1) f_j f_0^(j-1) c_(m-j) of
-        # Newton's identity
+        # f = N D; every value must be a count
         num, den = self.zeta
-        f = poly_mul(num, den)
         r = [a - b for a, b in zip(poly_mul([j * x for j, x in enumerate(num)], den),
                                    poly_mul(num, [j * x for j, x in enumerate(den)]))]
-        if f[0] < 0:
-            f, r = [-x for x in f], [-x for x in r]
-        powers = [f[0] ** j for j in range(depth + 1)]
-        scaled = list(map(mul, f[1:], powers))  # f_j f_0^(j-1), j >= 1
-        c, out = [0], []
-        for m in range(1, depth + 1):
-            total = (powers[m - 1] * r[m] if m < len(r) else 0) - sum(map(mul, scaled, c[m - 1:0:-1]))
-            v, rem = divmod(total, powers[m])
-            if rem or v < 0:
-                raise ValueError(f"zeta function gives invalid count {ratio(total, powers[m])} at depth {m}")
-            c.append(total)
-            out.append(v)
+        try:
+            out = taylor_coeffs(r, poly_mul(num, den), depth)[1:]
+        except NonInteger as exc:
+            raise ValueError(f"zeta function gives invalid count {exc.value} at depth {exc.n}") from None
+        for m, v in enumerate(out, start=1):
+            if v < 0:
+                raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
         return out
 
 

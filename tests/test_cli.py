@@ -610,6 +610,32 @@ def test_count_prints_what_fits_the_digit_limit(rep, n):
     assert elapsed < 5
 
 
+def _projective_zeta_file(path, d, q):
+    """P^d over F_q as a variety file: Z = 1 / prod_(i<=d) (1 - q^i t)."""
+    den = [1]
+    for i in range(d + 1):
+        den = [a - q**i * b for a, b in zip(den + [0], [0] + den)]
+    path.write_text(f"q = {q}\ndim = {d}\nzeta_num = 1\nzeta_den = {' '.join(map(str, den))}\n")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("variety", ["projective:64", "file"])
+def test_count_refuses_at_the_first_value_too_long_to_print(tmp_path, variety):
+    # V11 has a negative coefficient and a file is no builtin, so no bound
+    # on the counts refuses these before the work: it ends at the first value
+    # too long to print (n = 23 on P^64), not after the series to n = 200.
+    # P^64 over F_997 does not fit a file: its top zeta coefficient has 6,237
+    # digits, more than a number may have.  P^48's has 3,527.
+    if variety == "file":
+        variety = _projective_zeta_file(tmp_path / "p48.zeta", 48, 997)
+    proc, elapsed = run_child("count", "--variety", variety, "--q", "997", "--max-n", "200",
+                              "--rep", "V11", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == TOO_LONG
+    assert proc.stdout == ""
+    assert elapsed < 1
+
+
 def test_the_unweighted_count_is_at_least_half_of_q_to_the_d_n():
     # the bound that lets count refuse before the work, on every builtin
     for kind, d, q in (("affine", 1, 2), ("affine", 3, 5), ("projective", 1, 2),
@@ -890,7 +916,8 @@ def test_count_expands_the_product_once_for_a_multi_term_rep(capsys, monkeypatch
     )
     assert code == 0
     assert len(cli_mod.parse_rep(rep).items()) > 3
-    assert calls == [12]
+    # the closed-point counts are read once, to the longest lambda (X2*X3)
+    assert calls == [3]
     v = builtin_variety("affine", 1, 3)
     assert [Fraction(r["value"]) for r in doc["data"]] == [
         partition_weighted_count(v, cli_mod.parse_rep(rep), n) for n in range(13)

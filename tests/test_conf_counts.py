@@ -382,6 +382,8 @@ def fraction_count_series(z, mk, lam, n):
 
 P2_Q2 = builtin_variety("projective", 2, 2)
 ZETA_AT_ZERO_2 = parse_variety_text("q = 3\ndim = 1\nzeta_num = 2\nzeta_den = 1 -3\n")
+# an elliptic curve over F_5: its N is not constant, so B = D(t) N(t^2) has N(t^2)
+ELLIPTIC_Q5 = parse_variety_text("q = 5\ndim = 1\nzeta_num = 1 -2 5\nzeta_den = 1 -6 5\n")
 
 # variety, its zeta function, and the order n of the comparison
 SERIES_CASES = {
@@ -394,6 +396,7 @@ SERIES_CASES = {
     ),
     # Z(0) = 2: the constant must cancel in Z(t)/Z(t^2)
     "zeta_at_zero_2": (ZETA_AT_ZERO_2, ZETA_AT_ZERO_2.zeta, 60),
+    "elliptic_q5": (ELLIPTIC_Q5, ELLIPTIC_Q5.zeta, 60),
     "empty": (PointCountData(q=2, dim=1, counts=(0, 0, 0)), ((1,), (1,)), 3),
 }
 

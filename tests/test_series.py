@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticount.series import cyclotomic_sum, divide_in_place, poly_mul, ratio, taylor_coeffs
+from betticount.series import (
+    NonInteger, cyclotomic_sum, divide_in_place, poly_mul, ratio, taylor_coeffs, taylor_series,
+)
 
 from helpers import as_fractions, binomial, extend_by_recurrence, truncated_inverse, truncated_mul
 
@@ -121,6 +124,32 @@ def test_taylor_divides_by_the_constant_term_once():
     assert taylor((1,), (1, -2, 1), 5, 6) == [F(n + 1, 6) for n in range(6)]
     # (1 + z) / (4 (1 + z^2)): 1/4, 1/4, -1/4, -1/4, ...
     assert taylor((1, 1), (1, 0, 1), 5, 4) == [F(s, 4) for s in (1, 1, -1, -1, 1, 1)]
+
+
+def test_taylor_divides_exactly_by_any_nonzero_constant_term():
+    # Z(t)/Z(t^2) for Z = 2/(1 - 3t) is (2 - 6t^2)/(2 - 6t): the 2 cancels
+    assert taylor_coeffs((2, 0, -6), (2, -6), 3) == [1, 3, 6, 18]
+    assert taylor_coeffs((-1,), (-1, 3), 3) == [1, 3, 9, 27]
+    assert taylor_coeffs((6,), (-3,), 2) == [-2, 0, 0]
+
+
+def test_taylor_series_raises_at_the_first_non_integer_and_not_before():
+    # (2 - 3t^2)/(2 - 3t) = 1 + 3/2 t + ...
+    values = taylor_series((2, 0, -3), (2, -3))
+    assert next(values) == 1
+    with pytest.raises(NonInteger, match=r"^non-integer coefficient 3/2 at t\^1$") as info:
+        next(values)
+    assert (info.value.value, info.value.n) == ("3/2", 1)
+    with pytest.raises(NonInteger, match="-1/2 at t"):
+        taylor_coeffs((1,), (-2,), 0)
+
+
+def test_taylor_series_has_no_end():
+    # 1/(1 - t - t^2): the Fibonacci numbers F_1, F_2, ...
+    a, b = 1, 1
+    for x in itertools.islice(taylor_series((1,), (1, -1, -1)), 300):
+        assert x == a
+        a, b = b, a + b
 
 
 @given(

@@ -60,6 +60,7 @@ def test_counts_from_any_sequence_equal_and_hash_like_the_tuple():
         (lambda: PointCountData(3, 1, ZETA_A1, (3,)), "exactly one"),
         (lambda: PointCountData(3, 1, ((1,), (0, 1))), "regular at t = 0"),
         (lambda: PointCountData(3, 1, ((0, 1), (1,))), "nonzero at t = 0"),
+        (lambda: PointCountData(3, 1, ((1,), (1, -3.5))), "coefficients must be integers"),
         (lambda: PointCountData(3, 1, counts=[]), "nonnegative integers"),
         (lambda: PointCountData(3, 1, counts=[-1]), "nonnegative integers"),
         (lambda: PointCountData(3, 1, counts=[1.5]), "nonnegative integers"),
