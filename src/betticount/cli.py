@@ -13,15 +13,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-from collections.abc import Iterable
-from itertools import islice
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
 from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, cycle_type, parse_rep, weight
-from .series import ratio, taylor_coeffs, taylor_series
+from .series import ratio, taylor_coeffs
 from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_variety_file
 
 MAX_COUNT_N = 200
@@ -60,7 +58,7 @@ def _text(rep: CharPoly) -> str:
         raise _too_long() from None
 
 
-def _ratios(cells: Iterable[int], den: int) -> list[str]:
+def _ratios(cells: list[int], den: int) -> list[str]:
     """The text of every value c / den, for integers c and den > 0: "p/q" in
     lowest terms, or "p" for an integer; every value is printed by it."""
     try:
@@ -341,8 +339,8 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         row = (weight_desc, _ratio(normalized), _ratio(expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
     # read lazily: the first value too long to print ends the work
-    num, D, d = conf_counts.count_series(v, rep, args.max_n)
-    data = list(enumerate(_ratios(islice(taylor_series(num, D), args.max_n + 1), d)))
+    values, d = conf_counts.count_values(v, rep, args.max_n)
+    data = [(n, _ratio((c, d))) for n, c in enumerate(values)]
     return OutputDocument("table", meta, data, ("n", "value")), 0
 
 

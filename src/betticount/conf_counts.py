@@ -20,17 +20,17 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
-from itertools import filterfalse, repeat
+from collections.abc import Iterator, Sequence
+from itertools import chain, filterfalse, islice, repeat
 from operator import add, and_, mul
 
 from .chars import CharPoly, active, binomial, cycle_type, partitions, weight
-from .series import cyclotomic_sum, poly_mul, ratio, taylor_coeffs
-from .zeta import PointCountData, closed_point_counts, is_prime
+from .series import cyclotomic_sum, poly_mul, ratio, taylor_series
+from .zeta import PointCountData, closed_point_counts, closed_point_series, is_prime
 
 __all__ = [
     "GUARD",
-    "count_series",
+    "count_values",
     "weighted_count_series",
     "count_oracle",
     "check_bruteforce",
@@ -46,38 +46,46 @@ GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest r
 # the generating-function path
 
 
-def count_series(
-    v: PointCountData, p: CharPoly, n_max: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(num, D, d), D(0) != 0: the sum over the n-point configurations of V
-    over F_q of p at their Frobenius cycle types is the t^n coefficient of
-    num / (d D), for n <= n_max.  For p = C(X, lam) the generating function
-    is Z(V,t)/Z(V,t^2) = A/B (_zeta_ratio) times binom(M_k(V,q), lam_k)
-    (t^k / (1 + t^k))^lam_k for each k; cyclotomic_sum adds the factors
-    over p.den, reading M_k up to the longest lam.  Point counts give the
-    zeta Z mod t^(n_max+1) by Newton's identity
-    m z_m = sum_(i<=m) |V(F_(q^i))| z_(m-i), exact once closed_point_counts
-    has checked them to depth n_max.
+def count_values(v: PointCountData, p: CharPoly, n_max: int) -> tuple[Iterator[int], int]:
+    """(values, d): the sum over the n-point configurations of V over F_q
+    of p at their Frobenius cycle types is c_n / d, for n <= n_max, with
+    c_n the n-th of values, read one at a time.
+
+    The c_n are the Taylor coefficients of num / (d D): Z(V,t)/Z(V,t^2) =
+    A/B (_zeta_ratio) times, for p = C(X, lam), binom(M_k(V,q), lam_k)
+    (t^k / (1 + t^k))^lam_k for each k, summed over p by cyclotomic_sum.
+    Point counts give the zeta Z mod t^(n_max+1) by Newton's identity
+    m z_m = sum_(i<=m) |V(F_(q^i))| z_(m-i).  The M_k are read to the
+    longest lam, then M_n before c_n, so V is checked as far as c is read.
     """
     terms = p.items()
     depth = max([0] + [len(lam) for lam, _ in terms])
-    mk = closed_point_counts(v, depth if v.zeta else max(depth, n_max))
+    checked = closed_point_series(v, max(depth, n_max))
+    mk = list(islice(checked, depth))
     if v.zeta is None:
-        pts, z = v.point_counts(n_max), [1]
+        pts = v.point_counts(n_max)
+        z = [1]
         for m in range(1, n_max + 1):
             z.append(sum(map(mul, pts[:m], z[::-1])) // m)
-    A, B = _zeta_ratio(*(v.zeta or (z, [1])))
-    parts = [([0] * weight(lam) + [1], c, [(k, e, 1) for k, e in active(lam)])
-             for lam, m in terms if (c := m * binomial(mk, lam))]
+        A, B = _zeta_ratio(z, [1])
+    else:
+        A, B = _zeta_ratio(*v.zeta)
+    parts = []
+    for lam, m in terms:
+        c = m * binomial(mk, lam)
+        if c:
+            parts.append(([0] * weight(lam) + [1], c, [(k, e, 1) for k, e in active(lam)]))
     num, D, d = cyclotomic_sum(parts, p.den)
-    return tuple(poly_mul(A, num or [0])), tuple(poly_mul(B, D)), d
+    values = taylor_series(poly_mul(A, num or [0]), poly_mul(B, D))
+    steps = zip(chain([0], mk, checked), values)  # M_n is checked before c_n is read
+    return (c for _, c in islice(steps, n_max + 1)), d
 
 
 def weighted_count_series(v: PointCountData, p: CharPoly, n_max: int) -> tuple[list[int], int]:
-    """The coefficients c_0..c_{n_max} of count_series(v, p, n_max), as
-    integers over its one denominator d."""
-    num, D, d = count_series(v, p, n_max)
-    return taylor_coeffs(num, D, n_max), d
+    """The values c_0..c_{n_max} of count_values(v, p, n_max), as a list,
+    with their one denominator d."""
+    values, d = count_values(v, p, n_max)
+    return list(values), d
 
 
 def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
@@ -291,8 +299,10 @@ def bruteforce_census(p: int, n: int) -> list[list[tuple[tuple[int, ...], int]]]
 def _zeta_ratio(zn: Sequence[int], zd: Sequence[int]) -> tuple[list[int], list[int]]:
     """(A, B) with Z(t)/Z(t^2) = A/B for Z = zn/zd: A = zn(t) zd(t^2) and
     B = zd(t) zn(t^2)."""
-    zn2, zd2 = [0] * (2 * len(zn) - 1), [0] * (2 * len(zd) - 1)
-    zn2[::2], zd2[::2] = zn, zd
+    zn2 = [0] * (2 * len(zn) - 1)
+    zn2[::2] = zn
+    zd2 = [0] * (2 * len(zd) - 1)
+    zd2[::2] = zd
     return poly_mul(zn, zd2), poly_mul(zd, zn2)
 
 

@@ -171,7 +171,8 @@ class NonInteger(ArithmeticError):
 
     def __init__(self, value: str, n: int):
         super().__init__(f"non-integer coefficient {value} at t^{n}")
-        self.value, self.n = value, n
+        self.value = value
+        self.n = n
 
 
 def taylor_series(num: Sequence[int], D: Sequence[int]) -> Iterator[int]:
@@ -179,7 +180,8 @@ def taylor_series(num: Sequence[int], D: Sequence[int]) -> Iterator[int]:
     with D(0) != 0, one at a time and without end: the integers
     a_n = (num_n - sum_(k>=1) D_k a_(n-k)) / D_0.  Raises NonInteger at the
     first a_n that is not one."""
-    d0, tail = D[0], D[1:]
+    d0 = D[0]
+    tail = D[1:]
     a: list[int] = []
     for n in count():
         # a[n-1::-1] is a_(n-1), a_(n-2), ..., a_0 (empty at n = 0)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import islice
 
-from .series import NonInteger, _strip, poly_mul, ratio, taylor_coeffs
+from .series import NonInteger, _strip, poly_mul, ratio, taylor_series
 
 __all__ = [
     "mobius_table",
@@ -23,6 +24,7 @@ __all__ = [
     "necklace_numerator",
     "PointCountData",
     "closed_point_counts",
+    "closed_point_series",
     "builtin_variety",
     "load_variety_file",
     "parse_variety_text",
@@ -155,25 +157,31 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
 
     def point_counts(self, depth: int) -> list[int]:
         """|V(F_{q^m})| for m = 1..depth."""
+        return list(self.point_series(depth))
+
+    def point_series(self, depth: int) -> Iterator[int]:
+        """point_counts(depth) one at a time; a zeta's counts are computed
+        and checked as they are read, in depth order."""
         if self.counts is not None:
             if depth > len(self.counts):
                 raise ValueError(
                     f"need point counts to depth {depth}, only {len(self.counts)} supplied"
                 )
-            return list(self.counts[:depth])
+            yield from self.counts[:depth]
+            return
         # t Z'/Z = sum_m |V(F_{q^m})| t^m = r / f, r = t N' D - N t D' and
         # f = N D; every value must be a count
         num, den = self.zeta
         r = [a - b for a, b in zip(poly_mul([j * x for j, x in enumerate(num)], den),
                                    poly_mul(num, [j * x for j, x in enumerate(den)]))]
+        values = islice(taylor_series(r, poly_mul(num, den)), 1, depth + 1)
         try:
-            out = taylor_coeffs(r, poly_mul(num, den), depth)[1:]
+            for m, v in enumerate(values, start=1):
+                if v < 0:
+                    raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
+                yield v
         except NonInteger as exc:
             raise ValueError(f"zeta function gives invalid count {exc.value} at depth {exc.n}") from None
-        for m, v in enumerate(out, start=1):
-            if v < 0:
-                raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
-        return out
 
 
 def mobius_table(n: int) -> list[int]:
@@ -195,25 +203,32 @@ def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
     each m, with mu sieved once up to depth.
 
     Each M_k counts closed points of degree k, so a non-integer or negative
-    value flags inconsistent user data.
+    value flags inconsistent user data.  Every point count is checked
+    before an M_k is refused.
     """
-    pts = v.point_counts(depth)
+    return list(closed_point_series(v, depth))
+
+
+def closed_point_series(v: PointCountData, depth: int) -> Iterator[int]:
+    """closed_point_counts(v, depth) one at a time: M_k comes as soon as
+    |V(F_(q^k))| has been read and checked, when every divisor of k has
+    added its term, so good data is read no further than M_k is."""
+    pts = v.point_series(depth)
     mu = mobius_table(depth)
     totals = [0] * (depth + 1)
-    for m, count in enumerate(pts, start=1):
-        for j in range(1, depth // m + 1):
+    for k, count in enumerate(pts, start=1):
+        for j in range(1, depth // k + 1):
             if mu[j]:
-                totals[j * m] += mu[j] * count
-    out = []
-    for k in range(1, depth + 1):
+                totals[j * k] += mu[j] * count
         total = totals[k]
         if total % k or total < 0:
+            for _ in pts:  # the point counts to depth are checked first
+                pass
             raise ValueError(
                 f"Moebius inversion gives non-count M_{k} = {ratio(total, k)}; "
                 "point-count data is inconsistent"
             )
-        out.append(total // k)
-    return out
+        yield total // k
 
 
 def builtin_variety(kind: str, d: int, q: int) -> PointCountData:

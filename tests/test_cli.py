@@ -430,6 +430,29 @@ def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, mess
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rep", ["1", "0", "C(X1,2) - X2 + 5/7"])
+@pytest.mark.parametrize(
+    "zeta, message",
+    [
+        ("1\nzeta_den = 1 3", "zeta function gives invalid count -3 at depth 1"),
+        ("1\nzeta_den = 2 -3", "zeta function gives invalid count 3/2 at depth 1"),
+        # (1 + t) / (1 - t): |V(F_(3^m))| = 2, 0, 2, 0, ... gives M_2 = -1
+        ("1 1\nzeta_den = 1 -1",
+         "Moebius inversion gives non-count M_2 = -1; point-count data is inconsistent"),
+        # M_2 = -1/2 fails first, but every point count is checked before an M_k
+        ("1\nzeta_den = 2 -4 3 -2", "zeta function gives invalid count 9/2 at depth 4"),
+    ],
+    ids=["negative", "non-integer", "negative-closed-points", "point-counts-first"],
+)
+def test_count_checks_a_zeta_to_max_n_for_every_weight(tmp_path, capsys, zeta, message, rep):
+    # the longest lambda of these weights is 0 or 2, below the bad depth
+    path = tmp_path / "v.zeta"
+    path.write_text(f"q = 3\ndim = 1\nzeta_num = {zeta}\n")
+    code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", rep, "--max-n", "6")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_an_undecodable_variety_file_is_named(tmp_path, capsys):
     path = tmp_path / "v.zeta"
     path.write_bytes(b"\xff\xfe\x00")
@@ -902,22 +925,22 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
 def test_count_expands_the_product_once_for_a_multi_term_rep(capsys, monkeypatch):
     import betticount.cli as cli_mod
 
-    counts = cli_mod.conf_counts.closed_point_counts
+    counts = cli_mod.conf_counts.closed_point_series
     calls = []
 
     def counted(v, depth):
         calls.append(depth)
         return counts(v, depth)
 
-    monkeypatch.setattr(cli_mod.conf_counts, "closed_point_counts", counted)
+    monkeypatch.setattr(cli_mod.conf_counts, "closed_point_series", counted)
     rep = "C(X1,2) - X2 + 1/2*C(X1,3) - 2/3*X2*X3 + 5/7"
     code, doc = run_json(
         capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", rep, "--max-n", "12"
     )
     assert code == 0
     assert len(cli_mod.parse_rep(rep).items()) > 3
-    # the closed-point counts are read once, to the longest lambda (X2*X3)
-    assert calls == [3]
+    # the closed-point counts are read once, one at a time, and checked to --max-n
+    assert calls == [12]
     v = builtin_variety("affine", 1, 3)
     assert [Fraction(r["value"]) for r in doc["data"]] == [
         partition_weighted_count(v, cli_mod.parse_rep(rep), n) for n in range(13)

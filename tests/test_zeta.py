@@ -7,6 +7,7 @@ from betticount.zeta import (
     PointCountData,
     builtin_variety,
     closed_point_counts,
+    closed_point_series,
     divisors,
     mobius_table,
     necklace_numerator,
@@ -114,6 +115,37 @@ def test_inconsistent_counts_error():
     v = PointCountData(q=2, dim=1, counts=(2, 3))
     with pytest.raises(ValueError):
         closed_point_counts(v, 2)  # M_2 = (3 - 2)/2 is not an integer
+
+
+@pytest.mark.parametrize(
+    "zeta, message",
+    [
+        (((1,), (1, 3)), "zeta function gives invalid count -3 at depth 1"),
+        (((1,), (2, -3)), "zeta function gives invalid count 3/2 at depth 1"),
+        # -1 at depth 1 comes before -5/2 at depth 3
+        (((1,), (2, 2, 0, 1)), "zeta function gives invalid count -1 at depth 1"),
+        (((1, 1), (1, -1)), "Moebius inversion gives non-count M_2 = -1; point-count data is inconsistent"),
+        # M_2 = -1/2, but the point count 9/2 at depth 4 is refused first
+        (((1,), (2, -4, 3, -2)), "zeta function gives invalid count 9/2 at depth 4"),
+    ],
+    ids=["negative", "non-integer", "in-depth-order", "negative-closed-points", "point-counts-first"],
+)
+def test_bad_zeta_data_is_refused_in_depth_order(zeta, message):
+    v = PointCountData(q=3, dim=1, zeta=zeta)
+    with pytest.raises(ValueError) as info:
+        closed_point_counts(v, 6)
+    assert str(info.value) == message
+    series = closed_point_series(v, 6)
+    with pytest.raises(ValueError) as info:
+        list(series)
+    assert str(info.value) == message
+
+
+def test_closed_point_series_reads_no_further_than_asked():
+    # P^64 over F_997: the point count at depth 200 takes seconds, the first M_k do not
+    v = builtin_variety("projective", 64, 997)
+    series = closed_point_series(v, 200)
+    assert [next(series), next(series)] == closed_point_counts(v, 2)
 
 
 @pytest.mark.parametrize(
