@@ -506,10 +506,44 @@ def main(argv=None) -> int:
     try:
         print(render(doc, args.format))
     except BrokenPipeError:
-        # the reader left early; the flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _reader_left()
     return code
 
 
+def _reader_left() -> None:
+    """Point stdout at /dev/null: its reader closed the pipe early, and the
+    rest of the output, flushed later, must not fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _observed() -> bool:
+    """Whether a profiler, tracer or coverage tool watches this process (on
+    3.12+ cProfile and coverage may use sys.monitoring); each writes its
+    report at a normal exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))  # tool ids 0..5
+
+
+def run() -> None:
+    """The process entry (`betticount`, `python -m betticount.cli`): main(),
+    then flush both streams and end the process at once.  Tearing down the
+    interpreter (clearing modules, the last collections) costs more than a
+    typical table.  A reader that left early does not change the exit code;
+    a watched process exits normally so its tool can report."""
+    code = main()
+    # a stream is None when the process started with its descriptor closed
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _reader_left()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

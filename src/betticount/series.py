@@ -18,6 +18,7 @@ from operator import mul
 
 __all__ = [
     "ratio",
+    "shown",
     "poly_mul",
     "cyclotomic_sum",
     "divide_in_place",
@@ -32,6 +33,15 @@ def ratio(num: int, den: int) -> str:
     integer, as a Fraction prints."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def shown(num: int, den: int = 1) -> str:
+    """ratio(num, den) for an error message: a value past the digit limit,
+    which str() refuses to print, is named instead of printed."""
+    try:
+        return ratio(num, den)
+    except ValueError:
+        return "(a value too long to print)"
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +198,7 @@ def taylor_series(num: Sequence[int], D: Sequence[int]) -> Iterator[int]:
         total = (num[n] if n < len(num) else 0) - sum(map(mul, tail, a[n - 1::-1]))
         an, rem = divmod(total, d0)
         if rem:
-            raise NonInteger(ratio(total * d0, d0 * d0), n)  # total / d0 over d0^2 > 0
+            raise NonInteger(shown(total * d0, d0 * d0), n)  # total / d0 over d0^2 > 0
         a.append(an)
         yield an
 

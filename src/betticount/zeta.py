@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
-from .series import NonInteger, _strip, poly_mul, ratio, taylor_series
+from .series import NonInteger, _strip, poly_mul, shown, taylor_series
 
 __all__ = [
     "mobius_table",
@@ -178,7 +178,7 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
         try:
             for m, v in enumerate(values, start=1):
                 if v < 0:
-                    raise ValueError(f"zeta function gives invalid count {v} at depth {m}")
+                    raise ValueError(f"zeta function gives invalid count {shown(v)} at depth {m}")
                 yield v
         except NonInteger as exc:
             raise ValueError(f"zeta function gives invalid count {exc.value} at depth {exc.n}") from None
@@ -225,7 +225,7 @@ def closed_point_series(v: PointCountData, depth: int) -> Iterator[int]:
             for _ in pts:  # the point counts to depth are checked first
                 pass
             raise ValueError(
-                f"Moebius inversion gives non-count M_{k} = {ratio(total, k)}; "
+                f"Moebius inversion gives non-count M_{k} = {shown(total, k)}; "
                 "point-count data is inconsistent"
             )
         yield total // k

@@ -31,9 +31,13 @@ from helpers import betti_rows, partition_weighted_count
 
 
 def _child_env():
-    """This environment, with this checkout's package first on PYTHONPATH."""
+    """This environment, with this checkout's package first on PYTHONPATH and
+    without PYTHONUNBUFFERED, so the child's stdout is block-buffered as a
+    user's pipe is."""
     src = os.path.dirname(os.path.dirname(betticount.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def run_child(*argv, timeout):
@@ -169,6 +173,22 @@ def test_a_reader_that_leaves_early_leaves_nothing_on_stderr():
     assert proc.wait(timeout=30) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_a_reader_gone_before_a_small_output_leaves_nothing_on_stderr():
+    # the table fits the stdout buffer, so only the flush at exit meets the
+    # closed pipe; it exited 120 with "Exception ignored ... BrokenPipeError"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "betticount.cli", "tori-betti", "--rep", "V1",
+             "--max-i", "2", "--max-n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=30, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_conf_betti_stable_budget_at_a_high_degree():
@@ -453,6 +473,35 @@ def test_count_checks_a_zeta_to_max_n_for_every_weight(tmp_path, capsys, zeta, m
     assert err == f"error: {message}\n"
 
 
+def test_a_run_started_with_stdout_closed_exits_with_its_code():
+    # Python sets sys.stdout to None then; the flush at exit must skip it
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticount.cli", "verify", "--side", "conf", "--q", "3",
+         "--max-n", "2"],
+        stderr=subprocess.PIPE, timeout=30, env=_child_env(), preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "zeta, depth",
+    [
+        # N_9 = 10^9000 + 9/2
+        ("2 0 0 0 0 0 0 0 0 1\nzeta_den = 1 -1" + "0" * 1000, 9),
+        # Z = 1 + b t^3: N_3 = 3 b, and N_6 = -3 b^2 has 4,401 digits
+        ("1 0 0 1" + "0" * 2200 + "\nzeta_den = 1", 6),
+    ],
+    ids=["non-integer", "negative"],
+)
+def test_a_bad_count_too_long_to_print_is_named_by_its_depth(tmp_path, capsys, zeta, depth):
+    # the error text printed the value, so str() leaked its digit-limit message
+    path = tmp_path / "v.zeta"
+    path.write_text(f"q = 3\ndim = 1\nzeta_num = {zeta}\n")
+    code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", f"X{depth}", "--limits")
+    assert (code, out) == (2, "")
+    assert err == f"error: zeta function gives invalid count (a value too long to print) at depth {depth}\n"
+
+
 def test_an_undecodable_variety_file_is_named(tmp_path, capsys):
     path = tmp_path / "v.zeta"
     path.write_bytes(b"\xff\xfe\x00")
@@ -597,10 +646,9 @@ TOO_LONG = (f"error: a value has more than {sys.get_int_max_str_digits()} digits
     ],
     ids=["projective", "affine-json", "affine-just-outside"],
 )
-def test_count_refuses_a_series_too_long_to_print_before_the_work(argv):
-    # on A^d and P^d the unweighted count at n is at least q^(d n) / 2, and a
-    # weight with a positive constant term and no negative coefficient counts
-    # at least that term times it
+def test_count_refuses_a_series_too_long_to_print_at_its_first_long_value(argv):
+    # the series is read lazily, so the first value too long to print ends
+    # the work before the rest of the series is computed
     proc, elapsed = run_child("count", *argv, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.strip() == TOO_LONG
@@ -660,7 +708,8 @@ def test_count_refuses_at_the_first_value_too_long_to_print(tmp_path, variety):
 
 
 def test_the_unweighted_count_is_at_least_half_of_q_to_the_d_n():
-    # the bound that lets count refuse before the work, on every builtin
+    # the count series of every builtin against a lower bound that shares
+    # no code with it
     for kind, d, q in (("affine", 1, 2), ("affine", 3, 5), ("projective", 1, 2),
                        ("projective", 2, 3), ("projective", 4, 2)):
         nums, den = weighted_count_series(builtin_variety(kind, d, q), parse_rep("1"), 40)
@@ -751,7 +800,7 @@ def test_verify_checks_its_n_cap_before_the_bruteforce_guard(max_n):
     proc, _ = run_child("verify", "--side", "conf", "--q", "3", "--max-n", max_n,
                         "--bruteforce", timeout=5)
     assert proc.returncode == 2
-    assert proc.stderr.strip() == "error: --max-n is capped at 12"
+    assert proc.stderr.strip() == f"error: --max-n is capped at {MAX_VERIFY_N}"
 
 
 def test_verify_default_guard_rejects_5_to_the_11(capsys):
@@ -1095,6 +1144,42 @@ def test_the_module_without_arguments_exits_2_and_with_help_exits_0():
     proc, _ = run_child("--help", timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: betticount COMMAND") and proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tori-betti", "--rep", "V11", "--max-i", "4", "--max-n", "5"),
+        ("conf-betti", "--rep", "V2", "--max-i", "4", "--max-n", "5", "--stable"),
+        ("count", "--variety", "affine:2", "--q", "3", "--rep", "V1", "--max-n", "5"),
+        ("count", "--variety", "projective:1", "--q", "5", "--rep", "V11", "--limits"),
+        ("verify", "--side", "conf", "--q", "3", "--max-n", "3", "--bruteforce"),
+        ("conf-betti", "--rep", "X1 +"),
+        ("count", "--help"),
+    ],
+    ids=["tori-betti", "conf-betti-stable", "count", "count-limits", "verify-bruteforce",
+         "parse-error", "help"],
+)
+def test_the_process_entry_prints_what_main_returns(capsys, argv):
+    # run() ends the process without interpreter teardown: whatever is still
+    # in the block-buffered stdout must be flushed first
+    code, out, err = run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "betticount.cli", *argv],
+                          capture_output=True, timeout=30, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def test_a_profiled_run_still_prints_its_stats():
+    # under a profiler run() exits normally, so cProfile reports at exit
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "betticount.cli", "tori-betti", "--rep", "V11",
+         "--max-i", "3", "--max-n", "3"],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    table, _, stats = proc.stdout.partition("function calls")
+    assert table.startswith("beta_i(n) for rep V11\n")
+    assert "ncalls" in stats and "cli.py" in stats
 
 
 # ---------------------------------------------------------------------------
