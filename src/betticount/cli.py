@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
+from collections import namedtuple
 from types import SimpleNamespace
 
 from . import conf_betti, conf_counts, tori
@@ -28,18 +29,11 @@ MAX_DIM = 64  # builtin affine and projective spaces
 SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 
 
-class OutputDocument:
-    """A command's output: its kind, a dict of metadata, and the rows of
-    data, each a tuple with one cell per name in columns."""
-
-    __slots__ = ("kind", "meta", "data", "columns")
-
-    def __init__(self, kind: str, meta: dict | None = None, data: list | None = None,
-                 columns: tuple[str, ...] = ()):
-        self.kind = kind  # table | verification | limits
-        self.meta = {} if meta is None else meta
-        self.data = [] if data is None else data
-        self.columns = columns
+# A command's output: its kind (table | verification | limits), a dict of
+# metadata, and the rows of data, each a tuple with one cell per name in
+# columns.  No code changes a document once it is built, so the shared empty
+# defaults stay empty.
+OutputDocument = namedtuple("OutputDocument", "kind meta data columns", defaults=({}, (), ()))
 
 
 def _too_long() -> ValueError:
@@ -107,9 +101,7 @@ def _json(x, pad: str) -> str:
             return "{}"
         items = []
         for key, value in x.items():
-            enc = _JSON_SCALARS.get(type(value))
-            text = enc(value) if enc is not None else _json(value, inner)
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {text}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_json(value, inner)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if type(x) is list:
         if not x:
@@ -286,8 +278,7 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
     rep = _parse_rep(args.rep)
     side = SIDES[args.side]
     cells, den = side.betti_table(rep, args.max_i, args.max_n)
-    doc = OutputDocument(kind="table")
-    doc.meta = {
+    meta = {
         "side": args.side,
         "rep": args.rep,
         "rep_binomial": _text(rep),
@@ -299,13 +290,12 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
             raise ValueError("zero character polynomial")
         # a_i = -sum_k D_k a_(i-k) for i >= len(num): the recurrence is D
         num, D, d = side.stable_series(rep)
-        doc.meta["stable"] = _ratios(taylor_coeffs(num, D, args.max_i), d)
-        doc.meta["recurrence"] = {"coefficients": _ratios([-c for c in D[1:]], 1),
-                                  "valid_from": len(num)}
+        meta["stable"] = _ratios(taylor_coeffs(num, D, args.max_i), d)
+        meta["recurrence"] = {"coefficients": _ratios([-c for c in D[1:]], 1),
+                              "valid_from": len(num)}
     values = _ratios([c for _, _, c in cells], den)
-    doc.columns = ("i", "n", "value")
-    doc.data = [(i, n, value) for (i, n, _), value in zip(cells, values)]
-    return doc, 0
+    data = [(i, n, value) for (i, n, _), value in zip(cells, values)]
+    return OutputDocument("table", meta, data, ("i", "n", "value")), 0
 
 
 def cmd_count(args) -> tuple[OutputDocument, int]:
@@ -371,27 +361,22 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 rhs = sums[q, n]
                 ok = all(_equal(lhs, value) for value in (rhs, *brute))
                 rows.append((q, n, name, *map(_ratio, (lhs, rhs, *brute)), ok))
-    doc = OutputDocument(kind="verification")
-    doc.columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")
-    doc.meta = {
+    meta = {
         "side": args.side,
         "q": qs,
         "max_n": args.max_n,
         "reps": [name for name, _ in reps],
         "bruteforce": bool(args.bruteforce),
     }
-    notes = []
     if args.side == "conf" and any(q % 2 == 0 for q in qs):
-        notes.append(
+        meta["notes"] = [
             "even q is outside the stated odd-characteristic hypothesis for "
             "weighted configuration counts; results are reported as exploratory"
-        )
-    if notes:
-        doc.meta["notes"] = notes
-    doc.data = rows
+        ]
+    columns = ("q", "n", "rep", "lhs", "rhs", *(("brute",) if args.bruteforce else ()), "pass")
     # an empty verification checks nothing and must not pass
     all_pass = bool(rows) and all(row[-1] for row in rows)
-    return doc, (0 if all_pass else 1)
+    return OutputDocument("verification", meta, rows, columns), (0 if all_pass else 1)
 
 
 # ---------------------------------------------------------------------------
