@@ -25,7 +25,7 @@ from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_va
 
 MAX_COUNT_N = 200
 MAX_VERIFY_N = 12
-MAX_DIM = 64  # builtin affine and projective spaces
+MAX_DIM = 64  # every variety: --limits computes powers of q^dim
 SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 
 
@@ -264,6 +264,8 @@ def _parse_variety(spec: str, q: int | None) -> PointCountData:
         return builtin_variety(kind, int(arg), q)
     if kind == "file":
         v = load_variety_file(arg)
+        if v.dim > MAX_DIM:
+            raise ValueError(f"the dimension of the variety in {arg} is capped at {MAX_DIM}")
         if q is not None and q != v.q:
             raise ValueError(f"--q {q} conflicts with q = {v.q} from {arg}")
         return v

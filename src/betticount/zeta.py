@@ -203,8 +203,8 @@ def closed_point_counts(v: PointCountData, depth: int) -> list[int]:
     each m, with mu sieved once up to depth.
 
     Each M_k counts closed points of degree k, so a non-integer or negative
-    value flags inconsistent user data.  Every point count is checked
-    before an M_k is refused.
+    value flags inconsistent user data.  The data is checked in depth order:
+    M_k is refused before any point count deeper than k is read.
     """
     return list(closed_point_series(v, depth))
 
@@ -222,8 +222,6 @@ def closed_point_series(v: PointCountData, depth: int) -> Iterator[int]:
                 totals[j * k] += mu[j] * count
         total = totals[k]
         if total % k or total < 0:
-            for _ in pts:  # the point counts to depth are checked first
-                pass
             raise ValueError(
                 f"Moebius inversion gives non-count M_{k} = {shown(total, k)}; "
                 "point-count data is inconsistent"

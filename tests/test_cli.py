@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -459,10 +461,11 @@ def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, mess
         # (1 + t) / (1 - t): |V(F_(3^m))| = 2, 0, 2, 0, ... gives M_2 = -1
         ("1 1\nzeta_den = 1 -1",
          "Moebius inversion gives non-count M_2 = -1; point-count data is inconsistent"),
-        # M_2 = -1/2 fails first, but every point count is checked before an M_k
-        ("1\nzeta_den = 2 -4 3 -2", "zeta function gives invalid count 9/2 at depth 4"),
+        # M_2 = -1/2 at depth 2 is refused before the point count 9/2 at depth 4 is read
+        ("1\nzeta_den = 2 -4 3 -2",
+         "Moebius inversion gives non-count M_2 = -1/2; point-count data is inconsistent"),
     ],
-    ids=["negative", "non-integer", "negative-closed-points", "point-counts-first"],
+    ids=["negative", "non-integer", "negative-closed-points", "closed-points-in-depth-order"],
 )
 def test_count_checks_a_zeta_to_max_n_for_every_weight(tmp_path, capsys, zeta, message, rep):
     # the longest lambda of these weights is 0 or 2, below the bad depth
@@ -471,6 +474,26 @@ def test_count_checks_a_zeta_to_max_n_for_every_weight(tmp_path, capsys, zeta, m
     code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--rep", rep, "--max-n", "6")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_count_refuses_a_bad_closed_point_count_before_reading_deeper_counts(tmp_path):
+    # Z = (1 + t)^3 / ((1 - t)^5 prod_(j=2..15) (1 - t^j) (1 - 10^4200 t^3)):
+    # M_1 = 8 and M_2 = -2, while the point counts from depth 3 on grow by
+    # 4200 digits a step.  Reading them all to depth 200 before refusing
+    # M_2 took 8.6 s.
+    den = [1]
+    for j, c in [(1, 1)] * 5 + [(j, 1) for j in range(2, 16)] + [(3, 10**4200)]:
+        # times 1 - c t^j
+        den = [a - c * b for a, b in zip(den + [0] * j, [0] * j + den)]
+    path = tmp_path / "v.zeta"
+    path.write_text(f"q = 3\ndim = 1\nzeta_num = 1 3 3 1\nzeta_den = {' '.join(map(str, den))}\n")
+    proc, elapsed = run_child("count", "--variety", f"file:{path}", "--rep", "V1",
+                              "--max-n", "200", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == ("error: Moebius inversion gives non-count M_2 = -2; "
+                                   "point-count data is inconsistent")
+    assert proc.stdout == ""
+    assert elapsed < 1
 
 
 def test_a_run_started_with_stdout_closed_exits_with_its_code():
@@ -548,6 +571,29 @@ def test_count_rejects_an_input_above_its_cap_at_once(argv, message):
     assert proc.returncode == 2
     assert proc.stderr.strip() == f"error: {message}"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("dim", [65, 100_000, 10_000_000])
+@pytest.mark.parametrize("mode", [["--limits"], ["--max-n", "3"]], ids=["limits", "series"])
+def test_count_caps_the_dimension_of_a_variety_file_at_once(tmp_path, dim, mode):
+    # --limits computes powers of q^dim: dim = 10^6 ran 2 s before the digit
+    # limit refused it, and dim = 10^7 ran for more than a minute
+    path = tmp_path / "v.zeta"
+    path.write_text(f"q = 3\ndim = {dim}\nzeta_num = 1\nzeta_den = 1 -3\n")
+    proc, elapsed = run_child("count", "--variety", f"file:{path}", "--rep", "V1", *mode,
+                              timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == f"error: the dimension of the variety in {path} is capped at 64"
+    assert proc.stdout == ""
+    assert elapsed < 1
+
+
+def test_count_accepts_a_variety_file_at_the_dimension_cap(tmp_path, capsys):
+    path = tmp_path / "v.zeta"
+    path.write_text("q = 3\ndim = 64\nzeta_num = 1\nzeta_den = 1 -3\n")
+    code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--limits")
+    assert (code, err) == (0, "")
+    assert out == "rep=1: normalized limit = 0, expectation = 1\n"
 
 
 @pytest.mark.parametrize("dim", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
@@ -1180,6 +1226,51 @@ def test_a_profiled_run_still_prints_its_stats():
     table, _, stats = proc.stdout.partition("function calls")
     assert table.startswith("beta_i(n) for rep V11\n")
     assert "ncalls" in stats and "cli.py" in stats
+
+
+def _sibling_interpreters():
+    """The other interpreters of version 3.10.7 or later (requires-python)
+    installed beside this one, in a pyenv-style tree of versions/X.Y.Z/bin."""
+    here = Path(sys.executable).resolve()
+    found = []
+    for exe in sorted(here.parents[2].glob("*/bin/python3")):
+        try:
+            version = tuple(map(int, exe.parents[1].name.split(".")))
+        except ValueError:
+            continue
+        if version >= (3, 10, 7) and exe.resolve() != here:
+            found.append(pytest.param(exe, id=exe.parents[1].name))
+    return found or [pytest.param(None, marks=pytest.mark.skip(
+        reason=f"no interpreter of 3.10.7 or later beside {here}"))]
+
+
+SIBLING_ARGV = [
+    ("tori-betti", "--rep", "V11", "--max-i", "5", "--max-n", "6", "--stable", "--format", "json"),
+    ("conf-betti", "--rep", "V2", "--stable", "--format", "csv"),
+    ("count", "--variety", "projective:2", "--q", "3", "--rep", "V1", "--max-n", "8"),
+    ("verify", "--side", "conf", "--q", "3", "--max-n", "3", "--bruteforce"),
+    ("count", "--variety", "affine:1", "--rep", "V1"),  # exit 2: no --q
+]
+
+
+@cache
+def _run_under(interpreter, *argv):
+    """(exit code, stdout bytes, stderr bytes) of interpreter run on argv."""
+    proc = subprocess.run([interpreter, *argv], capture_output=True, timeout=60, env=_child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("exe", _sibling_interpreters())
+def test_every_supported_interpreter_prints_the_same_bytes(exe):
+    # on 3.12+ cProfile registers as a sys.monitoring tool and leaves
+    # sys.getprofile() unset, so only that check keeps its report
+    for argv in SIBLING_ARGV:
+        ours = _run_under(sys.executable, "-m", "betticount.cli", *argv)
+        assert _run_under(exe, "-m", "betticount.cli", *argv) == ours, argv
+    code, table, err = _run_under(sys.executable, "-m", "betticount.cli", *SIBLING_ARGV[2])
+    profiled = _run_under(exe, "-m", "cProfile", "-m", "betticount.cli", *SIBLING_ARGV[2])
+    assert (profiled[0], profiled[2]) == (code, err) == (0, b"")
+    assert profiled[1].startswith(table) and b"ncalls" in profiled[1][len(table):]
 
 
 # ---------------------------------------------------------------------------

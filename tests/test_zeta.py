@@ -125,10 +125,12 @@ def test_inconsistent_counts_error():
         # -1 at depth 1 comes before -5/2 at depth 3
         (((1,), (2, 2, 0, 1)), "zeta function gives invalid count -1 at depth 1"),
         (((1, 1), (1, -1)), "Moebius inversion gives non-count M_2 = -1; point-count data is inconsistent"),
-        # M_2 = -1/2, but the point count 9/2 at depth 4 is refused first
-        (((1,), (2, -4, 3, -2)), "zeta function gives invalid count 9/2 at depth 4"),
+        # M_2 = -1/2 at depth 2 is refused before the point count 9/2 at depth 4 is read
+        (((1,), (2, -4, 3, -2)),
+         "Moebius inversion gives non-count M_2 = -1/2; point-count data is inconsistent"),
     ],
-    ids=["negative", "non-integer", "in-depth-order", "negative-closed-points", "point-counts-first"],
+    ids=["negative", "non-integer", "in-depth-order", "negative-closed-points",
+         "closed-points-in-depth-order"],
 )
 def test_bad_zeta_data_is_refused_in_depth_order(zeta, message):
     v = PointCountData(q=3, dim=1, zeta=zeta)
