@@ -21,34 +21,30 @@ class ScaledValues(dict):
     """den * p(mu) by cycle type mu, an integer computed on first use, for
     p = sum_lam c_lam C(X, lam) and den = p.den.
 
-    The lam of p sit in a trie keyed by lam_1, lam_2, ...: a node is the
-    integer m_lam = c_lam den of the lam that ends there (0 if none) and its
-    children in ascending order of the next lam_k, so p(mu) den is one walk
-    that multiplies by C(mu_k, lam_k) on the way down and skips the rest of
-    a node's children at the first lam_k > mu_k, where C(mu_k, lam_k) = 0."""
+    The lam of p sit in a trie keyed by lam_1, lam_2, ...: a node is [m_lam,
+    children], m_lam = c_lam den of the lam that ends there (0 if none) and
+    children its pairs (lam_k, node), appended in ascending lam_k as the lam
+    arrive sorted.  p(mu) den is one walk that multiplies by C(mu_k, lam_k)
+    on the way down and stops at a node's first lam_k > mu_k (C = 0 there)."""
 
     def __init__(self, p: CharPoly):
         super().__init__()
         self.den = p.den
-        root = [0, {}]
-        for lam, m in p.items():
+        self.trie = root = [0, []]
+        for lam, m in sorted(p.items()):
             node = root
             for lk in lam:
-                node = node[1].setdefault(lk, [0, {}])
+                if not node[1] or node[1][-1][0] != lk:
+                    node[1].append((lk, [0, []]))
+                node = node[1][-1][1]
             node[0] += m
-        self.trie = _freeze(root)
 
     def __missing__(self, mu: tuple[int, ...]) -> int:
         value = self[mu] = _trie_value(self.trie, mu, 0)
         return value
 
 
-def _freeze(node: list) -> tuple:
-    m, children = node
-    return m, sorted((lk, _freeze(child)) for lk, child in children.items())
-
-
-def _trie_value(node: tuple, a: tuple[int, ...], j: int) -> int:
+def _trie_value(node: list, a: tuple[int, ...], j: int) -> int:
     """sum_lam m_lam prod_(k > j) C(a_k, lam_k) over the lam below node,
     a node at depth j (a_k = a[k-1], and 0 past the end of a)."""
     total, children = node

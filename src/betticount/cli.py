@@ -56,8 +56,6 @@ def _ratios(cells: list[int], den: int) -> list[str]:
     """The text of every value c / den, for integers c and den > 0: "p/q" in
     lowest terms, or "p" for an integer; every value is printed by it."""
     try:
-        if den == 1:
-            return list(map(str, cells))
         return [ratio(c, den) for c in cells]
     except ValueError:
         raise _too_long() from None
@@ -81,13 +79,6 @@ _JSON_SCALARS = {
 }
 
 
-def _json_scalar(x) -> str:
-    enc = _JSON_SCALARS.get(type(x))
-    if enc is None:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    return enc(x)
-
-
 def _json(x, pad: str) -> str:
     """json.dumps(x, indent=2) for a value at indent pad, written directly
     (json turns its C encoder off when an indent is set).  Values are str,
@@ -107,14 +98,14 @@ def _json(x, pad: str) -> str:
         if not x:
             return "[]"
         return "[\n" + ",\n".join([inner + _json(value, inner) for value in x]) + f"\n{pad}]"
-    return _json_scalar(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
     """_json of the rows as dicts over columns, at indent "  ", written one
     column at a time: an int column through %d, a str or bool column through
-    its encoder, a column of mixed scalars cell by cell, and then every row
-    through one template."""
+    its encoder, any other column cell by cell through _json at the indent of
+    a cell, and then every row through one template."""
     if not rows:
         return "[]"
     if not columns:
@@ -128,14 +119,14 @@ def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
         else:
             enc = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             fields.append(f"      {key}: %s")
-            col = map(enc or _json_scalar, col)
+            col = map(enc, col) if enc else [_json(x, "      ") for x in col]
         cols.append(col)
     template = "    {\n" + ",\n".join(fields) + "\n    }"
     return "[\n" + ",\n".join(map(template.__mod__, zip(*cols))) + "\n  ]"
 
 
 def render_json(doc: OutputDocument) -> str:
-    return (f'{{\n  "kind": {_json_scalar(doc.kind)},\n  "meta": {_json(doc.meta, "  ")},\n'
+    return (f'{{\n  "kind": {_json(doc.kind, "  ")},\n  "meta": {_json(doc.meta, "  ")},\n'
             f'  "data": {_json_rows(doc.columns, doc.data)}\n}}')
 
 

@@ -1410,8 +1410,11 @@ def test_render_json_writes_tuple_rows_as_json_dumps_writes_dict_rows(document):
         (("mixed", '%d "%s"'), [(1, True), ("x", 2), (False, "y")]),
         (("i",), []),
         ((), [(), ()]),
+        (("list", "dict", "any"), [([1, ["x", []]], {"k": [True, {}]}, [2]),
+                                   ([], {}, {"a": {"b": "c"}}),
+                                   (["%s"], {"%d": [False]}, 3)]),
     ],
-    ids=["int-and-str", "bool", "escapes", "mixed", "no-rows", "no-columns"],
+    ids=["int-and-str", "bool", "escapes", "mixed", "no-rows", "no-columns", "list-and-dict"],
 )
 def test_render_json_writes_each_kind_of_column(columns, rows):
     doc = OutputDocument("table", {"x": [1]}, rows, columns)
