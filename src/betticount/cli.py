@@ -24,7 +24,7 @@ from .series import ratio, taylor_coeffs
 from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_variety_file
 
 MAX_COUNT_N = 200
-MAX_VERIFY_N = 12
+MAX_VERIFY_N = 24
 MAX_DIM = 64  # every variety: --limits computes powers of q^dim
 SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 

@@ -340,7 +340,8 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     other factors are regular, so the limit is its residue (1 - c t)
     Z(V,t)/Z(V,t^2) at t = 1/c times limit_expectation(v, p).  Factors
     1 - c t common to the ratio's numerator and denominator are divided out
-    first; a denominator that still vanishes there is a pole of order >= 2.
+    first; a denominator that still vanishes there is a pole of order >= 2,
+    and a numerator that does leaves no pole: then d does not match Z.
     Each polynomial f is evaluated at 1/c on integers, as c^deg(f) f(1/c).
     """
     if v.zeta is None:
@@ -353,7 +354,12 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     if _deflate(den, c) is not None:
         raise ValueError(f"pole of order >= 2 at t = {ratio(1, c)}")
     e_num, e_den = limit_expectation(v, p)
-    return _lowest(_at_inverse(num, c) * c ** (len(den) - 1) * e_num,
+    # after limit_expectation, which reports bad variety data first
+    residue = _at_inverse(num, c)
+    if residue == 0:
+        raise ValueError(f"Z(V,t)/Z(V,t^2) has no pole at t = {ratio(1, c)}: "
+                         f"dim = {v.dim} does not match the zeta function")
+    return _lowest(residue * c ** (len(den) - 1) * e_num,
                    _at_inverse(den, c) * c ** (len(num) - 1) * e_den)
 
 

@@ -590,10 +590,32 @@ def test_count_caps_the_dimension_of_a_variety_file_at_once(tmp_path, dim, mode)
 
 def test_count_accepts_a_variety_file_at_the_dimension_cap(tmp_path, capsys):
     path = tmp_path / "v.zeta"
-    path.write_text("q = 3\ndim = 64\nzeta_num = 1\nzeta_den = 1 -3\n")
+    path.write_text(f"q = 3\ndim = 64\nzeta_num = 1\nzeta_den = 1 -{3**64}\n")
     code, out, err = run(capsys, "count", "--variety", f"file:{path}", "--limits")
     assert (code, err) == (0, "")
-    assert out == "rep=1: normalized limit = 0, expectation = 1\n"
+    assert out == ("rep=1: normalized limit = 3433683820292512484657849089280/"
+                   "3433683820292512484657849089281, expectation = 1\n")
+
+
+@pytest.mark.parametrize(
+    "dim, zeta_den, pole",
+    [
+        ("2", "1 -3", "1/9"),  # the affine line, whose pole is at 1/3
+        ("1", "1 -12 27", "1/3"),  # (1 - 3t)(1 - 9t): Z(t)/Z(t^2) is regular at 1/3
+    ],
+    ids=["affine-line-as-a-surface", "pole-cancelled"],
+)
+def test_count_limits_refuse_a_zeta_without_a_pole_at_q_to_the_minus_dim(tmp_path, dim,
+                                                                         zeta_den, pole):
+    # both printed normalized limit = 0 and a wrong expectation, and exited 0
+    path = tmp_path / "v.zeta"
+    path.write_text(f"q = 3\ndim = {dim}\nzeta_num = 1\nzeta_den = {zeta_den}\n")
+    proc, elapsed = run_child("count", "--variety", f"file:{path}", "--limits", "--rep", "V1",
+                              timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: Z(V,t)/Z(V,t^2) has no pole at t = {pole}: "
+                           f"dim = {dim} does not match the zeta function\n")
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("dim", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
@@ -656,6 +678,33 @@ def test_verify_bruteforce_guard_rejects_a_large_prime_q():
                         "--max-n", "1", "--bruteforce", timeout=5)
     assert proc.returncode == 2
     assert "exceeds the guard" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--variety", "affine:1", "--q", "3,5"], "count takes a single --q"),
+        (["verify", "--side", "tori", "--q", "3", "--bruteforce"],
+         "--bruteforce applies to the conf side only"),
+        (["verify", "--side", "conf", "--q", "4,6"], "q = 6 is not a prime power"),
+        (["count", "--variety", "affine:1"], "builtin varieties need --q"),
+        (["count", "--variety", "file:{F}", "--q", "5"], "--q 5 conflicts with q = 3 from {F}"),
+        (["count", "--variety", "sphere:2", "--q", "3"],
+         "unknown variety 'sphere:2'; use affine:d, projective:d or file:PATH"),
+        (["tori-betti", "--rep", "X1 X2"], "trailing input at token 1"),
+        # a strong pseudoprime to the first 12 Miller-Rabin bases
+        (["verify", "--side", "tori", "--q", "318665857834031151167461", "--max-n", "2"],
+         "q = 318665857834031151167461 is not a prime power"),
+    ],
+    ids=["count-two-qs", "bruteforce-on-tori", "composite-q", "builtin-without-q",
+         "file-q-conflict", "unknown-variety", "trailing-token", "pseudoprime-q"],
+)
+def test_cli_refusals_name_the_bad_input(tmp_path, capsys, argv, message):
+    path = tmp_path / "v.zeta"
+    path.write_text("q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 1 -3\n")
+    code, out, err = run(capsys, *[arg.replace("{F}", str(path)) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.replace('{F}', str(path))}\n"
 
 
 def test_count_refuses_a_q_too_large_to_decide(capsys):
@@ -916,6 +965,16 @@ def test_verify_tori_budget_at_the_n_cap(capsys):
     assert code == 0
     assert len(doc["data"]) == 2 * (MAX_VERIFY_N + 1) * 4
     assert all(r["pass"] for r in doc["data"])
+
+
+def test_verify_tori_at_the_n_cap_with_the_largest_q_ends_in_its_budget():
+    # the largest prime below zeta.PRIME_TEST_BOUND: its values pass the digit
+    # limit, which verify checks only after the work
+    proc, elapsed = run_child("verify", "--side", "tori", "--q", "3317044064679887385961813",
+                              "--max-n", str(MAX_VERIFY_N), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: a value has more than ")
+    assert elapsed < 5
 
 
 def test_verify_bruteforce_budget_at_the_top_of_the_guard():

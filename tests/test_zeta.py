@@ -3,12 +3,15 @@ from math import comb
 
 import pytest
 
+from betticount import zeta
 from betticount.zeta import (
     PointCountData,
     builtin_variety,
     closed_point_counts,
     closed_point_series,
     divisors,
+    is_prime,
+    is_prime_power,
     mobius_table,
     necklace_numerator,
     parse_variety_text,
@@ -33,6 +36,28 @@ def test_mobius_table_agrees_with_trial_division():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+@pytest.mark.parametrize(
+    "n, fooled",
+    [
+        (2021, 0),  # 43 * 47: no factor among the witnesses
+        (3215031751, 4),  # strong pseudoprime to 2, 3, 5, 7 (also 19 and 37)
+        (3825123056546413051, 11),
+        (318665857834031151167461, 12),  # only the last witness, 41, catches it
+    ],
+)
+def test_miller_rabin_finds_composites_past_trial_division(monkeypatch, n, fooled):
+    # every composite below 1000 has a factor of at most 41, so only numbers
+    # like these reach the witness loop's verdict
+    assert not is_prime(n) and not is_prime_power(n)
+    monkeypatch.setattr(zeta, "_WITNESSES", zeta._WITNESSES[:fooled])
+    assert is_prime(n)
+
+
+def test_prime_power_of_a_prime_past_the_witnesses():
+    assert is_prime_power(10007**2)
+    assert not is_prime_power(2021**2)
 
 
 # ---------------------------------------------------------------------------
