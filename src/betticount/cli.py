@@ -36,36 +36,6 @@ SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
 OutputDocument = namedtuple("OutputDocument", "kind meta data columns", defaults=({}, (), ()))
 
 
-def _too_long() -> ValueError:
-    # str() refuses such integers; lifting the limit costs minutes
-    return ValueError(
-        f"a value has more than {sys.get_int_max_str_digits()} digits; "
-        "lower --q, --max-n or the dimension of the variety"
-    )
-
-
-def _text(rep: CharPoly) -> str:
-    """str(rep), its coefficients printed by series.ratio."""
-    try:
-        return str(rep)
-    except ValueError:
-        raise _too_long() from None
-
-
-def _ratios(cells: list[int], den: int) -> list[str]:
-    """The text of every value c / den, for integers c and den > 0: "p/q" in
-    lowest terms, or "p" for an integer; every value is printed by it."""
-    try:
-        return [ratio(c, den) for c in cells]
-    except ValueError:
-        raise _too_long() from None
-
-
-def _ratio(value: tuple[int, int]) -> str:
-    """_ratios of one value, a pair (numerator, positive denominator)."""
-    return _ratios([value[0]], value[1])[0]
-
-
 def _equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] == b[0] * a[1]
 
@@ -166,9 +136,7 @@ def _render_grid(doc: OutputDocument) -> str:
         lines.append(f"stable {name}_i, i = 0..{max_i}: " + " ".join(doc.meta["stable"]))
     if "recurrence" in doc.meta:
         rec = doc.meta["recurrence"]
-        terms = " + ".join(
-            f"({c})*a_(i-{k})" for k, c in enumerate(rec["coefficients"], start=1)
-        )
+        terms = " + ".join(f"({c})*a_(i-{k})" for k, c in enumerate(rec["coefficients"], start=1)) or 0
         lines.append(f"recurrence: a_i = {terms} for i >= {rec['valid_from']}")
     return "\n".join(lines)
 
@@ -274,7 +242,7 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
     meta = {
         "side": args.side,
         "rep": args.rep,
-        "rep_binomial": _text(rep),
+        "rep_binomial": str(rep),
         "max_i": args.max_i,
         "max_n": args.max_n,
     }
@@ -283,11 +251,10 @@ def cmd_betti(args) -> tuple[OutputDocument, int]:
             raise ValueError("zero character polynomial")
         # a_i = -sum_k D_k a_(i-k) for i >= len(num): the recurrence is D
         num, D, d = side.stable_series(rep)
-        meta["stable"] = _ratios(taylor_coeffs(num, D, args.max_i), d)
-        meta["recurrence"] = {"coefficients": _ratios([-c for c in D[1:]], 1),
+        meta["stable"] = [ratio(c, d) for c in taylor_coeffs(num, D, args.max_i)]
+        meta["recurrence"] = {"coefficients": [ratio(-c, 1) for c in D[1:]],
                               "valid_from": len(num)}
-    values = _ratios([c for _, _, c in cells], den)
-    data = [(i, n, value) for (i, n, _), value in zip(cells, values)]
+    data = [(i, n, ratio(c, den)) for i, n, c in cells]
     return OutputDocument("table", meta, data, ("i", "n", "value")), 0
 
 
@@ -308,7 +275,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         weight_desc = f"lambda=({lam_text})"
     else:
         rep = _parse_rep(args.rep if args.rep is not None else "1")
-        weight_desc = f"rep={_text(rep)}"
+        weight_desc = f"rep={rep}"
     meta = {
         "variety": args.variety,
         "q": v.q,
@@ -319,11 +286,11 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     if args.limits:
         normalized = conf_counts.limit_normalized(v, rep)
         expectation = conf_counts.limit_expectation(v, rep)
-        row = (weight_desc, _ratio(normalized), _ratio(expectation))
+        row = (weight_desc, ratio(*normalized), ratio(*expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
     # read lazily: the first value too long to print ends the work
     values, d = conf_counts.count_values(v, rep, args.max_n)
-    data = [(n, _ratio((c, d))) for n, c in enumerate(values)]
+    data = [(n, ratio(c, d)) for n, c in enumerate(values)]
     return OutputDocument("table", meta, data, ("n", "value")), 0
 
 
@@ -353,7 +320,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
                 lhs, *brute = [weighted_sum(values, by_q[q][n]) for by_q in counts]
                 rhs = sums[q, n]
                 ok = all(_equal(lhs, value) for value in (rhs, *brute))
-                rows.append((q, n, name, *map(_ratio, (lhs, rhs, *brute)), ok))
+                rows.append((q, n, name, *(ratio(*value) for value in (lhs, rhs, *brute)), ok))
     meta = {
         "side": args.side,
         "q": qs,

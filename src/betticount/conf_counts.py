@@ -25,7 +25,7 @@ from itertools import chain, filterfalse, islice, repeat
 from operator import add, and_, mul
 
 from .chars import CharPoly, active, binomial, cycle_type, partitions, weight
-from .series import cyclotomic_sum, poly_mul, ratio, taylor_series
+from .series import _exact_quotient, cyclotomic_sum, poly_mul, ratio, taylor_series
 from .zeta import PointCountData, closed_point_counts, closed_point_series, is_prime
 
 __all__ = [
@@ -46,20 +46,32 @@ GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest r
 # the generating-function path
 
 
+def _weight_factor(p: CharPoly, mk: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """cyclotomic_sum's (num, D, d) for the factor that the weight p brings
+    to the count series, given the closed-point counts M_k = mk[k - 1] to
+    p's longest lam: binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k over k, for
+    p = C(X, lam), summed over p.  A p that vanishes on V gives num (0,)."""
+    parts = []
+    for lam, m in p.items():
+        c = m * binomial(mk, lam)
+        if c:
+            parts.append(([0] * weight(lam) + [1], c, [(k, e, 1) for k, e in active(lam)]))
+    num, D, d = cyclotomic_sum(parts, p.den)
+    return num or (0,), D, d
+
+
 def count_values(v: PointCountData, p: CharPoly, n_max: int) -> tuple[Iterator[int], int]:
     """(values, d): the sum over the n-point configurations of V over F_q
     of p at their Frobenius cycle types is c_n / d, for n <= n_max, with
     c_n the n-th of values, read one at a time.
 
     The c_n are the Taylor coefficients of num / (d D): Z(V,t)/Z(V,t^2) =
-    A/B (_zeta_ratio) times, for p = C(X, lam), binom(M_k(V,q), lam_k)
-    (t^k / (1 + t^k))^lam_k for each k, summed over p by cyclotomic_sum.
-    Point counts give the zeta Z mod t^(n_max+1) by Newton's identity
-    m z_m = sum_(i<=m) |V(F_(q^i))| z_(m-i).  The M_k are read to the
-    longest lam, then M_n before c_n, so V is checked as far as c is read.
+    A/B (_zeta_ratio) times _weight_factor(p, M).  Point counts give the
+    zeta Z mod t^(n_max+1) by Newton's identity m z_m = sum_(i<=m)
+    |V(F_(q^i))| z_(m-i).  The M_k are read to the longest lam, then M_n
+    before c_n, so V is checked as far as c is read.
     """
-    terms = p.items()
-    depth = max([0] + [len(lam) for lam, _ in terms])
+    depth = max([0] + [len(lam) for lam, _ in p.items()])
     checked = closed_point_series(v, max(depth, n_max))
     mk = list(islice(checked, depth))
     if v.zeta is None:
@@ -70,13 +82,8 @@ def count_values(v: PointCountData, p: CharPoly, n_max: int) -> tuple[Iterator[i
         A, B = _zeta_ratio(z, [1])
     else:
         A, B = _zeta_ratio(*v.zeta)
-    parts = []
-    for lam, m in terms:
-        c = m * binomial(mk, lam)
-        if c:
-            parts.append(([0] * weight(lam) + [1], c, [(k, e, 1) for k, e in active(lam)]))
-    num, D, d = cyclotomic_sum(parts, p.den)
-    values = taylor_series(poly_mul(A, num or [0]), poly_mul(B, D))
+    num, D, d = _weight_factor(p, mk)
+    values = taylor_series(poly_mul(A, num), poly_mul(B, D))
     steps = zip(chain([0], mk, checked), values)  # M_n is checked before c_n is read
     return (c for _, c in islice(steps, n_max + 1)), d
 
@@ -306,16 +313,6 @@ def _zeta_ratio(zn: Sequence[int], zd: Sequence[int]) -> tuple[list[int], list[i
     return poly_mul(zn, zd2), poly_mul(zd, zn2)
 
 
-def _deflate(p: list[int], c: int) -> list[int] | None:
-    """p / (1 - c t) by synthetic division when p vanishes at t = 1/c,
-    else None."""
-    q, acc = [], 0
-    for a in p[:-1]:
-        acc = a + c * acc
-        q.append(acc)
-    return q if p[-1] + c * acc == 0 else None
-
-
 def _at_inverse(p: list[int], c: int) -> int:
     """c^(len(p) - 1) p(1/c), by Horner's rule from the constant term."""
     acc = 0
@@ -348,10 +345,11 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
         raise ValueError("limits need the zeta function as a rational function")
     c = v.q**v.dim
     num, den = _zeta_ratio(*v.zeta)
-    num = poly_mul(num, [1, -c])
-    while (qn := _deflate(num, c)) is not None and (qd := _deflate(den, c)) is not None:
+    fc = [1, -c]
+    num = poly_mul(num, fc)
+    while (qn := _exact_quotient(num, fc)) is not None and (qd := _exact_quotient(den, fc)) is not None:
         num, den = qn, qd
-    if _deflate(den, c) is not None:
+    if _exact_quotient(den, fc) is not None:
         raise ValueError(f"pole of order >= 2 at t = {ratio(1, c)}")
     e_num, e_den = limit_expectation(v, p)
     # after limit_expectation, which reports bad variety data first
@@ -365,18 +363,12 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
 
 def limit_expectation(v: PointCountData, p: CharPoly) -> tuple[int, int]:
     """Limiting expected value of p over a uniform random point of
-    Conf_n V(F_q), as (numerator, positive denominator) in lowest terms:
-    sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k, c = q^d, the
-    factors of the count series at t = 1/c.  It reads only the closed-point
-    counts, and wherever limit_normalized exists it is
+    Conf_n V(F_q), as (numerator, positive denominator) in lowest terms: the
+    count series' factor _weight_factor(p, M) at t = 1/c, c = q^d, which is
+    sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k.  It reads only the
+    closed-point counts, and wherever limit_normalized exists it is
     limit_normalized(v, p) / limit_normalized(v, 1)."""
-    terms = p.items()
-    mk = closed_point_counts(v, max([0] + [len(lam) for lam, _ in terms]))
+    mk = closed_point_counts(v, max([0] + [len(lam) for lam, _ in p.items()]))
+    num, D, d = _weight_factor(p, mk)
     c = v.q**v.dim
-    num, den = 0, 1
-    for lam, m in terms:
-        b = math.prod((1 + c**k) ** lk for k, lk in active(lam))
-        common = math.lcm(den, b)
-        num = num * (common // den) + m * binomial(mk, lam) * (common // b)
-        den = common
-    return _lowest(num, den * p.den)
+    return _lowest(_at_inverse(num, c) * c ** (len(D) - 1), _at_inverse(D, c) * c ** (len(num) - 1) * d)

@@ -4,14 +4,17 @@ over cyclotomic denominators, and power-series helpers.
 All arithmetic is exact; there is no floating point anywhere in this module.
 A rational value is an integer numerator over a positive integer
 denominator, and a list of them shares one denominator; `ratio` prints one
-as "p/q" in lowest terms.  A polynomial is a list of integer coefficients,
-ascending by exponent, and a sum of rational functions comes back as a
-triple (num, D, d) that stands for num / (d D), with D(0) = 1 and d > 0.
+as "p/q" in lowest terms, and is the one place that refuses a value too
+long to print.  A polynomial is a list of integer coefficients, ascending
+by exponent, divided exactly by `_exact_quotient`, and a sum of rational
+functions comes back as a triple (num, D, d) that stands for num / (d D),
+with D(0) = 1 and d > 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice
 from operator import mul
@@ -30,14 +33,20 @@ __all__ = [
 
 def ratio(num: int, den: int) -> str:
     """num / den, den > 0, as text: "p/q" in lowest terms, or "p" for an
-    integer, as a Fraction prints."""
+    integer, as a Fraction prints.  A value past the digit limit, which
+    str() refuses to print, raises ValueError naming the inputs to lower."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        # lifting the limit costs minutes
+        raise ValueError(f"a value has more than {sys.get_int_max_str_digits()} digits; "
+                         "lower --q, --max-n or the dimension of the variety") from None
 
 
 def shown(num: int, den: int = 1) -> str:
-    """ratio(num, den) for an error message: a value past the digit limit,
-    which str() refuses to print, is named instead of printed."""
+    """ratio(num, den) for an error message, which must not fail in turn: a
+    value that ratio refuses is named instead of printed."""
     try:
         return ratio(num, den)
     except ValueError:
@@ -79,8 +88,11 @@ def _strip(a: Sequence[int]) -> list[int]:
 
 
 def _exact_quotient(a: Sequence[int], f: Sequence[int]) -> list[int] | None:
-    """a / f when f divides a, else None, for a nonzero integer list a and
-    an integer list f whose leading coefficient is 1 or -1."""
+    """a / f when f divides a in Z[t], else None, for a nonzero integer list
+    a and an integer list f of content 1 (the gcd of its coefficients), such
+    as a Psi_d or 1 - c t.  By Gauss's lemma a / f is then an integer list
+    if it is a polynomial at all, so a quotient step that is not an integer
+    means f does not divide a."""
     d = len(f) - 1
     if len(a) <= d:
         return None
@@ -88,7 +100,9 @@ def _exact_quotient(a: Sequence[int], f: Sequence[int]) -> list[int] | None:
     lead = f[-1]
     q = [0] * (len(r) - d)
     for i in range(len(q) - 1, -1, -1):
-        c = r[i + d] * lead
+        c, rem = divmod(r[i + d], lead)
+        if rem:
+            return None
         if c:
             q[i] = c
             for j, fj in enumerate(f):

@@ -18,15 +18,15 @@ from betticount.cli import (
     MAX_COUNT_N,
     MAX_VERIFY_N,
     OutputDocument,
-    _ratios,
     main,
     parse_args,
     render,
     render_csv,
     render_json,
 )
-from betticount.chars import MAX_DEGREE, MAX_NESTING, parse_rep
+from betticount.chars import MAX_DEGREE, MAX_NESTING, CharPoly, parse_rep
 from betticount.conf_counts import GUARD, weighted_count_series
+from betticount.series import ratio, shown
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
 from helpers import betti_rows, partition_weighted_count
@@ -69,21 +69,21 @@ def run_json(capsys, *argv):
 
 
 def test_values_print_as_fractions_do():
-    assert _ratios([12, -1, 0, 4], 2) == ["6", "-1/2", "0", "2"]
-    assert _ratios([12, -1], 1) == ["12", "-1"]
+    assert [ratio(c, 2) for c in [12, -1, 0, 4]] == ["6", "-1/2", "0", "2"]
+    assert [ratio(c, 1) for c in [12, -1]] == ["12", "-1"]
     assert Fraction("-1/2") == Fraction(-1, 2)
     assert Fraction("6") == 6
     cells = list(range(-30, 31))
     for den in range(1, 13):
-        assert _ratios(cells, den) == [str(Fraction(c, den)) for c in cells]
+        assert [ratio(c, den) for c in cells] == [str(Fraction(c, den)) for c in cells]
 
 
 def test_a_value_too_long_to_print_is_refused():
     limit = sys.get_int_max_str_digits()
     with pytest.raises(ValueError, match=f"more than {limit} digits; lower --q, --max-n"):
-        _ratios([1], 10**limit)
+        ratio(1, 10**limit)
     with pytest.raises(ValueError, match=f"more than {limit} digits; lower --q, --max-n"):
-        _ratios([10**limit], 1)
+        ratio(10**limit, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,16 @@ def test_tori_betti_stable_recurrence_v11(capsys):
     assert code == 0
     assert doc["meta"]["recurrence"]["coefficients"] == ["1", "1", "-1"]
     assert doc["meta"]["stable"] == ["0", "0", "0", "1", "1"]
+
+
+@pytest.mark.parametrize("side, valid_from", [("conf", 2), ("tori", 1)])
+def test_a_stable_series_without_a_denominator_recurs_to_zero(capsys, side, valid_from):
+    # the stable series of 1 is a polynomial, D = 1: no term to print
+    code, out, err = run(capsys, f"{side}-betti", "--rep", "1", "--max-i", "3", "--max-n", "3", "--stable")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"recurrence: a_i = 0 for i >= {valid_from}"
+    code, doc = run_json(capsys, f"{side}-betti", "--rep", "1", "--max-i", "3", "--max-n", "3", "--stable")
+    assert doc["meta"]["recurrence"] == {"coefficients": [], "valid_from": valid_from}
 
 
 def test_tori_betti_budget_at_the_grid_cap(capsys):
@@ -729,6 +739,18 @@ def test_count_names_the_inputs_to_lower_when_a_value_is_too_long_to_print():
 
 TOO_LONG = (f"error: a value has more than {sys.get_int_max_str_digits()} digits; "
             "lower --q, --max-n or the dimension of the variety")
+
+
+def test_the_library_refuses_a_value_too_long_to_print_as_the_cli_does():
+    # series.ratio owns the refusal: a numerator, a denominator and a rep's
+    # coefficient past the limit each raise the text the CLI prints
+    big = 10 ** sys.get_int_max_str_digits()
+    for refused in (lambda: ratio(big, 1), lambda: ratio(1, big),
+                    lambda: str(CharPoly.constant(big) * CharPoly.variable(1))):
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert f"error: {info.value}" == TOO_LONG
+    assert shown(big) == shown(1, big) == "(a value too long to print)"
 
 
 @pytest.mark.parametrize(

@@ -547,19 +547,21 @@ def test_limit_requires_rational_zeta():
 
 
 def test_limit_expectation_closed_form():
-    # prod_k binom(M_k, l_k) / (1 + q^(k d))^l_k
-    from betticount.zeta import closed_point_counts
-
-    for q in (2, 3, 5):
-        v = builtin_variety("affine", 1, q)
-        for lam in LAMBDA_SWEEP:
-            mk = closed_point_counts(v, max(len(lam), 1))
-            expected = F(1)
-            for k, lk in active(lam):
-                from math import comb
-
-                expected *= comb(mk[k - 1], lk) * F(1, (1 + q**k)) ** lk
-            assert F(*limit_expectation(v, CharPoly.binom(lam))) == expected
+    # sum_lam c_lam prod_k binom(M_k, l_k) / (1 + q^(k d))^l_k, in Fractions:
+    # a reference that shares no code with cyclotomic_sum
+    reps = [CharPoly.binom(lam) for lam in LAMBDA_SWEEP]
+    reps += [parse_rep(name) for name in ("V1", "V11", "V2", "3/2*X1-1/6", "1/2*X4+C(X2,2)")]
+    for kind, d in (("affine", 1), ("affine", 2), ("projective", 1), ("projective", 2)):
+        for q in (2, 3, 5):
+            v = builtin_variety(kind, d, q)
+            for p in reps:
+                mk = closed_point_counts(v, max(len(lam) for lam in coefficients(p)) or 1)
+                expected = F(0)
+                for lam, c in coefficients(p).items():
+                    for k, lk in active(lam):
+                        c *= comb(mk[k - 1], lk) * F(1, 1 + q ** (k * d)) ** lk
+                    expected += c
+                assert limit_expectation(v, p) == (expected.numerator, expected.denominator), (kind, d, q, p)
 
 
 def test_normalized_counts_converge_monotonically():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticount.series import (
-    NonInteger, cyclotomic_sum, divide_in_place, poly_mul, ratio, taylor_coeffs, taylor_series,
+    NonInteger, _exact_quotient, cyclotomic_sum, divide_in_place, poly_mul, ratio, taylor_coeffs,
+    taylor_series,
 )
 
 from helpers import as_fractions, binomial, extend_by_recurrence, truncated_inverse, truncated_mul
@@ -51,6 +52,34 @@ def test_poly_basics():
 
 ONE_MINUS = {k: (k, 1, -1) for k in (1, 2, 3, 4, 6)}  # 1 - z^k
 ONE_PLUS = {k: (k, 1, 1) for k in (1, 2)}  # 1 + z^k
+
+
+@pytest.mark.parametrize(
+    "a, f, quotient",
+    [
+        # Psi_2 = 1 + t and Psi_6 = 1 - t + t^2 (leading 1), Psi_1 = 1 - t (leading -1)
+        (poly_mul([1, 1], [2, 0, -7]), [1, 1], [2, 0, -7]),
+        (poly_mul([1, -1, 1], [3, 4]), [1, -1, 1], [3, 4]),
+        ([1, 0, 0, -1], [1, -1], [1, 1, 1]),
+        # (1 - 3t)(1 + t + 5t^2) by 1 - 3t: a leading coefficient other than +-1
+        (poly_mul([1, -3], [1, 1, 5]), [1, -3], [1, 1, 5]),
+        # 1 + t by 1 - 2t: the one quotient step, -1/2, is not an integer
+        ([1, 1], [1, -2], None),
+        # t^2 - 1 by 1 - 2t: the first of two steps, -1/2, is not an integer,
+        # and rounding it down would leave nothing at t^0
+        ([-1, 0, 1], [1, -2], None),
+        # 2 + t^2 by 1 + t and 1 + 6t by 1 - 3t: every step is an integer,
+        # but a remainder (3 and 3) is left at t^0
+        ([2, 0, 1], [1, 1], None),
+        ([1, 6], [1, -3], None),
+        # a shorter dividend
+        ([5], [1, -3], None),
+    ],
+)
+def test_exact_quotient_divides_or_returns_none(a, f, quotient):
+    assert _exact_quotient(a, f) == quotient
+    if quotient is not None:
+        assert poly_mul(quotient, f) == a
 
 
 def test_rational_function_reduces():
