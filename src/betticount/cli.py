@@ -284,8 +284,7 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         "max_n": args.max_n,
     }
     if args.limits:
-        normalized = conf_counts.limit_normalized(v, rep)
-        expectation = conf_counts.limit_expectation(v, rep)
+        normalized, expectation = conf_counts.limits(v, rep)
         row = (weight_desc, ratio(*normalized), ratio(*expectation))
         return OutputDocument("limits", meta, [row], ("weight", "normalized", "expectation")), 0
     # read lazily: the first value too long to print ends the work

@@ -31,12 +31,10 @@ from .zeta import PointCountData, closed_point_counts, closed_point_series, is_p
 __all__ = [
     "GUARD",
     "count_values",
-    "weighted_count_series",
     "count_oracle",
     "check_bruteforce",
     "bruteforce_census",
-    "limit_normalized",
-    "limit_expectation",
+    "limits",
 ]
 
 GUARD = 10**6  # the largest p^n the sieve takes; 7^7 and 3^12 are the largest runs
@@ -86,13 +84,6 @@ def count_values(v: PointCountData, p: CharPoly, n_max: int) -> tuple[Iterator[i
     values = taylor_series(poly_mul(A, num), poly_mul(B, D))
     steps = zip(chain([0], mk, checked), values)  # M_n is checked before c_n is read
     return (c for _, c in islice(steps, n_max + 1)), d
-
-
-def weighted_count_series(v: PointCountData, p: CharPoly, n_max: int) -> tuple[list[int], int]:
-    """The values c_0..c_{n_max} of count_values(v, p, n_max), as a list,
-    with their one denominator d."""
-    values, d = count_values(v, p, n_max)
-    return list(values), d
 
 
 def count_oracle(v: PointCountData, max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
@@ -327,15 +318,17 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
-    """Exact limit of q^(-n d) times the p-weighted count on Conf_n V(F_q),
-    as (numerator, positive denominator) in lowest terms.
+def limits(v: PointCountData, p: CharPoly) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(normalized, expectation) in lowest terms, each as (numerator,
+    positive denominator): the limit of q^(-n d) times the p-weighted count
+    on Conf_n V(F_q), and the limiting mean of p over its points.
 
-    The counts of p = C(X, lam) are the Taylor coefficients of
-    Z(V,t)/Z(V,t^2) times binom(M_k, lam_k) (t^k / (1 + t^k))^lam_k for
-    each k.  The ratio has a simple pole at t = 1/c, c = q^d, where the
-    other factors are regular, so the limit is its residue (1 - c t)
-    Z(V,t)/Z(V,t^2) at t = 1/c times limit_expectation(v, p).  Factors
+    The counts are the Taylor coefficients of Z(V,t)/Z(V,t^2) times
+    _weight_factor(p, M).  The expectation is that factor at t = 1/c,
+    c = q^d, sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k, read from
+    the closed-point counts alone.  The ratio has a simple pole at 1/c,
+    where the factor is regular, so the normalized limit is its residue
+    (1 - c t) Z(V,t)/Z(V,t^2) at 1/c times the expectation.  Factors
     1 - c t common to the ratio's numerator and denominator are divided out
     first; a denominator that still vanishes there is a pole of order >= 2,
     and a numerator that does leaves no pole: then d does not match Z.
@@ -351,24 +344,14 @@ def limit_normalized(v: PointCountData, p: CharPoly) -> tuple[int, int]:
         num, den = qn, qd
     if _exact_quotient(den, fc) is not None:
         raise ValueError(f"pole of order >= 2 at t = {ratio(1, c)}")
-    e_num, e_den = limit_expectation(v, p)
-    # after limit_expectation, which reports bad variety data first
+    # the closed-point counts report bad variety data before a missing pole
+    mk = closed_point_counts(v, max([0] + [len(lam) for lam, _ in p.items()]))
+    w_num, D, d = _weight_factor(p, mk)
+    e_num = _at_inverse(w_num, c) * c ** (len(D) - 1)
+    e_den = _at_inverse(D, c) * c ** (len(w_num) - 1) * d
     residue = _at_inverse(num, c)
     if residue == 0:
         raise ValueError(f"Z(V,t)/Z(V,t^2) has no pole at t = {ratio(1, c)}: "
                          f"dim = {v.dim} does not match the zeta function")
-    return _lowest(residue * c ** (len(den) - 1) * e_num,
-                   _at_inverse(den, c) * c ** (len(num) - 1) * e_den)
-
-
-def limit_expectation(v: PointCountData, p: CharPoly) -> tuple[int, int]:
-    """Limiting expected value of p over a uniform random point of
-    Conf_n V(F_q), as (numerator, positive denominator) in lowest terms: the
-    count series' factor _weight_factor(p, M) at t = 1/c, c = q^d, which is
-    sum_lam c_lam binom(M, lam) / prod_k (1 + c^k)^lam_k.  It reads only the
-    closed-point counts, and wherever limit_normalized exists it is
-    limit_normalized(v, p) / limit_normalized(v, 1)."""
-    mk = closed_point_counts(v, max([0] + [len(lam) for lam, _ in p.items()]))
-    num, D, d = _weight_factor(p, mk)
-    c = v.q**v.dim
-    return _lowest(_at_inverse(num, c) * c ** (len(D) - 1), _at_inverse(D, c) * c ** (len(num) - 1) * d)
+    normalized = _lowest(residue * c ** (len(den) - 1) * e_num, _at_inverse(den, c) * c ** (len(num) - 1) * e_den)
+    return normalized, _lowest(e_num, e_den)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticount
+from betticount import conf_counts
 from betticount.cli import (
     MAX_COUNT_N,
     MAX_VERIFY_N,
@@ -25,7 +26,7 @@ from betticount.cli import (
     render_json,
 )
 from betticount.chars import MAX_DEGREE, MAX_NESTING, CharPoly, parse_rep
-from betticount.conf_counts import GUARD, weighted_count_series
+from betticount.conf_counts import GUARD, count_values
 from betticount.series import ratio, shown
 from betticount.zeta import PRIME_TEST_BOUND, builtin_variety
 
@@ -406,6 +407,20 @@ def test_count_affine_limits(capsys):
     assert code == 0
     assert doc["data"][0]["normalized"] == "1/2"
     assert doc["data"][0]["expectation"] == "3/4"
+
+
+def test_count_limits_builds_the_weight_factor_once(capsys, monkeypatch):
+    calls = []
+    build = conf_counts._weight_factor
+
+    def counted(p, mk):
+        calls.append(p)
+        return build(p, mk)
+
+    monkeypatch.setattr(conf_counts, "_weight_factor", counted)
+    code, _, err = run(capsys, "count", "--variety", "affine:1", "--q", "5", "--rep", "V11", "--limits")
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_count_variety_file(tmp_path, capsys):
@@ -829,7 +844,7 @@ def test_the_unweighted_count_is_at_least_half_of_q_to_the_d_n():
     # no code with it
     for kind, d, q in (("affine", 1, 2), ("affine", 3, 5), ("projective", 1, 2),
                        ("projective", 2, 3), ("projective", 4, 2)):
-        nums, den = weighted_count_series(builtin_variety(kind, d, q), parse_rep("1"), 40)
+        nums, den = count_values(builtin_variety(kind, d, q), parse_rep("1"), 40)
         assert den == 1 and all(2 * c >= q ** (d * n) for n, c in enumerate(nums)), (kind, d, q)
 
 

@@ -11,12 +11,12 @@ from betticount import conf_counts
 from betticount.chars import (
     CharPoly, active, binomial, cycle_type, parse_char_poly, parse_rep, partitions, weight,
 )
+from betticount.conf_betti import SIDE
 from betticount.conf_counts import (
     GUARD,
     bruteforce_census,
-    limit_expectation,
-    limit_normalized,
-    weighted_count_series,
+    count_values,
+    limits,
 )
 from betticount.zeta import (
     PointCountData,
@@ -320,48 +320,48 @@ def test_sieve_census_matches_the_closed_point_formula_at_every_degree(p, n):
 
 def test_weighted_series_is_integers_over_the_rep_denominator():
     p = parse_rep("3/2*X1-1/6")
-    nums, den = weighted_count_series(A1_Q3, p, 3)
+    nums, den = count_values(A1_Q3, p, 3)
     assert den == p.den == 6
     assert as_fractions(nums, den) == [partition_weighted_count(A1_Q3, p, n) for n in range(4)]
 
 
 def test_limits_are_pairs_in_lowest_terms():
-    assert limit_normalized(A1_Q3, CharPoly.binom(())) == (2, 3)
-    assert limit_expectation(A1_Q3, parse_rep("3/2*X1-1/6")) == (23, 24)  # 3/2 * 3/4 - 1/6
+    assert limits(A1_Q3, CharPoly.binom(()))[0] == (2, 3)
+    assert limits(A1_Q3, parse_rep("3/2*X1-1/6"))[1] == (23, 24)  # 3/2 * 3/4 - 1/6
 
 
 def test_weighted_series_trivial_weight():
-    got = as_fractions(*weighted_count_series(A1_Q3, CharPoly.binom(()), 4))
+    got = as_fractions(*count_values(A1_Q3, CharPoly.binom(()), 4))
     assert got == [1, 3, 6, 18, 54]
 
 
 def test_weighted_series_linear_weight():
-    got = as_fractions(*weighted_count_series(A1_Q3, CharPoly.binom((1,)), 3))
+    got = as_fractions(*count_values(A1_Q3, CharPoly.binom((1,)), 3))
     assert got[3] == 12
     assert got[0] == 0
 
 
 def test_weighted_series_empty_configuration():
     for v in (A1_Q3, builtin_variety("projective", 1, 2)):
-        assert as_fractions(*weighted_count_series(v, CharPoly.binom(()), 0)) == [1]
+        assert as_fractions(*count_values(v, CharPoly.binom(()), 0)) == [1]
 
 
 def test_weighted_count_linearity():
     # V1 = X1 - 1 on square-free cubics over F_3: 12 - 18 = -6
-    assert as_fractions(*weighted_count_series(A1_Q3, parse_rep("V1"), 3))[3] == -6
+    assert as_fractions(*count_values(A1_Q3, parse_rep("V1"), 3))[3] == -6
 
 
 def test_weighted_count_v11():
-    assert as_fractions(*weighted_count_series(A1_Q3, parse_rep("V11"), 4))[4] == bruteforce_weighted_count(
+    assert as_fractions(*count_values(A1_Q3, parse_rep("V11"), 4))[4] == bruteforce_weighted_count(
         3, 4, parse_rep("V11")
     )
-    assert as_fractions(*weighted_count_series(A1_Q3, parse_rep("V11"), 4))[4] == 6
+    assert as_fractions(*count_values(A1_Q3, parse_rep("V11"), 4))[4] == 6
 
 
 def test_weighted_count_insufficient_data():
     v = PointCountData(q=3, dim=1, counts=(3, 9))
     with pytest.raises(ValueError):
-        weighted_count_series(v, CharPoly.binom(()), 4)
+        count_values(v, CharPoly.binom(()), 4)
 
 
 def fraction_count_series(z, mk, lam, n):
@@ -410,12 +410,12 @@ def test_series_matches_fraction_expansion(case):
     for lam in lambdas:
         if len(lam) > n:
             with pytest.raises(ValueError):
-                weighted_count_series(v, CharPoly.binom(lam), n)  # counts needed beyond the data
+                count_values(v, CharPoly.binom(lam), n)  # counts needed beyond the data
             continue
         expected = fraction_count_series(z, closed_point_counts(v, n), lam, n)
-        assert as_fractions(*weighted_count_series(v, CharPoly.binom(lam), n)) == expected, lam
+        assert as_fractions(*count_values(v, CharPoly.binom(lam), n)) == expected, lam
     if case == "empty":
-        assert as_fractions(*weighted_count_series(v, CharPoly.binom(()), n)) == [1, 0, 0, 0]
+        assert as_fractions(*count_values(v, CharPoly.binom(()), n)) == [1, 0, 0, 0]
 
 
 # the counts of P^1 over F_3 from a file, and its zeta function 1/((1-t)(1-3t))
@@ -448,7 +448,7 @@ def test_whole_rep_series_is_the_sum_of_its_terms(case):
         for lam, coeff in coefficients(p).items():
             for m, c in enumerate(fraction_count_series(z, mk, lam, n)):
                 expected[m] += coeff * c
-        assert as_fractions(*weighted_count_series(v, p, n)) == expected, text
+        assert as_fractions(*count_values(v, p, n)) == expected, text
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def test_binomial_counts_split_pairs():
 def test_binomial_counts_total():
     mk = closed_point_counts(A1_Q3, 2)
     total = sum(binomial(mk, mu) for mu in partitions(2))
-    assert total == as_fractions(*weighted_count_series(A1_Q3, CharPoly.binom(()), 2))[2] == 6
+    assert total == as_fractions(*count_values(A1_Q3, CharPoly.binom(()), 2))[2] == 6
 
 
 @pytest.mark.parametrize(
@@ -474,7 +474,7 @@ def test_binomial_counts_total():
 )
 def test_partition_sum_equals_series_for_trivial_weight(kind, d, q):
     v = builtin_variety(kind, d, q)
-    series = as_fractions(*weighted_count_series(v, CharPoly.binom(()), 8))
+    series = as_fractions(*count_values(v, CharPoly.binom(()), 8))
     mk = closed_point_counts(v, 8)
     for n in range(9):
         total = sum(binomial(mk, mu) for mu in partitions(n))
@@ -496,7 +496,7 @@ def test_three_paths_agree(p):
     census = bruteforce_census(p, 6)
     for lam in LAMBDA_SWEEP:
         rep = CharPoly.binom(lam)
-        series = as_fractions(*weighted_count_series(v, rep, 6))
+        series = as_fractions(*count_values(v, rep, 6))
         for n in range(7):
             brute = census_sum(census, rep, n)
             part = partition_weighted_count(v, rep, n)
@@ -508,25 +508,25 @@ def test_three_paths_agree(p):
 
 
 def test_limit_normalized_trivial():
-    assert F(*limit_normalized(A1_Q3, CharPoly.binom(()))) == F(2, 3)
+    assert F(*limits(A1_Q3, CharPoly.binom(()))[0]) == F(2, 3)
 
 
 def test_limit_normalized_linear():
-    assert F(*limit_normalized(A1_Q3, CharPoly.binom((1,)))) == F(1, 2)
+    assert F(*limits(A1_Q3, CharPoly.binom((1,)))[0]) == F(1, 2)
 
 
 def test_limit_expectation_values():
-    assert F(*limit_expectation(A1_Q3, CharPoly.binom(()))) == 1
-    assert F(*limit_expectation(A1_Q3, CharPoly.binom((1,)))) == F(3, 4)
+    assert F(*limits(A1_Q3, CharPoly.binom(()))[1]) == 1
+    assert F(*limits(A1_Q3, CharPoly.binom((1,)))[1]) == F(3, 4)
     a1_q2 = builtin_variety("affine", 1, 2)
-    assert F(*limit_expectation(a1_q2, CharPoly.binom((0, 1)))) == F(1, 5)
+    assert F(*limits(a1_q2, CharPoly.binom((0, 1)))[1]) == F(1, 5)
 
 
 def test_limit_rejects_a_double_pole():
     # Z = 1/(1 - 3t)^2: the limit series has a pole of order 2 at t = 1/3
     v = parse_variety_text("q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 1 -6 9\n")
     with pytest.raises(ValueError, match="pole of order >= 2 at t = 1/3"):
-        limit_normalized(v, CharPoly.binom(()))
+        limits(v, CharPoly.binom(()))[0]
 
 
 def test_limits_ignore_a_common_factor_and_the_value_at_zero():
@@ -536,14 +536,14 @@ def test_limits_ignore_a_common_factor_and_the_value_at_zero():
         for n, d in (("1 -1", "1 -4 3"), ("2", "1 -3"), ("0 1", "0 1 -3"))
     ]
     for lam in LAMBDA_SWEEP:
-        expected = F(*limit_normalized(A1_Q3, CharPoly.binom(lam)))
-        assert all(F(*limit_normalized(v, CharPoly.binom(lam))) == expected for v in same), lam
+        expected = F(*limits(A1_Q3, CharPoly.binom(lam))[0])
+        assert all(F(*limits(v, CharPoly.binom(lam))[0]) == expected for v in same), lam
 
 
 def test_limit_requires_rational_zeta():
     v = PointCountData(q=3, dim=1, counts=(3, 9, 27))
     with pytest.raises(ValueError):
-        limit_normalized(v, CharPoly.binom(()))
+        limits(v, CharPoly.binom(()))[0]
 
 
 def test_limit_expectation_closed_form():
@@ -561,14 +561,14 @@ def test_limit_expectation_closed_form():
                     for k, lk in active(lam):
                         c *= comb(mk[k - 1], lk) * F(1, 1 + q ** (k * d)) ** lk
                     expected += c
-                assert limit_expectation(v, p) == (expected.numerator, expected.denominator), (kind, d, q, p)
+                assert limits(v, p)[1] == (expected.numerator, expected.denominator), (kind, d, q, p)
 
 
 def test_normalized_counts_converge_monotonically():
     # exact gaps |a_n / q^n - limit| shrink for n in 12..25
     for lam in (cycle_type(()), cycle_type((1,)), cycle_type((0, 1))):
-        lim = F(*limit_normalized(A1_Q3, CharPoly.binom(lam)))
-        series = as_fractions(*weighted_count_series(A1_Q3, CharPoly.binom(lam), 26))
+        lim = F(*limits(A1_Q3, CharPoly.binom(lam))[0])
+        series = as_fractions(*count_values(A1_Q3, CharPoly.binom(lam), 26))
         gaps = [abs(series[n] / F(3) ** n - lim) for n in range(12, 27)]
         assert all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
 
@@ -576,8 +576,8 @@ def test_normalized_counts_converge_monotonically():
 def test_projective_line_limit_close_to_coefficients():
     v = builtin_variety("projective", 1, 2)
     for lam in (cycle_type(()), cycle_type((1,)), cycle_type((0, 1))):
-        lim = F(*limit_normalized(v, CharPoly.binom(lam)))
-        series = as_fractions(*weighted_count_series(v, CharPoly.binom(lam), 25))
+        lim = F(*limits(v, CharPoly.binom(lam))[0])
+        series = as_fractions(*count_values(v, CharPoly.binom(lam), 25))
         assert abs(series[25] / F(2) ** 25 - lim) < F(1, 10**6)
 
 
@@ -585,12 +585,35 @@ def test_elliptic_curve_limits_are_the_trivial_limit_times_the_expectation():
     # Z = (1 - 2t + 5t^2) / ((1 - t)(1 - 5t)), an elliptic curve over F_5:
     # the numerator's reciprocal roots have absolute value sqrt(5)
     v = parse_variety_text("q = 5\ndim = 1\nzeta_num = 1 -2 5\nzeta_den = 1 -6 5\n")
-    one = F(*limit_normalized(v, CharPoly.constant(1)))
+    one = F(*limits(v, CharPoly.constant(1))[0])
     for name in ("1", "X1", "V11", "1/2*X4+C(X2,2)"):
         p = parse_rep(name)
-        lim = F(*limit_normalized(v, p))
-        assert lim == one * F(*limit_expectation(v, p)), name
-        assert abs(as_fractions(*weighted_count_series(v, p, 25))[25] / F(5) ** 25 - lim) < F(1, 10**6), name
+        lim = F(*limits(v, p)[0])
+        assert lim == one * F(*limits(v, p)[1]), name
+        assert abs(as_fractions(*count_values(v, p, 25))[25] / F(5) ** 25 - lim) < F(1, 10**6), name
+
+
+def test_affine_line_limits_are_the_stable_conf_series_at_minus_one_over_q():
+    # the bridge at n = infinity: the normalized limit on the affine line is
+    # sum_i (-1)^i b_i q^(-i) over the stable Betti numbers b_i, that is the
+    # conf side's stable series num / (d D) at z = -1/q; the two sides share
+    # only series.cyclotomic_sum
+    def horner(poly, z):
+        acc = F(0)
+        for a in reversed(poly):
+            acc = acc * z + a
+        return acc
+
+    reps = [CharPoly.binom(lam) for w in range(1, 7) for lam in partitions(w)]
+    assert len(reps) == 29
+    reps += [parse_rep(text) for text in ("1", "V1", "V11", "V2", "X1", "C(X1,2)-X2", "3/2*X1-1/6",
+                                          "1/2*X4+C(X2,2)")]
+    for p in reps:
+        num, D, d = SIDE.stable_series(p)
+        for q in (2, 3, 4, 5, 7, 9):
+            z = F(-1, q)
+            expected = horner(num, z) / (d * horner(D, z))
+            assert F(*limits(builtin_variety("affine", 1, q), p)[0]) == expected, (p, q)
 
 
 def test_bruteforce_budget():

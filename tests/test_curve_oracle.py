@@ -25,7 +25,7 @@ from itertools import product
 import pytest
 
 from betticount.chars import parse_rep
-from betticount.conf_counts import weighted_count_series
+from betticount.conf_counts import count_values
 from betticount.zeta import PointCountData, closed_point_counts
 
 from helpers import evaluate
@@ -136,7 +136,7 @@ def test_closed_point_counts_match_frobenius_orbits(curve):
 def test_weighted_counts_match_enumerated_configurations(curve, rep):
     v, _, closed = curve
     p = parse_rep(rep)
-    values, d = weighted_count_series(v, p, N_MAX)
+    values, d = count_values(v, p, N_MAX)
     expected = [sum((m * evaluate(p, mu) for mu, m in tally.items()), Fraction(0))
                 for tally in _tallies(closed, N_MAX)]
     assert [Fraction(c, d) for c in values] == expected
