@@ -7,8 +7,6 @@ the few ingredients in which they differ; everything else is written once
 here, linear in the character polynomial p = sum_lam c_lam C(X, lam).
 """
 
-from __future__ import annotations
-
 import math
 
 from .chars import CharPoly, centralizer_order

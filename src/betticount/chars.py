@@ -10,10 +10,7 @@ products stay in that basis, and the parser of user-entered expressions
 maps each atom to one basis element.
 """
 
-from __future__ import annotations
-
 from math import comb, factorial, gcd, lcm
-import re
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import zip_longest
@@ -98,21 +95,21 @@ class CharPoly:
         self.den = den // g
 
     @staticmethod
-    def _of(nums: dict[tuple[int, ...], int], den: int) -> CharPoly:
+    def _of(nums: dict[tuple[int, ...], int], den: int) -> "CharPoly":
         out = CharPoly.__new__(CharPoly)
         out._reduce(nums, den)
         return out
 
     @staticmethod
-    def binom(lam: Sequence[int]) -> CharPoly:
+    def binom(lam: Sequence[int]) -> "CharPoly":
         return CharPoly._of({cycle_type(lam): 1}, 1)
 
     @staticmethod
-    def constant(c: int) -> CharPoly:
+    def constant(c: int) -> "CharPoly":
         return CharPoly({(): c})
 
     @staticmethod
-    def variable(k: int) -> CharPoly:
+    def variable(k: int) -> "CharPoly":
         """X_k itself, i.e. C(X_k, 1)."""
         return CharPoly.binom([0] * (k - 1) + [1])
 
@@ -132,10 +129,10 @@ class CharPoly:
     def __hash__(self) -> int:
         return hash((frozenset(self._nums.items()), self.den))
 
-    def __neg__(self) -> CharPoly:
+    def __neg__(self) -> "CharPoly":
         return CharPoly._of({l: -c for l, c in self._nums.items()}, self.den)
 
-    def __add__(self, other: CharPoly) -> CharPoly:
+    def __add__(self, other: "CharPoly") -> "CharPoly":
         den = lcm(self.den, other.den)
         nums = {l: c * (den // self.den) for l, c in self._nums.items()}
         s = den // other.den
@@ -143,10 +140,10 @@ class CharPoly:
             nums[l] = nums.get(l, 0) + c * s
         return CharPoly._of(nums, den)
 
-    def __sub__(self, other: CharPoly) -> CharPoly:
+    def __sub__(self, other: "CharPoly") -> "CharPoly":
         return self + (-other)
 
-    def __mul__(self, other: CharPoly | int) -> CharPoly:
+    def __mul__(self, other: "CharPoly | int") -> "CharPoly":
         """A scalar multiple (an int or a Fraction), or the product of two
         character polynomials.
 
@@ -272,27 +269,43 @@ _BUILTINS = {
 MAX_DEGREE = 64
 MAX_NESTING = 100
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>X[0-9]+)|(?P<name>C)|(?P<op>[+\-*(),]))"
-)
+_SLASH_DIGIT = {f"/{d}" for d in range(10)}
+
+
+def _digits_end(text: str, pos: int) -> int:
+    """The end of the run of ASCII digits at pos."""
+    while pos < len(text) and text[pos] in "0123456789":
+        pos += 1
+    return pos
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text, each after optional whitespace: a number (digits,
+    or digits/digits), X and digits, C, or one of + - * ( ) ,."""
     # the length first: int() refuses more digits than the limit, and the
     # degree k*m of C(Xk,m) must stay short enough to print in a message
     limit = sys.get_int_max_str_digits()  # 0: no limit
     tokens, pos = [], 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse {text[pos:]!r}")
-        tok = m.group(m.lastgroup)
-        if m.lastgroup == "var" and (len(tok) != 2 or tok[1] not in "123456789"):
+        start = pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        head = text[pos:pos + 1]
+        if head and head in "+-*(),C":
+            end = pos + 1
+        else:  # a variable, or a number with an optional denominator
+            end = _digits_end(text, pos + (head == "X"))
+            if head != "X" and end > pos and text[end:end + 2] in _SLASH_DIGIT:
+                end = _digits_end(text, end + 2)
+        if end == pos + (head == "X"):
+            raise ValueError(f"cannot parse {text[start:]!r}")
+        tok = text[pos:end]
+        if head == "X" and (len(tok) != 2 or tok[1] not in "123456789"):
             raise ValueError(f"unknown variable {tok}; variables are X1..X9")
-        if m.lastgroup == "num" and 0 < limit <= len(tok):
+        if head in "0123456789" and 0 < limit <= len(tok):
             raise ValueError(f"the number {tok} is too long; numbers have fewer than {limit} digits")
         tokens.append(tok)
-        pos = m.end()
+        pos = end
     return tokens
 
 

@@ -5,28 +5,30 @@ Output is an OutputDocument rendered as a human-readable table, CSV, or
 JSON.  Every numeric payload is an exact rational serialized as "p/q"
 (plain "p" for integers); no decimals anywhere.  Verification rows are
 emitted in deterministic (q, n, rep) order and the exit code is 0 exactly
-when every row passes.
+when every row passes.  Each command imports the modules it runs as it runs.
 """
 
-from __future__ import annotations
-
 import os
-import re
 import sys
-from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from collections import namedtuple
 from types import SimpleNamespace
 
-from . import conf_betti, conf_counts, tori
-from .betti import ScaledValues, weighted_sum
 from .chars import MAX_DEGREE, CharPoly, cycle_type, parse_rep, weight
-from .series import ratio, taylor_coeffs
-from .zeta import PointCountData, _int, builtin_variety, is_prime_power, load_variety_file
+from .series import _int, ratio, taylor_coeffs
 
 MAX_COUNT_N = 200
 MAX_VERIFY_N = 24
 MAX_DIM = 64  # every variety: --limits computes powers of q^dim
-SIDES = {"conf": conf_betti.SIDE, "tori": tori.SIDE}
+
+
+class _Sides(dict):
+    """A side's name: the betti.Side of its module, imported on first use."""
+
+    def __getitem__(self, name: str):
+        return __import__(super().__getitem__(name), globals(), None, ("SIDE",), 1).SIDE
+
+
+SIDES = _Sides(conf="conf_betti", tori="tori")
 
 
 # A command's output: its kind (table | verification | limits), a dict of
@@ -44,9 +46,21 @@ def _equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
 # renderers
 
 
-_JSON_SCALARS = {
-    str: encode_basestring_ascii, int: int.__repr__, bool: {False: "false", True: "true"}.get,
-}
+def _plain(text: str) -> bool:
+    """Whether json writes text unchanged between quotes: it escapes '"',
+    '\\' and every character outside " " to "~"."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _json_str(x: str) -> str:
+    if _plain(x):
+        return f'"{x}"'
+    from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
+
+    return encode_basestring_ascii(x)
+
+
+_JSON_SCALARS = {str: _json_str, int: int.__repr__, bool: {False: "false", True: "true"}.get}
 
 
 def _json(x, pad: str) -> str:
@@ -62,7 +76,7 @@ def _json(x, pad: str) -> str:
             return "{}"
         items = []
         for key, value in x.items():
-            items.append(f"{inner}{encode_basestring_ascii(key)}: {_json(value, inner)}")
+            items.append(f"{inner}{_json_str(key)}: {_json(value, inner)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if type(x) is list:
         if not x:
@@ -73,9 +87,10 @@ def _json(x, pad: str) -> str:
 
 def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
     """_json of the rows as dicts over columns, at indent "  ", written one
-    column at a time: an int column through %d, a str or bool column through
-    its encoder, any other column cell by cell through _json at the indent of
-    a cell, and then every row through one template."""
+    column at a time: an int column through %d, a str column of _plain text
+    through "%s", any other str or bool column through its encoder, any other
+    column cell by cell through _json at the indent of a cell, and then every
+    row through one template."""
     if not rows:
         return "[]"
     if not columns:
@@ -83,9 +98,11 @@ def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
     fields, cols = [], []
     for name, col in zip(columns, zip(*rows)):
         kinds = set(map(type, col))
-        key = encode_basestring_ascii(name).replace("%", "%%")
+        key = _json_str(name).replace("%", "%%")
         if kinds == {int}:
             fields.append(f"      {key}: %d")
+        elif kinds == {str} and _plain("".join(col)):
+            fields.append(f'      {key}: "%s"')
         else:
             enc = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             fields.append(f"      {key}: %s")
@@ -210,7 +227,9 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
     return lam
 
 
-def _parse_variety(spec: str, q: int | None) -> PointCountData:
+def _parse_variety(spec: str, q: int | None) -> "PointCountData":
+    from .zeta import builtin_variety, load_variety_file
+
     kind, _, arg = spec.partition(":")
     if kind in ("affine", "projective"):
         if not (arg.isascii() and arg.isdigit()):
@@ -283,6 +302,8 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
         "weight": weight_desc,
         "max_n": args.max_n,
     }
+    from . import conf_counts
+
     if args.limits:
         normalized, expectation = conf_counts.limits(v, rep)
         row = (weight_desc, ratio(*normalized), ratio(*expectation))
@@ -293,7 +314,24 @@ def cmd_count(args) -> tuple[OutputDocument, int]:
     return OutputDocument("table", meta, data, ("n", "value")), 0
 
 
+def _split_reps(text: str) -> list[str]:
+    r"""text split at each comma whose next parenthesis is not ")", as
+    re.split(r",(?![^()]*\))", text) splits it: C(X1,2) stays whole."""
+    reps, end, closes = [], len(text), False  # closes: the next parenthesis is ")"
+    for i in range(len(text) - 1, -1, -1):
+        if text[i] in "()":
+            closes = text[i] == ")"
+        elif text[i] == "," and not closes:
+            reps.append(text[i + 1:end])
+            end = i
+    reps.append(text[:end])
+    return reps[::-1]
+
+
 def cmd_verify(args) -> tuple[OutputDocument, int]:
+    from .betti import ScaledValues, weighted_sum
+    from .zeta import is_prime_power
+
     side = SIDES[args.side]
     if args.bruteforce and args.side != "conf":
         raise ValueError("--bruteforce applies to the conf side only")
@@ -301,10 +339,12 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
     for q in qs:
         if not is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
-    # a comma whose next parenthesis closes, as in C(X1,2), is inside a rep
-    reps = [(tok.strip(), _parse_rep(tok)) for tok in re.split(r",(?![^()]*\))", args.rep)]
-    for q in qs if args.bruteforce else ():
-        conf_counts.check_bruteforce(q, args.max_n)
+    reps = [(tok.strip(), _parse_rep(tok)) for tok in _split_reps(args.rep)]
+    if args.bruteforce:
+        from . import conf_counts
+
+        for q in qs:
+            conf_counts.check_bruteforce(q, args.max_n)
     # each input is built once per command: per q one count oracle and, for
     # the brute column, one sieve; per rep one Betti table and one p(mu) per
     # cycle type.  lhs and brute are the same weighted sum over their counts.

@@ -14,8 +14,6 @@ twice.  It never uses the closed-point counts or the binomial formula it
 checks.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from bisect import bisect_left

@@ -5,13 +5,12 @@ All arithmetic is exact; there is no floating point anywhere in this module.
 A rational value is an integer numerator over a positive integer
 denominator, and a list of them shares one denominator; `ratio` prints one
 as "p/q" in lowest terms, and is the one place that refuses a value too
-long to print.  A polynomial is a list of integer coefficients, ascending
+long to print; `_int` reads an integer from text, for the command line and
+the variety files.  A polynomial is a list of integer coefficients, ascending
 by exponent, divided exactly by `_exact_quotient`, and a sum of rational
 functions comes back as a triple (num, D, d) that stands for num / (d D),
 with D(0) = 1 and d > 0.
 """
-
-from __future__ import annotations
 
 import math
 import sys
@@ -42,6 +41,15 @@ def ratio(num: int, den: int) -> str:
         # lifting the limit costs minutes
         raise ValueError(f"a value has more than {sys.get_int_max_str_digits()} digits; "
                          "lower --q, --max-n or the dimension of the variety") from None
+
+
+def _int(text: str) -> int:
+    """text as an integer: an optional "-" and ASCII digits, in surrounding
+    whitespace (int() also reads "+", "_" and other scripts' digits)."""
+    text = text.strip()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def shown(num: int, den: int = 1) -> str:

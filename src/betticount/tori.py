@@ -24,8 +24,6 @@ w into one series first, so it builds the columns once per weight;
 betti.Side assembles everything else.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 
 from .betti import Side

@@ -7,14 +7,12 @@ closed-point counts M_k; expanding it reproduces 1/(1 - q^d t) for affine
 d-space, which pins the variable of the product to t.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
-from .series import NonInteger, _strip, poly_mul, shown, taylor_series
+from .series import NonInteger, _int, _strip, poly_mul, shown, taylor_series
 
 __all__ = [
     "mobius_table",
@@ -255,15 +253,6 @@ def builtin_variety(kind: str, d: int, q: int) -> PointCountData:
 #
 # '#' starts a comment; integers only, read as the command line reads them.
 # Any other field name is refused.
-
-
-def _int(text: str) -> int:
-    """text as an integer: an optional "-" and ASCII digits, in surrounding
-    whitespace (int() also reads "+", "_" and other scripts' digits)."""
-    text = text.strip()
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(text)
-    return int(text)
 
 
 def parse_variety_text(text: str) -> PointCountData:

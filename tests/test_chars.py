@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from betticount.chars import (
     MAX_DEGREE,
     MAX_NESTING,
     CharPoly,
+    _tokenize,
     active,
     binomial,
     centralizer_order,
@@ -346,6 +348,61 @@ def test_parse_names_unknown_variables():
         with pytest.raises(ValueError, match=f"unknown variable {name}; variables are X1..X9"):
             parse_char_poly(bad)
     assert parse_char_poly("X9") == CharPoly.variable(9)
+
+
+# The tokenizer that _tokenize replaced, kept as its oracle: the same
+# tokens, or the same ValueError text.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>X[0-9]+)|(?P<name>C)|(?P<op>[+\-*(),]))"
+)
+
+
+def _regex_tokenize(text):
+    limit = sys.get_int_max_str_digits()
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"cannot parse {text[pos:]!r}")
+        tok = m.group(m.lastgroup)
+        if m.lastgroup == "var" and (len(tok) != 2 or tok[1] not in "123456789"):
+            raise ValueError(f"unknown variable {tok}; variables are X1..X9")
+        if m.lastgroup == "num" and 0 < limit <= len(tok):
+            raise ValueError(f"the number {tok} is too long; numbers have fewer than {limit} digits")
+        tokens.append(tok)
+        pos = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the grammar's characters, ASCII and other whitespace, other scripts' digits,
+# stray letters, and digit runs at and around the int-to-text limit
+_LIMIT = sys.get_int_max_str_digits()
+_TOKEN_PIECES = [
+    *"0123456789/XC+-*(),", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+    "\u2003", "\u2028", "\u3000", "\u200b", *"acxX\u00e9\u0663\u00b2\u2460\uff11",
+    "7" * (_LIMIT - 1), "7" * _LIMIT,
+]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=24).map("".join))
+def test_tokenize_matches_the_regex_it_replaced(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_regex_tokenize, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "X1 ", " X1", "1/", "1/x", "1//2", "/2", "X", "XX1", "X12", "X0", "CX1", "C(X1,2)",
+    "\u00a03/4*X2", "1 / 2", "\u0663", "X\u0663", "12/34/5", "\t(\n-X9\r)",
+])
+def test_tokenize_matches_the_regex_it_replaced_on_edge_cases(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_regex_tokenize, text)
 
 
 def test_parse_caps_the_degree():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,8 @@ from betticount.cli import (
     MAX_COUNT_N,
     MAX_VERIFY_N,
     OutputDocument,
+    _json,
+    _split_reps,
     main,
     parse_args,
     render,
@@ -985,6 +988,22 @@ def test_verify_splits_reps_only_at_commas_outside_parentheses(capsys, side):
         assert [row for row in doc["data"] if row["rep"] == rep] == single["data"]
 
 
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="(),X1C2 -\u00e9", max_size=30))
+def test_split_reps_matches_the_regex_it_replaced(text):
+    assert _split_reps(text) == re.split(r",(?![^()]*\))", text)
+
+
+@pytest.mark.parametrize("text, reps", [
+    ("", [""]), (",", ["", ""]), ("1,V1,V11,V2", ["1", "V1", "V11", "V2"]),
+    ("C(X1,2),V1", ["C(X1,2)", "V1"]), ("(X1,X2),(X3", ["(X1,X2)", "(X3"]),
+    # the first parenthesis after the comma decides, not the depth
+    ("a,b)", ["a,b)"]), ("(a),b)", ["(a),b)"]), ("a),b", ["a)", "b"]),
+])
+def test_split_reps_splits_where_the_next_parenthesis_is_not_a_closing_one(text, reps):
+    assert _split_reps(text) == reps == re.split(r",(?![^()]*\))", text)
+
+
 def test_verify_rejects_negative_max_n(capsys):
     code, out, err = run(capsys, "verify", "--side", "conf", "--q", "3", "--max-n", "-1")
     assert code == 2
@@ -1041,11 +1060,9 @@ def test_verify_bruteforce_budget_at_the_top_of_the_guard():
 
 
 def test_verify_rejects_a_non_prime_q_before_any_brute_force(capsys, monkeypatch):
-    import betticount.cli as cli_mod
-
     calls = []
     monkeypatch.setattr(
-        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
+        conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
     )
     code, out, err = run(
         capsys, "verify", "--side", "conf", "--q", "3,4", "--max-n", "6", "--bruteforce"
@@ -1056,11 +1073,9 @@ def test_verify_rejects_a_non_prime_q_before_any_brute_force(capsys, monkeypatch
 
 
 def test_verify_checks_the_guard_for_every_q_before_any_brute_force(capsys, monkeypatch):
-    import betticount.cli as cli_mod
-
     calls = []
     monkeypatch.setattr(
-        cli_mod.conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
+        conf_counts, "bruteforce_census", lambda *a, **k: calls.append(a) or []
     )
     assert 3**6 <= GUARD < 11**6
     code, out, err = run(
@@ -1073,16 +1088,14 @@ def test_verify_checks_the_guard_for_every_q_before_any_brute_force(capsys, monk
 
 
 def test_verify_builds_one_census_per_q(capsys, monkeypatch):
-    import betticount.cli as cli_mod
-
-    census = cli_mod.conf_counts.bruteforce_census
+    census = conf_counts.bruteforce_census
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return census(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod.conf_counts, "bruteforce_census", counted)
+    monkeypatch.setattr(conf_counts, "bruteforce_census", counted)
     code, doc = run_json(
         capsys, "verify", "--side", "conf", "--q", "3,5", "--max-n", "4",
         "--rep", "1,V1", "--bruteforce",
@@ -1097,7 +1110,7 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
 
     calls = {"betti_table": [], "closed_point_counts": []}
     for owner, name in ((cli_mod.SIDES["conf"], "betti_table"),
-                        (cli_mod.conf_counts, "closed_point_counts")):
+                        (conf_counts, "closed_point_counts")):
         def counted(*args, _fn=getattr(owner, name), _log=calls[name]):
             _log.append(args)
             return _fn(*args)
@@ -1116,14 +1129,14 @@ def test_verify_builds_one_table_per_rep_and_one_count_oracle_per_q(capsys, monk
 def test_count_expands_the_product_once_for_a_multi_term_rep(capsys, monkeypatch):
     import betticount.cli as cli_mod
 
-    counts = cli_mod.conf_counts.closed_point_series
+    counts = conf_counts.closed_point_series
     calls = []
 
     def counted(v, depth):
         calls.append(depth)
         return counts(v, depth)
 
-    monkeypatch.setattr(cli_mod.conf_counts, "closed_point_series", counted)
+    monkeypatch.setattr(conf_counts, "closed_point_series", counted)
     rep = "C(X1,2) - X2 + 1/2*C(X1,3) - 2/3*X2*X3 + 5/7"
     code, doc = run_json(
         capsys, "count", "--variety", "affine:1", "--q", "3", "--rep", rep, "--max-n", "12"
@@ -1458,6 +1471,25 @@ def test_render_json_matches_json_dumps(tree):
     assert _json_equal(tree)
 
 
+def test_json_writes_every_string_as_json_dumps_does():
+    texts = [chr(c) for c in range(0x100)]
+    texts += ["\U0001f600", "a\U00010000b\U0010ffff", "\ud800", "x\udfffy", "\udbff\udc00",
+              "\u2028\u2029", "\ufeff", "".join(texts)]
+    for text in texts:
+        assert _json(text, "") == json.dumps(text), repr(text)
+
+
+@pytest.mark.parametrize("column", [
+    ["plain", 'a "quote"'], ["back\\slash", "plain"], ["del\x7f"], ["tab\t", "nl\n", "nul\x00"],
+    ["caf\u00e9", "ok"], ["\ud800", "\U0001f600"], ["%s", "%d %%", "plain"],
+])
+def test_a_column_that_needs_escapes_renders_as_json_dumps_does(column):
+    rows = [(n, text, "plain") for n, text in enumerate(column)]
+    doc = OutputDocument("table", {}, rows, ("n", "text", "same"))
+    dict_rows = [{"n": n, "text": text, "same": same} for n, text, same in rows]
+    assert render_json(doc) == json.dumps({"kind": "table", "meta": {}, "data": dict_rows}, indent=2)
+
+
 _json_scalars = st.one_of(st.booleans(), st.integers(), st.text())
 _json_trees = st.recursive(
     _json_scalars,
@@ -1578,8 +1610,51 @@ def test_import_loads_only_what_the_commands_use():
     assert not extra & {
         "dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "typing",
         "argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
-        "fractions", "decimal", "_decimal", "numbers",
+        "fractions", "decimal", "_decimal", "numbers", "__future__", "_json",
     }
+
+
+# per command family: the package modules it loads (None: not pinned) and
+# those it must not load.  The child runs under -S, so site preloads
+# nothing, and no family loads re, __future__ or _json.
+_FAMILY_IMPORTS = {
+    "tori-betti": (["tori-betti", "--rep", "V2", "--max-i", "5", "--max-n", "7", "--stable"],
+                   {"cli", "chars", "series", "betti", "tori"}, set()),
+    "conf-betti": (["conf-betti", "--rep", "V2", "--max-i", "5", "--max-n", "7", "--stable"],
+                   None, {"tori", "conf_counts"}),
+    "count": (["count", "--variety", "projective:2", "--q", "3", "--rep", "V11", "--max-n", "8"],
+              None, {"tori", "conf_betti", "betti"}),
+    "count-limits": (["count", "--variety", "affine:1", "--q", "5", "--rep", "V11", "--limits"],
+                     None, {"tori", "conf_betti", "betti"}),
+    "verify-tori": (["verify", "--side", "tori", "--q", "2,3", "--max-n", "4"],
+                    None, {"conf_betti", "conf_counts"}),
+    "verify-conf": (["verify", "--side", "conf", "--q", "3", "--max-n", "4", "--bruteforce"],
+                    None, {"tori"}),
+}
+
+
+@pytest.mark.parametrize("family", _FAMILY_IMPORTS)
+def test_each_command_family_imports_only_what_it_runs(family):
+    argv, loads, never = _FAMILY_IMPORTS[family]
+    code = f"""if True:
+        import contextlib, io, sys
+        before = set(sys.modules)
+        from betticount.cli import main
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main({argv!r} + ["--format", "json"]) == 0
+        assert out.getvalue()
+        print(" ".join(sorted(set(sys.modules) - before)))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    package = {name.removeprefix("betticount.") for name in loaded if name.startswith("betticount.")}
+    assert "betticount" in loaded and "cli" in package
+    if loads is not None:
+        assert package == loads
+    assert not package & never
+    assert not loaded & {"re", "__future__", "_json"}
 
 
 def test_no_command_family_loads_fractions():
