@@ -25,7 +25,6 @@ __all__ = [
     "binomial",
     "partitions",
     "centralizer_order",
-    "parse_char_poly",
     "parse_rep",
 ]
 
@@ -103,10 +102,6 @@ class CharPoly:
     @staticmethod
     def binom(lam: Sequence[int]) -> "CharPoly":
         return CharPoly._of({cycle_type(lam): 1}, 1)
-
-    @staticmethod
-    def constant(c: int) -> "CharPoly":
-        return CharPoly({(): c})
 
     @staticmethod
     def variable(k: int) -> "CharPoly":
@@ -400,16 +395,12 @@ class _Parser:
         return CharPoly._of({(): int(num)}, int(den or 1))
 
 
-def parse_char_poly(text: str) -> CharPoly:
-    """Parse an expression in the CLI grammar into the binomial basis."""
-    parser = _Parser(_tokenize(text))
+def parse_rep(text: str) -> CharPoly:
+    """The one parser: a builtin name, or an expression in the CLI grammar,
+    into the binomial basis; whitespace around either is ignored."""
+    name = text.strip()
+    parser = _Parser(_tokenize(_BUILTINS.get(name, name)))
     out = parser.parse_expr()
     if parser.peek() is not None:
         raise ValueError(f"trailing input at token {parser.pos}")
     return out
-
-
-def parse_rep(text: str) -> CharPoly:
-    """Resolve a CLI rep argument: a builtin name, '1', or an expression."""
-    name = text.strip()
-    return parse_char_poly(_BUILTINS.get(name, name))

@@ -38,10 +38,6 @@ SIDES = _Sides(conf="conf_betti", tori="tori")
 OutputDocument = namedtuple("OutputDocument", "kind meta data columns", defaults=({}, (), ()))
 
 
-def _equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] * b[1] == b[0] * a[1]
-
-
 # ---------------------------------------------------------------------------
 # renderers
 
@@ -88,9 +84,8 @@ def _json(x, pad: str) -> str:
 def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
     """_json of the rows as dicts over columns, at indent "  ", written one
     column at a time: an int column through %d, a str column of _plain text
-    through "%s", any other str or bool column through its encoder, any other
-    column cell by cell through _json at the indent of a cell, and then every
-    row through one template."""
+    through "%s", any other column cell by cell through _json at the indent
+    of a cell, and then every row through one template."""
     if not rows:
         return "[]"
     if not columns:
@@ -104,9 +99,8 @@ def _json_rows(columns: tuple[str, ...], rows: list[tuple]) -> str:
         elif kinds == {str} and _plain("".join(col)):
             fields.append(f'      {key}: "%s"')
         else:
-            enc = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             fields.append(f"      {key}: %s")
-            col = map(enc, col) if enc else [_json(x, "      ") for x in col]
+            col = [_json(x, "      ") for x in col]
         cols.append(col)
     template = "    {\n" + ",\n".join(fields) + "\n    }"
     return "[\n" + ",\n".join(map(template.__mod__, zip(*cols))) + "\n  ]"
@@ -358,7 +352,7 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
             for name, values, sums in per_rep:
                 lhs, *brute = [weighted_sum(values, by_q[q][n]) for by_q in counts]
                 rhs = sums[q, n]
-                ok = all(_equal(lhs, value) for value in (rhs, *brute))
+                ok = all(lhs[0] * den == num * lhs[1] for num, den in (rhs, *brute))
                 rows.append((q, n, name, *(ratio(*value) for value in (lhs, rhs, *brute)), ok))
     meta = {
         "side": args.side,

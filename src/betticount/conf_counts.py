@@ -71,7 +71,7 @@ def count_values(v: PointCountData, p: CharPoly, n_max: int) -> tuple[Iterator[i
     checked = closed_point_series(v, max(depth, n_max))
     mk = list(islice(checked, depth))
     if v.zeta is None:
-        pts = v.point_counts(n_max)
+        pts = list(v.point_series(n_max))
         z = [1]
         for m in range(1, n_max + 1):
             z.append(sum(map(mul, pts[:m], z[::-1])) // m)
@@ -267,9 +267,12 @@ def _sieve(p: int, n: int) -> list[Counter]:
 
 
 def check_bruteforce(p: int, n: int) -> None:
-    """Refuse brute force over F_p up to degree n unless p is prime and p^n <= GUARD."""
+    """Refuse brute force over F_p up to degree n unless p is prime, n >= 0
+    and p^n <= GUARD."""
     if not is_prime(p):
         raise ValueError(f"q = {p} is not prime; brute force runs over prime fields only")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n >= GUARD.bit_length() or p**n > GUARD:
         raise ValueError(f"brute force at q={p}, n={n} exceeds the guard {GUARD}; lower --max-n")
 
@@ -279,8 +282,6 @@ def bruteforce_census(p: int, n: int) -> list[list[tuple[tuple[int, ...], int]]]
     polynomials over F_p, by their irreducible factor degrees, each with
     the number of polynomials of that type; all from one sieve."""
     check_bruteforce(p, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return [
         [(cycle_type(key // (n + 1) ** k % (n + 1) for k in range(m)), cnt)
          for key, cnt in tally.items()]

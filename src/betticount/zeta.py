@@ -16,7 +16,6 @@ from .series import NonInteger, _int, _strip, poly_mul, shown, taylor_series
 
 __all__ = [
     "mobius_table",
-    "divisors",
     "is_prime",
     "is_prime_power",
     "necklace_numerator",
@@ -29,22 +28,13 @@ __all__ = [
 ]
 
 
-def divisors(n: int) -> list[int]:
-    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
-
-
 def necklace_numerator(k: int) -> list[int]:
     """The integer coefficients of N_k(x) = k M_k(x) = sum_{j|k} mu(k/j) x^j,
     k times the k-th necklace polynomial M_k."""
     if k < 1:
         raise ValueError("necklace polynomials are indexed by k >= 1")
     mu = mobius_table(k)
-    coeffs = [0] * (k + 1)
-    for j in divisors(k):
-        coeffs[j] = mu[k // j]
-    return coeffs
+    return [0] + [0 if k % j else mu[k // j] for j in range(1, k + 1)]
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -103,11 +93,10 @@ def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
     _check_decidable(q)
-    for k in range(q.bit_length(), 0, -1):
+    for k in range(q.bit_length(), 0, -1):  # k = 1 returns, with r = q
         r = _iroot(q, k)
         if r**k == q:
             return is_prime(r)
-    return False
 
 
 class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
@@ -153,13 +142,9 @@ class PointCountData(namedtuple("PointCountData", "q dim zeta counts")):
             raise ValueError("counts must be one or more nonnegative integers")
         return super().__new__(cls, q, dim, zeta, counts)
 
-    def point_counts(self, depth: int) -> list[int]:
-        """|V(F_{q^m})| for m = 1..depth."""
-        return list(self.point_series(depth))
-
     def point_series(self, depth: int) -> Iterator[int]:
-        """point_counts(depth) one at a time; a zeta's counts are computed
-        and checked as they are read, in depth order."""
+        """|V(F_{q^m})| for m = 1..depth, one at a time; a zeta's counts are
+        computed and checked as they are read, in depth order."""
         if self.counts is not None:
             if depth > len(self.counts):
                 raise ValueError(

@@ -1,5 +1,6 @@
 """Reference helpers shared by the tests: a scalar binomial, truncated
-univariate series products and reciprocals over Fractions, a sequence
+univariate series products and reciprocals over Fractions, the divisors
+of n by trial division, a sequence
 continued by a recurrence, a side's stable values as Fractions, the
 Grothendieck-Lefschetz check of one (q, n), and the reference paths over
 Fractions: a character polynomial as a dict of Fraction coefficients with
@@ -167,6 +168,11 @@ def binomial(x, m: int) -> Fraction:
     for j in range(m):
         acc = acc * (x - j)
     return acc * Fraction(1, math.factorial(m))
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order, by trial division."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def truncated_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:

@@ -131,7 +131,7 @@ def test_criterion_05_stability_bound_and_sharpness():
 
 def test_criterion_06_gl_conf_suite():
     start = time.monotonic()
-    reps = [CharPoly.constant(1), parse_rep("V1"), parse_rep("V11"), parse_rep("V2")]
+    reps = [CharPoly({(): 1}), parse_rep("V1"), parse_rep("V11"), parse_rep("V2")]
     ok = True
     for q in (3, 5, 7):
         census = bruteforce_census(q, 6)
@@ -181,8 +181,8 @@ def test_criterion_09_tori_suite():
     ok = True
     for q in (2, 3, 5):
         for n in range(8):
-            ok = ok and tori_partition_weighted_count(CharPoly.constant(1), q, n) == q ** (n * (n - 1))
-    trivial = betti_rows(tori.SIDE, CharPoly.constant(1), 6, 10)
+            ok = ok and tori_partition_weighted_count(CharPoly({(): 1}), q, n) == q ** (n * (n - 1))
+    trivial = betti_rows(tori.SIDE, CharPoly({(): 1}), 6, 10)
     for n in range(11):
         for i in range(7):
             ok = ok and trivial[i][n] == (1 if i == 0 else 0)
@@ -190,7 +190,7 @@ def test_criterion_09_tori_suite():
     for n in range(11):
         for i in range(10):
             ok = ok and x1[i][n] == (1 if i <= n - 1 else 0)
-    reps = [CharPoly.constant(1), parse_rep("V1"), parse_rep("V11"), parse_rep("V2")]
+    reps = [CharPoly({(): 1}), parse_rep("V1"), parse_rep("V11"), parse_rep("V2")]
     for q in (2, 3, 5):
         for rep in reps:
             for n in range(7):

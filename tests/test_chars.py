@@ -17,7 +17,6 @@ from betticount.chars import (
     binomial,
     centralizer_order,
     cycle_type,
-    parse_char_poly,
     parse_rep,
     partitions,
     weight,
@@ -148,7 +147,7 @@ def monomial_value(terms, mu):
 
 
 def test_x1_converts_to_binom():
-    assert parse_char_poly("X1") == CharPoly.binom(cycle_type((1,)))
+    assert parse_rep("X1") == CharPoly.binom(cycle_type((1,)))
     assert CharPoly.variable(1) == CharPoly.binom(cycle_type((1,)))
 
 
@@ -158,7 +157,7 @@ def test_x1_squared():
     )
     got = CharPoly.variable(1) * CharPoly.variable(1)
     assert got == expected
-    assert parse_char_poly("X1*X1") == expected
+    assert parse_rep("X1*X1") == expected
     for a1 in range(4):
         c = cycle_type((a1,))
         assert evaluate(got, c) == a1 * a1
@@ -167,7 +166,7 @@ def test_x1_squared():
 def test_distinct_variables_multiply_freely():
     got = CharPoly.variable(1) * CharPoly.variable(2)
     assert got == CharPoly.binom(cycle_type((1, 1)))
-    assert parse_char_poly("X1*X2") == got
+    assert parse_rep("X1*X2") == got
 
 
 @settings(max_examples=40)
@@ -179,7 +178,7 @@ def test_distinct_variables_multiply_freely():
     )
 )
 def test_conversion_roundtrip_by_evaluation(terms):
-    cp = parse_char_poly(monomial_text(terms))
+    cp = parse_rep(monomial_text(terms))
     for c in all_cycle_types(8):
         assert evaluate(cp, c) == monomial_value(terms, c)
 
@@ -190,7 +189,7 @@ def test_conversion_roundtrip_by_evaluation(terms):
     st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3), min_size=1, max_size=3),
 )
 def test_degree_submultiplicative(t1, t2):
-    cp, cq = (parse_char_poly(monomial_text({m: F(c) for m, c in t.items()})) for t in (t1, t2))
+    cp, cq = (parse_rep(monomial_text({m: F(c) for m, c in t.items()})) for t in (t1, t2))
     cpq = cp * cq
     if cp.is_zero() or cq.is_zero() or cpq.is_zero():
         return
@@ -238,7 +237,7 @@ def test_canonical_form_matches_a_fraction_dict_reference(a, b, k):
         assert coefficients(got) == want
         assert got.den > 0 and math.gcd(got.den, *(m for _, m in got.items())) == 1
         assert str(got) == ref_str(want)
-        assert parse_char_poly(str(got)) == got
+        assert parse_rep(str(got)) == got
     # the same values reached another way give the same form: equal, and
     # hashed alike
     for same in (CharPoly({lam: k * c for lam, c in a.items()}) * F(1, k), -(-p), p + q - q):
@@ -248,12 +247,12 @@ def test_canonical_form_matches_a_fraction_dict_reference(a, b, k):
 
 
 def test_canonical_form_of_a_rational_rep():
-    p = parse_char_poly("3/2*X1-1/6")
+    p = parse_rep("3/2*X1-1/6")
     assert p.den == 6 and p.items() == [(cycle_type(()), -1), (cycle_type((1,)), 9)]
     assert str(p) == "-1/6 + 3/2*X1"
     assert p == CharPoly({cycle_type((1,)): F(3, 2), cycle_type(()): F(-1, 6)})
-    assert p * 6 == parse_char_poly("9*X1-1") and (p * 6).den == 1
-    assert p * F(2, 3) == parse_char_poly("X1-1/9")
+    assert p * 6 == parse_rep("9*X1-1") and (p * 6).den == 1
+    assert p * F(2, 3) == parse_rep("X1-1/9")
 
 
 def seeded_expression(rng, depth=3):
@@ -288,7 +287,7 @@ def test_parsed_expressions_match_a_reference_evaluator():
     cycle_types = list(all_cycle_types(8))
     for _ in range(150):
         text = seeded_expression(rng)
-        p = parse_char_poly(text)
+        p = parse_rep(text)
         for mu in cycle_types:
             assert evaluate(p, mu) == reference_value(text, mu), (text, mu)
 
@@ -304,20 +303,21 @@ def test_builtin_rep_shapes():
 
 
 def test_parse_simple():
-    assert parse_char_poly("X1-1") == parse_rep("V1")
-    assert parse_char_poly("C(X1,2)-X1-X2+1") == parse_rep("V11")
-    assert parse_char_poly("C(X1,2)+X2-X1") == parse_rep("V2")
-    assert parse_char_poly("1") == CharPoly.constant(1)
+    assert parse_rep("X1-1") == parse_rep("V1")
+    assert parse_rep("C(X1,2)-X1-X2+1") == parse_rep("V11")
+    assert parse_rep("C(X1,2)+X2-X1") == parse_rep("V2")
+    assert parse_rep("1") == CharPoly({(): 1})
+    assert parse_rep("X1 ") == CharPoly.variable(1)
 
 
 def test_parse_rational_coefficients():
-    p = parse_char_poly("3/2*X1 - 1/2")
+    p = parse_rep("3/2*X1 - 1/2")
     assert p == CharPoly({cycle_type((1,)): F(3, 2), cycle_type(()): F(-1, 2)})
 
 
 def test_parse_products_and_parens():
-    p = parse_char_poly("(X1-1)*(X1-1)")
-    x1_minus_1 = CharPoly.variable(1) - CharPoly.constant(1)
+    p = parse_rep("(X1-1)*(X1-1)")
+    x1_minus_1 = CharPoly.variable(1) - CharPoly({(): 1})
     assert p == x1_minus_1 * x1_minus_1
     assert p == CharPoly({cycle_type((2,)): 2, cycle_type((1,)): -1, cycle_type(()): 1})
 
@@ -325,29 +325,29 @@ def test_parse_products_and_parens():
 def test_parse_rejects_garbage():
     for bad in ("X0", "C(2,X1)", "X1 +", "1//2", "C(X1,1/2)", "(X1"):
         with pytest.raises(ValueError):
-            parse_char_poly(bad)
+            parse_rep(bad)
 
 
 def test_parse_reads_a_run_of_minus_signs_and_caps_the_nesting():
-    assert parse_char_poly("-" * 1501 + "X1") == -CharPoly.variable(1)
-    assert parse_char_poly("1+" + "-" * 1500 + "1") == CharPoly.constant(2)
+    assert parse_rep("-" * 1501 + "X1") == -CharPoly.variable(1)
+    assert parse_rep("1+" + "-" * 1500 + "1") == CharPoly({(): 2})
     deepest = "(" * MAX_NESTING + "X1" + ")" * MAX_NESTING
-    assert parse_char_poly(deepest) == CharPoly.variable(1)
+    assert parse_rep(deepest) == CharPoly.variable(1)
     with pytest.raises(ValueError, match=f"parentheses are nested more than {MAX_NESTING} deep"):
-        parse_char_poly("(" + deepest + ")")
+        parse_rep("(" + deepest + ")")
 
 
 @pytest.mark.parametrize("bad, token", [("X1+*X2", "*"), ("X1+,X2", ","), ("()", ")")])
 def test_parse_names_a_misplaced_token(bad, token):
     with pytest.raises(ValueError, match=re.escape(f"expected a number, a variable or '(', found '{token}'")):
-        parse_char_poly(bad)
+        parse_rep(bad)
 
 
 def test_parse_names_unknown_variables():
     for bad, name in (("X10", "X10"), ("C(X10,2)", "X10"), ("X0", "X0"), ("X01", "X01")):
         with pytest.raises(ValueError, match=f"unknown variable {name}; variables are X1..X9"):
-            parse_char_poly(bad)
-    assert parse_char_poly("X9") == CharPoly.variable(9)
+            parse_rep(bad)
+    assert parse_rep("X9") == CharPoly.variable(9)
 
 
 # The tokenizer that _tokenize replaced, kept as its oracle: the same
@@ -407,22 +407,22 @@ def test_tokenize_matches_the_regex_it_replaced_on_edge_cases(text):
 
 def test_parse_caps_the_degree():
     assert MAX_DEGREE == 64
-    assert degree(parse_char_poly("C(X2,32)")) == 64
-    assert degree(parse_char_poly("C(X1,8)*C(X2,28)")) == 64
+    assert degree(parse_rep("C(X2,32)")) == 64
+    assert degree(parse_rep("C(X1,8)*C(X2,28)")) == 64
     for bad, deg in (("C(X1,65)", 65), ("C(X2,32)*X1", 65), ("(X1+X2)*C(X3,21)", 65)):
         with pytest.raises(ValueError, match=f"has degree {deg}; degrees are capped at 64"):
-            parse_char_poly(bad)
+            parse_rep(bad)
 
 
 def test_parse_rep_dispatch():
-    assert parse_rep("V11") == parse_char_poly("C(X1,2)-X1-X2+1")
-    assert parse_rep("1") == CharPoly.constant(1)
+    assert parse_rep("V11") == parse_rep("C(X1,2)-X1-X2+1")
+    assert parse_rep("1") == CharPoly({(): 1})
     assert parse_rep("X2") == CharPoly.binom(cycle_type((0, 1)))
 
 
 def test_str_roundtrips_through_parser():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)
-        assert parse_char_poly(str(p)) == p
+        assert parse_rep(str(p)) == p
     q = CharPoly({cycle_type((1, 1)): F(-3, 2), cycle_type((0, 2)): 1})
-    assert parse_char_poly(str(q)) == q
+    assert parse_rep(str(q)) == q

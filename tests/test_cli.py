@@ -456,6 +456,7 @@ def test_count_missing_file(capsys):
         ("q = \u0663\ndim = 1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
         ("q = +3\ndim = 1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
         ("q = 3\ndim = +1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
+        ("q = 3 5\ndim = 1\ncounts = 3", "fields 'q' and 'dim' must be integers"),
         ("q = 3\ndim = 1\nzeta_num = 1\nzeta_den = 1 -1_2", "field 'zeta_den' must be a list of integers"),
         ("q = 3\ndim = 1\ncounts = +3", "field 'counts' must be a list of integers"),
         # int() refuses these with its own message
@@ -469,7 +470,7 @@ def test_count_missing_file(capsys):
         ("q = 2\ndim = 1\ncounts = 3 5\nzeta_dem = 1 -3", "line 4: unknown field 'zeta_dem'"),
         ("q = 2\ndim = 1\ncount = 3 5", "line 3: unknown field 'count'"),
     ],
-    ids=["q-arabic-indic", "q-plus", "dim-plus", "zeta-den-underscore", "counts-plus",
+    ids=["q-arabic-indic", "q-plus", "dim-plus", "two-qs", "zeta-den-underscore", "counts-plus",
          "q-at-the-limit", "long-count", "misspelt-zeta-den", "misspelt-counts"],
 )
 def test_a_variety_file_reads_integers_as_argv_does(tmp_path, capsys, text, message):
@@ -715,6 +716,8 @@ def test_verify_bruteforce_guard_rejects_a_large_prime_q():
         (["verify", "--side", "tori", "--q", "3", "--bruteforce"],
          "--bruteforce applies to the conf side only"),
         (["verify", "--side", "conf", "--q", "4,6"], "q = 6 is not a prime power"),
+        (["verify", "--side", "conf", "--q", ","], "--q is empty"),
+        (["verify", "--side", "tori", "--q", "1"], "q = 1 is not a prime power"),
         (["count", "--variety", "affine:1"], "builtin varieties need --q"),
         (["count", "--variety", "file:{F}", "--q", "5"], "--q 5 conflicts with q = 3 from {F}"),
         (["count", "--variety", "sphere:2", "--q", "3"],
@@ -724,7 +727,7 @@ def test_verify_bruteforce_guard_rejects_a_large_prime_q():
         (["verify", "--side", "tori", "--q", "318665857834031151167461", "--max-n", "2"],
          "q = 318665857834031151167461 is not a prime power"),
     ],
-    ids=["count-two-qs", "bruteforce-on-tori", "composite-q", "builtin-without-q",
+    ids=["count-two-qs", "bruteforce-on-tori", "composite-q", "empty-q", "q-one", "builtin-without-q",
          "file-q-conflict", "unknown-variety", "trailing-token", "pseudoprime-q"],
 )
 def test_cli_refusals_name_the_bad_input(tmp_path, capsys, argv, message):
@@ -764,7 +767,7 @@ def test_the_library_refuses_a_value_too_long_to_print_as_the_cli_does():
     # coefficient past the limit each raise the text the CLI prints
     big = 10 ** sys.get_int_max_str_digits()
     for refused in (lambda: ratio(big, 1), lambda: ratio(1, big),
-                    lambda: str(CharPoly.constant(big) * CharPoly.variable(1))):
+                    lambda: str(CharPoly({(): big}) * CharPoly.variable(1))):
         with pytest.raises(ValueError) as info:
             refused()
         assert f"error: {info.value}" == TOO_LONG

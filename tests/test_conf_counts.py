@@ -9,7 +9,7 @@ import pytest
 
 from betticount import conf_counts
 from betticount.chars import (
-    CharPoly, active, binomial, cycle_type, parse_char_poly, parse_rep, partitions, weight,
+    CharPoly, active, binomial, cycle_type, parse_rep, partitions, weight,
 )
 from betticount.conf_betti import SIDE
 from betticount.conf_counts import (
@@ -157,7 +157,7 @@ def test_one_sieve_matches_trial_division_at_every_degree(p, n):
 def test_bruteforce_squarefree_count_q3_n2():
     census = bruteforce_census(3, 2)
     assert sum(cnt for _, cnt in census[2]) == 6  # 9 monic quadratics, 3 with repeated roots
-    assert bruteforce_weighted_count(3, 2, CharPoly.constant(1)) == 6
+    assert bruteforce_weighted_count(3, 2, CharPoly({(): 1})) == 6
 
 
 def test_bruteforce_linear_polys():
@@ -174,6 +174,8 @@ def test_bruteforce_guard():
         bruteforce_census(3, 30)
     with pytest.raises(ValueError):
         bruteforce_census(4, 2)  # not prime
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        conf_counts.check_bruteforce(3, -1)
 
 
 def test_bruteforce_degree_zero():
@@ -441,7 +443,7 @@ def test_whole_rep_series_is_the_sum_of_its_terms(case):
     z = truncated_mul(zeta[0], truncated_inverse(zeta[1], n), n)
     mk = closed_point_counts(v, n)
     for text in WHOLE_REPS:
-        p = parse_char_poly(text)
+        p = parse_rep(text)
         assert len(p.items()) >= 3
         assert any(coeff.denominator > 1 for coeff in coefficients(p).values())
         expected = [F(0)] * (n + 1)
@@ -585,7 +587,7 @@ def test_elliptic_curve_limits_are_the_trivial_limit_times_the_expectation():
     # Z = (1 - 2t + 5t^2) / ((1 - t)(1 - 5t)), an elliptic curve over F_5:
     # the numerator's reciprocal roots have absolute value sqrt(5)
     v = parse_variety_text("q = 5\ndim = 1\nzeta_num = 1 -2 5\nzeta_den = 1 -6 5\n")
-    one = F(*limits(v, CharPoly.constant(1))[0])
+    one = F(*limits(v, CharPoly({(): 1}))[0])
     for name in ("1", "X1", "V11", "1/2*X4+C(X2,2)"):
         p = parse_rep(name)
         lim = F(*limits(v, p)[0])

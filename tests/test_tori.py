@@ -33,7 +33,7 @@ from test_conf_betti import MIXED_REP
 
 X1 = CharPoly.variable(1)
 X2 = CharPoly.binom(cycle_type((0, 1)))
-ONE = CharPoly.constant(1)
+ONE = CharPoly({(): 1})
 
 LAMBDA_SWEEP_4 = [
     cycle_type(tuple(e))

@@ -9,7 +9,6 @@ from betticount.zeta import (
     builtin_variety,
     closed_point_counts,
     closed_point_series,
-    divisors,
     is_prime,
     is_prime_power,
     mobius_table,
@@ -17,7 +16,7 @@ from betticount.zeta import (
     parse_variety_text,
 )
 
-from helpers import truncated_inverse
+from helpers import divisors, truncated_inverse
 
 
 def test_mobius_small():
@@ -33,9 +32,15 @@ def test_mobius_table_agrees_with_trial_division():
     assert mobius_table(0) == [0]
 
 
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+def test_necklace_numerator_sums_over_the_divisors():
+    # N_k = sum_(j | k) mu(k/j) x^j, the divisors found by trial division
+    assert divisors(12) == [1, 2, 3, 4, 6, 12] and divisors(1) == [1]
+    mu = mobius_table(64)
+    for k in range(1, 65):
+        expected = [0] * (k + 1)
+        for j in divisors(k):
+            expected[j] = mu[k // j]
+        assert necklace_numerator(k) == expected, k
 
 
 @pytest.mark.parametrize(
@@ -119,14 +124,14 @@ def test_field_elements_partition_by_minimal_polynomial_degree(q):
 
 def test_affine_line_closed_points():
     v = builtin_variety("affine", 1, 3)
-    assert v.point_counts(3) == [3, 9, 27]
+    assert list(v.point_series(3)) == [3, 9, 27]
     assert closed_point_counts(v, 3) == [3, 3, 8]
     assert [necklace_at(k, 3) for k in (1, 2, 3)] == [3, 3, 8]
 
 
 def test_projective_line_closed_points():
     v = builtin_variety("projective", 1, 2)
-    assert v.point_counts(2) == [3, 5]
+    assert list(v.point_series(2)) == [3, 5]
     assert closed_point_counts(v, 2) == [3, 1]
 
 
@@ -180,7 +185,7 @@ def test_closed_point_series_reads_no_further_than_asked():
 )
 def test_mobius_roundtrip(kind, d, q):
     v = builtin_variety(kind, d, q)
-    pts = v.point_counts(40)
+    pts = list(v.point_series(40))
     mk = closed_point_counts(v, 40)
     for k in range(1, 41):
         assert pts[k - 1] == sum(m * mk[m - 1] for m in divisors(k))
@@ -227,9 +232,9 @@ def test_zeta_series_matches_taylor(d, q):
 
 
 def test_builtin_point_counts():
-    assert builtin_variety("affine", 1, 5).point_counts(1)[0] == 5
-    assert builtin_variety("projective", 1, 3).point_counts(1)[0] == 4
-    assert builtin_variety("affine", 2, 2).point_counts(2)[1] == 16
+    assert list(builtin_variety("affine", 1, 5).point_series(1))[0] == 5
+    assert list(builtin_variety("projective", 1, 3).point_series(1))[0] == 4
+    assert list(builtin_variety("affine", 2, 2).point_series(2))[1] == 16
     with pytest.raises(ValueError):
         builtin_variety("weird", 1, 2)
     with pytest.raises(ValueError):
@@ -260,7 +265,7 @@ counts = 3, 5, 9
 def test_parse_variety_zeta():
     v = parse_variety_text(GOOD_ZETA)
     assert v.q == 3 and v.dim == 1
-    assert v.point_counts(3) == [3, 9, 27]
+    assert list(v.point_series(3)) == [3, 9, 27]
 
 
 def test_parse_variety_counts():
