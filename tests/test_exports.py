@@ -21,7 +21,8 @@ def test_star_import_resolves(module):
 
 def test_the_per_layer_benchmark_traces_exactly_these_live_targets():
     # perfbench/tracer.py is read, not imported, so nothing is written under
-    # perfbench/; a target resolves as Tracer.install resolves it.  The other
+    # perfbench/; a target resolves as Tracer.install resolves it, once its
+    # module is imported.  The other
     # 19 name code that is gone, and they read 0 in every traced run.  This
     # set changes when the benchmark is retargeted, and until then nothing
     # may delete or rename these five.
