@@ -160,8 +160,7 @@ def cyclotomic_sum(
     total = [0] * size
     for num, m, factors in terms:
         part = [m * x for x in num] + [0] * (size - len(num))
-        for k, e, sign in factors:
-            divide_in_place(part, [(k, e)], sign)
+        divide_in_place(part, factors)
         total = [a + b for a, b in zip(total, part)]
     for (k, sign), e in top.items():
         for _ in range(e):
@@ -188,11 +187,11 @@ def cyclotomic_sum(
     return tuple(x // g for x in total), tuple(D), scale // g
 
 
-def divide_in_place(s: list[int], factors: Iterable[tuple[int, int]], sign: int) -> None:
-    """Replace the series s by s / prod_k (1 + sign t^k)^(e_k), truncated
-    at len(s), for the pairs (k, e_k) in factors and sign +-1: each
+def divide_in_place(s: list[int], factors: Iterable[tuple[int, int, int]]) -> None:
+    """Replace the series s by s / prod (1 + sign t^k)^e, truncated at
+    len(s), for the stride factors (k, e, sign) in factors, sign +-1: each
     division is a stride-k running difference (sign 1) or sum (sign -1)."""
-    for k, e in factors:
+    for k, e, sign in factors:
         for _ in range(e):
             for m in range(k, len(s)):
                 s[m] -= sign * s[m - k]

@@ -59,14 +59,15 @@ def _torus_denominator(mu: tuple[int, ...], q: int) -> int:
 def _grid(terms: list[tuple[tuple[int, ...], int]], max_i: int, max_n: int) -> list[tuple[int, ...]]:
     """rows[i][n] = sum_lam m_lam z_lam beta_i(n; C(X, lam)) over the pairs
     (lam, m_lam) of terms.  The lam of one weight w share one series
-    R_w = sum m_lam / prod_k (1 - z^k)^lam_k truncated at z^max_i, and
-    column n >= w adds R_w prod_{j=n-w+1..n} (1 - z^j).  For w > 0, step n
-    multiplies R_w by (1 - z^n) and, once n > w, divides it by (1 - z^(n-w))."""
+    R_w = sum m_lam / prod_k (1 - z^k)^lam_k truncated at z^max_i, each
+    term divided by its _stable_term's factors, and column n >= w adds
+    R_w prod_{j=n-w+1..n} (1 - z^j).  For w > 0, step n multiplies R_w by
+    (1 - z^n) and, once n > w, divides it by (1 - z^(n-w))."""
     by_weight: dict[int, list[int]] = {}
     for lam, m in terms:
         if (w := weight(lam)) <= max_n:
             s = [m] + [0] * max_i
-            divide_in_place(s, active(lam), -1)
+            divide_in_place(s, _stable_term(lam)[1])
             by_weight[w] = [a + b for a, b in zip(by_weight.get(w, repeat(0)), s)]
     cols = [[0] * (max_i + 1) for _ in range(max_n + 1)]
     for w, r in by_weight.items():
@@ -75,7 +76,7 @@ def _grid(terms: list[tuple[tuple[int, ...], int]], max_i: int, max_n: int) -> l
                 for e in range(max_i, n - 1, -1):
                     r[e] -= r[e - n]
                 if n > w:
-                    divide_in_place(r, [(n - w, 1)], -1)
+                    divide_in_place(r, [(n - w, 1, -1)])
             if n >= w:
                 cols[n] = [a + b for a, b in zip(cols[n], r)]
     return list(zip(*cols))

@@ -156,7 +156,7 @@ def difference_series(lam: tuple[int, ...], max_i: int, t_order: int) -> dict[tu
     """
     den = centralizer_order(lam)
     cols = conf_betti._difference_columns([(lam, 1)], max_i, t_order)
-    return {(i, n): Fraction(c, den) for n, col in enumerate(cols) for i, c in enumerate(col) if c}
+    return {(i, n): Fraction((-1) ** i * c, den) for n, col in enumerate(cols) for i, c in enumerate(col) if c}
 
 
 def binomial(x, m: int) -> Fraction:

@@ -420,6 +420,12 @@ def test_parse_rep_dispatch():
     assert parse_rep("X2") == CharPoly.binom(cycle_type((0, 1)))
 
 
+def test_a_char_poly_never_equals_a_number():
+    # CharPoly.__eq__ returns NotImplemented for a non-CharPoly, so the
+    # comparison falls back to identity
+    assert (parse_rep("1") == 1) is False
+
+
 def test_str_roundtrips_through_parser():
     for rep in ("V1", "V11", "V2"):
         p = parse_rep(rep)

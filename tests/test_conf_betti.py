@@ -17,9 +17,12 @@ from helpers import (
     coefficients,
     degree,
     difference_series,
+    divisors,
     extend_by_recurrence,
     gl_crosscheck,
     stable_values,
+    truncated_inverse,
+    truncated_mul,
 )
 
 # Golden grids, entered row by row exactly as printed; keys are (i, n).
@@ -117,18 +120,18 @@ def test_series_addition_matches_per_term_recomputation():
 def test_necklace_binomials_match_scalar_binomials():
     # B(y) = prod_k binom(M_k(y), lam_k) has degree <= w, so its values at
     # w + 1 points pin it down; each value here is a product of scalar
-    # binomials of M_k(y) = (1/k) sum_(d | k) mu(k/d) y^d
+    # binomials of M_k(y) = (1/k) sum_(d | k) mu(k/d) y^d.  _term's
+    # P = z_lam (-z)^w B(-1/z) gives b_j = (-1)^(w-j) P_(w-j) of z_lam B(y)
     from betticount.chars import centralizer_order
-    from betticount.conf_betti import _necklace_binomials
+    from betticount.conf_betti import _term
     from betticount.zeta import mobius_table
-
-    from helpers import divisors
 
     for w in range(11):
         for mu in partitions(w):
             lam = mu
-            b, scale = _necklace_binomials(lam), centralizer_order(lam)
-            assert len(b) == w + 1
+            p, scale = _term(lam)[0], centralizer_order(lam)
+            assert len(p) == w + 1
+            b = [(-1) ** (w - j) * p[w - j] for j in range(w + 1)]
             for y in range(-w // 2 - 1, w // 2 + 2):
                 expected = F(1)
                 for k, lk in active(lam):
@@ -274,6 +277,57 @@ def test_table_of_a_rep_is_the_sum_of_its_basis_tables(side, grid):
     for i in range(grid[0] + 1):
         for n in range(grid[1] + 1):
             assert table[i][n] == sum(c * t[i][n] for c, t in parts), (i, n)
+
+
+def paper_series(p: CharPoly, max_n: int) -> list[dict[int, F]]:
+    """[t^n] of sum_lam c_lam (1 - z t^2)/(1 - t) prod_k binom(M_k(1/z), lam_k)
+    ((tz)^k / (1 + (tz)^k))^lam_k for n <= max_n, each a Laurent polynomial
+    in z as {exponent: coefficient}, expanded over Fractions: M_k from
+    y^k = sum_(d | k) d M_d(y), and G(u) = prod_k (u^k / (1 + u^k))^lam_k
+    as a series in u = tz."""
+    necklace: dict[int, list[F]] = {}
+    for k in range(1, degree(p) + 1):
+        mk = [F(0)] * k + [F(1)]
+        for d in divisors(k)[:-1]:
+            mk = [a - d * b for a, b in zip(mk, necklace[d] + [F(0)] * (k - d))]
+        necklace[k] = [a / k for a in mk]
+    bg = [{} for _ in range(max_n + 1)]  # [t^n] of the sum of c_lam B(1/z) G(tz)
+    for lam, c in coefficients(p).items():
+        w = weight(lam)
+        b, den = [c], [F(1)]
+        for k, lk in active(lam):
+            for j in range(lk):
+                b = truncated_mul(b, [necklace[k][0] - j] + necklace[k][1:], w)
+                den = truncated_mul(den, [F(1)] + [F(0)] * (k - 1) + [F(1)], max_n)
+            b = [x / math.factorial(lk) for x in b]
+        g = [F(0)] * w + truncated_inverse(den, max_n)
+        for n in range(w, max_n + 1):
+            for j, bj in enumerate(b):
+                bg[n][n - j] = bg[n].get(n - j, F(0)) + g[n] * bj
+    # 1/(1 - t) takes running sums S_n over n, and -z t^2 subtracts z S_(n-2)
+    sums = [dict(bg[0])]
+    for col in bg[1:]:
+        sums.append({e: sums[-1].get(e, F(0)) + col.get(e, F(0)) for e in sums[-1].keys() | col.keys()})
+    out = [dict(s) for s in sums]
+    for n in range(2, max_n + 1):
+        for e, c in sums[n - 2].items():
+            out[n][e + 1] = out[n].get(e + 1, F(0)) - c
+    return out
+
+
+@pytest.mark.parametrize(
+    "p",
+    [CharPoly.binom(lam) for w in range(5) for lam in partitions(w)] + [parse_rep("V11"), parse_rep(MIXED_REP)],
+)
+def test_kernel_matches_the_papers_product_expansion(p):
+    # the z^i t^n coefficient of the paper's double generating function is
+    # (-1)^i alpha_i(n), and no negative power of z survives
+    max_i = max_n = 6
+    table = betti_rows(SIDE, p, max_i, max_n)
+    for n, column in enumerate(paper_series(p, max_n)):
+        assert all(c == 0 for e, c in column.items() if e < 0), n
+        assert [table[i][n] for i in range(max_i + 1)] == [
+            (-1) ** i * column.get(i, F(0)) for i in range(max_i + 1)], n
 
 
 def test_empty_configuration_entry():

@@ -1,5 +1,6 @@
 """Every name that a betticount module lists in __all__ resolves, and so do
-the layer functions that the per-layer benchmark still traces."""
+the layer functions that the per-layer benchmark still traces; the library
+functions that take a size or an index refuse one out of range."""
 
 import importlib
 import pkgutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import betticount
+from betticount import chars, conf_counts, tori, zeta
 
 MODULES = ["betticount", *(f"betticount.{m.name}" for m in pkgutil.iter_modules(betticount.__path__))]
 EXPORTING = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
@@ -39,3 +41,20 @@ def test_the_per_layer_benchmark_traces_exactly_these_live_targets():
     assert len(ns["TARGETS"]) == 24
     assert live == {"cli.render", "chars.parse_rep", "series.taylor_coeffs",
                     "conf_counts.bruteforce_census", "zeta.closed_point_counts"}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chars.partitions(-1), "n must be nonnegative"),
+        (lambda: tori.gl_order(-1, 3), "n must be nonnegative"),
+        (lambda: tori.count_oracle(3, -1), "n must be nonnegative"),
+        (lambda: conf_counts.count_oracle(zeta.builtin_variety("affine", 1, 3), -1),
+         "n must be nonnegative"),
+        (lambda: zeta.necklace_numerator(0), "indexed by k >= 1"),
+    ],
+    ids=["partitions", "gl_order", "tori.count_oracle", "conf_counts.count_oracle", "necklace_numerator"],
+)
+def test_library_guards_refuse_an_index_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -216,14 +216,17 @@ def test_truncated_inverse_roundtrip():
     assert truncated_mul(a, inv, 6) == [F(1)] + [F(0)] * 6
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_divide_in_place_inverts_the_product(sign):
-    rng = random.Random(sign)
-    factors = [(1, 2), (2, 1), (3, 3), (5, 1)]
+@pytest.mark.parametrize("factors", [
+    [(1, 2, 1), (2, 1, 1), (3, 3, 1), (5, 1, 1)],
+    [(1, 2, -1), (2, 1, -1), (3, 3, -1), (5, 1, -1)],
+    [(1, 2, -1), (2, 1, 1), (3, 3, -1), (5, 1, -1)],  # the conf factors' (k, e, (-1)^k)
+], ids=["1", "-1", "mixed"])
+def test_divide_in_place_inverts_the_product(factors):
+    rng = random.Random(factors[0][2])
     s = [rng.randint(-9, 9) for _ in range(20)]
     q = list(s)
-    divide_in_place(q, factors, sign)
-    for k, e in factors:
+    divide_in_place(q, factors)
+    for k, e, sign in factors:
         for _ in range(e):
             q = truncated_mul(q, [1] + [0] * (k - 1) + [sign], len(s) - 1)
     assert q == s
